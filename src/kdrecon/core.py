@@ -12,9 +12,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateNodes, DimensionMismatch, NormViolation
+from .errors import (
+    DegenerateNodes,
+    DimensionMismatch,
+    NormViolation,
+    PostSelectionTooWeak,
+    SizeCap,
+)
 
 NORM_TOL = 1e-12
+PS_FLOOR = 1e-10  # smallest post-selection probability any path divides by
+TENSOR_CAP = 10**6  # largest dense d**n tensor a correlation or KD path builds
+
+
+def require_postselection(prob: float, what: str) -> None:
+    """Refuse a post-selection whose probability is at or below PS_FLOOR."""
+    if prob <= PS_FLOOR:
+        raise PostSelectionTooWeak(f"{what} probability {prob:.3e} below floor {PS_FLOOR:.0e}")
+
+
+def require_tensor_size(d: int, n: int) -> None:
+    if d**n > TENSOR_CAP:
+        raise SizeCap(f"tensor with {d}^{n} entries exceeds the 1e6 cap")
+
+
+def require_node_gap(nodes: np.ndarray) -> None:
+    """Refuse (near-)degenerate values: a gap at or below 1e-9 of the spread
+    makes the associated Vandermonde system singular."""
+    if nodes.size > 1:
+        spread = float(np.max(nodes) - np.min(nodes))
+        gap = float(np.min(np.diff(np.sort(nodes))))
+        if gap <= 1e-9 * max(spread, 1.0):
+            raise DegenerateNodes(
+                f"minimum gap {gap:.3e} too small relative to range {spread:.3e}; apply "
+                "an infinitesimal tilt to the operator to separate the values"
+            )
 
 
 def _as_complex(a) -> np.ndarray:
@@ -95,14 +127,7 @@ class ObservableSpec:
             raise DimensionMismatch("eigenvector matrix shape must match eigenvalue count")
         if np.max(np.abs(vecs.conj().T @ vecs - np.eye(d))) > NORM_TOL:
             raise NormViolation("eigenvector matrix is not unitary within 1e-12")
-        if d > 1:
-            spread = np.max(vals) - np.min(vals)
-            gap = np.min(np.abs(np.subtract.outer(vals, vals))[~np.eye(d, dtype=bool)])
-            if gap <= 1e-9 * max(spread, 1.0):
-                raise DegenerateNodes(
-                    "eigenvalues are (near-)degenerate; apply an infinitesimal "
-                    "tilt to the operator to separate them"
-                )
+        require_node_gap(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)

@@ -14,16 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IncompleteSampling,
-    NormViolation,
-    OffGridParameter,
-    PostSelectionTooWeak,
-)
+from .core import require_postselection
+from .errors import DimensionMismatch, IncompleteSampling, NormViolation, OffGridParameter
 
-DEFAULT_PS_FLOOR = 1e-10
-EDGE_GUARD = 1e-8
+EDGE_GUARD = 1e-8  # edge amplitude above which momentum shifts alias
+TAIL_FLOOR = 1e-10  # edge amplitude above which x*p grid moments stop converging
 
 
 @dataclass(frozen=True)
@@ -155,9 +150,7 @@ def _grid_index(values: np.ndarray, target: float, step: float, what: str) -> in
     return int(idx)
 
 
-def weak_char_fn(
-    w: WaveFunction, post_p: float, k_values=None, ps_floor: float = DEFAULT_PS_FLOOR
-) -> CharFnSample:
+def weak_char_fn(w: WaveFunction, post_p: float, k_values=None) -> CharFnSample:
     """Z(k) = psi_tilde(post_p - hbar k) / psi_tilde(post_p).
 
     Momentum shifts wrap periodically at the grid edges (discretization
@@ -174,18 +167,14 @@ def weak_char_fn(
         )
     ip = _grid_index(g.p, post_p, g.dp, "post-selection momentum")
     denom = pt[ip]
-    if abs(denom) ** 2 * g.dp <= ps_floor:
-        raise PostSelectionTooWeak(
-            f"post-selection density {abs(denom)**2 * g.dp:.3e} at p={post_p} below floor"
-        )
+    require_postselection(abs(denom) ** 2 * g.dp, f"p={post_p} post-selection")
     k_values = g.k if k_values is None else np.asarray(k_values, dtype=float)
     shifts = np.array([_grid_index(g.k, k, g.dk, "characteristic parameter k") - g.n // 2 for k in k_values])
     z = pt[(ip - shifts) % g.n] / denom
     return CharFnSample(g, k_values, z, conditioning=f"p={g.p[ip]:.6g}")
 
 
-def weak_char_fn_general(w: WaveFunction, phi: WaveFunction, k_values=None,
-                         ps_floor: float = DEFAULT_PS_FLOOR) -> CharFnSample:
+def weak_char_fn_general(w: WaveFunction, phi: WaveFunction, k_values=None) -> CharFnSample:
     """Z(k) = <phi|e^{i k x}|psi> / <phi|psi> for an arbitrary post-selection state.
 
     Experimental: the measurement protocol is only specified for momentum
@@ -198,14 +187,27 @@ def weak_char_fn_general(w: WaveFunction, phi: WaveFunction, k_values=None,
     if phi.representation != "position" or w.representation != "position":
         raise ValueError("general-phi variant expects position-representation inputs")
     overlap = g.dx * np.sum(phi.samples.conj() * w.samples)
-    if abs(overlap) <= ps_floor:
-        raise PostSelectionTooWeak(f"|<phi|psi>| = {abs(overlap):.3e} below floor")
+    require_postselection(abs(overlap) ** 2, "|<phi|psi>|^2 post-selection")
     k_values = g.k if k_values is None else np.asarray(k_values, dtype=float)
     z = np.array([
         g.dx * np.sum(phi.samples.conj() * np.exp(1j * k * g.x) * w.samples) / overlap
         for k in k_values
     ])
     return CharFnSample(g, k_values, z, conditioning="phi=general")
+
+
+def inverse_char_transform(params: np.ndarray, z: np.ndarray, out_values: np.ndarray) -> np.ndarray:
+    """q(y_n) = dparam/(2 pi) * sum_m e^{-i param_m y_n} Z_m, by one FFT.
+
+    ``params`` and ``out_values`` are uniform grids of the same length n whose
+    steps satisfy dparam * dout = 2 pi / n.  The sum runs along axis 0 of ``z``;
+    trailing axes are transformed independently.
+    """
+    # e^{-i p_m y_n} = e^{-i p_m y_0} e^{-i p_0 (y_n - y_0)} e^{-2 pi i m n / N}
+    trailing = (1,) * (np.ndim(z) - 1)
+    pre = np.fft.fft(z * np.exp(-1j * params * out_values[0]).reshape(-1, *trailing), axis=0)
+    post = np.exp(-1j * params[0] * (out_values - out_values[0])).reshape(-1, *trailing)
+    return (params[1] - params[0]) / (2 * np.pi) * post * pre
 
 
 def conditional_pseudo_cv(z: CharFnSample) -> np.ndarray:
@@ -217,10 +219,7 @@ def conditional_pseudo_cv(z: CharFnSample) -> np.ndarray:
     g = z.grid
     if z.parameters.size != g.n or np.max(np.abs(z.parameters - g.k)) > 1e-9 * g.dk:
         raise IncompleteSampling("characteristic function must cover the full conjugate grid")
-    # e^{-i k_m x_n} = e^{-i k_m x_0} e^{-i k_0 n dx} e^{-2 pi i m n / N}
-    pre = np.fft.fft(z.values * np.exp(-1j * z.parameters * g.x[0]))
-    q = g.dk / (2 * np.pi) * np.exp(-1j * g.k[0] * (g.x - g.x[0])) * pre
-    return q
+    return inverse_char_transform(z.parameters, z.values, g.x)
 
 
 def joint_kd_cv(w: WaveFunction, ordering: str = "x-then-p") -> np.ndarray:
@@ -242,25 +241,19 @@ def joint_kd_cv(w: WaveFunction, ordering: str = "x-then-p") -> np.ndarray:
     raise ValueError(f"unknown ordering {ordering!r}")
 
 
-def phase_space_moment(w: WaveFunction, k: np.ndarray, fx, fp) -> complex:
-    """dx*dp * sum f(x) g(p) K(x, p) over the grid."""
-    g = w.grid
-    return complex(g.dx * g.dp * np.sum(fx(g.x)[:, None] * fp(g.p)[None, :] * k))
-
-
-def ccr_witness(w: WaveFunction, tail_floor: float = 1e-10) -> complex:
+def ccr_witness(w: WaveFunction) -> complex:
     """<xp>_Ktilde - <xp>_K = i*hbar for every state (grid-converged).
 
-    A warning is emitted when the state's spectral tails exceed the heuristic
-    floor, since grid moments then stop converging.
+    A warning is emitted when the state's spectral tails exceed TAIL_FLOOR,
+    since grid moments then stop converging.
     """
     g = w.grid
     psi_p = _momentum_samples(w)
     psi_x = w.samples if w.representation == "position" else to_position(w).samples
     edge = max(np.max(np.abs(psi_p[[0, -1]])), np.max(np.abs(psi_x[[0, -1]])))
-    if edge > tail_floor:
+    if edge > TAIL_FLOOR:
         warnings.warn(
-            f"state amplitude {edge:.2e} at grid edge exceeds {tail_floor:.0e}; "
+            f"state amplitude {edge:.2e} at grid edge exceeds {TAIL_FLOOR:.0e}; "
             "the witness may not be grid-converged",
             RuntimeWarning,
             stacklevel=2,

@@ -12,16 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DensityMatrix,
     ObservableSpec,
     QuantumState,
     as_density,
     expectation,
     observable_power,
+    require_postselection,
+    require_tensor_size,
 )
-from .errors import DimensionMismatch, PostSelectionTooWeak, SizeCap
-
-DEFAULT_PS_FLOOR = 1e-10
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -56,13 +55,12 @@ class CorrelationMatrix:
         object.__setattr__(self, "values", vals)
 
 
-def weak_value(c: np.ndarray, psi: QuantumState, phi: QuantumState, ps_floor: float = DEFAULT_PS_FLOOR) -> complex:
+def weak_value(c: np.ndarray, psi: QuantumState, phi: QuantumState) -> complex:
     """<phi|C|psi> / <phi|psi>."""
     if psi.dim != phi.dim:
         raise DimensionMismatch("pre- and post-selection dimensions differ")
     overlap = complex(phi.amplitudes.conj() @ psi.amplitudes)
-    if abs(overlap) <= ps_floor:
-        raise PostSelectionTooWeak(f"|<phi|psi>| = {abs(overlap):.3e} below floor")
+    require_postselection(abs(overlap) ** 2, "|<phi|psi>|^2 post-selection")
     return complex(phi.amplitudes.conj() @ np.asarray(c, dtype=complex) @ psi.amplitudes) / overlap
 
 
@@ -71,11 +69,10 @@ def moment_vector(
     psi: QuantumState,
     phi: QuantumState,
     orders: int | None = None,
-    ps_floor: float = DEFAULT_PS_FLOOR,
 ) -> MomentVector:
     """Weak moments of A between psi and phi, powers 0..orders-1 (default d)."""
     orders = a.dim if orders is None else orders
-    vals = [weak_value(observable_power(a, n), psi, phi, ps_floor) for n in range(orders)]
+    vals = [weak_value(observable_power(a, n), psi, phi) for n in range(orders)]
     return MomentVector(np.array(vals), observable=a.label)
 
 
@@ -96,22 +93,6 @@ def correlation_matrix(a: ObservableSpec, b: ObservableSpec, state, orders=None)
     return CorrelationMatrix(vals, labels=(a.label, b.label))
 
 
-def correlator_hermitian_parts(a_pow: np.ndarray, b_pow: np.ndarray, state) -> complex:
-    """Correlator via separate Hermitian observables.
-
-    Measures S = A^n B^m + B^m A^n and D = i(A^n B^m - B^m A^n) and recombines
-    as (<S> - i<D>)/2; equals the direct <A^n B^m> identically, implemented as
-    a self-consistency check of the measurement decomposition.
-    """
-    a_pow = np.asarray(a_pow, dtype=complex)
-    b_pow = np.asarray(b_pow, dtype=complex)
-    ab = a_pow @ b_pow
-    ba = b_pow @ a_pow
-    s = expectation(state, ab + ba)
-    d = expectation(state, 1j * (ab - ba))
-    return (s - 1j * d) / 2
-
-
 def correlation_tensor(obs_list, psi: QuantumState) -> np.ndarray:
     """C[m_1..m_N] = <psi| O_1^m1 ... O_N^mN |psi>, each index 0..d-1."""
     obs_list = list(obs_list)
@@ -120,8 +101,7 @@ def correlation_tensor(obs_list, psi: QuantumState) -> np.ndarray:
         if obs.dim != d:
             raise DimensionMismatch("observable dimension mismatch")
     n = len(obs_list)
-    if d**n > 10**6:
-        raise SizeCap(f"tensor with {d}^{n} entries exceeds the 1e6 cap")
+    require_tensor_size(d, n)
     # right-to-left: stack of vectors O_k^{m_k}..O_N^{m_N}|psi> over trailing indices
     stack = psi.amplitudes[:, None]  # shape (d, 1): trailing multi-index flattened
     shape_tail = ()

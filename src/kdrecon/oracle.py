@@ -19,15 +19,11 @@ from .core import (
     as_density,
     check_incompatibility,
     overlap_matrix,
+    require_postselection,
+    require_tensor_size,
 )
-from .errors import (
-    DimensionMismatch,
-    IncompatibilityViolated,
-    PostSelectionTooWeak,
-    SizeCap,
-)
+from .errors import DimensionMismatch, IncompatibilityViolated
 
-DEFAULT_PS_FLOOR = 1e-10
 INCOMPAT_THRESHOLD = 1e-12
 
 
@@ -108,15 +104,10 @@ def postselection_probability(state, b: ObservableSpec, j: int) -> float:
     return float(np.real(bj.conj() @ rho.matrix @ bj))
 
 
-def kd_conditional(
-    state, a: ObservableSpec, b: ObservableSpec, j: int, ps_floor: float = DEFAULT_PS_FLOOR
-) -> PseudoDistribution:
+def kd_conditional(state, a: ObservableSpec, b: ObservableSpec, j: int) -> PseudoDistribution:
     """K[i|j] = K[i, j] / <b_j|rho|b_j>, conditioned on outcome b_j."""
     prob = postselection_probability(state, b, j)
-    if prob <= ps_floor:
-        raise PostSelectionTooWeak(
-            f"post-selection probability {prob:.3e} at outcome {j} below floor {ps_floor:.1e}"
-        )
+    require_postselection(prob, f"outcome {j} post-selection")
     joint = kd_joint(state, a, b)
     return PseudoDistribution(
         joint.values[:, j] / prob,
@@ -140,8 +131,7 @@ def kd_npoint(psi: QuantumState, obs_list) -> PseudoDistribution:
         if obs.dim != d:
             raise DimensionMismatch("all observables must match the state dimension")
     n = len(obs_list)
-    if d**n > 10**6:
-        raise SizeCap(f"tensor with {d}^{n} entries exceeds the 1e6 cap")
+    require_tensor_size(d, n)
     first = obs_list[0].eigenvectors.conj().T @ psi.amplitudes  # <o_i1|psi>
     tensor = np.conj(first)  # <psi|o_i1>
     for k in range(1, n):

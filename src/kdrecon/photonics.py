@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cv import Grid, WaveFunction, momentum_samples_raw, position_samples_raw
+from .cv import (
+    Grid,
+    WaveFunction,
+    inverse_char_transform,
+    momentum_samples_raw,
+    position_samples_raw,
+)
 from .errors import (
     DimensionMismatch,
     InsufficientCounts,
@@ -233,10 +239,9 @@ def estimate_weak_char(histograms: dict, setting: SlmSetting, pixel: int,
     return z, se
 
 
-def run_setting(w: WaveFunction, setting: SlmSetting, mode: str, analyzer: str,
-                pol=(1.0, 0.0)) -> np.ndarray:
-    """Probability array (n, 2) for one full optical configuration."""
-    s = prepare_photon(w, pol)
+def run_setting(w: WaveFunction, setting: SlmSetting, mode: str, analyzer: str) -> np.ndarray:
+    """Probability array (n, 2) for one full optical configuration, input polarization H."""
+    s = prepare_photon(w, (1.0, 0.0))
     if mode == "p-then-x":
         s = photon_to_momentum(s)
     s = slm_weak_rotation(s, setting)
@@ -264,13 +269,6 @@ def _conjugate_params(grid: Grid, mode: str) -> np.ndarray:
     return grid.x / grid.hbar  # lambda values: shifts of x by lambda*hbar
 
 
-def _inverse_char(params: np.ndarray, z: np.ndarray, out_values: np.ndarray) -> np.ndarray:
-    """q(y) = dparam/(2 pi) * sum_j e^{-i param_j y} Z_j (direct evaluation)."""
-    dparam = params[1] - params[0]
-    kernel = np.exp(-1j * np.outer(out_values, params))
-    return dparam / (2 * np.pi) * kernel @ z
-
-
 def run_reconstruction(
     w: WaveFunction,
     epsilon: float,
@@ -280,7 +278,6 @@ def run_reconstruction(
     post_index: int | None = None,
     joint: bool = False,
     min_counts: int = 100,
-    pol=(1.0, 0.0),
 ) -> ReconstructionResult:
     """Full k-sweep: histograms -> Z estimates -> inverse Fourier transform.
 
@@ -300,7 +297,7 @@ def run_reconstruction(
         for qi, quad in enumerate(QUADRATURES):
             for ai, analyzer in enumerate(("diag", "circ")):
                 probs = run_setting(w, SlmSetting(kp, _QUAD_PHASE[quad], epsilon),
-                                    mode, analyzer, pol)
+                                    mode, analyzer)
                 if shots is None:
                     hists[(quad, analyzer)] = probs
                     rates[:] += probs.sum(axis=1) / (4 * n)
@@ -319,12 +316,11 @@ def run_reconstruction(
     out_values = g.x if mode == "x-then-p" else g.p
     conditional = conditional_se = None
     if post_index is not None:
-        zcol = z_values[:, post_index]
         if not np.all(np.isfinite(z_errors[:, post_index])):
             raise InsufficientCounts(
                 f"post-selected pixel {post_index} lacks counts at some frequencies"
             )
-        conditional = _inverse_char(params, zcol, out_values)
+        conditional = inverse_char_transform(params, z_values[:, post_index], out_values)
         dparam = params[1] - params[0]
         # independent errors per frequency propagate in quadrature through the
         # linear inverse transform
@@ -334,14 +330,10 @@ def run_reconstruction(
     joint_est = None
     if joint:
         step = g.dp if mode == "x-then-p" else g.dx
-        cols = []
-        for pix in range(n):
-            if np.all(np.isfinite(z_errors[:, pix])) and rates[pix] > 0:
-                cols.append(_inverse_char(params, z_values[:, pix], out_values)
-                            * rates[pix] / step)
-            else:
-                cols.append(np.zeros(n, dtype=complex))
-        joint_est = np.stack(cols, axis=1)  # rows: reconstructed variable
+        valid = np.all(np.isfinite(z_errors), axis=0) & (rates > 0)
+        # rows: reconstructed variable; columns: camera pixel
+        joint_est = inverse_char_transform(params, z_values, out_values) \
+            * np.where(valid, rates / step, 0.0)
         if mode == "p-then-x":
             # rows currently index p, columns index x; present as (x, p)
             joint_est = joint_est.T

@@ -18,8 +18,8 @@ from math import comb
 
 import numpy as np
 
-from .core import ObservableSpec
-from .errors import DimensionMismatch, SizeCap
+from .core import ObservableSpec, require_tensor_size
+from .errors import DimensionMismatch
 from .moments import CorrelationMatrix, MomentVector
 from .oracle import PseudoDistribution
 from .vandermonde import build_vandermonde, invert_vandermonde, solve_least_squares
@@ -134,8 +134,7 @@ def npoint_from_correlations(obs_list, c_tensor, renormalize: bool = False) -> P
     if c.ndim != n:
         raise DimensionMismatch("tensor rank must match number of observables")
     d = obs_list[0].dim
-    if d**n > 10**6:
-        raise SizeCap(f"tensor with {d}^{n} entries exceeds the 1e6 cap")
+    require_tensor_size(d, n)
     for axis, obs in enumerate(obs_list):
         if c.shape[axis] != obs.dim:
             raise DimensionMismatch(f"axis {axis} length does not match observable dimension")

@@ -37,22 +37,13 @@ from .serialize import (
     write_pseudo_csv,
 )
 
-KINDS = (
-    "discrete-conditional",
-    "discrete-joint",
-    "discrete-npoint",
-    "cv-conditional",
-    "cv-joint",
-    "experiment",
-    "ccr",
-)
-
 _COMMON_KEYS = {"kind", "seed"}
 
 _KIND_KEYS = {
     "discrete-conditional": {
         "required": {"state", "observable_a", "observable_b", "postselect_index"},
         "optional": {"moment_orders": None, "renormalize": False},
+        "index": "postselect_index",  # an eigenvector of observable_b
     },
     "discrete-joint": {
         "required": {"state", "observable_a", "observable_b"},
@@ -65,6 +56,7 @@ _KIND_KEYS = {
     "cv-conditional": {
         "required": {"grid", "state", "post_momentum_index"},
         "optional": {},
+        "index": "post_momentum_index",  # a grid point, as is post_index
     },
     "cv-joint": {
         "required": {"grid", "state"},
@@ -78,6 +70,7 @@ _KIND_KEYS = {
             "joint": False,
             "min_counts": 100,
         },
+        "index": "post_index",
     },
     "ccr": {"required": {"grid", "state"}, "optional": {}},
 }
@@ -208,6 +201,11 @@ def _build_inputs(sc: Scenario) -> dict:
     else:
         built["grid"] = _build_grid(p["grid"])
         built["state"] = _build_cv_state(p["state"], built["grid"])
+    key = _KIND_KEYS[sc.kind].get("index")
+    if key is not None and p[key] is not None:
+        size = built["grid"].n if "grid" in built else built["observable_b"].dim
+        if type(p[key]) is not int or not 0 <= p[key] < size:
+            raise SchemaError(f"{key} must be an integer in [0, {size}), got {p[key]!r}")
     return built
 
 
@@ -222,125 +220,140 @@ def _plot_columns_1d(coords, values, coord_name="x"):
     return {coord_name: coords, "re": np.real(values), "im": np.imag(values)}
 
 
+def _plot_columns_2d(coords_a, coords_b, values, names):
+    aa, bb = np.meshgrid(coords_a, coords_b, indexing="ij")
+    return {names[0]: aa.ravel(), names[1]: bb.ravel(),
+            "re": values.real.ravel(), "im": values.imag.ravel()}
+
+
+def _cv_conditional(grid: cv.Grid, q: np.ndarray, conditioning: str) -> PseudoDistribution:
+    return PseudoDistribution(
+        q, ("x",), ordering_tag="cv-conditional", conditioning=conditioning, cell_weight=grid.dx
+    )
+
+
+def _phase_space(grid: cv.Grid, values: np.ndarray, ordering: str):
+    """(x, p) pseudo-distribution and its plot columns."""
+    pd = PseudoDistribution(
+        values, ("x", "p"), ordering_tag=f"cv-{ordering}", cell_weight=grid.dx * grid.dp
+    )
+    return pd, _plot_columns_2d(grid.x, grid.p, values, ("x", "p"))
+
+
+# Runners: (scenario, built inputs, diagnostics dict to extend) -> (result,
+# plot columns, oracle or None), or None for a kind that writes no distribution.
+
+def _run_discrete_conditional(sc: Scenario, built: dict, diag: dict):
+    p = sc.params
+    psi, a, b = built["state"], built["observable_a"], built["observable_b"]
+    j = p["postselect_index"]
+    mv = moment_vector(a, psi, QuantumState(b.eigenvector(j)), orders=p["moment_orders"])
+    result = conditional_from_moments(a, mv, renormalize=p["renormalize"])
+    oracle_pd = kd_conditional(psi, a, b, j)
+    diag["postselection_probability"] = postselection_probability(psi, b, j)
+    return result, _plot_columns_1d(a.eigenvalues, result.values, "eigenvalue"), oracle_pd
+
+
+def _run_discrete_joint(sc: Scenario, built: dict, diag: dict):
+    psi, a, b = built["state"], built["observable_a"], built["observable_b"]
+    c = correlation_matrix(a, b, psi)
+    result = joint_from_correlations(a, b, c, renormalize=sc.params["renormalize"])
+    k = kd_joint(psi, a, b)
+    oracle_pd = PseudoDistribution(np.conj(k.values), k.axes, ordering_tag="kd-conjugate")
+    plot = _plot_columns_2d(a.eigenvalues, b.eigenvalues, result.values, ("a", "b"))
+    return result, plot, oracle_pd
+
+
+def _run_discrete_npoint(sc: Scenario, built: dict, diag: dict):
+    psi, obs = built["state"], built["observables"]
+    c = correlation_tensor(obs, psi)
+    result = npoint_from_correlations(obs, c, renormalize=sc.params["renormalize"])
+    flat = result.values.ravel()
+    plot = _plot_columns_1d(np.arange(flat.size), flat, "flat_index")
+    return result, plot, kd_npoint(psi, obs)
+
+
+def _run_cv_conditional(sc: Scenario, built: dict, diag: dict):
+    grid, w = built["grid"], built["state"]
+    ip = sc.params["post_momentum_index"]
+    z = cv.weak_char_fn(w, grid.p[ip])
+    q = cv.conditional_pseudo_cv(z)
+    diag["post_momentum"] = float(grid.p[ip])
+    result = _cv_conditional(grid, q, z.conditioning)
+    return result, _plot_columns_1d(grid.x, q), _cv_conditional_oracle(grid, w, ip)
+
+
+def _run_cv_joint(sc: Scenario, built: dict, diag: dict):
+    grid, w = built["grid"], built["state"]
+    ordering = sc.params["ordering"]
+    result, plot = _phase_space(grid, cv.joint_kd_cv(w, ordering), ordering)
+    return result, plot, _cv_joint_oracle(grid, w, ordering)
+
+
+def _run_experiment(sc: Scenario, built: dict, diag: dict):
+    p = sc.params
+    grid, w = built["grid"], built["state"]
+    post, mode = p["post_index"], p["mode"]
+    res = photonics.run_reconstruction(
+        w,
+        epsilon=float(p["epsilon"]),
+        shots=None if p["shots"] is None else int(p["shots"]),
+        seed=sc.seed,
+        mode=mode,
+        post_index=post,
+        joint=bool(p["joint"]),
+        min_counts=int(p["min_counts"]),
+    )
+    diag.update(res.diagnostics)
+    diag["post_selection_rates"] = [float(r) for r in res.rates]
+    if res.conditional is not None:
+        result = _cv_conditional(grid, res.conditional, f"pixel={post}")
+        diag["conditional_standard_error"] = float(res.conditional_se[0])
+        coords = grid.x if mode == "x-then-p" else grid.p
+        oracle_pd = _cv_conditional_oracle(grid, w, post) if mode == "x-then-p" else None
+        return result, _plot_columns_1d(coords, res.conditional), oracle_pd
+    if res.joint is not None:
+        result, plot = _phase_space(grid, res.joint, mode)
+        return result, plot, _phase_space(grid, cv.joint_kd_cv(w, mode), mode)[0]
+    raise SchemaError("experiment scenario needs post_index or joint=true")
+
+
+def _run_ccr(sc: Scenario, built: dict, diag: dict):
+    witness = cv.ccr_witness(built["state"])
+    diag["witness"] = {"re": witness.real, "im": witness.imag}
+    diag["expected"] = {"re": 0.0, "im": built["grid"].hbar}
+    return None
+
+
+_RUNNERS = {
+    "discrete-conditional": _run_discrete_conditional,
+    "discrete-joint": _run_discrete_joint,
+    "discrete-npoint": _run_discrete_npoint,
+    "cv-conditional": _run_cv_conditional,
+    "cv-joint": _run_cv_joint,
+    "experiment": _run_experiment,
+    "ccr": _run_ccr,
+}
+KINDS = tuple(_RUNNERS)
+
+
 def run_scenario(sc: Scenario, out_dir, emit_oracle: bool = False) -> dict:
     """Execute the scenario's reconstruction pipeline; write artifacts; return
     a diagnostics dict (also written to diagnostics.json)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     built = _build_inputs(sc)
-    p = sc.params
     diag = {"kind": sc.kind, "seed": sc.seed}
-
-    if sc.kind == "discrete-conditional":
-        psi, a, b = built["state"], built["observable_a"], built["observable_b"]
-        j = int(p["postselect_index"])
-        phi = QuantumState(b.eigenvector(j))
-        mv = moment_vector(a, psi, phi, orders=p["moment_orders"])
-        result = conditional_from_moments(a, mv, renormalize=p["renormalize"])
-        oracle_pd = kd_conditional(psi, a, b, j)
-        diag["postselection_probability"] = postselection_probability(psi, b, j)
-        plot = _plot_columns_1d(a.eigenvalues, result.values, "eigenvalue")
-    elif sc.kind == "discrete-joint":
-        psi, a, b = built["state"], built["observable_a"], built["observable_b"]
-        c = correlation_matrix(a, b, psi)
-        result = joint_from_correlations(a, b, c, renormalize=p["renormalize"])
-        k = kd_joint(psi, a, b)
-        oracle_pd = PseudoDistribution(
-            np.conj(k.values), k.axes, ordering_tag="kd-conjugate"
-        )
-        ii, jj = np.meshgrid(a.eigenvalues, b.eigenvalues, indexing="ij")
-        plot = {
-            "a": ii.ravel(), "b": jj.ravel(),
-            "re": result.values.real.ravel(), "im": result.values.imag.ravel(),
-        }
-    elif sc.kind == "discrete-npoint":
-        psi, obs = built["state"], built["observables"]
-        c = correlation_tensor(obs, psi)
-        result = npoint_from_correlations(obs, c, renormalize=p["renormalize"])
-        oracle_pd = kd_npoint(psi, obs)
-        plot = {
-            "flat_index": np.arange(result.values.size),
-            "re": result.values.real.ravel(), "im": result.values.imag.ravel(),
-        }
-    elif sc.kind == "cv-conditional":
-        grid, w = built["grid"], built["state"]
-        ip = int(p["post_momentum_index"])
-        z = cv.weak_char_fn(w, grid.p[ip])
-        q = cv.conditional_pseudo_cv(z)
-        result = PseudoDistribution(
-            q, ("x",), ordering_tag="cv-conditional",
-            conditioning=z.conditioning, cell_weight=grid.dx,
-        )
-        oracle_pd = _cv_conditional_oracle(grid, w, ip)
-        diag["post_momentum"] = float(grid.p[ip])
-        plot = _plot_columns_1d(grid.x, q)
-    elif sc.kind == "cv-joint":
-        grid, w = built["grid"], built["state"]
-        k = cv.joint_kd_cv(w, p["ordering"])
-        result = PseudoDistribution(
-            k, ("x", "p"), ordering_tag=f"cv-{p['ordering']}", cell_weight=grid.dx * grid.dp
-        )
-        oracle_pd = result
-        xx, pp = np.meshgrid(grid.x, grid.p, indexing="ij")
-        plot = {"x": xx.ravel(), "p": pp.ravel(), "re": k.real.ravel(), "im": k.imag.ravel()}
-    elif sc.kind == "experiment":
-        grid, w = built["grid"], built["state"]
-        post = p["post_index"]
-        res = photonics.run_reconstruction(
-            w,
-            epsilon=float(p["epsilon"]),
-            shots=None if p["shots"] is None else int(p["shots"]),
-            seed=sc.seed,
-            mode=p["mode"],
-            post_index=None if post is None else int(post),
-            joint=bool(p["joint"]),
-            min_counts=int(p["min_counts"]),
-        )
-        diag.update(res.diagnostics)
-        diag["post_selection_rates"] = [float(r) for r in res.rates]
-        if res.conditional is not None:
-            result = PseudoDistribution(
-                res.conditional, ("x",), ordering_tag="cv-conditional",
-                conditioning=f"pixel={post}", cell_weight=grid.dx,
-            )
-            diag["conditional_standard_error"] = float(res.conditional_se[0])
-            coords = grid.x if p["mode"] == "x-then-p" else grid.p
-            plot = _plot_columns_1d(coords, res.conditional)
-            oracle_pd = _cv_conditional_oracle(grid, w, int(post)) \
-                if p["mode"] == "x-then-p" else None
-        elif res.joint is not None:
-            result = PseudoDistribution(
-                res.joint, ("x", "p"),
-                ordering_tag="cv-x-then-p" if p["mode"] == "x-then-p" else "cv-p-then-x",
-                cell_weight=grid.dx * grid.dp,
-            )
-            xx, pp = np.meshgrid(grid.x, grid.p, indexing="ij")
-            plot = {"x": xx.ravel(), "p": pp.ravel(),
-                    "re": res.joint.real.ravel(), "im": res.joint.imag.ravel()}
-            ordering = p["mode"]
-            oracle_pd = PseudoDistribution(
-                cv.joint_kd_cv(w, ordering), ("x", "p"),
-                ordering_tag=f"cv-{ordering}", cell_weight=grid.dx * grid.dp,
-            )
-        else:
-            raise SchemaError("experiment scenario needs post_index or joint=true")
-    elif sc.kind == "ccr":
-        grid, w = built["grid"], built["state"]
-        witness = cv.ccr_witness(w)
-        diag["witness"] = {"re": witness.real, "im": witness.imag}
-        diag["expected"] = {"re": 0.0, "im": grid.hbar}
-        write_json(out / "diagnostics.json", diag)
-        return diag
-    else:  # pragma: no cover
-        raise SchemaError(f"unhandled kind {sc.kind}")
-
-    total = result.total
-    diag["sum"] = {"re": total.real, "im": total.imag}
-    diag["sum_deviation"] = abs(total - 1.0)
-    _write_distribution(out, result)
-    write_plot_csv(out / "plot.csv", plot)
-    if emit_oracle and oracle_pd is not None:
-        _write_distribution(out, oracle_pd, stem="oracle")
+    outputs = _RUNNERS[sc.kind](sc, built, diag)
+    if outputs is not None:
+        result, plot, oracle_pd = outputs
+        total = result.total
+        diag["sum"] = {"re": total.real, "im": total.imag}
+        diag["sum_deviation"] = abs(total - 1.0)
+        _write_distribution(out, result)
+        write_plot_csv(out / "plot.csv", plot)
+        if emit_oracle and oracle_pd is not None:
+            _write_distribution(out, oracle_pd, stem="oracle")
     write_json(out / "diagnostics.json", diag)
     return diag
 
@@ -349,11 +362,23 @@ def _cv_conditional_oracle(grid: cv.Grid, w: cv.WaveFunction, ip: int) -> Pseudo
     """Weak-valued position projector <p|x><x|psi>/<p|psi> on the grid."""
     psi_p = cv.to_momentum(w).samples
     bra_p_x = np.exp(-1j * grid.p[ip] * grid.x / grid.hbar) / np.sqrt(2 * np.pi * grid.hbar)
-    q = bra_p_x * w.samples / psi_p[ip]
-    return PseudoDistribution(
-        q, ("x",), ordering_tag="cv-conditional",
-        conditioning=f"p={grid.p[ip]:.6g}", cell_weight=grid.dx,
-    )
+    return _cv_conditional(grid, bra_p_x * w.samples / psi_p[ip], f"p={grid.p[ip]:.6g}")
+
+
+def _cv_joint_oracle(grid: cv.Grid, w: cv.WaveFunction, ordering: str) -> PseudoDistribution:
+    """K(x, p) by the characteristic-function route, independent of joint_kd_cv.
+
+    T[k, p] = psi~(p - hbar k) conj(psi~(p)) is Z(k | p) times the
+    post-selection density |psi~(p)|^2, so its inverse transform over k is
+    <p|x><x|psi><psi|p> with no division.  hbar*k_m is (m - n/2) momentum
+    steps, so the shift is an exact (periodic) index offset.
+    """
+    n = grid.n
+    psi_p = cv.to_momentum(w).samples
+    shifts = np.arange(n) - n // 2
+    table = psi_p[(np.arange(n)[None, :] - shifts[:, None]) % n] * psi_p.conj()
+    k = cv.inverse_char_transform(grid.k, table, grid.x)
+    return _phase_space(grid, k if ordering == "x-then-p" else k.conj(), ordering)[0]
 
 
 def compare_distributions(path_a, path_b, tol: float) -> dict:

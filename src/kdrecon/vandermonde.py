@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import require_node_gap
 from .errors import DegenerateNodes, SizeCap
 
 MAX_NODES = 32
@@ -25,14 +26,7 @@ def _check_nodes(nodes: np.ndarray):
         raise DegenerateNodes("need at least one node")
     if d > MAX_NODES:
         raise SizeCap(f"{d} nodes exceeds the cap of {MAX_NODES}")
-    if d > 1:
-        spread = float(np.max(nodes) - np.min(nodes))
-        diffs = np.abs(np.subtract.outer(nodes, nodes))
-        gap = float(np.min(diffs[~np.eye(d, dtype=bool)]))
-        if gap <= 1e-9 * max(spread, 1.0):
-            raise DegenerateNodes(
-                f"minimum node gap {gap:.3e} too small relative to range {spread:.3e}"
-            )
+    require_node_gap(nodes)
 
 
 @dataclass(frozen=True)

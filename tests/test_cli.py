@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kdrecon import cv
 from kdrecon.cli import main
 from kdrecon.errors import (
     OrderingTagMismatch,
@@ -121,6 +122,23 @@ class TestCliRuns:
         )
         assert report["pass"]
 
+    @pytest.mark.parametrize("ordering", ["x-then-p", "p-then-x"])
+    def test_cv_joint_oracle_is_independent(self, tmp_path, monkeypatch, ordering):
+        scen = write_scenario(tmp_path, {
+            "kind": "cv-joint", "grid": {"n": 64, "length": 16.0, "hbar": 2.5},
+            "state": {"type": "random-smooth", "seed": 4}, "ordering": ordering,
+        })
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out),
+                     "--emit-oracle"]) == 0
+        pair = (out / "distribution.json", out / "oracle.json")
+        assert compare_distributions(*pair, 1e-12)["pass"]
+        # a wrong joint_kd_cv must not be matched by its own oracle
+        monkeypatch.setattr(cv, "joint_kd_cv", lambda w, o: np.zeros((64, 64), complex))
+        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out),
+                     "--emit-oracle"]) == 0
+        assert not compare_distributions(*pair, 1e-3)["pass"]
+
     def test_ccr_diagnostics(self, tmp_path):
         scen = write_scenario(tmp_path, CCR_SCENARIO)
         out = tmp_path / "out"
@@ -158,6 +176,23 @@ class TestCliRuns:
         assert rc == 2
         err = read_json(out / "error.json")
         assert err["error"] == "PostSelectionTooWeak"
+
+    @pytest.mark.parametrize("scenario", [
+        dict(QUBIT_SCENARIO, postselect_index=2),
+        dict(QUBIT_SCENARIO, postselect_index=-1),
+        {"kind": "cv-conditional", "grid": {"n": 64, "length": 16.0},
+         "state": {"type": "gaussian"}, "post_momentum_index": 64},
+        {"kind": "experiment", "grid": {"n": 64, "length": 16.0},
+         "state": {"type": "gaussian"}, "epsilon": 0.05, "shots": 1000, "post_index": -1},
+        {"kind": "experiment", "grid": {"n": 64, "length": 16.0},
+         "state": {"type": "gaussian"}, "epsilon": 0.05, "shots": 1000, "post_index": 64},
+    ])
+    def test_out_of_range_index_is_schema_error(self, tmp_path, scenario):
+        scen = write_scenario(tmp_path, scenario)
+        out = tmp_path / "out"
+        command = "experiment" if scenario["kind"] == "experiment" else "reconstruct"
+        assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "SchemaError"
 
     def test_schema_error_exit_code(self, tmp_path):
         scen = write_scenario(tmp_path, dict(QUBIT_SCENARIO, epsilonn=1))

@@ -15,7 +15,6 @@ from kdrecon.moments import (
     char_fn_discrete,
     correlation_matrix,
     correlation_tensor,
-    correlator_hermitian_parts,
     moment_vector,
     weak_value,
 )
@@ -42,6 +41,17 @@ class TestWeakValue:
         phi = QuantumState([0, 1])
         with pytest.raises(PostSelectionTooWeak):
             weak_value(np.eye(2), ket0, phi)
+
+    def test_floor_is_a_probability_on_every_path(self):
+        # |<1|psi>|^2 ~ 1e-15: the amplitude (~3e-8) is far above 1e-10, the
+        # probability far below it, and both paths must refuse alike
+        psi = QuantumState.normalized([1, np.sqrt(1e-15)])
+        phi = QuantumState(SZ.eigenvector(1))
+        assert abs(phi.amplitudes.conj() @ psi.amplitudes) ** 2 == pytest.approx(1e-15)
+        with pytest.raises(PostSelectionTooWeak):
+            moment_vector(SX, psi, phi)
+        with pytest.raises(PostSelectionTooWeak):
+            kd_conditional(psi, SX, SZ, 1)
 
 
 class TestMomentVector:
@@ -105,29 +115,6 @@ class TestCorrelationMatrix:
 
     def test_ordering_tag(self, ket0):
         assert correlation_matrix(SZ, SX, ket0).ordering_tag == "a-then-b"
-
-
-class TestHermitianParts:
-    def test_commuting_gives_real(self):
-        a = ObservableSpec([0.0, 1.0], np.eye(2))
-        b = ObservableSpec([2.0, -1.0], np.eye(2))
-        psi = QuantumState.normalized([1, 2])
-        val = correlator_hermitian_parts(a.matrix(), b.matrix(), psi)
-        assert abs(val.imag) < 1e-12
-
-    def test_qubit_zero(self, ket0):
-        val = correlator_hermitian_parts(SZ.matrix(), SX.matrix(), ket0)
-        assert abs(val) < 1e-14
-
-    def test_matches_direct_product_d3(self):
-        psi = random_state(3, 17)
-        a = random_observable(3, 18)
-        b = random_observable(3, 19)
-        for n in range(3):
-            for m in range(3):
-                ap, bp = observable_power(a, n), observable_power(b, m)
-                direct = expectation(psi, ap @ bp)
-                assert abs(correlator_hermitian_parts(ap, bp, psi) - direct) < 1e-12
 
 
 class TestCorrelationTensor:

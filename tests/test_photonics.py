@@ -6,12 +6,14 @@ from kdrecon.cv import (
     WaveFunction,
     conditional_pseudo_cv,
     gaussian_state,
+    inverse_char_transform,
     to_momentum,
     weak_char_fn,
 )
 from kdrecon.errors import InvalidProbability, MissingSetting, NormViolation
 from kdrecon.photonics import (
     SlmSetting,
+    _conjugate_params,
     estimate_weak_char,
     photon_to_momentum,
     prepare_photon,
@@ -204,6 +206,21 @@ class TestEstimator:
 
 
 class TestReconstruction:
+    @pytest.mark.parametrize("mode", ["x-then-p", "p-then-x"])
+    @pytest.mark.parametrize("n, hbar", [(16, 1.0), (64, 2.5), (128, 0.37)])
+    def test_inverse_transform_matches_direct_sum(self, mode, n, hbar):
+        g = Grid(n, 16.0, hbar)
+        params = _conjugate_params(g, mode)
+        out_values = g.x if mode == "x-then-p" else g.p
+        rng = np.random.default_rng(n)
+        z = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        dparam = params[1] - params[0]
+        direct = dparam / (2 * np.pi) * np.exp(-1j * np.outer(out_values, params)) @ z
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(inverse_char_transform(params, z, out_values) - direct)) < 1e-12 * scale
+        column = inverse_char_transform(params, z[:, 1], out_values)
+        assert np.max(np.abs(column - direct[:, 1])) < 1e-12 * scale
+
     def test_noiseless_matches_cv_oracle(self, packet):
         g = packet.grid
         res = run_reconstruction(packet, 1e-3, shots=None, seed=0,
