@@ -40,8 +40,9 @@ def require_node_gap(nodes: np.ndarray) -> None:
     """Refuse (near-)degenerate values: a gap at or below 1e-9 of the spread
     makes the associated Vandermonde system singular."""
     if nodes.size > 1:
-        spread = float(np.max(nodes) - np.min(nodes))
-        gap = float(np.min(np.diff(np.sort(nodes))))
+        ordered = np.sort(nodes)
+        spread = float(ordered[-1] - ordered[0])
+        gap = float(np.min(np.diff(ordered)))
         if gap <= 1e-9 * max(spread, 1.0):
             raise DegenerateNodes(
                 f"minimum gap {gap:.3e} too small relative to range {spread:.3e}; apply "
