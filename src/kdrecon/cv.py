@@ -19,6 +19,8 @@ from .errors import DimensionMismatch, IncompleteSampling, NormViolation, OffGri
 
 EDGE_GUARD = 1e-8  # edge amplitude above which momentum shifts alias
 TAIL_FLOOR = 1e-10  # edge amplitude above which x*p grid moments stop converging
+# measurement orders: which of x and p is coupled weakly first
+ORDERINGS = ("x-then-p", "p-then-x")
 
 
 @dataclass(frozen=True)

@@ -106,9 +106,10 @@ def postselection_probability(state, b: ObservableSpec, j: int) -> float:
 
 def kd_conditional(state, a: ObservableSpec, b: ObservableSpec, j: int) -> PseudoDistribution:
     """K[i|j] = K[i, j] / <b_j|rho|b_j>, conditioned on outcome b_j."""
-    prob = postselection_probability(state, b, j)
+    rho = as_density(state)  # built and checked once, for both calls below
+    prob = postselection_probability(rho, b, j)
     require_postselection(prob, f"outcome {j} post-selection")
-    joint = kd_joint(state, a, b)
+    joint = kd_joint(rho, a, b)
     return PseudoDistribution(
         joint.values[:, j] / prob,
         (a.label,),

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cv import (
+    ORDERINGS,
     Grid,
     WaveFunction,
     inverse_char_transform,
@@ -40,6 +41,15 @@ from .errors import (
 ANALYZERS = ("hv", "diag", "circ")
 QUADRATURES = ("cos", "sin")  # phi = pi/2 and phi = 0
 _QUAD_PHASE = {"cos": np.pi / 2, "sin": 0.0}
+# the four (quadrature, analyzer) cells measured at every frequency
+_CELLS = tuple((quad, analyzer) for quad in QUADRATURES for analyzer in ("diag", "circ"))
+
+
+def _require_unit_norm(amplitudes: np.ndarray, step: float):
+    """NormViolation unless every state held in the last two axes has unit norm."""
+    deviation = np.max(np.abs(step * np.sum(np.abs(amplitudes) ** 2, axis=(-2, -1)) - 1.0))
+    if deviation > 1e-9:
+        raise NormViolation(f"photon norm deviates from 1 by {deviation:.3e}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +64,7 @@ class PhotonState:
         a = np.asarray(self.amplitudes, dtype=complex)
         if a.shape != (self.grid.n, 2):
             raise DimensionMismatch("photon amplitudes must have shape (n, 2)")
-        step = self.grid.dx if self.domain == "position" else self.grid.dp
-        norm = step * np.sum(np.abs(a) ** 2)
-        if abs(norm - 1.0) > 1e-9:
-            raise NormViolation(f"photon norm deviates from 1 by {abs(norm - 1.0):.3e}")
+        _require_unit_norm(a, self.grid.dx if self.domain == "position" else self.grid.dp)
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
@@ -109,29 +116,39 @@ def photon_to_momentum(s: PhotonState) -> PhotonState:
     return PhotonState(s.grid, np.stack(cols, axis=1), domain="momentum")
 
 
-def photon_to_position(s: PhotonState) -> PhotonState:
-    if s.domain != "momentum":
-        raise ValueError("state already in position domain")
-    cols = [position_samples_raw(s.grid, s.amplitudes[:, c]) for c in range(2)]
-    return PhotonState(s.grid, np.stack(cols, axis=1), domain="position")
+def _slm_state(w: WaveFunction, mode: str) -> PhotonState:
+    """The H-polarized photon in the domain its SLM modulates."""
+    s = prepare_photon(w, (1.0, 0.0))
+    return photon_to_momentum(s) if mode == "p-then-x" else s
 
 
-def _check_slm_frequency(s: PhotonState, k: float):
+def _check_slm_frequency(s: PhotonState, k):
+    """OffGridParameter unless every frequency in ``k`` is on the conjugate grid."""
     step = s.grid.dk if s.domain == "position" else s.grid.dx / s.grid.hbar
-    if abs(k / step - round(k / step)) > 1e-9:
+    k = np.asarray(k, dtype=float)
+    off = np.abs(k / step - np.round(k / step)) > 1e-9
+    if np.any(off):
         raise OffGridParameter(
-            f"SLM frequency {k} is not a multiple of the conjugate step {step}"
+            f"SLM frequency {k[off].flat[0]} is not a multiple of the conjugate step {step}"
         )
+
+
+def _rotate(hv: np.ndarray, coords: np.ndarray, k, phase: float, epsilon: float) -> np.ndarray:
+    """Rotate H/V amplitudes ``hv`` (component, pixel) by epsilon*sin(k*coords + phase).
+
+    An array of frequencies ``k`` adds a leading frequency axis to the result.
+    """
+    theta = epsilon * np.sin(np.multiply.outer(k, coords) + phase)
+    c, sn = np.cos(theta), np.sin(theta)
+    h, v = hv[0], hv[1]
+    return np.stack([c * h - sn * v, sn * h + c * v], axis=-2)
 
 
 def slm_weak_rotation(s: PhotonState, setting: SlmSetting) -> PhotonState:
     """Exact (non-linearized) pointwise polarization rotation in the H/V plane."""
     _check_slm_frequency(s, setting.k)
-    theta = setting.epsilon * np.sin(setting.k * s.coordinates + setting.phase)
-    c, sn = np.cos(theta), np.sin(theta)
-    h, v = s.amplitudes[:, 0], s.amplitudes[:, 1]
-    rotated = np.stack([c * h - sn * v, sn * h + c * v], axis=1)
-    return PhotonState(s.grid, rotated, domain=s.domain)
+    rotated = _rotate(s.amplitudes.T, s.coordinates, setting.k, setting.phase, setting.epsilon)
+    return PhotonState(s.grid, rotated.T, domain=s.domain)
 
 
 _ANALYZER_KETS = {
@@ -142,30 +159,41 @@ _ANALYZER_KETS = {
 }
 
 
+def _propagate(g: Grid, hv: np.ndarray, mode: str):
+    """Camera-plane amplitudes of SLM-plane amplitudes ``hv`` (..., component,
+    pixel), checked for unit norm, and the camera pixel step.
+
+    x-then-p: single Fourier lens, camera in the momentum plane.
+    p-then-x: second half of the 4f system, camera in the position plane.
+    """
+    if mode == "x-then-p":
+        out, step = momentum_samples_raw(g, hv), g.dp
+    else:
+        out, step = position_samples_raw(g, hv), g.dx
+    _require_unit_norm(out, step)
+    return out, step
+
+
+def _analyze(hv: np.ndarray, step: float, analyzer: str) -> np.ndarray:
+    """Born probabilities (..., outcome, pixel) of camera-plane amplitudes
+    (..., component, pixel); outcome 0 is the analyzer's plus port."""
+    if analyzer not in _ANALYZER_KETS:
+        raise ValueError(f"unknown analyzer {analyzer!r}")
+    return step * np.abs(_ANALYZER_KETS[analyzer].conj().T @ hv) ** 2
+
+
 def propagate_and_analyze(s: PhotonState, mode: str, analyzer: str) -> np.ndarray:
     """Born probabilities per (pixel, analyzer outcome), shape (n, 2).
 
-    x-then-p: single Fourier lens, camera in the momentum plane.
-    p-then-x: second half of the 4f system, camera in the position plane
-    (the state must already carry the momentum-space modulation).
+    For p-then-x the state must already carry the momentum-space modulation.
     """
-    if analyzer not in _ANALYZER_KETS:
-        raise ValueError(f"unknown analyzer {analyzer!r}")
-    if mode == "x-then-p":
-        if s.domain != "position":
-            raise ValueError("x-then-p propagation starts from the position domain")
-        out = photon_to_momentum(s)
-        step = s.grid.dp
-    elif mode == "p-then-x":
-        if s.domain != "momentum":
-            raise ValueError("p-then-x propagation starts from the momentum domain")
-        out = photon_to_position(s)
-        step = s.grid.dx
-    else:
+    if mode not in ORDERINGS:
         raise ValueError(f"unknown mode {mode!r}")
-    kets = _ANALYZER_KETS[analyzer]
-    proj = out.amplitudes @ kets.conj()  # (n, 2) amplitudes on the two outcomes
-    return step * np.abs(proj) ** 2
+    domain = "position" if mode == "x-then-p" else "momentum"
+    if s.domain != domain:
+        raise ValueError(f"{mode} propagation starts from the {domain} domain")
+    out, step = _propagate(s.grid, s.amplitudes.T, mode)
+    return _analyze(out, step, analyzer).T
 
 
 def sample_shots(prob: np.ndarray, shots: int, seed) -> ShotHistogram:
@@ -187,13 +215,34 @@ def sample_shots(prob: np.ndarray, shots: int, seed) -> ShotHistogram:
     return ShotHistogram(counts.reshape(p.shape), shots, key)
 
 
-def _asymmetry(freq_row: np.ndarray):
-    """(plus - minus)/(plus + minus) and its binomial variance estimate."""
-    tot = freq_row.sum()
-    if tot <= 0:
-        return 0.0, np.inf
-    asym = (freq_row[0] - freq_row[1]) / tot
-    return asym, max(1.0 - asym**2, 1e-12)
+def _asymmetry(plus, minus, min_counts: int | None):
+    """Elementwise (plus - minus)/(plus + minus), its variance, the total
+    recorded, and a mask of entries too poorly recorded to use.
+
+    ``min_counts=None`` marks Born probabilities: zero variance, unusable
+    where the probability vanishes.  Counts carry the binomial variance
+    (1 - A^2)/N and are unusable below ``min_counts``.
+    """
+    total = plus + minus
+    recorded = total > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        asym = np.where(recorded, (plus - minus) / total, 0.0)
+        if min_counts is None:
+            return asym, np.zeros_like(asym), total, ~recorded
+        var = np.where(recorded, np.maximum(1.0 - asym**2, 1e-12) / total, np.inf)
+    return asym, var, total, total < min_counts
+
+
+def _combine(asym: dict, var_sum, epsilon: float):
+    """Z = (A_cos,diag - A_sin,circ + i(A_cos,circ + A_sin,diag)) / sin(2 eps)
+    and its standard error, from per-cell asymmetries and their summed variance."""
+    norm = np.sin(2 * epsilon)
+    z = (
+        asym["cos", "diag"]
+        - asym["sin", "circ"]
+        + 1j * (asym["cos", "circ"] + asym["sin", "diag"])
+    ) / norm
+    return z, np.sqrt(var_sum) / norm
 
 
 def estimate_weak_char(histograms: dict, setting: SlmSetting, pixel: int,
@@ -205,47 +254,29 @@ def estimate_weak_char(histograms: dict, setting: SlmSetting, pixel: int,
     (z_estimate, standard_error); the error is the combined standard error of
     the complex estimate (0 for analytic input).
     """
-    norm = np.sin(2 * setting.epsilon)
     parts = {}
-    variances = {}
-    for quad in QUADRATURES:
-        for analyzer in ("diag", "circ"):
-            key = (quad, analyzer)
-            if key not in histograms:
-                raise MissingSetting(f"histogram for {key} is missing")
-            h = histograms[key]
-            if isinstance(h, ShotHistogram):
-                row = h.counts[pixel].astype(float)
-                n = row.sum()
-                if n < min_counts:
-                    raise InsufficientCounts(
-                        f"only {int(n)} counts at pixel {pixel} for {key}"
-                    )
-                asym, var1 = _asymmetry(row)
-                variances[key] = var1 / n
-            else:
-                row = np.asarray(h, dtype=float)[pixel]
-                if row.sum() <= 0:
-                    raise PostSelectionTooWeak(f"zero probability at pixel {pixel}")
-                asym, _ = _asymmetry(row)
-                variances[key] = 0.0
-            parts[key] = asym
-    z = (
-        parts[("cos", "diag")]
-        - parts[("sin", "circ")]
-        + 1j * (parts[("cos", "circ")] + parts[("sin", "diag")])
-    ) / norm
-    se = float(np.sqrt(sum(variances.values()))) / norm
-    return z, se
+    var_sum = 0.0
+    for key in _CELLS:
+        if key not in histograms:
+            raise MissingSetting(f"histogram for {key} is missing")
+        h = histograms[key]
+        counted = isinstance(h, ShotHistogram)
+        row = h.counts[pixel] if counted else np.asarray(h, dtype=float)[pixel]
+        parts[key], var, total, short = _asymmetry(
+            row[0], row[1], min_counts if counted else None
+        )
+        if short and counted:
+            raise InsufficientCounts(f"only {int(total)} counts at pixel {pixel} for {key}")
+        if short:
+            raise PostSelectionTooWeak(f"zero probability at pixel {pixel}")
+        var_sum = var_sum + var
+    z, se = _combine(parts, var_sum, setting.epsilon)
+    return complex(z), float(se)
 
 
 def run_setting(w: WaveFunction, setting: SlmSetting, mode: str, analyzer: str) -> np.ndarray:
     """Probability array (n, 2) for one full optical configuration, input polarization H."""
-    s = prepare_photon(w, (1.0, 0.0))
-    if mode == "p-then-x":
-        s = photon_to_momentum(s)
-    s = slm_weak_rotation(s, setting)
-    return propagate_and_analyze(s, mode, analyzer)
+    return propagate_and_analyze(slm_weak_rotation(_slm_state(w, mode), setting), mode, analyzer)
 
 
 @dataclass
@@ -260,6 +291,53 @@ class ReconstructionResult:
     conditional_se: np.ndarray | None
     joint: np.ndarray | None      # (n_x, n_p) joint estimate when requested
     diagnostics: dict = field(default_factory=dict)
+
+
+def _sample_rows(probs: np.ndarray, shots: int, seed: int, qi: int, ai: int) -> np.ndarray:
+    """Camera counts (k, outcome, pixel), each frequency m drawn from the
+    Philox stream of its cell (seed, m, qi, ai)."""
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for m, cell in enumerate(probs):
+        counts[m] = sample_shots(cell.T, shots, (seed, m, qi, ai)).counts.T
+    return counts
+
+
+def _sweep(s: PhotonState, params: np.ndarray, epsilon: float, mode: str,
+           shots: int | None, seed: int, min_counts: int):
+    """Sweep every (k, quadrature, analyzer) cell, batched over k and pixel.
+
+    Returns the (k, pixel) asymmetries keyed by (quadrature, analyzer), their
+    summed variance, the (k, pixel) mask of entries lacking data, and the
+    counts (or probability) per pixel summed over all cells.  It works one
+    quadrature at a time and frees each cell's arrays before the next is
+    built, so one transform serves both analyzers and no (k, quadrature,
+    analyzer, outcome, pixel) tensor is ever held.
+    """
+    _check_slm_frequency(s, params)
+    n = s.grid.n
+    parts = {}
+    var_sum = np.zeros((n, n))
+    short = np.zeros((n, n), dtype=bool)
+    recorded = np.zeros(n)
+    for qi, quad in enumerate(QUADRATURES):
+        out, step = _propagate(
+            s.grid,
+            _rotate(s.amplitudes.T, s.coordinates, params, _QUAD_PHASE[quad], epsilon),
+            mode,
+        )
+        for ai, analyzer in enumerate(("diag", "circ")):
+            rows = _analyze(out, step, analyzer)  # (k, outcome, pixel)
+            if shots is not None:
+                rows = _sample_rows(rows, shots, seed, qi, ai)
+            parts[quad, analyzer], var, total, cell_short = _asymmetry(
+                rows[:, 0], rows[:, 1], None if shots is None else min_counts
+            )
+            var_sum += var
+            short |= cell_short
+            recorded += total.sum(axis=0)
+            del rows, var, total
+        del out
+    return parts, var_sum, short, recorded
 
 
 def _conjugate_params(grid: Grid, mode: str) -> np.ndarray:
@@ -286,33 +364,18 @@ def run_reconstruction(
     cell draws from its own Philox stream keyed by (seed, indices), so shard
     merging is schedule-independent.
     """
+    if mode not in ORDERINGS:
+        raise ValueError(f"unknown mode {mode!r}")
     g = w.grid
     params = _conjugate_params(g, mode)
     n = g.n
-    z_values = np.zeros((n, n), dtype=complex)
-    z_errors = np.zeros((n, n))
-    rates = np.zeros(n)
-    for m, kp in enumerate(params):
-        hists = {}
-        for qi, quad in enumerate(QUADRATURES):
-            for ai, analyzer in enumerate(("diag", "circ")):
-                probs = run_setting(w, SlmSetting(kp, _QUAD_PHASE[quad], epsilon),
-                                    mode, analyzer)
-                if shots is None:
-                    hists[(quad, analyzer)] = probs
-                    rates[:] += probs.sum(axis=1) / (4 * n)
-                else:
-                    h = sample_shots(probs, shots, (seed, m, qi, ai))
-                    hists[(quad, analyzer)] = h
-                    rates[:] += h.counts.sum(axis=1) / (4 * n * shots)
-        setting = SlmSetting(kp, 0.0, epsilon)
-        for pix in range(n):
-            try:
-                z, se = estimate_weak_char(hists, setting, pix, min_counts)
-            except (InsufficientCounts, PostSelectionTooWeak):
-                z, se = 0.0, np.inf
-            z_values[m, pix] = z
-            z_errors[m, pix] = se
+    parts, var_sum, short, recorded = _sweep(
+        _slm_state(w, mode), params, epsilon, mode, shots, seed, min_counts
+    )
+    rates = recorded / (4 * n * (1 if shots is None else shots))
+    z_values, z_errors = _combine(parts, var_sum, epsilon)
+    z_values[short] = 0.0
+    z_errors[short] = np.inf
     out_values = g.x if mode == "x-then-p" else g.p
     conditional = conditional_se = None
     if post_index is not None:

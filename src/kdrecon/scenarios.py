@@ -61,6 +61,7 @@ _KIND_KEYS = {
     "cv-joint": {
         "required": {"grid", "state"},
         "optional": {"ordering": "x-then-p"},
+        "choices": {"ordering": cv.ORDERINGS},
     },
     "experiment": {
         "required": {"grid", "state", "epsilon", "shots"},
@@ -70,6 +71,7 @@ _KIND_KEYS = {
             "joint": False,
             "min_counts": 100,
         },
+        "choices": {"mode": cv.ORDERINGS},
         "index": "post_index",
     },
     "ccr": {"required": {"grid", "state"}, "optional": {}},
@@ -104,6 +106,9 @@ def _validated(raw: dict) -> Scenario:
     params = {k: v for k, v in raw.items() if k not in _COMMON_KEYS}
     for key, default in spec["optional"].items():
         params.setdefault(key, default)
+    for key, choices in spec.get("choices", {}).items():
+        if params[key] not in choices:
+            raise SchemaError(f"{key} must be one of {choices}, got {params[key]!r}")
     return Scenario(kind=kind, params=params, seed=int(raw.get("seed", 0)))
 
 
@@ -226,9 +231,12 @@ def _plot_columns_2d(coords_a, coords_b, values, names):
             "re": values.real.ravel(), "im": values.imag.ravel()}
 
 
-def _cv_conditional(grid: cv.Grid, q: np.ndarray, conditioning: str) -> PseudoDistribution:
+def _cv_conditional(grid: cv.Grid, q: np.ndarray, conditioning: str,
+                    axis: str = "x") -> PseudoDistribution:
+    """Conditional over x, or over p (the p-then-x experiment), weighted per cell."""
     return PseudoDistribution(
-        q, ("x",), ordering_tag="cv-conditional", conditioning=conditioning, cell_weight=grid.dx
+        q, (axis,), ordering_tag="cv-conditional", conditioning=conditioning,
+        cell_weight=grid.dx if axis == "x" else grid.dp,
     )
 
 
@@ -307,10 +315,11 @@ def _run_experiment(sc: Scenario, built: dict, diag: dict):
     diag.update(res.diagnostics)
     diag["post_selection_rates"] = [float(r) for r in res.rates]
     if res.conditional is not None:
-        result = _cv_conditional(grid, res.conditional, f"pixel={post}")
+        axis = "x" if mode == "x-then-p" else "p"
+        result = _cv_conditional(grid, res.conditional, f"pixel={post}", axis)
         diag["conditional_standard_error"] = float(res.conditional_se[0])
-        coords = grid.x if mode == "x-then-p" else grid.p
-        oracle_pd = _cv_conditional_oracle(grid, w, post) if mode == "x-then-p" else None
+        coords = grid.x if axis == "x" else grid.p
+        oracle_pd = _cv_conditional_oracle(grid, w, post) if axis == "x" else None
         return result, _plot_columns_1d(coords, res.conditional), oracle_pd
     if res.joint is not None:
         result, plot = _phase_space(grid, res.joint, mode)

@@ -194,6 +194,36 @@ class TestCliRuns:
         assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
         assert read_json(out / "error.json")["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("scenario, key", [
+        ({"kind": "cv-joint", "grid": {"n": 64, "length": 16.0},
+          "state": {"type": "gaussian"}, "ordering": "sideways"}, "ordering"),
+        ({"kind": "experiment", "grid": {"n": 64, "length": 16.0},
+          "state": {"type": "gaussian"}, "epsilon": 0.05, "shots": 1000,
+          "post_index": 32, "mode": "sideways"}, "mode"),
+        ({"kind": "experiment", "grid": {"n": 64, "length": 16.0},
+          "state": {"type": "gaussian"}, "epsilon": 0.05, "shots": 1000,
+          "post_index": 32, "mode": None}, "mode"),
+    ])
+    def test_unknown_ordering_or_mode_is_schema_error(self, tmp_path, scenario, key):
+        scen = write_scenario(tmp_path, scenario)
+        with pytest.raises(SchemaError, match=key):
+            load_scenario(scen)
+        out = tmp_path / "out"
+        command = "experiment" if scenario["kind"] == "experiment" else "reconstruct"
+        assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "SchemaError"
+
+    def test_noiseless_p_then_x_conditional_sums_to_one(self, tmp_path):
+        scen = write_scenario(tmp_path, {
+            "kind": "experiment", "grid": {"n": 64, "length": 16.0},
+            "state": {"type": "gaussian"}, "epsilon": 1e-3, "shots": None,
+            "post_index": 32, "mode": "p-then-x",
+        })
+        out = tmp_path / "out"
+        assert main(["experiment", "--scenario", str(scen), "--out", str(out)]) == 0
+        assert read_json(out / "diagnostics.json")["sum_deviation"] < 1e-6
+        assert pseudo_from_dict(read_json(out / "distribution.json")).axes == ("p",)
+
     def test_schema_error_exit_code(self, tmp_path):
         scen = write_scenario(tmp_path, dict(QUBIT_SCENARIO, epsilonn=1))
         rc = main(["reconstruct", "--scenario", str(scen), "--out", str(tmp_path / "o")])

@@ -10,8 +10,16 @@ from kdrecon.cv import (
     to_momentum,
     weak_char_fn,
 )
-from kdrecon.errors import InvalidProbability, MissingSetting, NormViolation
+from kdrecon import photonics
+from kdrecon.errors import (
+    InsufficientCounts,
+    InvalidProbability,
+    MissingSetting,
+    NormViolation,
+    PostSelectionTooWeak,
+)
 from kdrecon.photonics import (
+    QUADRATURES,
     SlmSetting,
     _conjugate_params,
     estimate_weak_char,
@@ -46,6 +54,38 @@ def analytic_histograms(w, k, epsilon, mode="x-then-p"):
         for quad in ("cos", "sin")
         for analyzer in ("diag", "circ")
     }
+
+
+def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts):
+    """Z estimates, errors and rates one (k, quadrature, analyzer) cell and one
+    pixel at a time, from the public per-cell functions."""
+    g = w.grid
+    n = g.n
+    z_values = np.zeros((n, n), dtype=complex)
+    z_errors = np.zeros((n, n))
+    rates = np.zeros(n)
+    for m, kp in enumerate(_conjugate_params(g, mode)):
+        hists = {}
+        for qi, quad in enumerate(QUADRATURES):
+            for ai, analyzer in enumerate(("diag", "circ")):
+                probs = run_setting(
+                    w, SlmSetting(kp, np.pi / 2 if quad == "cos" else 0.0, epsilon),
+                    mode, analyzer,
+                )
+                if shots is None:
+                    hists[(quad, analyzer)] = probs
+                    rates += probs.sum(axis=1) / (4 * n)
+                else:
+                    h = sample_shots(probs, shots, (seed, m, qi, ai))
+                    hists[(quad, analyzer)] = h
+                    rates += h.counts.sum(axis=1) / (4 * n * shots)
+        for pix in range(n):
+            try:
+                z_values[m, pix], z_errors[m, pix] = estimate_weak_char(
+                    hists, SlmSetting(kp, 0.0, epsilon), pix, min_counts)
+            except (InsufficientCounts, PostSelectionTooWeak):
+                z_values[m, pix], z_errors[m, pix] = 0.0, np.inf
+    return z_values, z_errors, rates
 
 
 class TestPreparation:
@@ -220,6 +260,43 @@ class TestReconstruction:
         assert np.max(np.abs(inverse_char_transform(params, z, out_values) - direct)) < 1e-12 * scale
         column = inverse_char_transform(params, z[:, 1], out_values)
         assert np.max(np.abs(column - direct[:, 1])) < 1e-12 * scale
+
+    @pytest.mark.parametrize("mode", ["x-then-p", "p-then-x"])
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    @pytest.mark.parametrize("shots", [None, 10**4])
+    def test_batched_sweep_matches_per_cell_path(self, mode, hbar, shots):
+        g = Grid(32, 14.0, hbar)
+        w = gaussian_state(g, center=0.4, width=WIDTH)
+        eps, seed = 0.05, 17
+        z_ref, se_ref, rates_ref = per_cell_reconstruction(w, eps, shots, seed, mode, 100)
+        res = run_reconstruction(w, eps, shots, seed, mode=mode, joint=True, min_counts=100)
+        masked = np.isinf(se_ref)
+        if shots is not None:
+            assert 0 < masked.sum() < masked.size  # the masks compared are not trivial
+        assert np.array_equal(np.isinf(res.z_errors), masked)
+        assert np.max(np.abs(res.z_values - z_ref)) <= 1e-12
+        assert np.max(np.abs(res.z_errors[~masked] - se_ref[~masked]), initial=0.0) <= 1e-12
+        assert np.allclose(res.rates, rates_ref, rtol=1e-12, atol=0)
+        params = _conjugate_params(g, mode)
+        step = g.dp if mode == "x-then-p" else g.dx
+        valid = ~masked.any(axis=0) & (rates_ref > 0)
+        joint = inverse_char_transform(params, z_ref, g.x if mode == "x-then-p" else g.p) \
+            * np.where(valid, rates_ref / step, 0.0)
+        joint = joint if mode == "x-then-p" else joint.T
+        assert np.max(np.abs(res.joint - joint)) <= 1e-12 * np.max(np.abs(joint))
+        if shots is not None:
+            short_pixel = int(np.flatnonzero(masked.any(axis=0))[0])
+            with pytest.raises(InsufficientCounts):
+                run_reconstruction(w, eps, shots, seed, mode=mode, post_index=short_pixel,
+                                   min_counts=100)
+
+    def test_unknown_mode_rejected_before_any_work(self, packet, monkeypatch):
+        def fail(*args):
+            raise AssertionError("photon prepared for an unknown mode")
+
+        monkeypatch.setattr(photonics, "prepare_photon", fail)
+        with pytest.raises(ValueError, match="sideways"):
+            run_reconstruction(packet, 0.05, shots=None, seed=0, mode="sideways")
 
     def test_noiseless_matches_cv_oracle(self, packet):
         g = packet.grid
