@@ -293,15 +293,6 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sample_rows(probs: np.ndarray, shots: int, seed: int, qi: int, ai: int) -> np.ndarray:
-    """Camera counts (k, outcome, pixel), each frequency m drawn from the
-    Philox stream of its cell (seed, m, qi, ai)."""
-    counts = np.empty(probs.shape, dtype=np.int64)
-    for m, cell in enumerate(probs):
-        counts[m] = sample_shots(cell.T, shots, (seed, m, qi, ai)).counts.T
-    return counts
-
-
 def _sweep(s: PhotonState, params: np.ndarray, epsilon: float, mode: str,
            shots: int | None, seed: int, min_counts: int):
     """Sweep every (k, quadrature, analyzer) cell, batched over k and pixel.
@@ -328,7 +319,12 @@ def _sweep(s: PhotonState, params: np.ndarray, epsilon: float, mode: str,
         for ai, analyzer in enumerate(("diag", "circ")):
             rows = _analyze(out, step, analyzer)  # (k, outcome, pixel)
             if shots is not None:
-                rows = _sample_rows(rows, shots, seed, qi, ai)
+                # each frequency m draws from the Philox stream of its cell
+                # (seed, m, qi, ai)
+                rows = np.stack([
+                    sample_shots(cell.T, shots, (seed, m, qi, ai)).counts.T
+                    for m, cell in enumerate(rows)
+                ])
             parts[quad, analyzer], var, total, cell_short = _asymmetry(
                 rows[:, 0], rows[:, 1], None if shots is None else min_counts
             )
