@@ -405,15 +405,15 @@ def compare_distributions(path_a, path_b, tol: float) -> dict:
     report = {"max_delta": max_delta, "tol": tol, "pass": bool(max_delta <= tol)}
     if not report["pass"]:
         worst = np.unravel_index(int(np.argmax(delta)), delta.shape)
+        failing = delta > tol
         report["entries"] = [
-            {
-                "index": [int(v) for v in idx],
-                "a": {"re": a.values[idx].real, "im": a.values[idx].imag},
-                "b": {"re": b.values[idx].real, "im": b.values[idx].imag},
-                "delta": float(delta[idx]),
-            }
-            for idx in np.ndindex(*delta.shape)
-            if delta[idx] > tol
+            {"index": index, "a": {"re": ar, "im": ai}, "b": {"re": br, "im": bi}, "delta": d}
+            for index, ar, ai, br, bi, d in zip(
+                np.argwhere(failing).tolist(),
+                a.values.real[failing].tolist(), a.values.imag[failing].tolist(),
+                b.values.real[failing].tolist(), b.values.imag[failing].tolist(),
+                delta[failing].tolist(),
+            )
         ]
         report["worst_index"] = [int(v) for v in worst]
     return report

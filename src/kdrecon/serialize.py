@@ -2,12 +2,19 @@
 
 Complex numbers are {"re": ..., "im": ...} pairs; floats are written with
 shortest round-trip precision (repr), so every artifact re-loads bit-exactly.
+Arrays are encoded whole: every float is formatted once with
+``float.__repr__``, and the entries and rows are laid out from fixed
+templates, byte for byte as ``json.dumps(..., indent=2, sort_keys=True)`` and
+``csv.writer`` lay out the same values one cell at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -15,35 +22,91 @@ import numpy as np
 from .errors import ParseError, SchemaError
 from .oracle import PseudoDistribution
 
-
-def cnum(z) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
-def from_cnum(d) -> complex:
-    if not isinstance(d, dict) or set(d) != {"re", "im"}:
-        raise SchemaError(f"expected a {{re, im}} pair, got {d!r}")
-    return complex(d["re"], d["im"])
+# json writes the non-finite floats that repr calls nan, inf and -inf like this
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_RE_IM = itemgetter("re", "im")
 
 
-def complex_array_to_json(a: np.ndarray) -> list:
-    return [cnum(z) for z in np.asarray(a, dtype=complex).ravel()]
+@lru_cache(maxsize=4)
+def _float_reprs(data: bytes) -> tuple:
+    """repr of each float64 packed in ``data``.
+
+    The strings depend on the bytes alone, so the last four arrays' strings are
+    kept: a distribution's real and imaginary parts are formatted once for its
+    JSON file, its CSV file and the re/im columns of its plot file."""
+    return tuple(map(float.__repr__, np.frombuffer(data).tolist()))
+
+
+def _reprs(a, nonfinite=None):
+    """repr of every element of a real array as a float, in row-major order;
+    ``nonfinite`` maps the repr of nan and of each infinity to another string."""
+    flat = np.ascontiguousarray(a, dtype=float).ravel()
+    out = _float_reprs(flat.tobytes())
+    bad = np.flatnonzero(~np.isfinite(flat)).tolist() if nonfinite else []
+    if bad:
+        out = list(out)
+        for i in bad:
+            out[i] = nonfinite[out[i]]
+    return out
+
+
+def _json_pairs(values: np.ndarray) -> str:
+    """A complex array as the list of {re, im} pairs that json.dumps(indent=2,
+    sort_keys=True) writes for the value of a top-level key."""
+    if values.size == 0:
+        return "[]"
+    ims = _reprs(values.imag, _JSON_NONFINITE)
+    res = _reprs(values.real, _JSON_NONFINITE)
+    entries = '\n    },\n    {\n      "im": '.join(map(',\n      "re": '.join, zip(ims, res)))
+    return '[\n    {\n      "im": ' + entries + "\n    }\n  ]"
+
+
+def _csv_rows(columns) -> str:
+    """Rows of plain fields as csv.writer writes them: comma-joined, CRLF-ended."""
+    return "".join(map("{}\r\n".format, map(",".join, zip(*columns))))
+
+
+def _first_bad_pair(entries):
+    """Position and value of the first entry that is not a {re, im} pair of numbers."""
+    for i, e in enumerate(entries):
+        if (type(e) is not dict or set(e) != {"re", "im"}
+                or not {type(e["re"]), type(e["im"])} <= {float, int}):
+            return i, e
 
 
 def complex_array_from_json(entries, shape) -> np.ndarray:
-    vals = np.array([from_cnum(e) for e in entries], dtype=complex)
-    return vals.reshape(shape)
+    """Fill a complex array from a list of {re, im} pairs of JSON numbers (not
+    strings, null or booleans), with no Python call per entry."""
+    if type(entries) is not list:
+        raise SchemaError(f"expected a list of {{re, im}} pairs, got {type(entries).__name__}")
+    parts = []
+    if set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {2}:
+        try:
+            parts = list(chain.from_iterable(map(_RE_IM, entries)))
+        except KeyError:
+            pass
+    if len(parts) != 2 * len(entries) or not set(map(type, parts)) <= {float, int}:
+        raise SchemaError("entry %d: expected a {re, im} pair of numbers, got %r"
+                          % _first_bad_pair(entries))
+    try:
+        values = np.array(parts, dtype=float)
+    except OverflowError as exc:
+        raise SchemaError(f"complex entry out of float range: {exc}") from exc
+    if values.size != 2 * np.prod(shape, dtype=int):
+        raise SchemaError(f"{len(entries)} complex entries do not fill shape {list(shape)}")
+    return values.view(complex).reshape(shape)
 
 
 def pseudo_to_dict(pd: PseudoDistribution) -> dict:
+    """Fields of the distribution JSON for write_json, which encodes the
+    ``values`` array; pseudo_from_dict reads the dict read_json returns."""
     return {
         "shape": list(pd.shape),
         "axes": list(pd.axes),
         "ordering_tag": pd.ordering_tag,
         "conditioning": pd.conditioning,
         "cell_weight": pd.cell_weight,
-        "values": complex_array_to_json(pd.values),
+        "values": pd.values,
     }
 
 
@@ -63,7 +126,21 @@ def pseudo_from_dict(d: dict) -> PseudoDistribution:
 
 
 def write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """json.dumps(payload, indent=2, sort_keys=True) plus a newline; an array
+    under a top-level key is written as its list of {re, im} pairs."""
+    arrays = {}
+    if isinstance(payload, dict):
+        arrays = {k: v for k, v in payload.items() if isinstance(v, np.ndarray)}
+        payload = {**payload, **dict.fromkeys(arrays)}
+    rest = json.dumps(payload, indent=2, sort_keys=True)
+    with open(path, "w") as fh:
+        for key in sorted(arrays):
+            # a raw newline and two spaces before a quote only start a top-level key
+            field = f"\n  {json.dumps(key)}: "
+            head, _, rest = rest.partition(field + "null")
+            fh.write(head + field)
+            fh.write(_json_pairs(np.asarray(arrays[key], dtype=complex)))
+        fh.write(rest + "\n")
 
 
 def read_json(path):
@@ -76,20 +153,16 @@ def read_json(path):
 
 def write_pseudo_csv(pd: PseudoDistribution, path):
     """Index columns (one per axis) followed by re and im columns."""
+    index = np.indices(pd.shape).reshape(len(pd.shape), pd.values.size).tolist()
+    columns = [list(map(str, c)) for c in index]
+    columns += [_reprs(pd.values.real), _reprs(pd.values.imag)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"i_{label}" for label in pd.axes] + ["re", "im"])
-        for idx in np.ndindex(*pd.shape):
-            z = pd.values[idx]
-            writer.writerow([*idx, repr(float(z.real)), repr(float(z.imag))])
+        csv.writer(fh).writerow([f"i_{label}" for label in pd.axes] + ["re", "im"])
+        fh.write(_csv_rows(columns))
 
 
 def write_plot_csv(path, columns: dict):
     """Plot-ready CSV: named real-valued columns of equal length."""
-    names = list(columns)
-    arrays = [np.asarray(columns[n]) for n in names]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in zip(*arrays):
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(list(columns))
+        fh.write(_csv_rows([_reprs(c) for c in columns.values()]))

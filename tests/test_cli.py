@@ -15,7 +15,6 @@ from kdrecon.oracle import PseudoDistribution
 from kdrecon.scenarios import compare_distributions, load_scenario
 from kdrecon.serialize import (
     complex_array_from_json,
-    complex_array_to_json,
     pseudo_from_dict,
     pseudo_to_dict,
     read_json,
@@ -44,9 +43,10 @@ def write_scenario(tmp_path, payload, name="scenario.json"):
 
 
 class TestSerialize:
-    def test_complex_array_roundtrip(self):
+    def test_complex_array_roundtrip(self, tmp_path):
         a = np.array([[1 + 2j, -0.125], [0, 3.7j]])
-        back = complex_array_from_json(complex_array_to_json(a), a.shape)
+        write_json(tmp_path / "a.json", {"values": a})
+        back = complex_array_from_json(read_json(tmp_path / "a.json")["values"], a.shape)
         assert np.array_equal(a, back)
 
     def test_pseudo_roundtrip(self, tmp_path):
@@ -71,6 +71,16 @@ class TestSerialize:
     def test_missing_field_rejected(self):
         with pytest.raises(SchemaError, match="missing"):
             pseudo_from_dict({"shape": [2], "values": []})
+
+    @pytest.mark.parametrize("entries, shape", [
+        ([{"re": 1.0, "im": 0.0}], (2,)),
+        ([{"re": 1.0, "im": 0.0}] * 4, (3,)),
+        ([{"re": 1e308, "im": 10**400}], (1,)),
+        ({"re": 1.0, "im": 0.0}, (1,)),
+    ])
+    def test_unfillable_values_rejected(self, entries, shape):
+        with pytest.raises(SchemaError):
+            complex_array_from_json(entries, shape)
 
 
 class TestLoadScenario:
@@ -246,6 +256,55 @@ class TestCliRuns:
         assert (tmp_path / "envout" / "distribution.json").exists()
 
 
+BAD_ENTRIES = [
+    {"re": "1.0", "im": 0.0},
+    {"re": 1.0, "im": None},
+    {"re": True, "im": 0.0},
+    {"re": 1.0},
+    {"re": 1.0, "im": 0.0, "phase": 0.0},
+    [1.0, 0.0],
+    1.0,
+]
+
+
+class TestNonNumericEntries:
+    """A complex entry that is not exactly a {re, im} pair of numbers is a SchemaError."""
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_scenario_amplitudes(self, tmp_path, bad):
+        scenario = dict(QUBIT_SCENARIO, state={"amplitudes": [{"re": 1.0, "im": 0.0}, bad]})
+        scen = write_scenario(tmp_path, scenario)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("bad", [None] + BAD_ENTRIES)
+    def test_scenario_eigenvectors(self, tmp_path, bad):
+        one, zero = {"re": 1.0, "im": 0.0}, {"re": 0, "im": 0}
+        scenario = dict(QUBIT_SCENARIO, observable_a={
+            "eigenvalues": [1.0, -1.0],
+            "eigenvectors": [[one, zero], [zero, one if bad is None else bad]],
+        })
+        scen = write_scenario(tmp_path, scenario)
+        out = tmp_path / "out"
+        rc = main(["reconstruct", "--scenario", str(scen), "--out", str(out)])
+        if bad is None:  # the well-formed observable (sigma_z) runs
+            assert rc == 0
+            return
+        assert rc == 2
+        assert read_json(out / "error.json")["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    def test_compare(self, tmp_path, bad, capsys):
+        pd = PseudoDistribution(np.array([0.5, 0.5]), ("A",), "kd")
+        write_json(tmp_path / "a.json", pseudo_to_dict(pd))
+        broken = read_json(tmp_path / "a.json")
+        broken["values"][1] = bad
+        (tmp_path / "b.json").write_text(json.dumps(broken))
+        assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
+        assert "SchemaError: entry 1" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_identical_files_pass(self, tmp_path):
         pd = PseudoDistribution(np.array([0.5, 0.5]), ("A",), "kd-conditional")
@@ -279,6 +338,23 @@ class TestCompare:
         assert not report["pass"]
         assert report["worst_index"] == [1]
         assert report["entries"][0]["delta"] == pytest.approx(0.1)
+        # 2-D: failing cells in row-major order, with both values and the delta
+        a = np.arange(6, dtype=float).reshape(2, 3) * (1 - 1j)
+        b = a.copy()
+        b[1, 0] += 0.5j
+        b[0, 2] -= 0.25
+        b[1, 2] += 2.0
+        b[0, 1] += 1e-4
+        write_json(tmp_path / "a.json", pseudo_to_dict(PseudoDistribution(a, ("A", "B"), "kd")))
+        write_json(tmp_path / "b.json", pseudo_to_dict(PseudoDistribution(b, ("A", "B"), "kd")))
+        report = compare_distributions(tmp_path / "a.json", tmp_path / "b.json", 1e-3)
+        assert report["worst_index"] == [1, 2]
+        assert report["entries"] == [
+            {"index": [i, j], "a": {"re": a[i, j].real, "im": a[i, j].imag},
+             "b": {"re": b[i, j].real, "im": b[i, j].imag}, "delta": abs(b[i, j] - a[i, j])}
+            for i, j in [(0, 2), (1, 0), (1, 2)]
+        ]
+        assert json.loads(json.dumps(report))["entries"][1]["b"] == {"re": 3.0, "im": -2.5}
 
     def test_compare_cli_exit_codes(self, tmp_path):
         pd = PseudoDistribution(np.array([1.0]), ("A",), "kd")
