@@ -145,11 +145,16 @@ def _momentum_samples(w: WaveFunction) -> np.ndarray:
     return w.samples if w.representation == "momentum" else to_momentum(w).samples
 
 
-def _grid_index(values: np.ndarray, target: float, step: float, what: str) -> int:
-    idx = np.argmin(np.abs(values - target))
-    if abs(values[idx] - target) > 1e-9 * step:
-        raise OffGridParameter(f"{what} {target} is not on the grid (step {step})")
-    return int(idx)
+def _grid_offsets(g: Grid, targets, step: float, what: str) -> np.ndarray:
+    """Offsets m, with -n/2 <= m < n/2, of targets = m * step on a centred grid."""
+    t = np.asarray(targets, dtype=float)
+    m = np.rint(t / step)
+    on_grid = (m >= -(g.n // 2)) & (m < g.n - g.n // 2)
+    m = np.where(on_grid, m, 0.0)
+    on_grid &= np.abs(m * step - t) <= 1e-9 * step
+    if not np.all(on_grid):
+        raise OffGridParameter(f"{what} {t[~on_grid].flat[0]} is not on the grid (step {step})")
+    return m.astype(int)
 
 
 def weak_char_fn(w: WaveFunction, post_p: float, k_values=None) -> CharFnSample:
@@ -167,11 +172,11 @@ def weak_char_fn(w: WaveFunction, post_p: float, k_values=None) -> CharFnSample:
             RuntimeWarning,
             stacklevel=2,
         )
-    ip = _grid_index(g.p, post_p, g.dp, "post-selection momentum")
+    ip = int(_grid_offsets(g, post_p, g.dp, "post-selection momentum")) + g.n // 2
     denom = pt[ip]
     require_postselection(abs(denom) ** 2 * g.dp, f"p={post_p} post-selection")
     k_values = g.k if k_values is None else np.asarray(k_values, dtype=float)
-    shifts = np.array([_grid_index(g.k, k, g.dk, "characteristic parameter k") - g.n // 2 for k in k_values])
+    shifts = _grid_offsets(g, k_values, g.dk, "characteristic parameter k")
     z = pt[(ip - shifts) % g.n] / denom
     return CharFnSample(g, k_values, z, conditioning=f"p={g.p[ip]:.6g}")
 
@@ -246,6 +251,8 @@ def joint_kd_cv(w: WaveFunction, ordering: str = "x-then-p") -> np.ndarray:
 def ccr_witness(w: WaveFunction) -> complex:
     """<xp>_Ktilde - <xp>_K = i*hbar for every state (grid-converged).
 
+    <xp>_K is one sum over x, with p acting on psi in momentum space, so the
+    witness takes O(n log n) time and O(n) memory; no n x n table is built.
     A warning is emitted when the state's spectral tails exceed TAIL_FLOOR,
     since grid moments then stop converging.
     """
@@ -260,8 +267,9 @@ def ccr_witness(w: WaveFunction) -> complex:
             RuntimeWarning,
             stacklevel=2,
         )
-    k = joint_kd_cv(w, "x-then-p")
-    xp_k = g.dx * g.dp * np.sum(g.x[:, None] * g.p[None, :] * k)
+    # <xp>_K = dx dp sum_{x,p} x p K(x, p) = dx sum_x x psi(x) conj((p psi)(x))
+    p_psi = position_samples_raw(g, g.p * psi_p)
+    xp_k = g.dx * np.sum(g.x * psi_x * np.conj(p_psi))
     return complex(np.conj(xp_k) - xp_k)
 
 

@@ -27,38 +27,30 @@ from .vandermonde import build_vandermonde, invert_vandermonde, solve_least_squa
 SUM_CHECK_TOL = 1e-6
 
 
-def _affine_params(nodes: np.ndarray):
-    """(alpha, beta) with nodes = alpha * t + beta mapping t into [-1, 1]."""
-    lo, hi = float(np.min(nodes)), float(np.max(nodes))
-    if hi == lo:
-        return 1.0, 0.0
-    return (hi - lo) / 2.0, (hi + lo) / 2.0
-
-
-def _moment_rescale_matrix(orders: int, alpha: float, beta: float) -> np.ndarray:
-    """Lower-triangular M with <T^n> = sum_k M[n, k] <A^k> for T = (A - beta)/alpha.
+def _rescaled(nodes: np.ndarray, orders: int):
+    """Nodes t = (nodes - beta) / alpha mapped into [-1, 1], and the
+    lower-triangular M with <T^n> = sum_k M[n, k] <A^k> for T = (A - beta)/alpha.
 
     Valid for weak values too: A commutes with itself, so the binomial
     expansion holds at operator level.
     """
+    lo, hi = float(np.min(nodes)), float(np.max(nodes))
+    alpha, beta = ((hi - lo) / 2.0, (hi + lo) / 2.0) if hi != lo else (1.0, 0.0)
     m = np.zeros((orders, orders))
     for n in range(orders):
         for k in range(n + 1):
             m[n, k] = comb(n, k) * ((-beta) ** (n - k)) / (alpha**n)
-    return m
+    return (nodes - beta) / alpha, m
 
 
-def _scaled_inverse_rows(nodes: np.ndarray, orders: int) -> np.ndarray:
-    """Matrix R with Q = R @ moments, via rescaled nodes.
-
-    Exact case (orders == d): R = V_t^{-1} M.  Otherwise the caller solves the
-    rectangular system instead.
-    """
-    alpha, beta = _affine_params(nodes)
-    t_nodes = (nodes - beta) / alpha
-    v_inv = invert_vandermonde(build_vandermonde(t_nodes))
-    m = _moment_rescale_matrix(orders, alpha, beta)
-    return v_inv @ m
+def _contract(observables, values: np.ndarray) -> np.ndarray:
+    """Apply R = V_t^{-1} M along axis i of ``values`` for the i-th observable:
+    Q = R_A C for a moment vector, R_A C R_B^T for a correlation matrix."""
+    for axis, obs in enumerate(observables):
+        t_nodes, m = _rescaled(np.asarray(obs.eigenvalues, float), obs.dim)
+        r = invert_vandermonde(build_vandermonde(t_nodes)) @ m
+        values = np.moveaxis(np.tensordot(r, values, axes=([1], [axis])), 0, axis)
+    return values
 
 
 def _check_sum(values: np.ndarray, renormalize: bool, what: str):
@@ -80,20 +72,16 @@ def conditional_from_moments(
 ) -> PseudoDistribution:
     """Q = V^{-1} A-vector; least-squares (pseudo-inverse) when the number of
     measured moments differs from d."""
-    d = a.dim
-    nodes = np.asarray(a.eigenvalues, dtype=float)
     moments = mv.values
     if abs(moments[0] - 1.0) > 1e-9:
         raise ValueError(f"zeroth moment must be 1, got {moments[0]}")
     r = moments.size
-    if r == d:
-        q = _scaled_inverse_rows(nodes, d) @ moments
+    if r == a.dim:
+        q = _contract([a], moments)
     else:
-        alpha, beta = _affine_params(nodes)
-        t_nodes = (nodes - beta) / alpha
+        t_nodes, m = _rescaled(np.asarray(a.eigenvalues, dtype=float), r)
         v_rect = np.vander(t_nodes, r, increasing=True).T  # r rows of powers
-        t_moments = _moment_rescale_matrix(r, alpha, beta) @ moments
-        q = solve_least_squares(v_rect, t_moments)
+        q = solve_least_squares(v_rect, m @ moments)
     q = _check_sum(q, renormalize, "conditional pseudo-distribution")
     return PseudoDistribution(
         q,
@@ -115,10 +103,7 @@ def joint_from_correlations(
         raise DimensionMismatch(f"correlation matrix must be {d}x{d}, got {vals.shape}")
     if abs(vals[0, 0] - 1.0) > 1e-9:
         raise ValueError(f"C[0,0] must be 1, got {vals[0, 0]}")
-    ra = _scaled_inverse_rows(np.asarray(a.eigenvalues, float), d)
-    rb = _scaled_inverse_rows(np.asarray(b.eigenvalues, float), d)
-    q = ra @ vals @ rb.T
-    q = _check_sum(q, renormalize, "joint pseudo-distribution")
+    q = _check_sum(_contract([a, b], vals), renormalize, "joint pseudo-distribution")
     return PseudoDistribution(q, (a.label, b.label), ordering_tag="kd-conjugate")
 
 
@@ -138,8 +123,6 @@ def npoint_from_correlations(obs_list, c_tensor, renormalize: bool = False) -> P
     for axis, obs in enumerate(obs_list):
         if c.shape[axis] != obs.dim:
             raise DimensionMismatch(f"axis {axis} length does not match observable dimension")
-        r = _scaled_inverse_rows(np.asarray(obs.eigenvalues, float), obs.dim)
-        c = np.moveaxis(np.tensordot(r, c, axes=([1], [axis])), 0, axis)
-    c = _check_sum(c, renormalize, "n-point pseudo-distribution")
+    c = _check_sum(_contract(obs_list, c), renormalize, "n-point pseudo-distribution")
     labels = tuple(obs.label for obs in obs_list)
     return PseudoDistribution(c, labels, ordering_tag="kd-npoint")

@@ -211,6 +211,8 @@ def _build_inputs(sc: Scenario) -> dict:
         size = built["grid"].n if "grid" in built else built["observable_b"].dim
         if type(p[key]) is not int or not 0 <= p[key] < size:
             raise SchemaError(f"{key} must be an integer in [0, {size}), got {p[key]!r}")
+    if sc.kind == "experiment" and p["post_index"] is None and not p["joint"]:
+        raise SchemaError("experiment scenario needs post_index or joint=true")
     return built
 
 
@@ -321,10 +323,8 @@ def _run_experiment(sc: Scenario, built: dict, diag: dict):
         coords = grid.x if axis == "x" else grid.p
         oracle_pd = _cv_conditional_oracle(grid, w, post) if axis == "x" else None
         return result, _plot_columns_1d(coords, res.conditional), oracle_pd
-    if res.joint is not None:
-        result, plot = _phase_space(grid, res.joint, mode)
-        return result, plot, _phase_space(grid, cv.joint_kd_cv(w, mode), mode)[0]
-    raise SchemaError("experiment scenario needs post_index or joint=true")
+    result, plot = _phase_space(grid, res.joint, mode)
+    return result, plot, _phase_space(grid, cv.joint_kd_cv(w, mode), mode)[0]
 
 
 def _run_ccr(sc: Scenario, built: dict, diag: dict):

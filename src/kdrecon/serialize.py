@@ -110,15 +110,30 @@ def pseudo_to_dict(pd: PseudoDistribution) -> dict:
     }
 
 
+def _require(ok: bool, field: str, expected: str, got):
+    if not ok:
+        raise SchemaError(f"pseudo-distribution {field} must be {expected}, got {got!r}")
+
+
 def pseudo_from_dict(d: dict) -> PseudoDistribution:
+    _require(type(d) is dict, "JSON", "an object", type(d).__name__)
     required = {"shape", "axes", "ordering_tag", "conditioning", "cell_weight", "values"}
     missing = required - set(d)
     if missing:
         raise SchemaError(f"pseudo-distribution JSON missing fields {sorted(missing)}")
-    values = complex_array_from_json(d["values"], tuple(d["shape"]))
+    shape, axes = d["shape"], d["axes"]
+    _require(type(shape) is list and all(type(n) is int and n >= 0 for n in shape),
+             "shape", "a list of non-negative integers", shape)
+    _require(type(axes) is list and len(axes) == len(shape)
+             and all(type(a) is str for a in axes),
+             "axes", f"a list of {len(shape)} strings", axes)
+    _require(type(d["ordering_tag"]) is str, "ordering_tag", "a string", d["ordering_tag"])
+    _require(d["conditioning"] is None or type(d["conditioning"]) is str,
+             "conditioning", "a string or null", d["conditioning"])
+    _require(type(d["cell_weight"]) in (int, float), "cell_weight", "a number", d["cell_weight"])
     return PseudoDistribution(
-        values,
-        tuple(d["axes"]),
+        complex_array_from_json(d["values"], tuple(shape)),
+        tuple(axes),
         ordering_tag=d["ordering_tag"],
         conditioning=d["conditioning"],
         cell_weight=float(d["cell_weight"]),

@@ -62,20 +62,6 @@ def vandermonde_determinant(v: VandermondeMatrix) -> float:
     return det
 
 
-def _master_coefficients(nodes: np.ndarray) -> np.ndarray:
-    """Coefficients (increasing powers) of P(x) = prod_m (x - a_m)."""
-    coeffs = np.zeros(nodes.size + 1)
-    coeffs[0] = 1.0
-    deg = 0
-    for a in nodes:
-        new = np.zeros_like(coeffs)
-        new[1 : deg + 2] += coeffs[0 : deg + 1]
-        new[0 : deg + 1] -= a * coeffs[0 : deg + 1]
-        coeffs = new
-        deg += 1
-    return coeffs
-
-
 def invert_vandermonde(v: VandermondeMatrix) -> np.ndarray:
     """Inverse via Lagrange coefficient deflation, O(d^2) arithmetic.
 
@@ -83,7 +69,7 @@ def invert_vandermonde(v: VandermondeMatrix) -> np.ndarray:
     """
     nodes = v.nodes
     d = v.dim
-    master = _master_coefficients(nodes)
+    master = np.poly(nodes)[::-1]  # P(x) = prod_m (x - a_m), increasing powers
     inv = np.empty((d, d))
     for i in range(d):
         a = nodes[i]

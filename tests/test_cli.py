@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kdrecon import cv
+from kdrecon import cv, photonics
 from kdrecon.cli import main
 from kdrecon.errors import (
     OrderingTagMismatch,
@@ -223,6 +223,21 @@ class TestCliRuns:
         assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
         assert read_json(out / "error.json")["error"] == "SchemaError"
 
+    def test_experiment_without_output_rejected_before_the_sweep(self, tmp_path, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the photonic sweep ran")
+
+        monkeypatch.setattr(photonics, "run_reconstruction", sweep)
+        scen = write_scenario(tmp_path, {
+            "kind": "experiment", "grid": {"n": 64, "length": 16.0},
+            "state": {"type": "gaussian"}, "epsilon": 0.05, "shots": 1000,
+        })
+        with pytest.raises(SchemaError, match="post_index or joint"):
+            load_scenario(scen)
+        out = tmp_path / "out"
+        assert main(["experiment", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "SchemaError"
+
     def test_noiseless_p_then_x_conditional_sums_to_one(self, tmp_path):
         scen = write_scenario(tmp_path, {
             "kind": "experiment", "grid": {"n": 64, "length": 16.0},
@@ -303,6 +318,46 @@ class TestNonNumericEntries:
         (tmp_path / "b.json").write_text(json.dumps(broken))
         assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
         assert "SchemaError: entry 1" in capsys.readouterr().err
+
+
+def _distribution_json(**fields):
+    pd = PseudoDistribution(np.array([0.5, 0.5]), ("A",), "kd")
+    return {**pseudo_to_dict(pd), "values": [{"re": 0.5, "im": 0.0}] * 2, **fields}
+
+
+@pytest.mark.parametrize("broken", [
+    [_distribution_json()],
+    _distribution_json(shape=4096),
+    _distribution_json(shape=["2"]),
+    _distribution_json(shape=[2.0]),
+    _distribution_json(shape=[True]),
+    _distribution_json(shape=[-2]),
+    _distribution_json(axes=5),
+    _distribution_json(axes=["A", "B"]),
+    _distribution_json(axes=[1]),
+    _distribution_json(ordering_tag=3),
+    _distribution_json(conditioning=0),
+    _distribution_json(conditioning=["p"]),
+    _distribution_json(cell_weight="x"),
+    _distribution_json(cell_weight=True),
+    _distribution_json(cell_weight=None),
+], ids=["top-level-list", "shape-int", "shape-str", "shape-float", "shape-bool",
+        "shape-negative", "axes-int", "axes-count", "axes-int-entry", "ordering-tag-int",
+        "conditioning-int", "conditioning-list", "cell-weight-str", "cell-weight-bool",
+        "cell-weight-null"])
+def test_compare_rejects_ill_typed_distribution_fields(tmp_path, broken, capsys):
+    """A distribution file whose fields have the wrong JSON type is a SchemaError."""
+    write_json(tmp_path / "a.json", _distribution_json())
+    (tmp_path / "b.json").write_text(json.dumps(broken))
+    assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
+    assert "SchemaError: pseudo-distribution" in capsys.readouterr().err
+    with pytest.raises(SchemaError):
+        pseudo_from_dict(broken)
+
+
+def test_integer_cell_weight_and_null_conditioning_accepted():
+    pd = pseudo_from_dict(_distribution_json(cell_weight=1, conditioning=None))
+    assert pd.cell_weight == 1.0 and pd.conditioning is None
 
 
 class TestCompare:
