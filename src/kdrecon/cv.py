@@ -251,8 +251,6 @@ def joint_kd_cv(w: WaveFunction, ordering: str = "x-then-p") -> np.ndarray:
 def ccr_witness(w: WaveFunction) -> complex:
     """<xp>_Ktilde - <xp>_K = i*hbar for every state (grid-converged).
 
-    <xp>_K is one sum over x, with p acting on psi in momentum space, so the
-    witness takes O(n log n) time and O(n) memory; no n x n table is built.
     A warning is emitted when the state's spectral tails exceed TAIL_FLOOR,
     since grid moments then stop converging.
     """
@@ -267,9 +265,8 @@ def ccr_witness(w: WaveFunction) -> complex:
             RuntimeWarning,
             stacklevel=2,
         )
-    # <xp>_K = dx dp sum_{x,p} x p K(x, p) = dx sum_x x psi(x) conj((p psi)(x))
-    p_psi = position_samples_raw(g, g.p * psi_p)
-    xp_k = g.dx * np.sum(g.x * psi_x * np.conj(p_psi))
+    k = joint_kd_cv(w, "x-then-p")
+    xp_k = g.dx * g.dp * np.sum(g.x[:, None] * g.p[None, :] * k)
     return complex(np.conj(xp_k) - xp_k)
 
 

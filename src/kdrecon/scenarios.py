@@ -135,6 +135,8 @@ def _build_state(spec, context="state") -> QuantumState:
 def _build_observable(spec, context="observable") -> ObservableSpec:
     _check_keys(spec, {"pauli", "eigenvalues", "eigenvectors", "random", "label"}, context)
     label = spec.get("label")
+    if label is not None and not isinstance(label, str):
+        raise SchemaError(f"{context}.label must be a string, got {label!r}")
     if "pauli" in spec:
         return pauli_spec(spec["pauli"], label=label)
     if "random" in spec:

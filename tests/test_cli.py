@@ -109,6 +109,19 @@ class TestLoadScenario:
         with pytest.raises(SchemaError, match="grid"):
             load_scenario(write_scenario(tmp_path, bad))
 
+    @pytest.mark.parametrize("label", [5, True, ["z"], {"name": "z"}])
+    @pytest.mark.parametrize("observable", [
+        {"pauli": "z"},
+        {"random": {"dim": 2, "seed": 1}},
+        {"eigenvalues": [1.0, -1.0],
+         "eigenvectors": [[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+                          [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]]},
+    ])
+    def test_non_string_label_rejected(self, tmp_path, observable, label):
+        bad = dict(QUBIT_SCENARIO, observable_a=dict(observable, label=label))
+        with pytest.raises(SchemaError, match="label"):
+            load_scenario(write_scenario(tmp_path, bad))
+
     def test_missing_required_key(self, tmp_path):
         bad = {k: v for k, v in QUBIT_SCENARIO.items() if k != "observable_b"}
         with pytest.raises(SchemaError, match="observable_b"):
@@ -150,13 +163,14 @@ class TestCliRuns:
         assert not compare_distributions(*pair, 1e-3)["pass"]
 
     def test_ccr_diagnostics(self, tmp_path):
-        scen = write_scenario(tmp_path, CCR_SCENARIO)
-        out = tmp_path / "out"
-        rc = main(["ccr", "--scenario", str(scen), "--out", str(out)])
-        assert rc == 0
-        diag = read_json(out / "diagnostics.json")
-        assert abs(diag["witness"]["im"] - 1.0) < 1e-6
-        assert abs(diag["witness"]["re"]) < 1e-9
+        for n in (256, 1024):
+            scen = write_scenario(tmp_path, dict(CCR_SCENARIO, grid={"n": n, "length": 40.0}))
+            out = tmp_path / f"out{n}"
+            rc = main(["ccr", "--scenario", str(scen), "--out", str(out)])
+            assert rc == 0
+            diag = read_json(out / "diagnostics.json")
+            assert abs(diag["witness"]["im"] - 1.0) < 1e-6
+            assert abs(diag["witness"]["re"]) < 1e-9
 
     def test_determinism_byte_identical(self, tmp_path):
         scenario = {

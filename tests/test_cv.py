@@ -1,6 +1,3 @@
-import tracemalloc
-import warnings
-
 import numpy as np
 import pytest
 
@@ -124,13 +121,9 @@ class TestWeakCharFn:
         assert mags[1] < 1.0 and mags[2] < mags[1]
 
     def test_off_grid_k_rejected(self, grid):
-        with pytest.raises(OffGridParameter):
-            weak_char_fn(gaussian_state(grid), 0.0, k_values=[0.5 * grid.dk])
-
-    def test_off_grid_k_inside_the_list_rejected(self, grid):
-        ks = np.array([0.0, grid.dk, 2.5 * grid.dk, 3 * grid.dk])
-        with pytest.raises(OffGridParameter, match="characteristic parameter k"):
-            weak_char_fn(gaussian_state(grid), 0.0, k_values=ks)
+        for steps in ([0.5], [0, 1, 2.5, 3]):
+            with pytest.raises(OffGridParameter, match="characteristic parameter k"):
+                weak_char_fn(gaussian_state(grid), 0.0, k_values=np.array(steps) * grid.dk)
 
     def test_k_one_step_past_the_grid_rejected(self, grid):
         ks = np.append(grid.k, grid.k[-1] + grid.dk)
@@ -270,27 +263,3 @@ class TestCcrWitness:
         with pytest.warns(RuntimeWarning, match="grid edge"):
             ccr_witness(gaussian_state(g))
 
-    @pytest.mark.parametrize("n", [64, 256])
-    @pytest.mark.parametrize("hbar", [1.0, 2.5])
-    @pytest.mark.parametrize("representation", ["position", "momentum"])
-    def test_matches_dense_phase_space_sum(self, n, hbar, representation):
-        g = Grid(n, 16.0, hbar)
-        w = random_smooth_state(g, seed=n)
-        if representation == "momentum":
-            w = to_momentum(w)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            witness = ccr_witness(w)
-        xp_k = g.dx * g.dp * np.sum(g.x[:, None] * g.p[None, :] * joint_kd_cv(w))
-        assert abs(witness - (np.conj(xp_k) - xp_k)) < 1e-12
-
-    def test_memory_is_linear_in_grid_size(self):
-        w = gaussian_state(Grid(2048, 40.0))
-        tracemalloc.start()
-        try:
-            witness = ccr_witness(w)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert abs(witness - 1j) < 1e-6
-        assert peak < 5e6  # one dense 2048 x 2048 complex table alone is 67 MB
