@@ -3,6 +3,13 @@ correlation matrices/tensors, and discrete characteristic functions.
 
 Operator ordering convention: A-powers (and the A-exponential) leftmost,
 Z(lambda, chi) = <psi| e^{i lambda A} e^{i chi B} |psi>.
+
+Moments and correlations are all one bra-ket GEMM chain,
+C[m_1..m_N] = sum_k <u_k| O_1^m_1 ... O_N^m_N |v_k> (``_bra_ket``): the ket
+side is built right to left, one product per observable, the bra side
+<u_k|O_1^m_1 is one product and a last one joins them, d^(N+1)
+multiply-adds in all.  A mixed state enters through its factor L with
+rho = L L^dagger, so Tr(A^n B^m rho) = sum_k <L_k|A^n B^m|L_k>.
 """
 
 from __future__ import annotations
@@ -12,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DensityMatrix,
     ObservableSpec,
     QuantumState,
-    as_density,
     expectation,
     observable_power,
     require_postselection,
@@ -55,13 +62,48 @@ class CorrelationMatrix:
         object.__setattr__(self, "values", vals)
 
 
-def weak_value(c: np.ndarray, psi: QuantumState, phi: QuantumState) -> complex:
-    """<phi|C|psi> / <phi|psi>."""
+def _overlap(psi: QuantumState, phi: QuantumState) -> complex:
+    """<phi|psi>, refused below the post-selection floor."""
     if psi.dim != phi.dim:
         raise DimensionMismatch("pre- and post-selection dimensions differ")
     overlap = complex(phi.amplitudes.conj() @ psi.amplitudes)
     require_postselection(abs(overlap) ** 2, "|<phi|psi>|^2 post-selection")
+    return overlap
+
+
+def weak_value(c: np.ndarray, psi: QuantumState, phi: QuantumState) -> complex:
+    """<phi|C|psi> / <phi|psi>."""
+    overlap = _overlap(psi, phi)
     return complex(phi.amplitudes.conj() @ np.asarray(c, dtype=complex) @ psi.amplitudes) / overlap
+
+
+def _powers(obs: ObservableSpec, orders: int) -> np.ndarray:
+    """O^0..O^(orders-1) stacked in (i, m, j) layout, shape (d, orders, d)."""
+    return np.stack([observable_power(obs, m) for m in range(orders)], axis=1)
+
+
+def _bra_ket(obs_list, orders, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """C[m_1..m_N] = sum_k <bra_k| O_1^m_1 ... O_N^m_N |ket_k>, m_i < orders[i].
+
+    ``bra`` and ``ket`` hold the vectors as (d, K) columns.  The ket side runs
+    right to left: columns index (m_i..m_N, k), and each step is one
+    (d*orders_i x d) @ (d x T) product whose (i, m) rows reshape for free.  The
+    bra side <bra_k|O_1^m_1 is one product, and one more joins the two, so N
+    observables cost d^(N+1) multiply-adds rather than d^(N+2).
+    """
+    d, k = ket.shape
+    stack = ket
+    for obs, n in zip(obs_list[:0:-1], orders[:0:-1]):
+        stack = (_powers(obs, n).reshape(d * n, d) @ stack).reshape(d, -1)
+    first = _powers(obs_list[0], orders[0]).reshape(d, -1) if obs_list else np.eye(d)
+    left = (bra.conj().T @ first).reshape(k, -1, d)
+    out = np.tensordot(left, stack.reshape(d, -1, k), axes=([0, 2], [2, 0]))
+    return out.reshape(orders)
+
+
+def _require_orders(orders) -> None:
+    if any(n < 1 for n in orders):
+        raise ValueError(f"moment orders must be at least 1, got {orders}")
 
 
 def moment_vector(
@@ -70,27 +112,40 @@ def moment_vector(
     phi: QuantumState,
     orders: int | None = None,
 ) -> MomentVector:
-    """Weak moments of A between psi and phi, powers 0..orders-1 (default d)."""
+    """Weak moments <phi|A^n|psi> / <phi|psi>, powers 0..orders-1 (default d)."""
+    if a.dim != psi.dim:
+        raise DimensionMismatch("observable dimension does not match the states")
     orders = a.dim if orders is None else orders
-    vals = [weak_value(observable_power(a, n), psi, phi) for n in range(orders)]
-    return MomentVector(np.array(vals), observable=a.label)
+    _require_orders((orders,))
+    overlap = _overlap(psi, phi)
+    vals = _bra_ket([a], (orders,), phi.amplitudes[:, None], psi.amplitudes[:, None])
+    return MomentVector(vals / overlap, observable=a.label)
+
+
+def _factor(state) -> np.ndarray:
+    """L with rho = L L^dagger: psi itself, or V sqrt(max(lambda, 0)) from eigh."""
+    if isinstance(state, QuantumState):
+        return state.amplitudes[:, None]
+    if isinstance(state, DensityMatrix):
+        lam, vecs = np.linalg.eigh(state.matrix)
+        return vecs * np.sqrt(np.maximum(lam, 0.0))
+    raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
 def correlation_matrix(a: ObservableSpec, b: ObservableSpec, state, orders=None) -> CorrelationMatrix:
-    """C[n, m] = <A^n B^m> for n, m in 0..d-1 (or the given (na, nb))."""
+    """C[n, m] = <A^n B^m> for n, m in 0..d-1 (or the given (na, nb)).
+
+    A mixed state enters through its factor L (rho = L L^dagger), so C is
+    sum_k <L_k|A^n B^m|L_k> = Tr(A^n B^m rho).
+    """
     if a.dim != b.dim:
         raise DimensionMismatch("observables act on different dimensions")
-    rho = as_density(state)
-    if rho.dim != a.dim:
+    if state.dim != a.dim:
         raise DimensionMismatch("state dimension does not match observables")
-    na, nb = (a.dim, b.dim) if orders is None else orders
-    vals = np.empty((na, nb), dtype=complex)
-    a_pows = [observable_power(a, n) for n in range(na)]
-    b_pows = [observable_power(b, m) for m in range(nb)]
-    for n in range(na):
-        for m in range(nb):
-            vals[n, m] = expectation(rho, a_pows[n] @ b_pows[m])
-    return CorrelationMatrix(vals, labels=(a.label, b.label))
+    orders = (a.dim, b.dim) if orders is None else tuple(orders)
+    _require_orders(orders)
+    factor = _factor(state)
+    return CorrelationMatrix(_bra_ket([a, b], orders, factor, factor), labels=(a.label, b.label))
 
 
 def correlation_tensor(obs_list, psi: QuantumState) -> np.ndarray:
@@ -102,15 +157,8 @@ def correlation_tensor(obs_list, psi: QuantumState) -> np.ndarray:
             raise DimensionMismatch("observable dimension mismatch")
     n = len(obs_list)
     require_tensor_size(d, n)
-    # right-to-left: stack of vectors O_k^{m_k}..O_N^{m_N}|psi> over trailing indices
-    stack = psi.amplitudes[:, None]  # shape (d, 1): trailing multi-index flattened
-    shape_tail = ()
-    for obs in reversed(obs_list):
-        pows = np.stack([observable_power(obs, m) for m in range(d)])  # (d, d, d)
-        stack = np.einsum("pij,jt->ipt", pows, stack).reshape(d, -1)
-        shape_tail = (d,) + shape_tail
-    out = (psi.amplitudes.conj() @ stack).reshape(shape_tail)
-    return out
+    ket = psi.amplitudes[:, None]
+    return _bra_ket(obs_list, (d,) * n, ket, ket)
 
 
 def char_fn_discrete(a: ObservableSpec, b: ObservableSpec, state, lam: float, chi: float) -> complex:

@@ -213,6 +213,9 @@ def _build_inputs(sc: Scenario) -> dict:
         size = built["grid"].n if "grid" in built else built["observable_b"].dim
         if type(p[key]) is not int or not 0 <= p[key] < size:
             raise SchemaError(f"{key} must be an integer in [0, {size}), got {p[key]!r}")
+    orders = p.get("moment_orders")
+    if orders is not None and (type(orders) is not int or orders < 1):
+        raise SchemaError(f"moment_orders must be null or an integer >= 1, got {orders!r}")
     if sc.kind == "experiment" and p["post_index"] is None and not p["joint"]:
         raise SchemaError("experiment scenario needs post_index or joint=true")
     return built

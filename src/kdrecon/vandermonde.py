@@ -70,16 +70,15 @@ def invert_vandermonde(v: VandermondeMatrix) -> np.ndarray:
     nodes = v.nodes
     d = v.dim
     master = np.poly(nodes)[::-1]  # P(x) = prod_m (x - a_m), increasing powers
-    inv = np.empty((d, d))
-    for i in range(d):
-        a = nodes[i]
-        # synthetic division: q(x) = P(x) / (x - a), highest power first
-        q = np.empty(d)
-        q[d - 1] = master[d]
-        for n in range(d - 2, -1, -1):
-            q[n] = master[n + 1] + a * q[n + 1]
-        denom = np.prod(a - np.delete(nodes, i)) if d > 1 else 1.0
-        inv[i] = q / denom
+    # synthetic division of every row at once: q_i(x) = P(x) / (x - a_i),
+    # highest power first
+    q = np.empty((d, d))
+    q[:, d - 1] = master[d]
+    for n in range(d - 2, -1, -1):
+        q[:, n] = master[n + 1] + nodes * q[:, n + 1]
+    # denominators prod_{m != i} (a_i - a_m), off-diagonal entries in row order
+    gaps = (nodes[:, None] - nodes[None, :])[~np.eye(d, dtype=bool)].reshape(d, d - 1)
+    inv = q / np.prod(gaps, axis=1)[:, None]
     mags = np.abs(inv)
     # coefficients that are structurally zero come out at roundoff level;
     # exclude them from the spread estimate

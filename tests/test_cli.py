@@ -227,6 +227,9 @@ class TestCliRuns:
         ({"kind": "experiment", "grid": {"n": 64, "length": 16.0},
           "state": {"type": "gaussian"}, "epsilon": 0.05, "shots": 1000,
           "post_index": 32, "mode": None}, "mode"),
+        (dict(QUBIT_SCENARIO, moment_orders=0), "moment_orders"),
+        (dict(QUBIT_SCENARIO, moment_orders=-1), "moment_orders"),
+        (dict(QUBIT_SCENARIO, moment_orders="3"), "moment_orders"),
     ])
     def test_unknown_ordering_or_mode_is_schema_error(self, tmp_path, scenario, key):
         scen = write_scenario(tmp_path, scenario)
@@ -236,6 +239,17 @@ class TestCliRuns:
         command = "experiment" if scenario["kind"] == "experiment" else "reconstruct"
         assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
         assert read_json(out / "error.json")["error"] == "SchemaError"
+
+    def test_observable_a_dimension_mismatch_is_a_domain_error(self, tmp_path):
+        scen = write_scenario(tmp_path, dict(
+            QUBIT_SCENARIO,
+            state={"random": {"dim": 3, "seed": 1}},
+            observable_a={"random": {"dim": 4, "seed": 2}},
+            observable_b={"random": {"dim": 3, "seed": 3}},
+        ))
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "DimensionMismatch"
 
     def test_experiment_without_output_rejected_before_the_sweep(self, tmp_path, monkeypatch):
         def sweep(*args, **kwargs):

@@ -7,10 +7,11 @@ from kdrecon.core import (
     expectation,
     observable_power,
     pauli_spec,
+    random_density,
     random_observable,
     random_state,
 )
-from kdrecon.errors import PostSelectionTooWeak, SizeCap
+from kdrecon.errors import DimensionMismatch, PostSelectionTooWeak, SizeCap
 from kdrecon.moments import (
     char_fn_discrete,
     correlation_matrix,
@@ -87,6 +88,28 @@ class TestMomentVector:
             assert np.max(np.abs(v @ q - mv.values)) < 1e-9
 
 
+    def test_observable_dimension_must_match_states(self):
+        psi = random_state(3, 1)
+        with pytest.raises(DimensionMismatch):
+            moment_vector(random_observable(4, 2), psi, psi)
+
+    @pytest.mark.parametrize("orders", [0, -1])
+    def test_orders_below_one_rejected(self, plus_x, plus_y, orders):
+        with pytest.raises(ValueError, match="at least 1"):
+            moment_vector(SZ, plus_x, plus_y, orders=orders)
+
+    @pytest.mark.parametrize("orders", [None, 34])
+    def test_d32_matches_weak_value_per_power(self, orders):
+        d = 32
+        psi = random_state(d, 61)
+        a = random_observable(d, 62)
+        phi = QuantumState(random_observable(d, 63).eigenvector(5))
+        mv = moment_vector(a, psi, phi, orders=orders).values
+        ref = np.array([weak_value(observable_power(a, n), psi, phi) for n in range(mv.size)])
+        assert mv.size == (orders or d)
+        assert np.max(np.abs(mv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestCorrelationMatrix:
     def test_qubit_example(self, ket0):
         c = correlation_matrix(SZ, SX, ket0)
@@ -116,6 +139,30 @@ class TestCorrelationMatrix:
     def test_ordering_tag(self, ket0):
         assert correlation_matrix(SZ, SX, ket0).ordering_tag == "a-then-b"
 
+    @pytest.mark.parametrize("orders", [(0, 2), (2, -1)])
+    def test_orders_below_one_rejected(self, ket0, orders):
+        with pytest.raises(ValueError, match="at least 1"):
+            correlation_matrix(SZ, SX, ket0, orders=orders)
+
+    @pytest.mark.parametrize("state", [
+        random_state(32, 71),
+        random_density(32, 72, rank=5),
+    ], ids=["pure", "rank-5-density"])
+    @pytest.mark.parametrize("orders", [None, (34, 7)], ids=["square", "rectangular"])
+    def test_d32_matches_trace_of_products(self, state, orders):
+        d = 32
+        a = random_observable(d, 73)
+        b = random_observable(d, 74)
+        c = correlation_matrix(a, b, state, orders=orders).values
+        na, nb = orders or (d, d)
+        assert c.shape == (na, nb)
+        ref = np.array([
+            [expectation(state, observable_power(a, n) @ observable_power(b, m))
+             for m in range(nb)]
+            for n in range(na)
+        ])
+        assert np.max(np.abs(c - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 class TestCorrelationTensor:
     def test_n1_is_moments(self):
@@ -143,6 +190,23 @@ class TestCorrelationTensor:
         psi = random_state(6, 99)
         with pytest.raises(SizeCap):
             correlation_tensor(obs, psi)
+
+    def test_d32_n3_sampled_entries(self):
+        d = 32
+        psi = random_state(d, 81)
+        obs = [random_observable(d, s) for s in (82, 83, 84)]
+        t = correlation_tensor(obs, psi)
+        assert t.shape == (d, d, d)
+        rng = np.random.default_rng(85)
+        idx = [(0, 0, 0), (d - 1, d - 1, d - 1), (d - 1, 0, 0), (0, 0, d - 1)]
+        idx += [tuple(m) for m in rng.integers(d, size=(40, 3))]
+        ref = np.array([
+            expectation(psi, observable_power(obs[0], m1) @ observable_power(obs[1], m2)
+                        @ observable_power(obs[2], m3))
+            for m1, m2, m3 in idx
+        ])
+        got = np.array([t[m] for m in idx])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(t))
 
     def test_brute_force_n3(self):
         psi = random_state(2, 31)

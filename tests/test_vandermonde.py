@@ -115,6 +115,34 @@ class TestInverse:
         with pytest.warns(RuntimeWarning, match="coefficient spread"):
             invert_vandermonde(build_vandermonde(np.arange(20, dtype=float)))
 
+    @pytest.mark.filterwarnings("ignore:Vandermonde inverse coefficient spread")
+    def test_bitwise_equal_to_per_row_deflation(self):
+        def per_row(nodes):
+            # reference: one synthetic division and one denominator per row
+            d = nodes.size
+            master = np.poly(nodes)[::-1]
+            inv = np.empty((d, d))
+            for i in range(d):
+                a = nodes[i]
+                q = np.empty(d)
+                q[d - 1] = master[d]
+                for n in range(d - 2, -1, -1):
+                    q[n] = master[n + 1] + a * q[n + 1]
+                denom = np.prod(a - np.delete(nodes, i)) if d > 1 else 1.0
+                inv[i] = q / denom
+            return inv
+
+        rng = np.random.default_rng(17)
+        for d in range(1, MAX_NODES + 1):
+            for nodes in (
+                np.arange(d, dtype=float),
+                np.cos(np.pi * (np.arange(d) + 0.5) / d),
+                rng.permutation(np.arange(d) + 0.3 * rng.uniform(-1, 1, d)),
+                rng.normal(size=d) * 10 ** rng.uniform(-2, 2),
+            ):
+                v = build_vandermonde(nodes)
+                assert np.array_equal(invert_vandermonde(v), per_row(v.nodes))
+
 
 class TestLeastSquares:
     def test_square_qubit_system(self):
