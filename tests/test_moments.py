@@ -87,7 +87,6 @@ class TestMomentVector:
             v = build_vandermonde(a.eigenvalues).matrix
             assert np.max(np.abs(v @ q - mv.values)) < 1e-9
 
-
     def test_observable_dimension_must_match_states(self):
         psi = random_state(3, 1)
         with pytest.raises(DimensionMismatch):
