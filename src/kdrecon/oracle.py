@@ -127,6 +127,8 @@ def kd_npoint(psi: QuantumState, obs_list) -> PseudoDistribution:
     <psi|a_i> rather than <b_j|a_i>).
     """
     obs_list = list(obs_list)
+    if not obs_list:
+        raise ValueError("kd_npoint needs at least one observable")
     d = psi.dim
     for obs in obs_list:
         if obs.dim != d:

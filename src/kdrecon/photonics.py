@@ -16,6 +16,8 @@ polarization H and rotation angle eps*sin(k x + phi),
 
 from __future__ import annotations
 
+import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,22 +198,68 @@ def propagate_and_analyze(s: PhotonState, mode: str, analyzer: str) -> np.ndarra
     return _analyze(out, step, analyzer).T
 
 
+# shot streams: a seed in [0, 2^63) and stream indices in [0, 4096) folded
+# into one stream word below 2^63, together the 128-bit Philox key
+SEED_LIMIT = 2**63
+STREAM_BASE = 4096
+_ZERO_WORDS = [0, 0, 0, 0]
+_thread = threading.local()
+
+
+def _philox(key) -> np.random.Generator:
+    """This thread's Philox generator, re-keyed to ``key`` at counter 0.
+
+    Philox is counter-based, so the state set here is exactly that of a fresh
+    ``Philox(key=key)`` and yields the same stream, without the OS-entropy
+    seed sequence that constructor draws.
+    """
+    rng = getattr(_thread, "rng", None)
+    if rng is None:
+        rng = _thread.rng = np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": np.asarray(key).astype(np.uint64)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def sample_shots(prob: np.ndarray, shots: int, seed) -> ShotHistogram:
-    """Multinomial camera statistics with a counter-based (Philox) stream."""
+    """Multinomial camera statistics with a counter-based (Philox) stream.
+
+    ``seed`` is an integer in [0, 2^63) or a tuple (seed, i_1, ..., i_m) of
+    one with stream indices in [0, 4096); the indices fold into one stream
+    word, which must stay below 2^63, and (seed, stream) is the Philox key.
+    Each thread re-keys one generator per call rather than building one; the
+    streams are those of ``np.random.Generator(np.random.Philox(key=key))``.
+    """
     p = np.asarray(prob, dtype=float)
-    if np.any(p < -1e-12):
+    if p.min(initial=0.0) < -1e-12:
         raise InvalidProbability("negative probability encountered")
     total = p.sum()
     if total > 1 + 1e-9:
         raise InvalidProbability(f"probabilities sum to {total}")
-    parts = tuple(int(v) for v in np.atleast_1d(seed))
-    # fold (base seed, stream indices...) into the 128-bit Philox key
+    base, *indices = seed if isinstance(seed, (tuple, list)) else (seed,)
+    base = operator.index(base)
+    if not 0 <= base < SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2^63), got {base}")
     stream = 0
-    for v in parts[1:]:
-        stream = stream * 4096 + v
-    key = (parts[0], stream)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    counts = rng.multinomial(shots, np.clip(p, 0, None).ravel() / max(total, 1e-300))
+    for v in indices:
+        v = operator.index(v)
+        if not 0 <= v < STREAM_BASE:
+            raise ValueError(f"stream index must lie in [0, {STREAM_BASE}), got {v}")
+        stream = stream * STREAM_BASE + v
+    if stream >= SEED_LIMIT:
+        raise ValueError(f"{len(indices)} stream indices fold past 2^63")
+    key = (base, stream)
+    # clip to [0, inf) straight into C order, so a transposed view (as the
+    # sweep passes) costs no separate ravel copy
+    pvals = np.maximum(p, 0, out=np.empty(p.shape)).ravel()
+    pvals /= max(total, 1e-300)
+    counts = _philox(key).multinomial(shots, pvals)
     return ShotHistogram(counts.reshape(p.shape), shots, key)
 
 
@@ -358,11 +406,17 @@ def run_reconstruction(
     ``shots=None`` selects the infinite-statistics shortcut (analytic Born
     probabilities, zero statistical error).  Each (k, quadrature, analyzer)
     cell draws from its own Philox stream keyed by (seed, indices), so shard
-    merging is schedule-independent.
+    merging is schedule-independent.  ``epsilon`` must lie in (0, pi/2), so
+    that sin(2 epsilon) > 0, and a shot-level sweep takes at most 4096
+    frequencies (``sample_shots``' stream index range).
     """
     if mode not in ORDERINGS:
         raise ValueError(f"unknown mode {mode!r}")
+    if not 0 < epsilon < np.pi / 2:
+        raise ValueError(f"coupling epsilon must lie in (0, pi/2), got {epsilon!r}")
     g = w.grid
+    if shots is not None and g.n > STREAM_BASE:
+        raise ValueError(f"shot streams index at most {STREAM_BASE} frequencies, got {g.n}")
     params = _conjugate_params(g, mode)
     n = g.n
     parts, var_sum, short, recorded = _sweep(

@@ -114,6 +114,8 @@ def npoint_from_correlations(obs_list, c_tensor, renormalize: bool = False) -> P
     which for N = 2 is the conjugate of the two-observable KD matrix.
     """
     obs_list = list(obs_list)
+    if not obs_list:
+        raise ValueError("npoint_from_correlations needs at least one observable")
     c = np.asarray(c_tensor, dtype=complex)
     n = len(obs_list)
     if c.ndim != n:

@@ -84,6 +84,10 @@ class Scenario:
     params: dict
     seed: int
 
+    def __post_init__(self):
+        if type(self.seed) is not int or not 0 <= self.seed < photonics.SEED_LIMIT:
+            raise SchemaError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
+
 
 def _check_keys(obj: dict, allowed, context: str):
     unknown = set(obj) - set(allowed)
@@ -109,7 +113,7 @@ def _validated(raw: dict) -> Scenario:
     for key, choices in spec.get("choices", {}).items():
         if params[key] not in choices:
             raise SchemaError(f"{key} must be one of {choices}, got {params[key]!r}")
-    return Scenario(kind=kind, params=params, seed=int(raw.get("seed", 0)))
+    return Scenario(kind=kind, params=params, seed=raw.get("seed", 0))
 
 
 def load_scenario(path) -> Scenario:
@@ -198,9 +202,11 @@ def _build_inputs(sc: Scenario) -> dict:
     if sc.kind.startswith("discrete"):
         built["state"] = _build_state(p["state"])
         if sc.kind == "discrete-npoint":
+            obs = p["observables"]
+            if not isinstance(obs, list) or not obs:
+                raise SchemaError(f"observables must be a non-empty list, got {obs!r}")
             built["observables"] = [
-                _build_observable(o, f"observables[{i}]")
-                for i, o in enumerate(p["observables"])
+                _build_observable(o, f"observables[{i}]") for i, o in enumerate(obs)
             ]
         else:
             built["observable_a"] = _build_observable(p["observable_a"], "observable_a")
@@ -216,9 +222,24 @@ def _build_inputs(sc: Scenario) -> dict:
     orders = p.get("moment_orders")
     if orders is not None and (type(orders) is not int or orders < 1):
         raise SchemaError(f"moment_orders must be null or an integer >= 1, got {orders!r}")
-    if sc.kind == "experiment" and p["post_index"] is None and not p["joint"]:
-        raise SchemaError("experiment scenario needs post_index or joint=true")
+    if sc.kind == "experiment":
+        _check_experiment(p, built["grid"])
     return built
+
+
+def _check_experiment(p: dict, grid: cv.Grid):
+    shots, epsilon, min_counts = p["shots"], p["epsilon"], p["min_counts"]
+    if shots is not None and (type(shots) is not int or shots < 1):
+        raise SchemaError(f"shots must be null or an integer >= 1, got {shots!r}")
+    if shots is not None and grid.n > photonics.STREAM_BASE:
+        raise SchemaError(f"a shot-level experiment takes grid n <= {photonics.STREAM_BASE}")
+    # sin(2 epsilon) > 0 normalizes every asymmetry; NaN and infinities fail here too
+    if type(epsilon) not in (int, float) or not 0 < epsilon < np.pi / 2:
+        raise SchemaError(f"epsilon must be a number in (0, pi/2), got {epsilon!r}")
+    if type(min_counts) is not int or min_counts < 1:
+        raise SchemaError(f"min_counts must be an integer >= 1, got {min_counts!r}")
+    if p["post_index"] is None and not p["joint"]:
+        raise SchemaError("experiment scenario needs post_index or joint=true")
 
 
 # -- orchestration -----------------------------------------------------------
@@ -312,12 +333,12 @@ def _run_experiment(sc: Scenario, built: dict, diag: dict):
     res = photonics.run_reconstruction(
         w,
         epsilon=float(p["epsilon"]),
-        shots=None if p["shots"] is None else int(p["shots"]),
+        shots=p["shots"],
         seed=sc.seed,
         mode=mode,
         post_index=post,
         joint=bool(p["joint"]),
-        min_counts=int(p["min_counts"]),
+        min_counts=p["min_counts"],
     )
     diag.update(res.diagnostics)
     diag["post_selection_rates"] = [float(r) for r in res.rates]

@@ -29,6 +29,15 @@ QUBIT_SCENARIO = {
     "postselect_index": 0,
 }
 
+EXPERIMENT = {
+    "kind": "experiment",
+    "grid": {"n": 64, "length": 16.0},
+    "state": {"type": "gaussian"},
+    "epsilon": 0.05,
+    "shots": 1000,
+    "post_index": 32,
+}
+
 CCR_SCENARIO = {
     "kind": "ccr",
     "grid": {"n": 256, "length": 40.0},
@@ -230,8 +239,23 @@ class TestCliRuns:
         (dict(QUBIT_SCENARIO, moment_orders=0), "moment_orders"),
         (dict(QUBIT_SCENARIO, moment_orders=-1), "moment_orders"),
         (dict(QUBIT_SCENARIO, moment_orders="3"), "moment_orders"),
+        *((dict(QUBIT_SCENARIO, seed=seed), "seed")
+          for seed in (1.7, True, -1, 2**63, 2**64, "3")),
+        *((dict(EXPERIMENT, seed=seed), "seed") for seed in (-1, 2**64)),
+        *((dict(EXPERIMENT, shots=shots), "shots") for shots in (-5, 0, "1e4", 2.5, True)),
+        *((dict(EXPERIMENT, epsilon=eps), "epsilon")
+          for eps in ("x", 0, -0.05, 1.5707963267948966, 2.0, True, None)),
+        *((dict(EXPERIMENT, min_counts=floor), "min_counts") for floor in (0, 2.5, "100")),
+        (dict(EXPERIMENT, grid={"n": 8192, "length": 200.0}), "grid n"),
+        ({"kind": "discrete-npoint", "state": {"random": {"dim": 3, "seed": 1}},
+          "observables": []}, "observables"),
     ])
-    def test_unknown_ordering_or_mode_is_schema_error(self, tmp_path, scenario, key):
+    def test_unknown_ordering_or_mode_is_schema_error(self, tmp_path, monkeypatch,
+                                                      scenario, key):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the photonic sweep ran")
+
+        monkeypatch.setattr(photonics, "run_reconstruction", sweep)
         scen = write_scenario(tmp_path, scenario)
         with pytest.raises(SchemaError, match=key):
             load_scenario(scen)
@@ -264,6 +288,14 @@ class TestCliRuns:
             load_scenario(scen)
         out = tmp_path / "out"
         assert main(["experiment", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**63)])
+    def test_out_of_range_seed_override_is_schema_error(self, tmp_path, seed):
+        scen = write_scenario(tmp_path, dict(EXPERIMENT, shots=None))
+        out = tmp_path / "out"
+        assert main(["experiment", "--scenario", str(scen), "--out", str(out),
+                     "--seed", seed]) == 2
         assert read_json(out / "error.json")["error"] == "SchemaError"
 
     def test_noiseless_p_then_x_conditional_sums_to_one(self, tmp_path):

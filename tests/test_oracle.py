@@ -195,6 +195,10 @@ class TestKdNpoint:
         obs = [random_observable(3, s) for s in (1, 2, 3)]
         assert abs(np.sum(kd_npoint(psi, obs).values) - 1.0) < 1e-10
 
+    def test_no_observables_rejected(self):
+        with pytest.raises(ValueError, match="at least one observable"):
+            kd_npoint(random_state(3, 8), [])
+
 
 class TestReconstructState:
     def test_roundtrip_random_mixed(self):

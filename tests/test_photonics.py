@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from kdrecon.errors import (
 )
 from kdrecon.photonics import (
     QUADRATURES,
+    ShotHistogram,
     SlmSetting,
     _conjugate_params,
     estimate_weak_char,
@@ -54,6 +58,19 @@ def analytic_histograms(w, k, epsilon, mode="x-then-p"):
         for quad in ("cos", "sin")
         for analyzer in ("diag", "circ")
     }
+
+
+def fresh_sample_shots(prob, shots, seed):
+    """The documented ``sample_shots`` stream, drawn from a Philox generator
+    built for this call: key (seed, stream indices folded in base 4096)."""
+    base, *indices = seed
+    stream = 0
+    for v in indices:
+        stream = stream * 4096 + v
+    p = np.asarray(prob, dtype=float)
+    rng = np.random.Generator(np.random.Philox(key=(base, stream)))
+    counts = rng.multinomial(shots, np.clip(p, 0, None).ravel() / max(p.sum(), 1e-300))
+    return ShotHistogram(counts.reshape(p.shape), shots, (base, stream))
 
 
 def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts):
@@ -192,6 +209,73 @@ class TestSampling:
         with pytest.raises(InvalidProbability):
             sample_shots(np.array([[-0.1, 0.5]]), 100, (0,))
 
+    def test_matches_fresh_generators_in_shuffled_key_order(self):
+        rng = np.random.default_rng(5)
+        pair = rng.random((16, 2))
+        pair /= pair.sum()
+        flat = rng.random(8)
+        flat /= flat.sum()
+        # a transposed view and a strided slice: neither is C-contiguous
+        wide = rng.random((2, 32))
+        wide /= wide.sum()
+        probs = [pair, flat, wide.T, wide[:, ::2].T]
+        seeds = [0, 1, 2**31, 2**63 - 1] + [int(v) for v in rng.integers(2**62, size=46)]
+        keys = [(s,) for s in seeds] + [
+            (s, *(int(v) for v in rng.integers(4096, size=int(rng.integers(1, 4)))))
+            for s in seeds for _ in range(3)
+        ] + [(7, 4095, 4095, 4095, 4095, 4095)]
+        assert len(keys) >= 200
+        for i in rng.permutation(len(keys)):
+            key = keys[i]
+            p = probs[i % len(probs)]
+            for shots in (0, 1, 10**6):
+                ref = fresh_sample_shots(p, shots, key)
+                h = sample_shots(p, shots, key)
+                assert h.counts.shape == p.shape
+                assert np.array_equal(h.counts, ref.counts), (key, shots)
+                assert h.seed == ref.seed and h.shots == shots
+
+    def test_integer_seed_is_a_one_part_key(self):
+        p = np.full((4, 2), 0.125)
+        assert np.array_equal(sample_shots(p, 1000, 9).counts,
+                              fresh_sample_shots(p, 1000, (9,)).counts)
+
+    def test_threads_sampling_interleaved_keys_match_sequential(self):
+        rng = np.random.default_rng(6)
+        p = rng.random((32, 2))
+        p /= p.sum()
+        keys = [(int(s), m, 1, 0) for m, s in enumerate(rng.integers(2**40, size=400))]
+        expected = [sample_shots(p, 10**5, key).counts for key in keys]
+        got = [None] * len(keys)
+        workers = 4  # more threads than the cores of a small CI runner
+        start = threading.Barrier(workers)
+
+        def worker(first):
+            start.wait()
+            for i in range(first, len(keys), workers):
+                got[i] = sample_shots(p, 10**5, keys[i]).counts
+
+        threads = [threading.Thread(target=worker, args=(first,)) for first in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize("seed", [
+        (2**63,), (2**64 - 1,), (-1,), 2**63, -5, (0, 4096), (0, -1), (0, 1, 4096),
+        (0, 4095, 4095, 4095, 4095, 4095, 4095),
+    ])
+    def test_out_of_range_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            sample_shots(np.full((2, 2), 0.25), 10, seed)
+
 
 class TestEstimator:
     def test_missing_setting(self, packet):
@@ -289,6 +373,37 @@ class TestReconstruction:
             with pytest.raises(InsufficientCounts):
                 run_reconstruction(w, eps, shots, seed, mode=mode, post_index=short_pixel,
                                    min_counts=100)
+
+    @pytest.mark.parametrize("mode", ["x-then-p", "p-then-x"])
+    def test_sweep_draws_the_streams_of_fresh_generators(self, mode, monkeypatch):
+        w = gaussian_state(Grid(16, 12.0), center=0.3, width=WIDTH)
+        res = run_reconstruction(w, 0.05, 10**4, 23, mode=mode, joint=True)
+        calls = []
+
+        def fresh(prob, shots, seed):
+            calls.append(seed)
+            return fresh_sample_shots(prob, shots, seed)
+
+        monkeypatch.setattr(photonics, "sample_shots", fresh)
+        ref = run_reconstruction(w, 0.05, 10**4, 23, mode=mode, joint=True)
+        assert sorted(calls) == [(23, m, qi, ai) for m in range(16)
+                                 for qi in range(2) for ai in range(2)]
+        for name in ("z_values", "z_errors", "rates"):
+            assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.05, np.pi / 2, 2.0, np.nan, np.inf])
+    def test_epsilon_outside_the_open_quarter_turn_rejected(self, packet, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            run_reconstruction(packet, epsilon, shots=1000, seed=0, joint=True)
+
+    def test_shot_sweep_past_the_stream_index_range_rejected(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("photon prepared past the stream index range")
+
+        monkeypatch.setattr(photonics, "prepare_photon", fail)
+        w = gaussian_state(Grid(8192, 200.0), width=WIDTH)
+        with pytest.raises(ValueError, match="4096"):
+            run_reconstruction(w, 0.05, shots=1000, seed=0, joint=True)
 
     def test_unknown_mode_rejected_before_any_work(self, packet, monkeypatch):
         def fail(*args):

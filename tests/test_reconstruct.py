@@ -154,3 +154,7 @@ class TestNpoint:
                 q = npoint_from_correlations(obs, t)
                 k = kd_npoint(psi, obs)
                 assert np.max(np.abs(q.values - k.values)) < 1e-7
+
+    def test_no_observables_rejected(self):
+        with pytest.raises(ValueError, match="at least one observable"):
+            npoint_from_correlations([], np.ones(()))
