@@ -13,8 +13,6 @@ from .core import (
 )
 from .errors import KdreconError
 from .moments import (
-    CorrelationMatrix,
-    MomentVector,
     char_fn_discrete,
     correlation_matrix,
     correlation_tensor,
@@ -35,12 +33,6 @@ from .reconstruct import (
     joint_from_correlations,
     npoint_from_correlations,
 )
-from .vandermonde import (
-    VandermondeMatrix,
-    build_vandermonde,
-    invert_vandermonde,
-    solve_least_squares,
-    vandermonde_determinant,
-)
+from .vandermonde import invert_vandermonde, solve_least_squares
 
 __version__ = "0.1.0"

@@ -36,11 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("reconstruct", "run a discrete or continuous-variable reconstruction scenario"),
-        ("oracle", "write only the ground-truth distribution for a scenario"),
+        ("oracle", "run a scenario as reconstruct --emit-oracle does: write the "
+                   "reconstruction and the ground-truth distribution"),
         ("experiment", "run a shot-level photonic experiment scenario"),
         ("ccr", "evaluate the commutation-relation witness for a scenario"),
     ]:
-        sub = subs.add_parser(name, help=help_text)
+        sub = subs.add_parser(name, help=help_text, description=help_text)
         _add_scenario_args(sub)
     cmp_sub = subs.add_parser("compare", help="diff two pseudo-distribution JSON files")
     cmp_sub.add_argument("path_a")
@@ -55,7 +56,7 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get(DEFAULT_OUT_ENV, "kdrecon-out"))
 
 
-def _run_scenario_command(args, expect_kinds=None, oracle_only=False) -> int:
+def _run_scenario_command(args, expect_kinds=None, emit_oracle=False) -> int:
     out = _out_dir(args)
     try:
         scenario = load_scenario(args.scenario)
@@ -65,7 +66,7 @@ def _run_scenario_command(args, expect_kinds=None, oracle_only=False) -> int:
             raise KdreconError(
                 f"scenario kind {scenario.kind!r} not valid for this subcommand"
             )
-        diag = run_scenario(scenario, out, emit_oracle=args.emit_oracle or oracle_only)
+        diag = run_scenario(scenario, out, emit_oracle=args.emit_oracle or emit_oracle)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
     if args.command == "experiment":
         return _run_scenario_command(args, expect_kinds={"experiment"})
     if args.command == "oracle":
-        return _run_scenario_command(args, oracle_only=True)
+        return _run_scenario_command(args, emit_oracle=True)
     return _run_scenario_command(args)
 
 

@@ -3,11 +3,13 @@
 States are pure amplitude vectors or density matrices; observables are stored
 as an eigen-decomposition (real eigenvalues plus a unitary matrix of
 eigenvectors), never as a raw Hermitian matrix.  All operations are pure
-functions of immutable inputs.
+functions of immutable inputs.  Tolerance checks here and across the package
+are written as ``not deviation <= tol``, so that a NaN fails them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,13 +29,22 @@ TENSOR_CAP = 10**6  # largest dense d**n tensor a correlation or KD path builds
 
 def require_postselection(prob: float, what: str) -> None:
     """Refuse a post-selection whose probability is at or below PS_FLOOR."""
-    if prob <= PS_FLOOR:
+    if not prob > PS_FLOOR:
         raise PostSelectionTooWeak(f"{what} probability {prob:.3e} below floor {PS_FLOOR:.0e}")
 
 
 def require_tensor_size(d: int, n: int) -> None:
     if d**n > TENSOR_CAP:
         raise SizeCap(f"tensor with {d}^{n} entries exceeds the 1e6 cap")
+
+
+def require_index(i, size: int, what: str) -> int:
+    """``i`` as an index into ``size`` outcomes, refused (ValueError) outside
+    [0, size) rather than wrapped round as a negative numpy index would be."""
+    i = operator.index(i)
+    if not 0 <= i < size:
+        raise ValueError(f"{what} {i} outside [0, {size})")
+    return i
 
 
 def require_node_gap(nodes: np.ndarray) -> None:
@@ -43,7 +54,7 @@ def require_node_gap(nodes: np.ndarray) -> None:
         ordered = np.sort(nodes)
         spread = float(ordered[-1] - ordered[0])
         gap = float(np.min(np.diff(ordered)))
-        if gap <= 1e-9 * max(spread, 1.0):
+        if not gap > 1e-9 * max(spread, 1.0):
             raise DegenerateNodes(
                 f"minimum gap {gap:.3e} too small relative to range {spread:.3e}; apply "
                 "an infinitesimal tilt to the operator to separate the values"
@@ -67,7 +78,7 @@ class QuantumState:
         if amps.ndim != 1 or amps.size < 1:
             raise DimensionMismatch("amplitudes must be a nonempty vector")
         norm = np.sum(np.abs(amps) ** 2)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise NormViolation(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -94,9 +105,10 @@ class DensityMatrix:
         m = _as_complex(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("density matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= NORM_TOL:
             raise NormViolation("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > NORM_TOL or abs(np.trace(m).imag) > NORM_TOL:
+        trace = np.trace(m)
+        if not (abs(trace.real - 1.0) <= NORM_TOL and abs(trace.imag) <= NORM_TOL):
             raise NormViolation("density matrix trace deviates from 1")
         if np.min(np.linalg.eigvalsh(m)) < -1e-10:
             raise NormViolation("density matrix has an eigenvalue below -1e-10")
@@ -126,7 +138,7 @@ class ObservableSpec:
         d = vals.size
         if vecs.shape != (d, d):
             raise DimensionMismatch("eigenvector matrix shape must match eigenvalue count")
-        if np.max(np.abs(vecs.conj().T @ vecs - np.eye(d))) > NORM_TOL:
+        if not np.max(np.abs(vecs.conj().T @ vecs - np.eye(d))) <= NORM_TOL:
             raise NormViolation("eigenvector matrix is not unitary within 1e-12")
         require_node_gap(vals)
         vals.setflags(write=False)
@@ -138,7 +150,7 @@ class ObservableSpec:
         return self.eigenvalues.size
 
     def eigenvector(self, i: int) -> np.ndarray:
-        return self.eigenvectors[:, i]
+        return self.eigenvectors[:, require_index(i, self.dim, "eigenvector index")]
 
     def matrix(self) -> np.ndarray:
         return observable_power(self, 1)
@@ -151,7 +163,7 @@ class ObservableSpec:
         the 1e-12 contract of directly supplied decompositions.
         """
         h = np.asarray(hermitian, dtype=complex)
-        if np.max(np.abs(h - h.conj().T)) > 1e-10:
+        if not np.max(np.abs(h - h.conj().T)) <= 1e-10:
             raise NormViolation("input matrix is not Hermitian")
         vals, vecs = np.linalg.eigh(h)
         return cls(vals, vecs, label=label)
@@ -179,7 +191,7 @@ def check_incompatibility(a: ObservableSpec, b: ObservableSpec, threshold: float
     threshold (every |<a_i|b_j>| >= threshold), which the dual-frame division
     requires.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
     overlaps = overlap_matrix(a, b)
     ii, jj = np.nonzero(np.abs(overlaps) < threshold)

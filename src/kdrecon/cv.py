@@ -34,10 +34,10 @@ class Grid:
     def __post_init__(self):
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError("grid size must be a power of two, at least 16")
-        if self.length <= 0:
-            raise ValueError("grid length must be positive")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.length < np.inf:
+            raise ValueError("grid length must be positive and finite")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
 
     @property
     def dx(self) -> float:
@@ -76,7 +76,7 @@ class WaveFunction:
             raise DimensionMismatch("sample count must equal grid size")
         step = self.grid.dx if self.representation == "position" else self.grid.dp
         norm = step * np.sum(np.abs(s) ** 2)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise NormViolation(f"wavefunction norm deviates from 1 by {abs(norm - 1.0):.3e}")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
@@ -181,28 +181,6 @@ def weak_char_fn(w: WaveFunction, post_p: float, k_values=None) -> CharFnSample:
     return CharFnSample(g, k_values, z, conditioning=f"p={g.p[ip]:.6g}")
 
 
-def weak_char_fn_general(w: WaveFunction, phi: WaveFunction, k_values=None) -> CharFnSample:
-    """Z(k) = <phi|e^{i k x}|psi> / <phi|psi> for an arbitrary post-selection state.
-
-    Experimental: the measurement protocol is only specified for momentum
-    eigenstate post-selection; this variant evaluates the inner-product ratio
-    directly on the grid.
-    """
-    g = w.grid
-    if phi.grid != g:
-        raise DimensionMismatch("pre- and post-selection states live on different grids")
-    if phi.representation != "position" or w.representation != "position":
-        raise ValueError("general-phi variant expects position-representation inputs")
-    overlap = g.dx * np.sum(phi.samples.conj() * w.samples)
-    require_postselection(abs(overlap) ** 2, "|<phi|psi>|^2 post-selection")
-    k_values = g.k if k_values is None else np.asarray(k_values, dtype=float)
-    z = np.array([
-        g.dx * np.sum(phi.samples.conj() * np.exp(1j * k * g.x) * w.samples) / overlap
-        for k in k_values
-    ])
-    return CharFnSample(g, k_values, z, conditioning="phi=general")
-
-
 def inverse_char_transform(params: np.ndarray, z: np.ndarray, out_values: np.ndarray) -> np.ndarray:
     """q(y_n) = dparam/(2 pi) * sum_m e^{-i param_m y_n} Z_m, by one FFT.
 
@@ -224,7 +202,7 @@ def conditional_pseudo_cv(z: CharFnSample) -> np.ndarray:
     the weak-valued position projector <p|x><x|psi>/<p|psi> exactly.
     """
     g = z.grid
-    if z.parameters.size != g.n or np.max(np.abs(z.parameters - g.k)) > 1e-9 * g.dk:
+    if z.parameters.size != g.n or not np.max(np.abs(z.parameters - g.k)) <= 1e-9 * g.dk:
         raise IncompleteSampling("characteristic function must cover the full conjugate grid")
     return inverse_char_transform(z.parameters, z.values, g.x)
 

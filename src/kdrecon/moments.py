@@ -14,8 +14,6 @@ rho = L L^dagger, so Tr(A^n B^m rho) = sum_k <L_k|A^n B^m|L_k>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -30,38 +28,6 @@ from .core import (
 from .errors import DimensionMismatch
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """Conditioned weak moments <A^k> for k = 0..len-1; values[0] == 1."""
-
-    values: np.ndarray
-    observable: str = "A"
-    preselection: str = "psi"
-    postselection: str = "phi"
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """C[n, m] = <A^n B^m> with A-powers leftmost; C[0, 0] == 1."""
-
-    values: np.ndarray
-    labels: tuple = ("A", "B")
-    ordering_tag: str = "a-then-b"
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
 def _overlap(psi: QuantumState, phi: QuantumState) -> complex:
     """<phi|psi>, refused below the post-selection floor."""
     if psi.dim != phi.dim:
@@ -74,7 +40,10 @@ def _overlap(psi: QuantumState, phi: QuantumState) -> complex:
 def weak_value(c: np.ndarray, psi: QuantumState, phi: QuantumState) -> complex:
     """<phi|C|psi> / <phi|psi>."""
     overlap = _overlap(psi, phi)
-    return complex(phi.amplitudes.conj() @ np.asarray(c, dtype=complex) @ psi.amplitudes) / overlap
+    c = np.asarray(c, dtype=complex)
+    if c.shape != (psi.dim, psi.dim):
+        raise DimensionMismatch(f"operator shape {c.shape} does not match the states")
+    return complex(phi.amplitudes.conj() @ c @ psi.amplitudes) / overlap
 
 
 def _powers(obs: ObservableSpec, orders: int) -> np.ndarray:
@@ -111,15 +80,15 @@ def moment_vector(
     psi: QuantumState,
     phi: QuantumState,
     orders: int | None = None,
-) -> MomentVector:
-    """Weak moments <phi|A^n|psi> / <phi|psi>, powers 0..orders-1 (default d)."""
+) -> np.ndarray:
+    """Weak moments <phi|A^n|psi> / <phi|psi>, powers 0..orders-1 (default d),
+    as a complex 1-D array whose first entry is 1."""
     if a.dim != psi.dim:
         raise DimensionMismatch("observable dimension does not match the states")
     orders = a.dim if orders is None else orders
     _require_orders((orders,))
     overlap = _overlap(psi, phi)
-    vals = _bra_ket([a], (orders,), phi.amplitudes[:, None], psi.amplitudes[:, None])
-    return MomentVector(vals / overlap, observable=a.label)
+    return _bra_ket([a], (orders,), phi.amplitudes[:, None], psi.amplitudes[:, None]) / overlap
 
 
 def _factor(state) -> np.ndarray:
@@ -132,8 +101,9 @@ def _factor(state) -> np.ndarray:
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
-def correlation_matrix(a: ObservableSpec, b: ObservableSpec, state, orders=None) -> CorrelationMatrix:
-    """C[n, m] = <A^n B^m> for n, m in 0..d-1 (or the given (na, nb)).
+def correlation_matrix(a: ObservableSpec, b: ObservableSpec, state, orders=None) -> np.ndarray:
+    """C[n, m] = <A^n B^m>, A-powers leftmost, for n, m in 0..d-1 (or the
+    given (na, nb)); C[0, 0] == 1.
 
     A mixed state enters through its factor L (rho = L L^dagger), so C is
     sum_k <L_k|A^n B^m|L_k> = Tr(A^n B^m rho).
@@ -145,7 +115,7 @@ def correlation_matrix(a: ObservableSpec, b: ObservableSpec, state, orders=None)
     orders = (a.dim, b.dim) if orders is None else tuple(orders)
     _require_orders(orders)
     factor = _factor(state)
-    return CorrelationMatrix(_bra_ket([a, b], orders, factor, factor), labels=(a.label, b.label))
+    return _bra_ket([a, b], orders, factor, factor)
 
 
 def correlation_tensor(obs_list, psi: QuantumState) -> np.ndarray:

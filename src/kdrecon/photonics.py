@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import require_index
 from .cv import (
     ORDERINGS,
     Grid,
@@ -50,7 +51,7 @@ _CELLS = tuple((quad, analyzer) for quad in QUADRATURES for analyzer in ("diag",
 def _require_unit_norm(amplitudes: np.ndarray, step: float):
     """NormViolation unless every state held in the last two axes has unit norm."""
     deviation = np.max(np.abs(step * np.sum(np.abs(amplitudes) ** 2, axis=(-2, -1)) - 1.0))
-    if deviation > 1e-9:
+    if not deviation <= 1e-9:
         raise NormViolation(f"photon norm deviates from 1 by {deviation:.3e}")
 
 
@@ -84,7 +85,7 @@ class SlmSetting:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("coupling epsilon must be positive")
 
 
@@ -104,7 +105,7 @@ def prepare_photon(w: WaveFunction, pol) -> PhotonState:
     pol = np.asarray(pol, dtype=complex)
     if pol.shape != (2,):
         raise DimensionMismatch("polarization must be a 2-vector")
-    if abs(np.sum(np.abs(pol) ** 2) - 1.0) > 1e-9:
+    if not abs(np.sum(np.abs(pol) ** 2) - 1.0) <= 1e-9:
         raise NormViolation("polarization vector is not normalized")
     if w.representation != "position":
         raise ValueError("prepare_photon expects a position-representation state")
@@ -237,10 +238,10 @@ def sample_shots(prob: np.ndarray, shots: int, seed) -> ShotHistogram:
     streams are those of ``np.random.Generator(np.random.Philox(key=key))``.
     """
     p = np.asarray(prob, dtype=float)
-    if p.min(initial=0.0) < -1e-12:
+    if not p.min(initial=0.0) >= -1e-12:
         raise InvalidProbability("negative probability encountered")
     total = p.sum()
-    if total > 1 + 1e-9:
+    if not total <= 1 + 1e-9:
         raise InvalidProbability(f"probabilities sum to {total}")
     base, *indices = seed if isinstance(seed, (tuple, list)) else (seed,)
     base = operator.index(base)
@@ -417,6 +418,8 @@ def run_reconstruction(
     g = w.grid
     if shots is not None and g.n > STREAM_BASE:
         raise ValueError(f"shot streams index at most {STREAM_BASE} frequencies, got {g.n}")
+    if post_index is not None:
+        require_index(post_index, g.n, "post_index")
     params = _conjugate_params(g, mode)
     n = g.n
     parts, var_sum, short, recorded = _sweep(

@@ -20,9 +20,8 @@ import numpy as np
 
 from .core import ObservableSpec, require_tensor_size
 from .errors import DimensionMismatch
-from .moments import CorrelationMatrix, MomentVector
 from .oracle import PseudoDistribution
-from .vandermonde import build_vandermonde, invert_vandermonde, solve_least_squares
+from .vandermonde import invert_vandermonde, solve_least_squares
 
 SUM_CHECK_TOL = 1e-6
 
@@ -48,14 +47,14 @@ def _contract(observables, values: np.ndarray) -> np.ndarray:
     Q = R_A C for a moment vector, R_A C R_B^T for a correlation matrix."""
     for axis, obs in enumerate(observables):
         t_nodes, m = _rescaled(np.asarray(obs.eigenvalues, float), obs.dim)
-        r = invert_vandermonde(build_vandermonde(t_nodes)) @ m
+        r = invert_vandermonde(t_nodes) @ m
         values = np.moveaxis(np.tensordot(r, values, axes=([1], [axis])), 0, axis)
     return values
 
 
 def _check_sum(values: np.ndarray, renormalize: bool, what: str):
     total = complex(np.sum(values))
-    if abs(total - 1.0) > SUM_CHECK_TOL:
+    if not abs(total - 1.0) <= SUM_CHECK_TOL:  # NaN warns too
         warnings.warn(
             f"{what} sums to {total:.6g}, deviating from 1 by {abs(total - 1.0):.3e} "
             "(noisy or inconsistent input data?)",
@@ -68,12 +67,15 @@ def _check_sum(values: np.ndarray, renormalize: bool, what: str):
 
 
 def conditional_from_moments(
-    a: ObservableSpec, mv: MomentVector, renormalize: bool = False
+    a: ObservableSpec, moments, renormalize: bool = False
 ) -> PseudoDistribution:
-    """Q = V^{-1} A-vector; least-squares (pseudo-inverse) when the number of
+    """Q = V^{-1} A-vector from the weak moments <A^k>, k = 0..len-1 (the
+    first must be 1); least-squares (pseudo-inverse) when the number of
     measured moments differs from d."""
-    moments = mv.values
-    if abs(moments[0] - 1.0) > 1e-9:
+    moments = np.asarray(moments, dtype=complex)
+    if moments.ndim != 1 or moments.size < 1:
+        raise DimensionMismatch(f"moments must be a nonempty 1-D array, got shape {moments.shape}")
+    if not abs(moments[0] - 1.0) <= 1e-9:
         raise ValueError(f"zeroth moment must be 1, got {moments[0]}")
     r = moments.size
     if r == a.dim:
@@ -83,27 +85,23 @@ def conditional_from_moments(
         v_rect = np.vander(t_nodes, r, increasing=True).T  # r rows of powers
         q = solve_least_squares(v_rect, m @ moments)
     q = _check_sum(q, renormalize, "conditional pseudo-distribution")
-    return PseudoDistribution(
-        q,
-        (a.label,),
-        ordering_tag="kd-conditional",
-        conditioning=f"{mv.postselection}",
-    )
+    return PseudoDistribution(q, (a.label,), ordering_tag="kd-conditional", conditioning="phi")
 
 
 def joint_from_correlations(
-    a: ObservableSpec, b: ObservableSpec, c: CorrelationMatrix, renormalize: bool = False
+    a: ObservableSpec, b: ObservableSpec, c, renormalize: bool = False
 ) -> PseudoDistribution:
-    """Q = V^{-1} C (W^{-1})^T; equals conj(kd_joint) of the underlying state."""
+    """Q = V^{-1} C (W^{-1})^T from C[n, m] = <A^n B^m>; equals conj(kd_joint)
+    of the underlying state."""
     if a.dim != b.dim:
         raise DimensionMismatch("observables act on different dimensions")
     d = a.dim
-    vals = c.values
-    if vals.shape != (d, d):
-        raise DimensionMismatch(f"correlation matrix must be {d}x{d}, got {vals.shape}")
-    if abs(vals[0, 0] - 1.0) > 1e-9:
-        raise ValueError(f"C[0,0] must be 1, got {vals[0, 0]}")
-    q = _check_sum(_contract([a, b], vals), renormalize, "joint pseudo-distribution")
+    c = np.asarray(c, dtype=complex)
+    if c.shape != (d, d):
+        raise DimensionMismatch(f"correlation matrix must be {d}x{d}, got {c.shape}")
+    if not abs(c[0, 0] - 1.0) <= 1e-9:
+        raise ValueError(f"C[0,0] must be 1, got {c[0, 0]}")
+    q = _check_sum(_contract([a, b], c), renormalize, "joint pseudo-distribution")
     return PseudoDistribution(q, (a.label, b.label), ordering_tag="kd-conjugate")
 
 

@@ -38,6 +38,7 @@ from .serialize import (
 )
 
 _COMMON_KEYS = {"kind", "seed"}
+_MISSING = object()  # a required key that is absent
 
 _KIND_KEYS = {
     "discrete-conditional": {
@@ -89,6 +90,20 @@ class Scenario:
             raise SchemaError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
 
 
+def _number(value, name: str, kind: type = float, minimum=None):
+    """A scenario number, checked and never coerced: an int for ``kind=int``,
+    else a finite int or float, returned as a float.  A bool, a string, a
+    missing key or a value below ``minimum`` is a SchemaError."""
+    if value is _MISSING:
+        raise SchemaError(f"missing required key {name!r}")
+    ok = type(value) is int or (kind is float and type(value) is float and np.isfinite(value))
+    if not ok or (minimum is not None and value < minimum):
+        need = "an integer" if kind is int else "a finite number"
+        need += "" if minimum is None else f" >= {minimum}"
+        raise SchemaError(f"{name} must be {need}, got {value!r}")
+    return kind(value)
+
+
 def _check_keys(obj: dict, allowed, context: str):
     unknown = set(obj) - set(allowed)
     if unknown:
@@ -125,14 +140,20 @@ def load_scenario(path) -> Scenario:
 
 # -- input object builders ---------------------------------------------------
 
+def _random_args(spec, context: str):
+    """(dim, seed) of a seeded random state or observable."""
+    _check_keys(spec, {"dim", "seed"}, context)
+    return (_number(spec.get("dim", _MISSING), f"{context}.dim", int, minimum=1),
+            _number(spec.get("seed", 0), f"{context}.seed", int, minimum=0))
+
+
 def _build_state(spec, context="state") -> QuantumState:
     _check_keys(spec, {"amplitudes", "random"}, context)
     if "amplitudes" in spec:
         amps = complex_array_from_json(spec["amplitudes"], (len(spec["amplitudes"]),))
         return QuantumState.normalized(amps)
     if "random" in spec:
-        _check_keys(spec["random"], {"dim", "seed"}, f"{context}.random")
-        return random_state(int(spec["random"]["dim"]), int(spec["random"].get("seed", 0)))
+        return random_state(*_random_args(spec["random"], f"{context}.random"))
     raise SchemaError(f"{context} needs 'amplitudes' or 'random'")
 
 
@@ -142,27 +163,31 @@ def _build_observable(spec, context="observable") -> ObservableSpec:
     if label is not None and not isinstance(label, str):
         raise SchemaError(f"{context}.label must be a string, got {label!r}")
     if "pauli" in spec:
+        if spec["pauli"] not in ("x", "y", "z"):
+            raise SchemaError(f"{context}.pauli must be 'x', 'y' or 'z', got {spec['pauli']!r}")
         return pauli_spec(spec["pauli"], label=label)
     if "random" in spec:
-        _check_keys(spec["random"], {"dim", "seed"}, f"{context}.random")
-        return random_observable(
-            int(spec["random"]["dim"]), int(spec["random"].get("seed", 0)),
-            label=label or "A",
-        )
+        return random_observable(*_random_args(spec["random"], f"{context}.random"),
+                                 label=label or "A")
     if "eigenvalues" in spec and "eigenvectors" in spec:
-        d = len(spec["eigenvalues"])
+        if type(spec["eigenvalues"]) is not list:
+            raise SchemaError(f"{context}.eigenvalues must be a list of numbers")
+        vals = [_number(v, f"{context}.eigenvalues[{i}]")
+                for i, v in enumerate(spec["eigenvalues"])]
         vecs = np.stack(
-            [complex_array_from_json(col, (d,)) for col in spec["eigenvectors"]], axis=1
+            [complex_array_from_json(col, (len(vals),)) for col in spec["eigenvectors"]], axis=1
         )
-        return ObservableSpec(spec["eigenvalues"], vecs, label=label or "A")
+        return ObservableSpec(vals, vecs, label=label or "A")
     raise SchemaError(f"{context} needs 'pauli', 'random', or eigenvalues+eigenvectors")
 
 
 def _build_grid(spec) -> cv.Grid:
     _check_keys(spec, {"n", "length", "hbar"}, "grid")
+    n = _number(spec.get("n", _MISSING), "grid.n", int)
+    length = _number(spec.get("length", _MISSING), "grid.length")
     try:
-        return cv.Grid(int(spec["n"]), float(spec["length"]), float(spec.get("hbar", 1.0)))
-    except (KeyError, ValueError) as exc:
+        return cv.Grid(n, length, _number(spec.get("hbar", 1.0), "grid.hbar"))
+    except ValueError as exc:
         raise SchemaError(f"invalid grid: {exc}") from exc
 
 
@@ -172,28 +197,25 @@ def _build_cv_state(spec, grid: cv.Grid) -> cv.WaveFunction:
         {"type", "center", "momentum", "width", "n", "separation", "phase", "seed", "modes"},
         "state",
     )
-    kind = spec.get("type")
-    if kind == "gaussian":
+    state_type = spec.get("type")
+
+    def get(key, default=_MISSING, kind=float, minimum=None):
+        return _number(spec.get(key, default), f"state.{key}", kind, minimum)
+
+    if state_type == "gaussian":
         return cv.gaussian_state(
-            grid,
-            center=float(spec.get("center", 0.0)),
-            momentum=float(spec.get("momentum", 0.0)),
-            width=float(spec.get("width", 1.0)),
+            grid, center=get("center", 0.0), momentum=get("momentum", 0.0), width=get("width", 1.0)
         )
-    if kind == "hermite":
-        return cv.hermite_state(grid, int(spec["n"]), width=float(spec.get("width", 1.0)))
-    if kind == "two-peak":
-        return cv.two_peak_state(
-            grid,
-            separation=float(spec.get("separation", 4.0)),
-            width=float(spec.get("width", 1.0)),
-            phase=float(spec.get("phase", 0.0)),
-        )
-    if kind == "random-smooth":
+    if state_type == "hermite":
+        return cv.hermite_state(grid, get("n", kind=int, minimum=0), width=get("width", 1.0))
+    if state_type == "two-peak":
+        return cv.two_peak_state(grid, separation=get("separation", 4.0),
+                                 width=get("width", 1.0), phase=get("phase", 0.0))
+    if state_type == "random-smooth":
         return cv.random_smooth_state(
-            grid, int(spec.get("seed", 0)), modes=int(spec.get("modes", 6))
+            grid, get("seed", 0, int, minimum=0), modes=get("modes", 6, int, minimum=1)
         )
-    raise SchemaError(f"unknown cv state type {kind!r}")
+    raise SchemaError(f"unknown cv state type {state_type!r}")
 
 
 def _build_inputs(sc: Scenario) -> dict:
@@ -219,25 +241,22 @@ def _build_inputs(sc: Scenario) -> dict:
         size = built["grid"].n if "grid" in built else built["observable_b"].dim
         if type(p[key]) is not int or not 0 <= p[key] < size:
             raise SchemaError(f"{key} must be an integer in [0, {size}), got {p[key]!r}")
-    orders = p.get("moment_orders")
-    if orders is not None and (type(orders) is not int or orders < 1):
-        raise SchemaError(f"moment_orders must be null or an integer >= 1, got {orders!r}")
+    if p.get("moment_orders") is not None:
+        _number(p["moment_orders"], "moment_orders", int, minimum=1)
     if sc.kind == "experiment":
         _check_experiment(p, built["grid"])
     return built
 
 
 def _check_experiment(p: dict, grid: cv.Grid):
-    shots, epsilon, min_counts = p["shots"], p["epsilon"], p["min_counts"]
-    if shots is not None and (type(shots) is not int or shots < 1):
-        raise SchemaError(f"shots must be null or an integer >= 1, got {shots!r}")
-    if shots is not None and grid.n > photonics.STREAM_BASE:
-        raise SchemaError(f"a shot-level experiment takes grid n <= {photonics.STREAM_BASE}")
-    # sin(2 epsilon) > 0 normalizes every asymmetry; NaN and infinities fail here too
-    if type(epsilon) not in (int, float) or not 0 < epsilon < np.pi / 2:
-        raise SchemaError(f"epsilon must be a number in (0, pi/2), got {epsilon!r}")
-    if type(min_counts) is not int or min_counts < 1:
-        raise SchemaError(f"min_counts must be an integer >= 1, got {min_counts!r}")
+    if p["shots"] is not None:
+        _number(p["shots"], "shots", int, minimum=1)
+        if grid.n > photonics.STREAM_BASE:
+            raise SchemaError(f"a shot-level experiment takes grid n <= {photonics.STREAM_BASE}")
+    # sin(2 epsilon) > 0 normalizes every asymmetry
+    if not 0 < _number(p["epsilon"], "epsilon") < np.pi / 2:
+        raise SchemaError(f"epsilon must be a number in (0, pi/2), got {p['epsilon']!r}")
+    _number(p["min_counts"], "min_counts", int, minimum=1)
     if p["post_index"] is None and not p["joint"]:
         raise SchemaError("experiment scenario needs post_index or joint=true")
 

@@ -9,18 +9,19 @@ V^-1 holds the monomial coefficients of L_i(x) = prod_{m != i} (x - a_m) /
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import require_node_gap
-from .errors import DegenerateNodes, SizeCap
+from .errors import DegenerateNodes, DimensionMismatch, SizeCap
 
 MAX_NODES = 32
 CONDITION_WARN_RATIO = 1e12
 
 
 def _check_nodes(nodes: np.ndarray):
+    if nodes.ndim != 1:
+        raise DimensionMismatch(f"nodes must be a 1-D array, got shape {nodes.shape}")
     d = nodes.size
     if d < 1:
         raise DegenerateNodes("need at least one node")
@@ -29,46 +30,16 @@ def _check_nodes(nodes: np.ndarray):
     require_node_gap(nodes)
 
 
-@dataclass(frozen=True)
-class VandermondeMatrix:
-    nodes: np.ndarray
+def invert_vandermonde(nodes) -> np.ndarray:
+    """Inverse of V[n, i] = nodes[i]**n via Lagrange coefficient deflation,
+    O(d^2) arithmetic.
 
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        _check_nodes(nodes)
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def dim(self) -> int:
-        return self.nodes.size
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.vander(self.nodes, self.dim, increasing=True).T
-
-
-def build_vandermonde(nodes) -> VandermondeMatrix:
-    return VandermondeMatrix(np.asarray(nodes, dtype=float))
-
-
-def vandermonde_determinant(v: VandermondeMatrix) -> float:
-    """prod_{i<j} (a_j - a_i); equals 1 for a single node (empty product)."""
-    nodes = v.nodes
-    det = 1.0
-    for i in range(v.dim):
-        for j in range(i + 1, v.dim):
-            det *= nodes[j] - nodes[i]
-    return det
-
-
-def invert_vandermonde(v: VandermondeMatrix) -> np.ndarray:
-    """Inverse via Lagrange coefficient deflation, O(d^2) arithmetic.
-
-    Row i holds the monomial coefficients (increasing powers) of L_i.
+    Row i holds the monomial coefficients (increasing powers) of L_i.  The
+    nodes must be distinct (gap check), at least one and at most MAX_NODES.
     """
-    nodes = v.nodes
-    d = v.dim
+    nodes = np.asarray(nodes, dtype=float)
+    _check_nodes(nodes)
+    d = nodes.size
     master = np.poly(nodes)[::-1]  # P(x) = prod_m (x - a_m), increasing powers
     # synthetic division of every row at once: q_i(x) = P(x) / (x - a_i),
     # highest power first

@@ -154,6 +154,15 @@ class TestCliRuns:
         )
         assert report["pass"]
 
+    def test_oracle_subcommand_writes_reconstruction_and_oracle(self, tmp_path):
+        scen = write_scenario(tmp_path, QUBIT_SCENARIO)
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        assert main(["oracle", "--scenario", str(scen), "--out", str(out)]) == 0
+        assert main(["reconstruct", "--scenario", str(scen), "--out", str(ref),
+                     "--emit-oracle"]) == 0
+        for name in ("distribution.json", "oracle.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
     @pytest.mark.parametrize("ordering", ["x-then-p", "p-then-x"])
     def test_cv_joint_oracle_is_independent(self, tmp_path, monkeypatch, ordering):
         scen = write_scenario(tmp_path, {
@@ -211,6 +220,23 @@ class TestCliRuns:
         assert err["error"] == "PostSelectionTooWeak"
 
     @pytest.mark.parametrize("scenario", [
+        {"kind": "cv-joint", "grid": {"n": 64, "length": 16.0},
+         "state": {"type": "gaussian", "width": 0}},
+        dict(CCR_SCENARIO, state={"type": "gaussian", "width": 0}),
+        {"kind": "discrete-joint", "observable_a": {"pauli": "z"}, "observable_b": {"pauli": "x"},
+         "state": {"amplitudes": [{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]}},
+    ], ids=["cv-joint-width-0", "ccr-width-0", "discrete-joint-zero-amplitudes"])
+    def test_nan_state_is_a_norm_violation(self, tmp_path, scenario):
+        # the state normalizes to NaN, which every norm check must refuse
+        scen = write_scenario(tmp_path, scenario)
+        out = tmp_path / "out"
+        command = "ccr" if scenario["kind"] == "ccr" else "reconstruct"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "NormViolation"
+        assert not (out / "diagnostics.json").exists()
+
+    @pytest.mark.parametrize("scenario", [
         dict(QUBIT_SCENARIO, postselect_index=2),
         dict(QUBIT_SCENARIO, postselect_index=-1),
         {"kind": "cv-conditional", "grid": {"n": 64, "length": 16.0},
@@ -249,6 +275,32 @@ class TestCliRuns:
         (dict(EXPERIMENT, grid={"n": 8192, "length": 200.0}), "grid n"),
         ({"kind": "discrete-npoint", "state": {"random": {"dim": 3, "seed": 1}},
           "observables": []}, "observables"),
+        # numbers are checked, never coerced; a bool is never a number
+        *((dict(CCR_SCENARIO, grid=grid), "grid") for grid in (
+            {"n": 64.7, "length": 16.0}, {"n": 64.0, "length": 16.0}, {"n": "64", "length": 16.0},
+            {"n": True, "length": 16.0}, {"n": 64, "length": "16"}, {"n": 64, "length": None},
+            {"n": 64, "length": float("nan")}, {"n": 64, "length": 16.0, "hbar": True},
+            {"length": 16.0}, {"n": 64},
+        )),
+        *((dict(CCR_SCENARIO, state=state), "state") for state in (
+            {"type": "gaussian", "width": "1"}, {"type": "gaussian", "center": True},
+            {"type": "gaussian", "width": float("inf")},
+            {"type": "hermite", "n": 2.9}, {"type": "hermite", "n": -1}, {"type": "hermite"},
+            {"type": "two-peak", "phase": "0"},
+            {"type": "random-smooth", "seed": 1.5}, {"type": "random-smooth", "modes": 0},
+        )),
+        *((dict(QUBIT_SCENARIO, state={"random": random}), "random") for random in (
+            {"dim": "3"}, {"dim": 2.0}, {"dim": 0}, {"dim": 2, "seed": 1.5},
+            {"dim": 2, "seed": -1}, {"dim": 2, "seed": False}, {"seed": 1},
+        )),
+        *((dict(QUBIT_SCENARIO, observable_a=obs), "observable_a") for obs in (
+            {"pauli": "q"}, {"pauli": None}, {"random": {"dim": "2"}},
+            {"random": {"dim": 2, "seed": 1.5}},
+            {"eigenvalues": ["1.0", -1.0], "eigenvectors": [
+                [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+                [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]]},
+            {"eigenvalues": 1.0, "eigenvectors": []},
+        )),
     ])
     def test_unknown_ordering_or_mode_is_schema_error(self, tmp_path, monkeypatch,
                                                       scenario, key):

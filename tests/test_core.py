@@ -101,14 +101,25 @@ class TestConstructors:
     def test_state_norm_enforced(self):
         with pytest.raises(NormViolation):
             QuantumState([1, 1])
+        # NaN fails every tolerance check, as the zero vector's normalization gives
+        with pytest.raises(NormViolation):
+            QuantumState([np.nan, 0])
+        with pytest.raises(NormViolation), np.errstate(invalid="ignore"):
+            QuantumState.normalized([0, 0])
 
     def test_degenerate_eigenvalues_rejected(self):
         with pytest.raises(DegenerateNodes):
             ObservableSpec([1.0, 1.0 + 1e-12], np.eye(2))
+        with pytest.raises(DegenerateNodes):
+            ObservableSpec([1.0, np.nan], np.eye(2))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(NormViolation):
             ObservableSpec([1.0, -1.0], np.array([[1, 1], [0, 1]], dtype=complex))
+        with pytest.raises(NormViolation):
+            ObservableSpec([1.0, -1.0], np.array([[1, 0], [0, np.nan]]))
+        with pytest.raises(NormViolation):
+            ObservableSpec.from_matrix([[1, 0], [0, np.nan]])
 
     def test_haar_unitary_is_unitary(self):
         for seed in range(5):
@@ -124,3 +135,7 @@ class TestConstructors:
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(NormViolation):
             DensityMatrix(bad)
+        with pytest.raises(NormViolation):
+            DensityMatrix(np.diag([np.nan, 0.5]))
+        with pytest.raises(NormViolation):
+            DensityMatrix(np.diag([0.5 + 1j * np.nan, 0.5]))

@@ -15,7 +15,6 @@ from kdrecon.cv import (
     to_position,
     two_peak_state,
     weak_char_fn,
-    weak_char_fn_general,
 )
 from kdrecon.errors import (
     IncompleteSampling,
@@ -23,6 +22,17 @@ from kdrecon.errors import (
     OffGridParameter,
     PostSelectionTooWeak,
 )
+
+
+def weak_char_fn_general(w: WaveFunction, phi: WaveFunction, k_values) -> np.ndarray:
+    """Reference Z(k) = <phi|e^{i k x}|psi> / <phi|psi> for an arbitrary
+    position-representation post-selection state, by direct sums on the grid."""
+    g = w.grid
+    overlap = g.dx * np.sum(phi.samples.conj() * w.samples)
+    return np.array([
+        g.dx * np.sum(phi.samples.conj() * np.exp(1j * k * g.x) * w.samples) / overlap
+        for k in k_values
+    ])
 
 
 @pytest.fixture
@@ -44,6 +54,14 @@ class TestGrid:
     def test_momentum_range(self, grid):
         assert grid.p[0] == pytest.approx(-np.pi / grid.dx)
         assert grid.p[-1] == pytest.approx(np.pi / grid.dx - grid.dp)
+
+    @pytest.mark.parametrize("length, hbar", [
+        (0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+        (40.0, 0.0), (40.0, np.nan), (40.0, np.inf),
+    ])
+    def test_length_and_hbar_must_be_positive_and_finite(self, length, hbar):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(64, length, hbar)
 
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError):
@@ -92,6 +110,10 @@ class TestTransforms:
     def test_norm_enforced(self, grid):
         with pytest.raises(NormViolation):
             WaveFunction(grid, np.ones(grid.n))
+        with pytest.raises(NormViolation):
+            WaveFunction(grid, np.full(grid.n, np.nan))
+        with pytest.raises(NormViolation), np.errstate(divide="ignore", invalid="ignore"):
+            gaussian_state(grid, width=0.0)
 
     def test_displaced_packet_momentum_shift(self, grid):
         k0 = 5 * grid.dp
@@ -160,8 +182,8 @@ class TestWeakCharFn:
         w = random_smooth_state(grid, seed=2)
         z_fast = weak_char_fn(w, 0.0, k_values=grid.k[200:312])
         phi = WaveFunction.normalized(grid, np.ones(grid.n))
-        z_gen = weak_char_fn_general(w, phi, k_values=grid.k[200:312])
-        assert np.max(np.abs(z_fast.values - z_gen.values)) < 1e-7
+        z_gen = weak_char_fn_general(w, phi, grid.k[200:312])
+        assert np.max(np.abs(z_fast.values - z_gen)) < 1e-7
 
 
 class TestConditional:

@@ -19,6 +19,7 @@ from kdrecon.oracle import (
     kd_marginals,
     kd_npoint,
     observable_transform,
+    postselection_probability,
     reconstruct_state,
 )
 
@@ -138,6 +139,16 @@ class TestKdConditional:
         psi = QuantumState([1, 0])
         with pytest.raises(PostSelectionTooWeak):
             kd_conditional(psi, SX, SZ, 1)  # <1|0> = 0
+
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_out_of_range_outcome_rejected(self, plus_x, j):
+        # a negative outcome must not wrap round to the last one
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            kd_conditional(plus_x, SZ, SY, j)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            postselection_probability(plus_x, SY, j)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            SY.eigenvector(j)
 
 
 class TestKdNpoint:

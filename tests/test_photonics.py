@@ -23,6 +23,7 @@ from kdrecon.errors import (
 )
 from kdrecon.photonics import (
     QUADRATURES,
+    PhotonState,
     ShotHistogram,
     SlmSetting,
     _conjugate_params,
@@ -120,6 +121,10 @@ class TestPreparation:
     def test_unnormalized_polarization_rejected(self, packet):
         with pytest.raises(NormViolation):
             prepare_photon(packet, (1.0, 1.0))
+        with pytest.raises(NormViolation):
+            prepare_photon(packet, (np.nan, 0.0))
+        with pytest.raises(NormViolation):
+            PhotonState(packet.grid, np.full((packet.grid.n, 2), np.nan))
 
 
 class TestSlmRotation:
@@ -208,6 +213,8 @@ class TestSampling:
     def test_negative_probability_rejected(self):
         with pytest.raises(InvalidProbability):
             sample_shots(np.array([[-0.1, 0.5]]), 100, (0,))
+        with pytest.raises(InvalidProbability):
+            sample_shots(np.array([[np.nan, 0.5]]), 100, (0,))
 
     def test_matches_fresh_generators_in_shuffled_key_order(self):
         rng = np.random.default_rng(5)
@@ -404,6 +411,17 @@ class TestReconstruction:
         w = gaussian_state(Grid(8192, 200.0), width=WIDTH)
         with pytest.raises(ValueError, match="4096"):
             run_reconstruction(w, 0.05, shots=1000, seed=0, joint=True)
+
+    @pytest.mark.parametrize("post_index", [-1, 64])
+    def test_out_of_range_post_index_rejected_before_any_work(self, packet, monkeypatch,
+                                                              post_index):
+        def fail(*args):
+            raise AssertionError("photon prepared for an out-of-range post_index")
+
+        monkeypatch.setattr(photonics, "prepare_photon", fail)
+        assert packet.grid.n == 64
+        with pytest.raises(ValueError, match=r"post_index .* outside \[0, 64\)"):
+            run_reconstruction(packet, 0.05, shots=None, seed=0, post_index=post_index)
 
     def test_unknown_mode_rejected_before_any_work(self, packet, monkeypatch):
         def fail(*args):

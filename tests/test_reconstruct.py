@@ -8,9 +8,8 @@ from kdrecon.core import (
     random_observable,
     random_state,
 )
+from kdrecon.errors import DimensionMismatch
 from kdrecon.moments import (
-    CorrelationMatrix,
-    MomentVector,
     correlation_matrix,
     correlation_tensor,
     moment_vector,
@@ -29,17 +28,17 @@ SX = pauli_spec("x")
 class TestConditional:
     def test_qubit_symbolic_w(self):
         for w in [0.3, -2.0, 1j, 0.5 + 0.25j]:
-            q = conditional_from_moments(SZ, MomentVector([1, w]))
+            q = conditional_from_moments(SZ, [1, w])
             assert np.allclose(q.values, [(1 + w) / 2, (1 - w) / 2])
 
     def test_qubit_weak_value_i(self):
-        q = conditional_from_moments(SZ, MomentVector([1, 1j]))
+        q = conditional_from_moments(SZ, [1, 1j])
         assert np.allclose(q.values, [(1 + 1j) / 2, (1 - 1j) / 2])
 
     def test_spin1_hand_inverse(self):
         spin1 = ObservableSpec([-1.0, 0.0, 1.0], np.eye(3))
         m1, m2 = 0.4 - 0.2j, 0.9
-        q = conditional_from_moments(spin1, MomentVector([1, m1, m2]))
+        q = conditional_from_moments(spin1, [1, m1, m2])
         assert np.allclose(q.values, [(m2 - m1) / 2, 1 - m2, (m1 + m2) / 2])
 
     def test_matches_oracle_up_to_d6(self):
@@ -59,7 +58,7 @@ class TestConditional:
         # |w| beyond the spectral range, or complex w, must push some entry
         # outside [0, 1]
         for w in [3.0, -1.5, 0.4 + 0.3j]:
-            q = conditional_from_moments(SZ, MomentVector([1, w])).values
+            q = conditional_from_moments(SZ, [1, w]).values
             outside = (np.abs(q.imag) > 1e-12) | (q.real < -1e-12) | (q.real > 1 + 1e-12)
             assert np.any(outside)
 
@@ -71,26 +70,30 @@ class TestConditional:
         assert np.max(np.abs(exact.values - extra.values)) < 1e-9
 
     def test_bad_zeroth_moment_rejected(self):
-        with pytest.raises(ValueError):
-            conditional_from_moments(SZ, MomentVector([0.9, 0.1]))
+        for moments in ([0.9, 0.1], [np.nan, 0.1]):
+            with pytest.raises(ValueError, match="zeroth moment"):
+                conditional_from_moments(SZ, moments)
+
+    @pytest.mark.parametrize("moments", [[], [[1, 0.5]], 1.0])
+    def test_moments_must_be_a_nonempty_vector(self, moments):
+        with pytest.raises(DimensionMismatch):
+            conditional_from_moments(SZ, moments)
 
     def test_inconsistent_sum_warns(self):
         # four moments of inconsistent data: the least-squares fit no longer
         # sums to 1, which must be reported, not hidden
         with pytest.warns(RuntimeWarning, match="sums to"):
-            conditional_from_moments(SZ, MomentVector([1, 0.3, 0.9, 0.2]))
+            conditional_from_moments(SZ, [1, 0.3, 0.9, 0.2])
 
     def test_renormalize_flag(self):
         with pytest.warns(RuntimeWarning):
-            q = conditional_from_moments(
-                SZ, MomentVector([1, 0.3, 0.9, 0.2]), renormalize=True
-            )
+            q = conditional_from_moments(SZ, [1, 0.3, 0.9, 0.2], renormalize=True)
         assert abs(np.sum(q.values) - 1.0) < 1e-12
 
 
 class TestJoint:
     def test_hand_sandwich(self):
-        c = CorrelationMatrix(np.array([[1, 0], [1, 0]], dtype=complex))
+        c = [[1, 0], [1, 0]]
         q = joint_from_correlations(SZ, SX, c)
         assert np.allclose(q.values, [[0.5, 0.5], [0, 0]])
         # equals conj(kd_joint) of |0>
@@ -98,7 +101,7 @@ class TestJoint:
         assert np.max(np.abs(q.values - k.values.conj())) < 1e-12
 
     def test_maximally_mixed(self):
-        c = CorrelationMatrix(np.array([[1, 0], [0, 0]], dtype=complex))
+        c = [[1, 0], [0, 0]]
         q = joint_from_correlations(SZ, SX, c)
         assert np.allclose(q.values, 0.25)
 
@@ -113,8 +116,17 @@ class TestJoint:
             assert np.max(np.abs(q.values - k.values.conj())) < 1e-8
 
     def test_ordering_tag(self):
-        c = CorrelationMatrix(np.array([[1, 0], [0, 0]], dtype=complex))
+        c = [[1, 0], [0, 0]]
         assert joint_from_correlations(SZ, SX, c).ordering_tag == "kd-conjugate"
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(DimensionMismatch, match="must be 2x2"):
+            joint_from_correlations(SZ, SX, [1, 0, 0, 0])
+
+    def test_bad_c00_rejected(self):
+        for c00 in (0.9, np.nan):
+            with pytest.raises(ValueError, match=r"C\[0,0\] must be 1"):
+                joint_from_correlations(SZ, SX, [[c00, 0], [0, 0]])
 
 
 class TestNpoint:
@@ -123,7 +135,7 @@ class TestNpoint:
         a = random_observable(3, 51)
         t = correlation_tensor([a], psi)
         q1 = npoint_from_correlations([a], t)
-        q2 = conditional_from_moments(a, MomentVector(t))
+        q2 = conditional_from_moments(a, t)
         assert np.max(np.abs(q1.values - q2.values)) < 1e-10
 
     def test_n2_reduces_to_joint(self):
