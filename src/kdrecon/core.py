@@ -53,7 +53,7 @@ def require_node_gap(nodes: np.ndarray) -> None:
     if nodes.size > 1:
         ordered = np.sort(nodes)
         spread = float(ordered[-1] - ordered[0])
-        gap = float(np.min(np.diff(ordered)))
+        gap = float((ordered[1:] - ordered[:-1]).min())
         if not gap > 1e-9 * max(spread, 1.0):
             raise DegenerateNodes(
                 f"minimum gap {gap:.3e} too small relative to range {spread:.3e}; apply "

@@ -7,9 +7,11 @@ Z(lambda, chi) = <psi| e^{i lambda A} e^{i chi B} |psi>.
 Moments and correlations are all one bra-ket GEMM chain,
 C[m_1..m_N] = sum_k <u_k| O_1^m_1 ... O_N^m_N |v_k> (``_bra_ket``): the ket
 side is built right to left, one product per observable, the bra side
-<u_k|O_1^m_1 is one product and a last one joins them, d^(N+1)
-multiply-adds in all.  A mixed state enters through its factor L with
-rho = L L^dagger, so Tr(A^n B^m rho) = sum_k <L_k|A^n B^m|L_k>.
+<u_k|O_1^m_1 is one product and a last one joins them, about d^(N+1)
+multiply-adds per column k at d orders each.  Each observable's power stack
+O^0..O^(orders-1) costs d^3 * orders more (one (d*orders x d) @ (d x d)
+product), which dominates for N <= 2.  A mixed state enters through its
+factor L with rho = L L^dagger, so Tr(A^n B^m rho) = sum_k <L_k|A^n B^m|L_k>.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from .core import (
     ObservableSpec,
     QuantumState,
     expectation,
-    observable_power,
     require_postselection,
     require_tensor_size,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SizeCap
+from .vandermonde import MAX_ORDERS
 
 
 def _overlap(psi: QuantumState, phi: QuantumState) -> complex:
@@ -47,8 +49,12 @@ def weak_value(c: np.ndarray, psi: QuantumState, phi: QuantumState) -> complex:
 
 
 def _powers(obs: ObservableSpec, orders: int) -> np.ndarray:
-    """O^0..O^(orders-1) stacked in (i, m, j) layout, shape (d, orders, d)."""
-    return np.stack([observable_power(obs, m) for m in range(orders)], axis=1)
+    """O^0..O^(orders-1) stacked in (i, m, j) layout, shape (d, orders, d):
+    row (i, m) is u_i a^m, and one product with u^dagger gives every power."""
+    u, d = obs.eigenvectors, obs.dim
+    # a**m with a scalar m, as observable_power has it: numpy takes x*x for m = 2
+    lam_m = np.array([obs.eigenvalues**m for m in range(orders)])
+    return ((u[:, None, :] * lam_m).reshape(d * orders, d) @ u.conj().T).reshape(d, orders, d)
 
 
 def _bra_ket(obs_list, orders, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
@@ -57,22 +63,27 @@ def _bra_ket(obs_list, orders, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     ``bra`` and ``ket`` hold the vectors as (d, K) columns.  The ket side runs
     right to left: columns index (m_i..m_N, k), and each step is one
     (d*orders_i x d) @ (d x T) product whose (i, m) rows reshape for free.  The
-    bra side <bra_k|O_1^m_1 is one product, and one more joins the two, so N
-    observables cost d^(N+1) multiply-adds rather than d^(N+2).
+    bra side <bra_k|O_1^m_1 is one product, and one more, summing over (k, i),
+    joins the two, so N observables cost d^(N+1) multiply-adds rather than
+    d^(N+2).
     """
     d, k = ket.shape
     stack = ket
     for obs, n in zip(obs_list[:0:-1], orders[:0:-1]):
         stack = (_powers(obs, n).reshape(d * n, d) @ stack).reshape(d, -1)
     first = _powers(obs_list[0], orders[0]).reshape(d, -1) if obs_list else np.eye(d)
-    left = (bra.conj().T @ first).reshape(k, -1, d)
-    out = np.tensordot(left, stack.reshape(d, -1, k), axes=([0, 2], [2, 0]))
-    return out.reshape(orders)
+    left = (bra.conj().T @ first).reshape(k, -1, d).transpose(1, 0, 2).reshape(-1, k * d)
+    right = stack.reshape(d, -1, k).transpose(2, 0, 1).reshape(k * d, -1)
+    # np.dot, not @: for a 1-wide operand the two take different BLAS calls
+    return np.dot(left, right).reshape(orders)
 
 
 def _require_orders(orders) -> None:
+    """Every order in 1..MAX_ORDERS, checked before anything is built."""
     if any(n < 1 for n in orders):
         raise ValueError(f"moment orders must be at least 1, got {orders}")
+    if any(n > MAX_ORDERS for n in orders):
+        raise SizeCap(f"moment orders {orders} exceed the cap of {MAX_ORDERS}")
 
 
 def moment_vector(
@@ -127,6 +138,7 @@ def correlation_tensor(obs_list, psi: QuantumState) -> np.ndarray:
             raise DimensionMismatch("observable dimension mismatch")
     n = len(obs_list)
     require_tensor_size(d, n)
+    _require_orders((d,) * n)
     ket = psi.amplitudes[:, None]
     return _bra_ket(obs_list, (d,) * n, ket, ket)
 

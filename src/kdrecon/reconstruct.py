@@ -14,41 +14,62 @@ Vandermonde conditioning; the moment data are transformed consistently
 from __future__ import annotations
 
 import warnings
-from math import comb
 
 import numpy as np
 
 from .core import ObservableSpec, require_tensor_size
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SizeCap
 from .oracle import PseudoDistribution
-from .vandermonde import invert_vandermonde, solve_least_squares
+from .vandermonde import MAX_ORDERS, invert_vandermonde, solve_least_squares
 
 SUM_CHECK_TOL = 1e-6
 
 
+def _binomials(rows: int) -> np.ndarray:
+    """C(n, k) for n, k < rows by Pascal's rule on exact Python ints; the
+    float cast rounds each entry as float(comb(n, k)) does."""
+    table, row = [], [1]
+    for _ in range(rows):
+        table.append(row + [0] * (rows - len(row)))
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+    return np.array(table, dtype=float)
+
+
+_BINOMIALS = _binomials(MAX_ORDERS)
+# n - k on and below the diagonal, 0 above it
+_LAGS = np.array([[max(n - k, 0) for k in range(MAX_ORDERS)] for n in range(MAX_ORDERS)])
+
+
 def _rescaled(nodes: np.ndarray, orders: int):
     """Nodes t = (nodes - beta) / alpha mapped into [-1, 1], and the
-    lower-triangular M with <T^n> = sum_k M[n, k] <A^k> for T = (A - beta)/alpha.
+    lower-triangular M with <T^n> = sum_k M[n, k] <A^k> for T = (A - beta)/alpha,
+    M[n, k] = C(n, k) (-beta)^(n-k) / alpha^n.
 
     Valid for weak values too: A commutes with itself, so the binomial
     expansion holds at operator level.
     """
-    lo, hi = float(np.min(nodes)), float(np.max(nodes))
+    if orders > MAX_ORDERS:
+        raise SizeCap(f"{orders} moment orders exceed the cap of {MAX_ORDERS}")
+    lo, hi = float(nodes.min()), float(nodes.max())
     alpha, beta = ((hi - lo) / 2.0, (hi + lo) / 2.0) if hi != lo else (1.0, 0.0)
-    m = np.zeros((orders, orders))
-    for n in range(orders):
-        for k in range(n + 1):
-            m[n, k] = comb(n, k) * ((-beta) ** (n - k)) / (alpha**n)
+    shift = np.array([(-beta) ** j for j in range(orders)])
+    scale = np.array([alpha**j for j in range(orders)])
+    # above the diagonal C(n, k) = 0 meets shift[0] = 1, so M is exactly lower-triangular
+    m = _BINOMIALS[:orders, :orders] * shift[_LAGS[:orders, :orders]] / scale[:, None]
     return (nodes - beta) / alpha, m
 
 
 def _contract(observables, values: np.ndarray) -> np.ndarray:
     """Apply R = V_t^{-1} M along axis i of ``values`` for the i-th observable:
-    Q = R_A C for a moment vector, R_A C R_B^T for a correlation matrix."""
-    for axis, obs in enumerate(observables):
+    Q = R_A C for a moment vector, R_A C R_B^T for a correlation matrix.
+
+    Each step contracts the leading axis with one (d x d) @ (d x rest) product
+    and moves the new axis last, so after N steps the axes are back in order.
+    """
+    for obs in observables:
         t_nodes, m = _rescaled(np.asarray(obs.eigenvalues, float), obs.dim)
         r = invert_vandermonde(t_nodes) @ m
-        values = np.moveaxis(np.tensordot(r, values, axes=([1], [axis])), 0, axis)
+        values = (r @ values.reshape(obs.dim, -1)).T.reshape(*values.shape[1:], -1)
     return values
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import cv, photonics
 from .core import ObservableSpec, QuantumState, pauli_spec, random_observable, random_state
-from .errors import OrderingTagMismatch, SchemaError, ShapeMismatch
+from .errors import OrderingTagMismatch, SchemaError, ShapeMismatch, SizeCap
 from .moments import correlation_matrix, correlation_tensor, moment_vector
 from .oracle import (
     PseudoDistribution,
@@ -36,6 +36,7 @@ from .serialize import (
     write_plot_csv,
     write_pseudo_csv,
 )
+from .vandermonde import MAX_ORDERS
 
 _COMMON_KEYS = {"kind", "seed"}
 _MISSING = object()  # a required key that is absent
@@ -105,6 +106,8 @@ def _number(value, name: str, kind: type = float, minimum=None):
 
 
 def _check_keys(obj: dict, allowed, context: str):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{context} must be a JSON object, got {obj!r}")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in {context}")
@@ -150,8 +153,10 @@ def _random_args(spec, context: str):
 def _build_state(spec, context="state") -> QuantumState:
     _check_keys(spec, {"amplitudes", "random"}, context)
     if "amplitudes" in spec:
-        amps = complex_array_from_json(spec["amplitudes"], (len(spec["amplitudes"]),))
-        return QuantumState.normalized(amps)
+        amps = spec["amplitudes"]
+        if type(amps) is not list:
+            raise SchemaError(f"{context}.amplitudes must be a list of {{re, im}} pairs")
+        return QuantumState.normalized(complex_array_from_json(amps, (len(amps),)))
     if "random" in spec:
         return random_state(*_random_args(spec["random"], f"{context}.random"))
     raise SchemaError(f"{context} needs 'amplitudes' or 'random'")
@@ -174,9 +179,10 @@ def _build_observable(spec, context="observable") -> ObservableSpec:
             raise SchemaError(f"{context}.eigenvalues must be a list of numbers")
         vals = [_number(v, f"{context}.eigenvalues[{i}]")
                 for i, v in enumerate(spec["eigenvalues"])]
-        vecs = np.stack(
-            [complex_array_from_json(col, (len(vals),)) for col in spec["eigenvectors"]], axis=1
-        )
+        cols = spec["eigenvectors"]
+        if type(cols) is not list or not cols:
+            raise SchemaError(f"{context}.eigenvectors must be a non-empty list of columns")
+        vecs = np.stack([complex_array_from_json(col, (len(vals),)) for col in cols], axis=1)
         return ObservableSpec(vals, vecs, label=label or "A")
     raise SchemaError(f"{context} needs 'pauli', 'random', or eigenvalues+eigenvectors")
 
@@ -220,6 +226,9 @@ def _build_cv_state(spec, grid: cv.Grid) -> cv.WaveFunction:
 
 def _build_inputs(sc: Scenario) -> dict:
     p = sc.params
+    if p.get("moment_orders") is not None:
+        if _number(p["moment_orders"], "moment_orders", int, minimum=1) > MAX_ORDERS:
+            raise SizeCap(f"moment_orders {p['moment_orders']} exceeds the cap of {MAX_ORDERS}")
     built = {}
     if sc.kind.startswith("discrete"):
         built["state"] = _build_state(p["state"])
@@ -241,8 +250,6 @@ def _build_inputs(sc: Scenario) -> dict:
         size = built["grid"].n if "grid" in built else built["observable_b"].dim
         if type(p[key]) is not int or not 0 <= p[key] < size:
             raise SchemaError(f"{key} must be an integer in [0, {size}), got {p[key]!r}")
-    if p.get("moment_orders") is not None:
-        _number(p["moment_orders"], "moment_orders", int, minimum=1)
     if sc.kind == "experiment":
         _check_experiment(p, built["grid"])
     return built

@@ -16,6 +16,7 @@ from .core import require_node_gap
 from .errors import DegenerateNodes, DimensionMismatch, SizeCap
 
 MAX_NODES = 32
+MAX_ORDERS = 2 * MAX_NODES  # most moment orders per observable (powers 0..63)
 CONDITION_WARN_RATIO = 1e12
 
 
@@ -40,7 +41,12 @@ def invert_vandermonde(nodes) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=float)
     _check_nodes(nodes)
     d = nodes.size
-    master = np.poly(nodes)[::-1]  # P(x) = prod_m (x - a_m), increasing powers
+    # P(x) = prod_m (x - a_m), one root at a time, highest power first
+    master = np.zeros(d + 1)
+    master[0] = 1.0
+    for i, a in enumerate(nodes, 1):
+        master[1:i + 1] -= a * master[:i]
+    master = master[::-1]  # increasing powers
     # synthetic division of every row at once: q_i(x) = P(x) / (x - a_i),
     # highest power first
     q = np.empty((d, d))
@@ -49,12 +55,13 @@ def invert_vandermonde(nodes) -> np.ndarray:
         q[:, n] = master[n + 1] + nodes * q[:, n + 1]
     # denominators prod_{m != i} (a_i - a_m), off-diagonal entries in row order
     gaps = (nodes[:, None] - nodes[None, :])[~np.eye(d, dtype=bool)].reshape(d, d - 1)
-    inv = q / np.prod(gaps, axis=1)[:, None]
+    inv = q / gaps.prod(axis=1)[:, None]
     mags = np.abs(inv)
+    top = mags.max()
     # coefficients that are structurally zero come out at roundoff level;
     # exclude them from the spread estimate
-    significant = mags[mags > 1e-14 * np.max(mags)]
-    ratio = np.max(mags) / np.min(significant) if significant.size else 1.0
+    significant = mags[mags > 1e-14 * top]
+    ratio = top / significant.min() if significant.size else 1.0
     if np.isfinite(ratio) and ratio > CONDITION_WARN_RATIO:
         warnings.warn(
             f"Vandermonde inverse coefficient spread {ratio:.2e} exceeds 1e12; "

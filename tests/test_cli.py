@@ -10,6 +10,7 @@ from kdrecon.errors import (
     ParseError,
     SchemaError,
     ShapeMismatch,
+    SizeCap,
 )
 from kdrecon.oracle import PseudoDistribution
 from kdrecon.scenarios import compare_distributions, load_scenario
@@ -20,6 +21,7 @@ from kdrecon.serialize import (
     read_json,
     write_json,
 )
+from kdrecon.vandermonde import MAX_ORDERS
 
 QUBIT_SCENARIO = {
     "kind": "discrete-conditional",
@@ -300,7 +302,12 @@ class TestCliRuns:
                 [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
                 [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]]},
             {"eigenvalues": 1.0, "eigenvectors": []},
+            {"eigenvalues": [1.0, -1.0], "eigenvectors": 5},
+            {"eigenvalues": [1.0, -1.0], "eigenvectors": []},
         )),
+        # a value of the wrong JSON type where an object or a list is due
+        (dict(QUBIT_SCENARIO, state={"amplitudes": 5}), "amplitudes"),
+        (dict(QUBIT_SCENARIO, state="abc"), "state must be a JSON object"),
     ])
     def test_unknown_ordering_or_mode_is_schema_error(self, tmp_path, monkeypatch,
                                                       scenario, key):
@@ -315,6 +322,20 @@ class TestCliRuns:
         command = "experiment" if scenario["kind"] == "experiment" else "reconstruct"
         assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
         assert read_json(out / "error.json")["error"] == "SchemaError"
+
+    def test_moment_orders_cap(self, tmp_path):
+        at = write_scenario(tmp_path, dict(QUBIT_SCENARIO, moment_orders=MAX_ORDERS), "at.json")
+        out = tmp_path / "at"
+        assert main(["reconstruct", "--scenario", str(at), "--out", str(out),
+                     "--emit-oracle"]) == 0
+        assert compare_distributions(out / "distribution.json", out / "oracle.json",
+                                     1e-12)["pass"]
+        past = write_scenario(tmp_path, dict(QUBIT_SCENARIO, moment_orders=MAX_ORDERS + 1))
+        with pytest.raises(SizeCap, match="moment_orders"):
+            load_scenario(past)
+        out = tmp_path / "past"
+        assert main(["reconstruct", "--scenario", str(past), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "SizeCap"
 
     def test_observable_a_dimension_mismatch_is_a_domain_error(self, tmp_path):
         scen = write_scenario(tmp_path, dict(

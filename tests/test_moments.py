@@ -13,6 +13,9 @@ from kdrecon.core import (
 )
 from kdrecon.errors import DimensionMismatch, PostSelectionTooWeak, SizeCap
 from kdrecon.moments import (
+    _bra_ket,
+    _factor,
+    _powers,
     char_fn_discrete,
     correlation_matrix,
     correlation_tensor,
@@ -20,6 +23,7 @@ from kdrecon.moments import (
     weak_value,
 )
 from kdrecon.oracle import kd_conditional, kd_joint
+from kdrecon.vandermonde import MAX_NODES, MAX_ORDERS
 
 SZ = pauli_spec("z")
 SX = pauli_spec("x")
@@ -228,6 +232,77 @@ class TestCorrelationTensor:
                         @ observable_power(obs[2], m3)
                     )
                     assert abs(t[m1, m2, m3] - expectation(psi, prod)) < 1e-12
+
+
+def powers_per_power(obs, orders):
+    # reference: one observable_power call per power, stacked
+    return np.stack([observable_power(obs, m) for m in range(orders)], axis=1)
+
+
+def tensordot_bra_ket(obs_list, orders, bra, ket):
+    # reference: the same chain on per-power stacks, joined by one tensordot over (k, i)
+    d, k = ket.shape
+    stack = ket
+    for obs, n in zip(obs_list[:0:-1], orders[:0:-1]):
+        stack = (powers_per_power(obs, n).reshape(d * n, d) @ stack).reshape(d, -1)
+    first = powers_per_power(obs_list[0], orders[0]).reshape(d, -1)
+    left = (bra.conj().T @ first).reshape(k, -1, d)
+    return np.tensordot(left, stack.reshape(d, -1, k), axes=([0, 2], [2, 0])).reshape(orders)
+
+
+class TestBitwisePaths:
+    """The batched power stack and the one-product join give the very bits of
+    the per-power stack and the tensordot join.  At d >= 8 whether a
+    reconstruction lands within 1e-8 turns on rounding, so a rounding change
+    must show up here rather than as a moved benchmark failure count."""
+
+    def test_powers_bitwise_equal_to_observable_power(self):
+        for d in range(1, MAX_NODES + 1):
+            obs = random_observable(d, 300 + d)
+            for orders in (1, d, d + 2):
+                assert np.array_equal(_powers(obs, orders), powers_per_power(obs, orders))
+
+    def test_bra_ket_bitwise_equal_to_tensordot(self):
+        for d in range(1, MAX_NODES + 1):
+            pure = random_state(d, 400 + d).amplitudes[:, None]
+            bra = random_state(d, 500 + d).amplitudes[:, None]
+            mixed = _factor(random_density(d, 600 + d, rank=3))
+            obs = [random_observable(d, 700 + 3 * d + i) for i in range(3)]
+            rect = (d + 1, max(d - 1, 1))
+            for args in (
+                (obs[:1], (d,), bra, pure),
+                (obs[:1], (d + 2,), bra, pure),
+                (obs[:2], (d, d), pure, pure),
+                (obs[:2], rect, pure, pure),
+                (obs[:2], (d, d), mixed, mixed),
+                (obs[:2], rect, mixed, mixed),
+                (obs, (d, d, d), pure, pure),
+            ):
+                assert np.array_equal(_bra_ket(*args), tensordot_bra_ket(*args))
+
+
+class TestOrdersCap:
+    def test_at_the_cap(self, plus_x, plus_y):
+        w = weak_value(SZ.matrix(), plus_x, plus_y)
+        mv = moment_vector(SZ, plus_x, plus_y, orders=MAX_ORDERS)
+        assert np.max(np.abs(mv - np.tile([1, w], MAX_ORDERS // 2))) < 1e-12
+        c = correlation_matrix(SZ, SX, plus_x, orders=(MAX_ORDERS, MAX_ORDERS))
+        assert c.shape == (MAX_ORDERS, MAX_ORDERS)
+        assert np.max(np.abs(c[::2, ::2] - 1)) < 1e-12  # even powers are the identity
+
+    def test_one_past_the_cap_builds_nothing(self, size_cap_peak):
+        # at d = 32 the (d, orders, d) power stack alone would take 1 MB
+        d, past = 32, MAX_ORDERS + 1
+        psi, a, b = random_state(d, 91), random_observable(d, 92), random_observable(d, 93)
+        phi, rho = QuantumState(b.eigenvector(0)), random_density(d, 96)
+        wide_psi, wide = random_state(past, 94), random_observable(past, 95)
+        for call in (
+            lambda: moment_vector(a, psi, phi, orders=past),
+            lambda: correlation_matrix(a, b, psi, orders=(past, 2)),
+            lambda: correlation_matrix(a, b, rho, orders=(2, past)),
+            lambda: correlation_tensor([wide], wide_psi),  # d orders, past the cap
+        ):
+            assert size_cap_peak(call) < 4096
 
 
 class TestCharFn:

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from kdrecon.core import (
     random_observable,
     random_state,
 )
-from kdrecon.errors import DimensionMismatch
+from kdrecon.errors import DimensionMismatch, SizeCap
 from kdrecon.moments import (
     correlation_matrix,
     correlation_tensor,
@@ -16,13 +18,17 @@ from kdrecon.moments import (
 )
 from kdrecon.oracle import kd_conditional, kd_joint, kd_npoint
 from kdrecon.reconstruct import (
+    _contract,
+    _rescaled,
     conditional_from_moments,
     joint_from_correlations,
     npoint_from_correlations,
 )
+from kdrecon.vandermonde import MAX_NODES, MAX_ORDERS, invert_vandermonde
 
 SZ = pauli_spec("z")
 SX = pauli_spec("x")
+SY = pauli_spec("y")
 
 
 class TestConditional:
@@ -170,3 +176,73 @@ class TestNpoint:
     def test_no_observables_rejected(self):
         with pytest.raises(ValueError, match="at least one observable"):
             npoint_from_correlations([], np.ones(()))
+
+
+def comb_rescaled(nodes, orders):
+    # reference: one comb call and the same scalar powers per entry of M
+    lo, hi = float(np.min(nodes)), float(np.max(nodes))
+    alpha, beta = ((hi - lo) / 2.0, (hi + lo) / 2.0) if hi != lo else (1.0, 0.0)
+    m = np.zeros((orders, orders))
+    for n in range(orders):
+        for k in range(n + 1):
+            m[n, k] = comb(n, k) * ((-beta) ** (n - k)) / (alpha**n)
+    return (nodes - beta) / alpha, m
+
+
+def tensordot_contract(observables, values):
+    # reference: R applied along each axis by tensordot, moved back in place
+    for axis, obs in enumerate(observables):
+        t_nodes, m = comb_rescaled(np.asarray(obs.eigenvalues, float), obs.dim)
+        r = invert_vandermonde(t_nodes) @ m
+        values = np.moveaxis(np.tensordot(r, values, axes=([1], [axis])), 0, axis)
+    return values
+
+
+class TestBitwisePaths:
+    """The binomial-table M and the one-product contraction give the very bits
+    of the comb loop and of tensordot (see TestBitwisePaths in test_moments)."""
+
+    def test_rescaled_bitwise_equal_to_comb_loop(self):
+        rng = np.random.default_rng(23)
+        jittered = np.arange(12) + 0.3 * rng.uniform(-1, 1, 12)
+        node_sets = [
+            np.array([0.7]),  # one node: alpha = 1, beta = 0
+            jittered,
+            jittered + 30.0,  # |beta| >> alpha
+            -jittered - 7.5,
+            1e-2 * jittered,  # alpha < 1
+            rng.normal(size=9) * 10 ** rng.uniform(-2, 2),
+        ]
+        for orders in range(1, MAX_ORDERS + 1):
+            for nodes in node_sets:
+                t, m = _rescaled(nodes, orders)
+                t_ref, m_ref = comb_rescaled(nodes, orders)
+                assert np.array_equal(t, t_ref) and np.array_equal(m, m_ref)
+
+    def test_rescaled_refuses_orders_past_the_cap(self):
+        with pytest.raises(SizeCap, match="cap"):
+            _rescaled(np.array([1.0, -1.0]), MAX_ORDERS + 1)
+
+    @pytest.mark.filterwarnings("ignore:Vandermonde inverse coefficient spread")
+    def test_contract_bitwise_equal_to_tensordot(self):
+        rng = np.random.default_rng(29)
+        for d in range(1, MAX_NODES + 1):
+            obs = [random_observable(d, 800 + 3 * d + i) for i in range(3)]
+            for n in (1, 2, 3):
+                shape = (d,) * n
+                values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                got, ref = _contract(obs[:n], values), tensordot_contract(obs[:n], values)
+                assert np.array_equal(got, ref)
+                # the same memory layout too, so the sum check sees the same total
+                assert np.sum(got) == np.sum(ref)
+
+
+class TestOrdersCap:
+    def test_conditional_at_the_cap(self, plus_x, plus_y):
+        q = conditional_from_moments(SZ, moment_vector(SZ, plus_x, plus_y, orders=MAX_ORDERS))
+        assert np.max(np.abs(q.values - kd_conditional(plus_x, SZ, SY, 0).values)) < 1e-12
+
+    def test_conditional_one_past_the_cap_builds_nothing(self, size_cap_peak):
+        # the (orders x orders) M alone would take 34 kB
+        moments = np.ones(MAX_ORDERS + 1, dtype=complex)
+        assert size_cap_peak(lambda: conditional_from_moments(SZ, moments)) < 4096
