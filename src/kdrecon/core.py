@@ -25,6 +25,7 @@ from .errors import (
 NORM_TOL = 1e-12
 PS_FLOOR = 1e-10  # smallest post-selection probability any path divides by
 TENSOR_CAP = 10**6  # largest dense d**n tensor a correlation or KD path builds
+GRID_CAP = 4096  # largest CV grid n whose dense n x n arrays a path builds
 
 
 def require_postselection(prob: float, what: str) -> None:
@@ -36,6 +37,11 @@ def require_postselection(prob: float, what: str) -> None:
 def require_tensor_size(d: int, n: int) -> None:
     if d**n > TENSOR_CAP:
         raise SizeCap(f"tensor with {d}^{n} entries exceeds the 1e6 cap")
+
+
+def require_grid_size(n: int) -> None:
+    if n > GRID_CAP:
+        raise SizeCap(f"grid of {n} points exceeds the cap of {GRID_CAP} for n x n arrays")
 
 
 def require_index(i, size: int, what: str) -> int:

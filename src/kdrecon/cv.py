@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import require_postselection
+from .core import require_grid_size, require_postselection
 from .errors import DimensionMismatch, IncompleteSampling, NormViolation, OffGridParameter
 
 EDGE_GUARD = 1e-8  # edge amplitude above which momentum shifts alias
@@ -212,9 +212,10 @@ def joint_kd_cv(w: WaveFunction, ordering: str = "x-then-p") -> np.ndarray:
 
     x-then-p: K(x, p) = <p|x><x|psi><psi|p>, with rows indexing x and columns
     indexing p; p-then-x gives the reversed-order distribution, the elementwise
-    conjugate.
+    conjugate.  Grids past GRID_CAP points are refused (SizeCap).
     """
     g = w.grid
+    require_grid_size(g.n)
     psi_x = w.samples if w.representation == "position" else to_position(w).samples
     psi_p = _momentum_samples(w)
     bra_p_x = np.exp(-1j * np.outer(g.x, g.p) / g.hbar) / np.sqrt(2 * np.pi * g.hbar)

@@ -49,10 +49,6 @@ class InsufficientCounts(KdreconError):
     pass
 
 
-class MissingSetting(KdreconError):
-    """A required (quadrature, analyzer) histogram is absent."""
-
-
 class ShapeMismatch(KdreconError):
     pass
 

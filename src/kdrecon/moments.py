@@ -50,10 +50,13 @@ def weak_value(c: np.ndarray, psi: QuantumState, phi: QuantumState) -> complex:
 
 def _powers(obs: ObservableSpec, orders: int) -> np.ndarray:
     """O^0..O^(orders-1) stacked in (i, m, j) layout, shape (d, orders, d):
-    row (i, m) is u_i a^m, and one product with u^dagger gives every power."""
+    row (i, m) is u_i a^m, and one product with u^dagger gives every power.
+    SizeCap if a power of an eigenvalue overflows."""
     u, d = obs.eigenvectors, obs.dim
     # a**m with a scalar m, as observable_power has it: numpy takes x*x for m = 2
     lam_m = np.array([obs.eigenvalues**m for m in range(orders)])
+    if not np.isfinite(lam_m).all():
+        raise SizeCap(f"eigenvalue powers up to {orders - 1} overflow a float")
     return ((u[:, None, :] * lam_m).reshape(d * orders, d) @ u.conj().T).reshape(d, orders, d)
 
 

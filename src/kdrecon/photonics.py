@@ -1,10 +1,11 @@
 """Shot-level Monte-Carlo simulation of the proposed optical experiment.
 
-Pipeline: imprint a spatial wavefunction on a single photon, weakly rotate
-its polarization as a sinusoid of position (or of momentum, in the 4f
-configuration), Fourier-propagate, analyze in a polarization basis, histogram
-camera counts, and estimate the weak characteristic function from conditioned
-polarization asymmetries.
+Pipeline of public stages, each batched over every frequency k and camera
+pixel: imprint a wavefunction on an H-polarized photon and weakly rotate its
+polarization as a sinusoid of position, or of momentum in the 4f
+configuration (run_setting); Fourier-propagate and analyze it
+(propagate_and_analyze); draw camera counts (sample_shots); estimate the weak
+characteristic function from conditioned asymmetries (estimate_weak_char).
 
 Readout protocol (validated against the grid oracle, not assumed): with input
 polarization H and rotation angle eps*sin(k x + phi),
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import require_index
+from .core import require_grid_size, require_index
 from .cv import (
     ORDERINGS,
     Grid,
@@ -32,20 +33,20 @@ from .cv import (
     position_samples_raw,
 )
 from .errors import (
-    DimensionMismatch,
     InsufficientCounts,
     InvalidProbability,
-    MissingSetting,
     NormViolation,
     OffGridParameter,
-    PostSelectionTooWeak,
 )
 
-ANALYZERS = ("hv", "diag", "circ")
+ANALYZERS = ("diag", "circ")
 QUADRATURES = ("cos", "sin")  # phi = pi/2 and phi = 0
 _QUAD_PHASE = {"cos": np.pi / 2, "sin": 0.0}
-# the four (quadrature, analyzer) cells measured at every frequency
-_CELLS = tuple((quad, analyzer) for quad in QUADRATURES for analyzer in ("diag", "circ"))
+_ANALYZER_KETS = (
+    # per analyzer in ANALYZERS order; columns: (plus outcome, minus outcome)
+    np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
+)
 
 
 def _require_unit_norm(amplitudes: np.ndarray, step: float):
@@ -55,148 +56,56 @@ def _require_unit_norm(amplitudes: np.ndarray, step: float):
         raise NormViolation(f"photon norm deviates from 1 by {deviation:.3e}")
 
 
-@dataclass(frozen=True)
-class PhotonState:
-    """Spatial-polarization amplitude array; columns are the H/V components."""
+def run_setting(w: WaveFunction, k, phase: float, epsilon: float, mode: str) -> np.ndarray:
+    """Born probabilities (analyzer, k, outcome, pixel) of one SLM phase.
 
-    grid: Grid
-    amplitudes: np.ndarray  # (n, 2) complex
-    domain: str = "position"
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if a.shape != (self.grid.n, 2):
-            raise DimensionMismatch("photon amplitudes must have shape (n, 2)")
-        _require_unit_norm(a, self.grid.dx if self.domain == "position" else self.grid.dp)
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def coordinates(self) -> np.ndarray:
-        return self.grid.x if self.domain == "position" else self.grid.p
-
-
-@dataclass(frozen=True)
-class SlmSetting:
-    """Sinusoidal weak-rotation pattern: angle = epsilon * sin(k * coord + phase)."""
-
-    k: float
-    phase: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("coupling epsilon must be positive")
-
-
-@dataclass(frozen=True)
-class ShotHistogram:
-    counts: np.ndarray  # (n, 2) integer
-    shots: int
-    seed: tuple
-
-    def __post_init__(self):
-        c = np.asarray(self.counts)
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
-
-
-def prepare_photon(w: WaveFunction, pol) -> PhotonState:
-    pol = np.asarray(pol, dtype=complex)
-    if pol.shape != (2,):
-        raise DimensionMismatch("polarization must be a 2-vector")
-    if not abs(np.sum(np.abs(pol) ** 2) - 1.0) <= 1e-9:
-        raise NormViolation("polarization vector is not normalized")
+    The H-polarized photon carrying ``w`` is rotated in the H/V plane by the
+    exact angle epsilon*sin(k*coord + phase) at each SLM pixel and frequency
+    in ``k`` (a scalar k drops that axis); coord is x, or p for p-then-x,
+    whose SLM sits in the 4f momentum plane.  Every k must be a multiple of
+    the conjugate step (dk, or dx/hbar).
+    """
     if w.representation != "position":
-        raise ValueError("prepare_photon expects a position-representation state")
-    return PhotonState(w.grid, np.outer(w.samples, pol))
-
-
-def photon_to_momentum(s: PhotonState) -> PhotonState:
-    if s.domain != "position":
-        raise ValueError("state already in momentum domain")
-    cols = [momentum_samples_raw(s.grid, s.amplitudes[:, c]) for c in range(2)]
-    return PhotonState(s.grid, np.stack(cols, axis=1), domain="momentum")
-
-
-def _slm_state(w: WaveFunction, mode: str) -> PhotonState:
-    """The H-polarized photon in the domain its SLM modulates."""
-    s = prepare_photon(w, (1.0, 0.0))
-    return photon_to_momentum(s) if mode == "p-then-x" else s
-
-
-def _check_slm_frequency(s: PhotonState, k):
-    """OffGridParameter unless every frequency in ``k`` is on the conjugate grid."""
-    step = s.grid.dk if s.domain == "position" else s.grid.dx / s.grid.hbar
+        raise ValueError("run_setting expects a position-representation state")
+    g = w.grid
+    if mode == "x-then-p":
+        h, coords, step = w.samples, g.x, g.dk
+    elif mode == "p-then-x":
+        h, coords, step = momentum_samples_raw(g, w.samples), g.p, g.dx / g.hbar
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     k = np.asarray(k, dtype=float)
-    off = np.abs(k / step - np.round(k / step)) > 1e-9
+    off = ~(np.abs(k / step - np.round(k / step)) <= 1e-9)  # NaN and inf are off too
     if np.any(off):
         raise OffGridParameter(
             f"SLM frequency {k[off].flat[0]} is not a multiple of the conjugate step {step}"
         )
-
-
-def _rotate(hv: np.ndarray, coords: np.ndarray, k, phase: float, epsilon: float) -> np.ndarray:
-    """Rotate H/V amplitudes ``hv`` (component, pixel) by epsilon*sin(k*coords + phase).
-
-    An array of frequencies ``k`` adds a leading frequency axis to the result.
-    """
     theta = epsilon * np.sin(np.multiply.outer(k, coords) + phase)
-    c, sn = np.cos(theta), np.sin(theta)
-    h, v = hv[0], hv[1]
-    return np.stack([c * h - sn * v, sn * h + c * v], axis=-2)
+    # the V input is 0, so the rotation sends h to (cos theta, sin theta) h
+    return propagate_and_analyze(g, np.stack([np.cos(theta) * h, np.sin(theta) * h], axis=-2),
+                                 mode)
 
 
-def slm_weak_rotation(s: PhotonState, setting: SlmSetting) -> PhotonState:
-    """Exact (non-linearized) pointwise polarization rotation in the H/V plane."""
-    _check_slm_frequency(s, setting.k)
-    rotated = _rotate(s.amplitudes.T, s.coordinates, setting.k, setting.phase, setting.epsilon)
-    return PhotonState(s.grid, rotated.T, domain=s.domain)
-
-
-_ANALYZER_KETS = {
-    # columns: (plus outcome, minus outcome)
-    "hv": np.array([[1, 0], [0, 1]], dtype=complex),
-    "diag": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "circ": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
-}
-
-
-def _propagate(g: Grid, hv: np.ndarray, mode: str):
-    """Camera-plane amplitudes of SLM-plane amplitudes ``hv`` (..., component,
-    pixel), checked for unit norm, and the camera pixel step.
+def propagate_and_analyze(g: Grid, hv: np.ndarray, mode: str) -> np.ndarray:
+    """Born probabilities (analyzer, ..., outcome, pixel) at the camera of
+    SLM-plane amplitudes ``hv`` (..., component, pixel); analyzers in
+    ANALYZERS order, outcome 0 the analyzer's plus port.
 
     x-then-p: single Fourier lens, camera in the momentum plane.
     p-then-x: second half of the 4f system, camera in the position plane.
+    Each camera-plane state must have unit norm.
     """
+    if mode not in ORDERINGS:
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "x-then-p":
         out, step = momentum_samples_raw(g, hv), g.dp
     else:
         out, step = position_samples_raw(g, hv), g.dx
     _require_unit_norm(out, step)
-    return out, step
-
-
-def _analyze(hv: np.ndarray, step: float, analyzer: str) -> np.ndarray:
-    """Born probabilities (..., outcome, pixel) of camera-plane amplitudes
-    (..., component, pixel); outcome 0 is the analyzer's plus port."""
-    if analyzer not in _ANALYZER_KETS:
-        raise ValueError(f"unknown analyzer {analyzer!r}")
-    return step * np.abs(_ANALYZER_KETS[analyzer].conj().T @ hv) ** 2
-
-
-def propagate_and_analyze(s: PhotonState, mode: str, analyzer: str) -> np.ndarray:
-    """Born probabilities per (pixel, analyzer outcome), shape (n, 2).
-
-    For p-then-x the state must already carry the momentum-space modulation.
-    """
-    if mode not in ORDERINGS:
-        raise ValueError(f"unknown mode {mode!r}")
-    domain = "position" if mode == "x-then-p" else "momentum"
-    if s.domain != domain:
-        raise ValueError(f"{mode} propagation starts from the {domain} domain")
-    out, step = _propagate(s.grid, s.amplitudes.T, mode)
-    return _analyze(out, step, analyzer).T
+    probs = np.empty((len(ANALYZERS),) + out.shape)
+    for p, kets in zip(probs, _ANALYZER_KETS):
+        p[...] = step * np.abs(kets.conj().T @ out) ** 2
+    return probs
 
 
 # shot streams: a seed in [0, 2^63) and stream indices in [0, 4096) folded
@@ -228,8 +137,9 @@ def _philox(key) -> np.random.Generator:
     return rng
 
 
-def sample_shots(prob: np.ndarray, shots: int, seed) -> ShotHistogram:
-    """Multinomial camera statistics with a counter-based (Philox) stream.
+def sample_shots(prob: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Multinomial camera counts, shaped as ``prob``, from a counter-based
+    (Philox) stream.
 
     ``seed`` is an integer in [0, 2^63) or a tuple (seed, i_1, ..., i_m) of
     one with stream indices in [0, 4096); the indices fold into one stream
@@ -261,7 +171,7 @@ def sample_shots(prob: np.ndarray, shots: int, seed) -> ShotHistogram:
     pvals = np.maximum(p, 0, out=np.empty(p.shape)).ravel()
     pvals /= max(total, 1e-300)
     counts = _philox(key).multinomial(shots, pvals)
-    return ShotHistogram(counts.reshape(p.shape), shots, key)
+    return counts.reshape(p.shape)
 
 
 def _asymmetry(plus, minus, min_counts: int | None):
@@ -282,9 +192,10 @@ def _asymmetry(plus, minus, min_counts: int | None):
     return asym, var, total, total < min_counts
 
 
-def _combine(asym: dict, var_sum, epsilon: float):
+def estimate_weak_char(asym: dict, var_sum, epsilon: float):
     """Z = (A_cos,diag - A_sin,circ + i(A_cos,circ + A_sin,diag)) / sin(2 eps)
-    and its standard error, from per-cell asymmetries and their summed variance."""
+    and its standard error, from the asymmetries keyed by (quadrature,
+    analyzer) and their summed variance, elementwise over (k, pixel)."""
     norm = np.sin(2 * epsilon)
     z = (
         asym["cos", "diag"]
@@ -292,40 +203,6 @@ def _combine(asym: dict, var_sum, epsilon: float):
         + 1j * (asym["cos", "circ"] + asym["sin", "diag"])
     ) / norm
     return z, np.sqrt(var_sum) / norm
-
-
-def estimate_weak_char(histograms: dict, setting: SlmSetting, pixel: int,
-                       min_counts: int = 100):
-    """Combine the four (quadrature, analyzer) histograms at one camera pixel.
-
-    ``histograms`` maps ("cos"|"sin", "diag"|"circ") to a ShotHistogram (or to
-    a probability array for the infinite-statistics shortcut).  Returns
-    (z_estimate, standard_error); the error is the combined standard error of
-    the complex estimate (0 for analytic input).
-    """
-    parts = {}
-    var_sum = 0.0
-    for key in _CELLS:
-        if key not in histograms:
-            raise MissingSetting(f"histogram for {key} is missing")
-        h = histograms[key]
-        counted = isinstance(h, ShotHistogram)
-        row = h.counts[pixel] if counted else np.asarray(h, dtype=float)[pixel]
-        parts[key], var, total, short = _asymmetry(
-            row[0], row[1], min_counts if counted else None
-        )
-        if short and counted:
-            raise InsufficientCounts(f"only {int(total)} counts at pixel {pixel} for {key}")
-        if short:
-            raise PostSelectionTooWeak(f"zero probability at pixel {pixel}")
-        var_sum = var_sum + var
-    z, se = _combine(parts, var_sum, setting.epsilon)
-    return complex(z), float(se)
-
-
-def run_setting(w: WaveFunction, setting: SlmSetting, mode: str, analyzer: str) -> np.ndarray:
-    """Probability array (n, 2) for one full optical configuration, input polarization H."""
-    return propagate_and_analyze(slm_weak_rotation(_slm_state(w, mode), setting), mode, analyzer)
 
 
 @dataclass
@@ -342,47 +219,39 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sweep(s: PhotonState, params: np.ndarray, epsilon: float, mode: str,
+def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
            shots: int | None, seed: int, min_counts: int):
     """Sweep every (k, quadrature, analyzer) cell, batched over k and pixel.
 
     Returns the (k, pixel) asymmetries keyed by (quadrature, analyzer), their
     summed variance, the (k, pixel) mask of entries lacking data, and the
     counts (or probability) per pixel summed over all cells.  It works one
-    quadrature at a time and frees each cell's arrays before the next is
-    built, so one transform serves both analyzers and no (k, quadrature,
-    analyzer, outcome, pixel) tensor is ever held.
+    quadrature at a time, so no (k, quadrature, analyzer, outcome, pixel)
+    tensor is ever held.
     """
-    _check_slm_frequency(s, params)
-    n = s.grid.n
-    parts = {}
+    n = w.grid.n
+    asym = {}
     var_sum = np.zeros((n, n))
     short = np.zeros((n, n), dtype=bool)
     recorded = np.zeros(n)
     for qi, quad in enumerate(QUADRATURES):
-        out, step = _propagate(
-            s.grid,
-            _rotate(s.amplitudes.T, s.coordinates, params, _QUAD_PHASE[quad], epsilon),
-            mode,
-        )
-        for ai, analyzer in enumerate(("diag", "circ")):
-            rows = _analyze(out, step, analyzer)  # (k, outcome, pixel)
+        probs = run_setting(w, params, _QUAD_PHASE[quad], epsilon, mode)
+        for ai, rows in enumerate(probs):  # (k, outcome, pixel)
             if shots is not None:
                 # each frequency m draws from the Philox stream of its cell
                 # (seed, m, qi, ai)
                 rows = np.stack([
-                    sample_shots(cell.T, shots, (seed, m, qi, ai)).counts.T
+                    sample_shots(cell.T, shots, (seed, m, qi, ai)).T
                     for m, cell in enumerate(rows)
                 ])
-            parts[quad, analyzer], var, total, cell_short = _asymmetry(
+            asym[quad, ANALYZERS[ai]], var, total, cell_short = _asymmetry(
                 rows[:, 0], rows[:, 1], None if shots is None else min_counts
             )
             var_sum += var
             short |= cell_short
             recorded += total.sum(axis=0)
-            del rows, var, total
-        del out
-    return parts, var_sum, short, recorded
+        del probs, rows, var, total
+    return asym, var_sum, short, recorded
 
 
 def _conjugate_params(grid: Grid, mode: str) -> np.ndarray:
@@ -402,7 +271,7 @@ def run_reconstruction(
     joint: bool = False,
     min_counts: int = 100,
 ) -> ReconstructionResult:
-    """Full k-sweep: histograms -> Z estimates -> inverse Fourier transform.
+    """Full k-sweep: the four stages, then the inverse Fourier transform.
 
     ``shots=None`` selects the infinite-statistics shortcut (analytic Born
     probabilities, zero statistical error).  Each (k, quadrature, analyzer)
@@ -418,15 +287,14 @@ def run_reconstruction(
     g = w.grid
     if shots is not None and g.n > STREAM_BASE:
         raise ValueError(f"shot streams index at most {STREAM_BASE} frequencies, got {g.n}")
+    require_grid_size(g.n)  # refused before the n x n (k, pixel) tables are built
     if post_index is not None:
         require_index(post_index, g.n, "post_index")
     params = _conjugate_params(g, mode)
     n = g.n
-    parts, var_sum, short, recorded = _sweep(
-        _slm_state(w, mode), params, epsilon, mode, shots, seed, min_counts
-    )
+    asym, var_sum, short, recorded = _sweep(w, params, epsilon, mode, shots, seed, min_counts)
     rates = recorded / (4 * n * (1 if shots is None else shots))
-    z_values, z_errors = _combine(parts, var_sum, epsilon)
+    z_values, z_errors = estimate_weak_char(asym, var_sum, epsilon)
     z_values[short] = 0.0
     z_errors[short] = np.inf
     out_values = g.x if mode == "x-then-p" else g.p

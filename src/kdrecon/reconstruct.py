@@ -46,16 +46,24 @@ def _rescaled(nodes: np.ndarray, orders: int):
     M[n, k] = C(n, k) (-beta)^(n-k) / alpha^n.
 
     Valid for weak values too: A commutes with itself, so the binomial
-    expansion holds at operator level.
+    expansion holds at operator level.  SizeCap if an entry of M overflows.
     """
     if orders > MAX_ORDERS:
         raise SizeCap(f"{orders} moment orders exceed the cap of {MAX_ORDERS}")
     lo, hi = float(nodes.min()), float(nodes.max())
     alpha, beta = ((hi - lo) / 2.0, (hi + lo) / 2.0) if hi != lo else (1.0, 0.0)
-    shift = np.array([(-beta) ** j for j in range(orders)])
-    scale = np.array([alpha**j for j in range(orders)])
-    # above the diagonal C(n, k) = 0 meets shift[0] = 1, so M is exactly lower-triangular
-    m = _BINOMIALS[:orders, :orders] * shift[_LAGS[:orders, :orders]] / scale[:, None]
+    try:  # a Python float power raises OverflowError where numpy gives inf
+        shift = np.array([(-beta) ** j for j in range(orders)])
+        scale = np.array([alpha**j for j in range(orders)])
+        # above the diagonal C(n, k) = 0 meets shift[0] = 1, so M is exactly lower-triangular
+        m = _BINOMIALS[:orders, :orders] * shift[_LAGS[:orders, :orders]] / scale[:, None]
+        if not np.isfinite(m).all():
+            raise OverflowError
+    except OverflowError:
+        raise SizeCap(
+            f"{orders} moment orders of nodes rescaled about {beta:.3g} by {alpha:.3g} "
+            "overflow a float"
+        ) from None
     return (nodes - beta) / alpha, m
 
 

@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from . import cv, photonics
-from .core import ObservableSpec, QuantumState, pauli_spec, random_observable, random_state
+from .core import (
+    ObservableSpec,
+    QuantumState,
+    pauli_spec,
+    random_observable,
+    random_state,
+    require_grid_size,
+)
 from .errors import OrderingTagMismatch, SchemaError, ShapeMismatch, SizeCap
 from .moments import correlation_matrix, correlation_tensor, moment_vector
 from .oracle import (
@@ -435,6 +442,7 @@ def _cv_joint_oracle(grid: cv.Grid, w: cv.WaveFunction, ordering: str) -> Pseudo
     steps, so the shift is an exact (periodic) index offset.
     """
     n = grid.n
+    require_grid_size(n)
     psi_p = cv.to_momentum(w).samples
     shifts = np.arange(n) - n // 2
     table = psi_p[(np.arange(n)[None, :] - shifts[:, None]) % n] * psi_p.conj()

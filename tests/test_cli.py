@@ -5,6 +5,7 @@ import pytest
 
 from kdrecon import cv, photonics
 from kdrecon.cli import main
+from kdrecon.core import GRID_CAP
 from kdrecon.errors import (
     OrderingTagMismatch,
     ParseError,
@@ -13,7 +14,7 @@ from kdrecon.errors import (
     SizeCap,
 )
 from kdrecon.oracle import PseudoDistribution
-from kdrecon.scenarios import compare_distributions, load_scenario
+from kdrecon.scenarios import _cv_joint_oracle, compare_distributions, load_scenario
 from kdrecon.serialize import (
     complex_array_from_json,
     pseudo_from_dict,
@@ -336,6 +337,38 @@ class TestCliRuns:
         out = tmp_path / "past"
         assert main(["reconstruct", "--scenario", str(past), "--out", str(out)]) == 2
         assert read_json(out / "error.json")["error"] == "SizeCap"
+
+    @pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
+    def test_overflowing_moment_powers_are_size_cap(self, tmp_path):
+        # 1e6**59 passes the float range: the moments were NaN and the
+        # rescaling raised a raw OverflowError
+        identity = [[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+                    [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]]
+        scen = write_scenario(tmp_path, dict(
+            QUBIT_SCENARIO, moment_orders=60,
+            observable_a={"eigenvalues": [1e6, 1e6 + 1], "eigenvectors": identity}))
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "SizeCap"
+
+    @pytest.mark.parametrize("scenario", [
+        {"kind": "cv-joint", "ordering": "p-then-x"},
+        {"kind": "ccr"},
+        dict(EXPERIMENT, shots=None, post_index=0),
+    ])
+    def test_grid_past_the_cap_is_size_cap(self, tmp_path, scenario):
+        scen = write_scenario(tmp_path, dict(
+            scenario, grid={"n": 2 * GRID_CAP, "length": 400.0}, state={"type": "gaussian"}))
+        out = tmp_path / "out"
+        command = "reconstruct" if scenario["kind"] == "cv-joint" else scenario["kind"]
+        assert main([command, "--scenario", str(scen), "--out", str(out),
+                     "--emit-oracle"]) == 2
+        assert read_json(out / "error.json")["error"] == "SizeCap"
+
+    def test_cv_joint_oracle_past_the_cap_builds_nothing(self, size_cap_peak):
+        grid = cv.Grid(2 * GRID_CAP, 400.0)
+        w = cv.gaussian_state(grid)
+        assert size_cap_peak(lambda: _cv_joint_oracle(grid, w, "x-then-p")) < 5 * 2**20
 
     def test_observable_a_dimension_mismatch_is_a_domain_error(self, tmp_path):
         scen = write_scenario(tmp_path, dict(

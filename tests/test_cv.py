@@ -16,6 +16,7 @@ from kdrecon.cv import (
     two_peak_state,
     weak_char_fn,
 )
+from kdrecon.core import GRID_CAP
 from kdrecon.errors import (
     IncompleteSampling,
     NormViolation,
@@ -285,3 +286,16 @@ class TestCcrWitness:
         with pytest.warns(RuntimeWarning, match="grid edge"):
             ccr_witness(gaussian_state(g))
 
+
+class TestGridCap:
+    def test_dense_paths_one_grid_past_the_cap_build_nothing(self, size_cap_peak):
+        # an n x n complex array at n = 8192 takes 1.07 GB
+        w = gaussian_state(Grid(2 * GRID_CAP, 400.0))
+        for call in (lambda: joint_kd_cv(w), lambda: joint_kd_cv(w, "p-then-x"),
+                     lambda: ccr_witness(w)):
+            assert size_cap_peak(call) < 5 * 2**20
+
+    def test_o_n_paths_take_grids_past_the_cap(self):
+        w = gaussian_state(Grid(2 * GRID_CAP, 400.0))
+        q = conditional_pseudo_cv(weak_char_fn(w, 0.0))
+        assert abs(w.grid.dx * np.sum(q) - 1.0) < 1e-9

@@ -304,6 +304,20 @@ class TestOrdersCap:
         ):
             assert size_cap_peak(call) < 4096
 
+    @pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
+    def test_overflowing_eigenvalue_powers_refused(self, plus_x):
+        # 1e6**59 passes the float range; the moments came out NaN
+        a = ObservableSpec([1e6, 1e6 + 1], np.eye(2))
+        phi = QuantumState.normalized([1, 0.5])
+        for call in (
+            lambda: moment_vector(a, plus_x, phi, orders=60),
+            lambda: correlation_matrix(SZ, a, plus_x, orders=(2, 60)),
+        ):
+            with pytest.raises(SizeCap, match="overflow"):
+                call()
+        # 1e6**51 is still a float
+        assert np.all(np.isfinite(moment_vector(a, plus_x, phi, orders=52)))
+
 
 class TestCharFn:
     def test_normalization(self):

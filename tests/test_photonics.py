@@ -10,34 +10,37 @@ from kdrecon.cv import (
     conditional_pseudo_cv,
     gaussian_state,
     inverse_char_transform,
+    momentum_samples_raw,
+    position_samples_raw,
     to_momentum,
     weak_char_fn,
 )
 from kdrecon import photonics
+from kdrecon.core import GRID_CAP
 from kdrecon.errors import (
     InsufficientCounts,
     InvalidProbability,
-    MissingSetting,
     NormViolation,
-    PostSelectionTooWeak,
+    OffGridParameter,
 )
 from kdrecon.photonics import (
+    ANALYZERS,
     QUADRATURES,
-    PhotonState,
-    ShotHistogram,
-    SlmSetting,
+    _asymmetry,
     _conjugate_params,
     estimate_weak_char,
-    photon_to_momentum,
-    prepare_photon,
     propagate_and_analyze,
     run_reconstruction,
     run_setting,
     sample_shots,
-    slm_weak_rotation,
 )
 
 WIDTH = 1 / np.sqrt(2)  # momentum amplitude e^{-p^2/4}, so Z(k) = e^{-k^2/4}
+MODES = ["x-then-p", "p-then-x"]
+KETS = {  # columns: (plus outcome, minus outcome)
+    "diag": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "circ": np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
+}
 
 
 @pytest.fixture
@@ -50,15 +53,50 @@ def packet(grid):
     return gaussian_state(grid, width=WIDTH)
 
 
-def analytic_histograms(w, k, epsilon, mode="x-then-p"):
-    return {
-        (quad, analyzer): run_setting(
-            w, SlmSetting(k, np.pi / 2 if quad == "cos" else 0.0, epsilon),
-            mode, analyzer,
-        )
-        for quad in ("cos", "sin")
-        for analyzer in ("diag", "circ")
-    }
+def slm_plane(w, mode):
+    """SLM-plane amplitude of ``w`` and the coordinate its SLM modulates."""
+    g = w.grid
+    if mode == "x-then-p":
+        return w.samples, g.x
+    return momentum_samples_raw(g, w.samples), g.p
+
+
+def h_photon(w, mode, pol=(1.0, 0.0)):
+    """(component, pixel) amplitudes of ``w`` with polarization ``pol`` on the SLM."""
+    return np.outer(np.asarray(pol, dtype=complex), slm_plane(w, mode)[0])
+
+
+def populations(probs):
+    """H and V populations per pixel of a pure polarization state, from its
+    (analyzer, outcome, pixel) diagonal and circular probabilities.
+
+    The analyzers give the total s = |h|^2 + |v|^2 and the coherence
+    |h v*|^2 = |h|^2 |v|^2, so the populations are the roots of
+    t^2 - s t + |h v*|^2; V is the smaller (the photon enters H)."""
+    (d_plus, d_minus), (c_plus, c_minus) = probs
+    s = d_plus + d_minus
+    coherence = ((d_plus - d_minus) ** 2 + (c_plus - c_minus) ** 2) / 4
+    v = 2 * coherence / (s + np.sqrt(np.maximum(s**2 - 4 * coherence, 0.0)))
+    return s - v, v
+
+
+def single_k_estimate(w, k, epsilon, pixel, shots=None, seed=None, mode="x-then-p"):
+    """Z and its standard error at one camera pixel from single-k calls of the
+    stages; with shots, cell (quadrature qi, analyzer ai) draws stream
+    (seed, 2 qi + ai)."""
+    asym, var_sum = {}, 0.0
+    for qi, quad in enumerate(QUADRATURES):
+        probs = run_setting(w, k, np.pi / 2 if quad == "cos" else 0.0, epsilon, mode)
+        for ai, analyzer in enumerate(ANALYZERS):
+            rows = probs[ai]  # (outcome, pixel)
+            if shots is not None:
+                rows = sample_shots(rows.T, shots, (seed, 2 * qi + ai)).T
+            asym[quad, analyzer], var, _, short = _asymmetry(
+                rows[0, pixel], rows[1, pixel], None if shots is None else 100)
+            assert not short
+            var_sum += var
+    z, se = estimate_weak_char(asym, var_sum, epsilon)
+    return complex(z), float(se)
 
 
 def fresh_sample_shots(prob, shots, seed):
@@ -71,119 +109,160 @@ def fresh_sample_shots(prob, shots, seed):
     p = np.asarray(prob, dtype=float)
     rng = np.random.Generator(np.random.Philox(key=(base, stream)))
     counts = rng.multinomial(shots, np.clip(p, 0, None).ravel() / max(p.sum(), 1e-300))
-    return ShotHistogram(counts.reshape(p.shape), shots, (base, stream))
+    return counts.reshape(p.shape)
 
 
 def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts):
     """Z estimates, errors and rates one (k, quadrature, analyzer) cell and one
-    pixel at a time, from the public per-cell functions."""
+    pixel at a time: the H photon is rotated, propagated and projected for
+    each cell, and each pixel's four asymmetries are combined on their own.
+    It shares no code with the stages beyond the transforms."""
     g = w.grid
     n = g.n
+    slm, coords = slm_plane(w, mode)
+    to_camera, step = (momentum_samples_raw, g.dp) if mode == "x-then-p" \
+        else (position_samples_raw, g.dx)
     z_values = np.zeros((n, n), dtype=complex)
     z_errors = np.zeros((n, n))
     rates = np.zeros(n)
     for m, kp in enumerate(_conjugate_params(g, mode)):
-        hists = {}
+        rows = {}
         for qi, quad in enumerate(QUADRATURES):
+            theta = epsilon * np.sin(kp * coords + (np.pi / 2 if quad == "cos" else 0.0))
+            camera = to_camera(g, np.stack([np.cos(theta) * slm, np.sin(theta) * slm]))
             for ai, analyzer in enumerate(("diag", "circ")):
-                probs = run_setting(
-                    w, SlmSetting(kp, np.pi / 2 if quad == "cos" else 0.0, epsilon),
-                    mode, analyzer,
-                )
-                if shots is None:
-                    hists[(quad, analyzer)] = probs
-                    rates += probs.sum(axis=1) / (4 * n)
-                else:
-                    h = sample_shots(probs, shots, (seed, m, qi, ai))
-                    hists[(quad, analyzer)] = h
-                    rates += h.counts.sum(axis=1) / (4 * n * shots)
+                probs = step * np.abs(KETS[analyzer].conj().T @ camera) ** 2
+                if shots is not None:
+                    probs = fresh_sample_shots(probs.T, shots, (seed, m, qi, ai)).T
+                rows[quad, analyzer] = probs
+                rates += probs.sum(axis=0) / (4 * n * (1 if shots is None else shots))
         for pix in range(n):
-            try:
-                z_values[m, pix], z_errors[m, pix] = estimate_weak_char(
-                    hists, SlmSetting(kp, 0.0, epsilon), pix, min_counts)
-            except (InsufficientCounts, PostSelectionTooWeak):
-                z_values[m, pix], z_errors[m, pix] = 0.0, np.inf
+            asym, var_sum = {}, 0.0
+            for key, (plus, minus) in rows.items():
+                total = plus[pix] + minus[pix]
+                if total == 0 or (shots is not None and total < min_counts):
+                    z_values[m, pix], z_errors[m, pix] = 0.0, np.inf
+                    break
+                asym[key] = (plus[pix] - minus[pix]) / total
+                if shots is not None:
+                    var_sum += max(1.0 - asym[key] ** 2, 1e-12) / total
+            else:
+                norm = np.sin(2 * epsilon)
+                z_values[m, pix] = (asym["cos", "diag"] - asym["sin", "circ"] + 1j * (
+                    asym["cos", "circ"] + asym["sin", "diag"])) / norm
+                z_errors[m, pix] = np.sqrt(var_sum) / norm
     return z_values, z_errors, rates
 
 
 class TestPreparation:
     def test_product_state_norm(self, packet):
-        s = prepare_photon(packet, (1.0, 0.0))
-        norm = s.grid.dx * np.sum(np.abs(s.amplitudes) ** 2)
-        assert norm == pytest.approx(1)
+        # no rotation at k = 0, phase 0: the H product state reaches the camera
+        for mode in MODES:
+            probs = run_setting(packet, 0.0, 0.0, 0.3, mode)
+            assert probs.shape == (2, 2, packet.grid.n)
+            assert np.max(np.abs(probs.sum(axis=(1, 2)) - 1.0)) < 1e-12
 
     def test_diagonal_polarization(self, grid):
         from kdrecon.cv import two_peak_state
 
-        s = prepare_photon(two_peak_state(grid), np.array([1, 1]) / np.sqrt(2))
-        assert s.amplitudes.shape == (grid.n, 2)
+        w = two_peak_state(grid)
+        probs = propagate_and_analyze(grid, h_photon(w, "x-then-p", np.array([1, 1]) / np.sqrt(2)),
+                                      "x-then-p")
+        density = grid.dp * np.abs(to_momentum(w).samples) ** 2
+        assert np.max(np.abs(probs[0, 0] - density)) < 1e-12  # all in the diagonal port
+        assert np.max(probs[0, 1]) < 1e-20
+        assert np.max(np.abs(probs[1] - density / 2)) < 1e-12  # circular: even split
 
     def test_unnormalized_polarization_rejected(self, packet):
+        g = packet.grid
         with pytest.raises(NormViolation):
-            prepare_photon(packet, (1.0, 1.0))
+            propagate_and_analyze(g, h_photon(packet, "x-then-p", (1.0, 1.0)), "x-then-p")
         with pytest.raises(NormViolation):
-            prepare_photon(packet, (np.nan, 0.0))
+            propagate_and_analyze(g, h_photon(packet, "p-then-x", (np.nan, 0.0)), "p-then-x")
         with pytest.raises(NormViolation):
-            PhotonState(packet.grid, np.full((packet.grid.n, 2), np.nan))
+            propagate_and_analyze(g, np.full((3, 2, g.n), np.nan), "x-then-p")
 
 
 class TestSlmRotation:
     def test_tiny_epsilon_barely_changes_state(self, packet):
-        s = prepare_photon(packet, (1.0, 0.0))
-        out = slm_weak_rotation(s, SlmSetting(packet.grid.dk, 0.0, 1e-12))
-        assert np.max(np.abs(out.amplitudes - s.amplitudes)) < 1e-11
+        g = packet.grid
+        out = run_setting(packet, g.dk, 0.0, 1e-12, "x-then-p")
+        ref = propagate_and_analyze(g, h_photon(packet, "x-then-p"), "x-then-p")
+        assert np.max(np.abs(out - ref)) < 1e-11
 
     def test_constant_modulation_is_global_rotation(self, grid):
         w = WaveFunction.normalized(grid, np.ones(grid.n))
-        s = prepare_photon(w, (1.0, 0.0))
         eps = 0.3
-        out = slm_weak_rotation(s, SlmSetting(0.0, np.pi / 2, eps))
-        expected = np.outer(w.samples, [np.cos(eps), np.sin(eps)])
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+        for mode in MODES:
+            out = run_setting(w, 0.0, np.pi / 2, eps, mode)
+            rotated = h_photon(w, mode, [np.cos(eps), np.sin(eps)])
+            assert np.max(np.abs(out - propagate_and_analyze(grid, rotated, mode))) < 1e-12
+            # the diagonal port of the photon rotated by eps holds (1 + sin 2 eps) / 2
+            assert out[0, 0].sum() == pytest.approx((1 + np.sin(2 * eps)) / 2, abs=1e-12)
 
     def test_pointwise_rotation_oracle(self, packet):
         g = packet.grid
-        setting = SlmSetting(2 * g.dk, 0.7, 0.2)
-        s = prepare_photon(packet, np.array([0.6, 0.8j]))
-        out = slm_weak_rotation(s, setting)
-        for n in [0, 5, 31, 63]:
-            theta = 0.2 * np.sin(2 * g.dk * g.x[n] + 0.7)
-            rot = np.array(
-                [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-            )
-            assert np.max(np.abs(out.amplitudes[n] - rot @ s.amplitudes[n])) < 1e-12
+        for mode in MODES:
+            slm, coords = slm_plane(packet, mode)
+            k = 2 * (g.dk if mode == "x-then-p" else g.dx / g.hbar)
+            rotated = np.zeros((2, g.n), dtype=complex)
+            for n in range(g.n):
+                theta = 0.2 * np.sin(k * coords[n] + 0.7)
+                rot = np.array(
+                    [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+                )
+                rotated[:, n] = rot @ [slm[n], 0.0]
+            out = run_setting(packet, k, 0.7, 0.2, mode)
+            assert np.max(np.abs(out - propagate_and_analyze(g, rotated, mode))) < 1e-12
 
     def test_norm_preserved(self, packet):
-        s = prepare_photon(packet, (1.0, 0.0))
-        out = slm_weak_rotation(s, SlmSetting(packet.grid.dk, 0.3, 0.4))
-        norm = out.grid.dx * np.sum(np.abs(out.amplitudes) ** 2)
-        assert abs(norm - 1.0) < 1e-12
+        for mode in MODES:
+            params = _conjugate_params(packet.grid, mode)
+            out = run_setting(packet, params, 0.3, 0.4, mode)  # (analyzer, k, outcome, pixel)
+            assert np.max(np.abs(out.sum(axis=(2, 3)) - 1.0)) < 1e-12
+
+    def test_unknown_mode_rejected(self, packet, monkeypatch):
+        def fail(*args):
+            raise AssertionError("photon propagated for an unknown mode")
+
+        monkeypatch.setattr(photonics, "momentum_samples_raw", fail)
+        monkeypatch.setattr(photonics, "position_samples_raw", fail)
+        with pytest.raises(ValueError, match="sideways"):
+            run_setting(packet, [0.0, 2.5], 0.0, 0.05, "sideways")
+        with pytest.raises(ValueError, match="sideways"):
+            propagate_and_analyze(packet.grid, h_photon(packet, "x-then-p"), "sideways")
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_off_grid_frequency_rejected(self, packet, mode):
+        step = packet.grid.dk if mode == "x-then-p" else packet.grid.dx / packet.grid.hbar
+        for bad in (2.5 * step, np.nan, np.inf):
+            with pytest.raises(OffGridParameter, match="SLM frequency"):
+                run_setting(packet, [step, bad], 0.0, 0.05, mode)
 
 
 class TestPropagation:
     def test_no_coupling_aligned_analyzer(self, packet):
         g = packet.grid
-        s = prepare_photon(packet, (1.0, 0.0))
-        probs = propagate_and_analyze(s, "x-then-p", "hv")
-        pt = to_momentum(packet).samples
-        assert np.max(np.abs(probs[:, 0] - g.dp * np.abs(pt) ** 2)) < 1e-10
-        assert np.max(probs[:, 1]) < 1e-20
+        probs = run_setting(packet, g.dk, 0.0, 0.0, "x-then-p")
+        h_pop, v_pop = populations(probs)
+        density = g.dp * np.abs(to_momentum(packet).samples) ** 2
+        assert np.max(np.abs(h_pop - density)) < 1e-10
+        assert np.max(v_pop) < 1e-20
+        assert np.max(np.abs(probs - density / 2)) < 1e-10  # every port half the density
 
     def test_probabilities_sum_to_one(self, packet):
-        s = prepare_photon(packet, (1.0, 0.0))
-        for analyzer in ("hv", "diag", "circ"):
-            probs = propagate_and_analyze(s, "x-then-p", analyzer)
-            assert abs(probs.sum() - 1.0) < 1e-10
+        g = packet.grid
+        for mode in MODES:
+            probs = propagate_and_analyze(g, h_photon(packet, mode), mode)
+            assert np.max(np.abs(probs.sum(axis=(1, 2)) - 1.0)) < 1e-10
+            assert abs(sum(populations(probs)).sum() - 1.0) < 1e-10
 
     def test_crossed_signal_scales_quadratically(self, packet):
         g = packet.grid
         sig = []
         for eps in (0.01, 0.02, 0.04):
-            s = slm_weak_rotation(
-                prepare_photon(packet, (1.0, 0.0)), SlmSetting(g.dk, 0.0, eps)
-            )
-            probs = propagate_and_analyze(s, "x-then-p", "hv")
-            sig.append(probs[:, 1].sum())
+            sig.append(populations(run_setting(packet, g.dk, 0.0, eps, "x-then-p"))[1].sum())
         ratios = np.array([sig[1] / sig[0], sig[2] / sig[1]])
         assert np.allclose(ratios, 4.0, rtol=0.01)
 
@@ -192,23 +271,23 @@ class TestSampling:
     def test_delta_distribution(self):
         prob = np.zeros((4, 2))
         prob[2, 0] = 1.0
-        h = sample_shots(prob, 1000, (0, 1))
-        assert h.counts[2, 0] == 1000
-        assert h.counts.sum() == 1000
+        counts = sample_shots(prob, 1000, (0, 1))
+        assert counts[2, 0] == 1000
+        assert counts.sum() == 1000
 
     def test_uniform_binomial_band(self):
         prob = np.full((2, 2), 0.25)
-        h = sample_shots(prob, 10**6, (42, 0))
+        counts = sample_shots(prob, 10**6, (42, 0))
         sigma = np.sqrt(10**6 * 0.25 * 0.75)
-        assert np.max(np.abs(h.counts - 250000)) < 5 * sigma
+        assert np.max(np.abs(counts - 250000)) < 5 * sigma
 
     def test_determinism(self):
         prob = np.full((2, 2), 0.25)
         a = sample_shots(prob, 5000, (7, 3, 1))
         b = sample_shots(prob, 5000, (7, 3, 1))
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
         c = sample_shots(prob, 5000, (7, 3, 2))
-        assert not np.array_equal(a.counts, c.counts)
+        assert not np.array_equal(a, c)
 
     def test_negative_probability_rejected(self):
         with pytest.raises(InvalidProbability):
@@ -236,23 +315,20 @@ class TestSampling:
             key = keys[i]
             p = probs[i % len(probs)]
             for shots in (0, 1, 10**6):
-                ref = fresh_sample_shots(p, shots, key)
-                h = sample_shots(p, shots, key)
-                assert h.counts.shape == p.shape
-                assert np.array_equal(h.counts, ref.counts), (key, shots)
-                assert h.seed == ref.seed and h.shots == shots
+                counts = sample_shots(p, shots, key)
+                assert counts.shape == p.shape
+                assert np.array_equal(counts, fresh_sample_shots(p, shots, key)), (key, shots)
 
     def test_integer_seed_is_a_one_part_key(self):
         p = np.full((4, 2), 0.125)
-        assert np.array_equal(sample_shots(p, 1000, 9).counts,
-                              fresh_sample_shots(p, 1000, (9,)).counts)
+        assert np.array_equal(sample_shots(p, 1000, 9), fresh_sample_shots(p, 1000, (9,)))
 
     def test_threads_sampling_interleaved_keys_match_sequential(self):
         rng = np.random.default_rng(6)
         p = rng.random((32, 2))
         p /= p.sum()
         keys = [(int(s), m, 1, 0) for m, s in enumerate(rng.integers(2**40, size=400))]
-        expected = [sample_shots(p, 10**5, key).counts for key in keys]
+        expected = [sample_shots(p, 10**5, key) for key in keys]
         got = [None] * len(keys)
         workers = 4  # more threads than the cores of a small CI runner
         start = threading.Barrier(workers)
@@ -260,7 +336,7 @@ class TestSampling:
         def worker(first):
             start.wait()
             for i in range(first, len(keys), workers):
-                got[i] = sample_shots(p, 10**5, keys[i]).counts
+                got[i] = sample_shots(p, 10**5, keys[i])
 
         threads = [threading.Thread(target=worker, args=(first,)) for first in range(workers)]
         interval = sys.getswitchinterval()
@@ -285,17 +361,8 @@ class TestSampling:
 
 
 class TestEstimator:
-    def test_missing_setting(self, packet):
-        g = packet.grid
-        hists = analytic_histograms(packet, g.dk, 0.01)
-        del hists[("sin", "circ")]
-        with pytest.raises(MissingSetting):
-            estimate_weak_char(hists, SlmSetting(g.dk, 0.0, 0.01), g.n // 2)
-
     def test_zero_frequency_calibration(self, packet):
-        g = packet.grid
-        hists = analytic_histograms(packet, 0.0, 0.01)
-        z, se = estimate_weak_char(hists, SlmSetting(0.0, 0.0, 0.01), g.n // 2)
+        z, se = single_k_estimate(packet, 0.0, 0.01, packet.grid.n // 2)
         assert abs(z - 1.0) < 1e-12
         assert se == 0.0
 
@@ -303,36 +370,23 @@ class TestEstimator:
         g = packet.grid
         oracle = weak_char_fn(packet, 0.0)
         for m in (g.n // 2 + 1, g.n // 2 + 4):
-            k = g.k[m]
-            hists = analytic_histograms(packet, k, 1e-3)
-            z, _ = estimate_weak_char(hists, SlmSetting(k, 0.0, 1e-3), g.n // 2)
+            z, _ = single_k_estimate(packet, g.k[m], 1e-3, g.n // 2)
             assert abs(z - oracle.values[m]) < 1e-6
 
     def test_monte_carlo_within_5_sigma(self, packet):
         g = packet.grid
-        m = g.n // 2 + 2
-        k = g.k[m]
+        k = g.k[g.n // 2 + 2]
         eps = 0.05
-        hists = {
-            key: sample_shots(probs, 10**7, (11, i))
-            for i, (key, probs) in enumerate(
-                analytic_histograms(packet, k, eps).items()
-            )
-        }
-        z, se = estimate_weak_char(hists, SlmSetting(k, 0.0, eps), g.n // 2)
+        z, se = single_k_estimate(packet, k, eps, g.n // 2, shots=10**7, seed=11)
         oracle = np.exp(-k ** 2 / 4)
         assert abs(z - oracle) < 5 * se + 2 * eps ** 2  # noise band + weak-limit bias
 
     def test_halving_epsilon_halves_bias(self, packet):
         g = packet.grid
         m = g.n // 2 + 3
-        k = g.k[m]
         oracle = weak_char_fn(packet, 0.0).values[m]
-        biases = []
-        for eps in (0.1, 0.05):
-            hists = analytic_histograms(packet, k, eps)
-            z, _ = estimate_weak_char(hists, SlmSetting(k, 0.0, eps), g.n // 2)
-            biases.append(abs(z - oracle))
+        biases = [abs(single_k_estimate(packet, g.k[m], eps, g.n // 2)[0] - oracle)
+                  for eps in (0.1, 0.05)]
         assert biases[1] < biases[0]
 
 
@@ -398,6 +452,32 @@ class TestReconstruction:
         for name in ("z_values", "z_errors", "rates"):
             assert np.array_equal(getattr(res, name), getattr(ref, name)), name
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shots", [None, 10**4])
+    def test_sweep_runs_the_public_stages(self, mode, shots, monkeypatch):
+        n = 16
+        w = gaussian_state(Grid(n, 12.0), center=0.3, width=WIDTH)
+        stages = ("run_setting", "propagate_and_analyze", "sample_shots", "estimate_weak_char")
+        calls = dict.fromkeys(stages, 0)
+        for name in stages:
+            def counted(*args, _name=name, _stage=getattr(photonics, name), **kwargs):
+                calls[_name] += 1
+                return _stage(*args, **kwargs)
+
+            monkeypatch.setattr(photonics, name, counted)
+        run_reconstruction(w, 0.05, shots, 3, mode=mode, post_index=n // 2, joint=True)
+        # one setting and one propagation per quadrature, a draw per
+        # (k, quadrature, analyzer) cell, one batched estimate
+        assert calls == {"run_setting": 2, "propagate_and_analyze": 2,
+                         "sample_shots": 0 if shots is None else 4 * n,
+                         "estimate_weak_char": 1}
+
+    def test_grid_past_the_cap_builds_nothing(self, size_cap_peak):
+        w = gaussian_state(Grid(2 * GRID_CAP, 400.0), width=WIDTH)
+        # the (k, pixel) tables alone would take 0.5 GB each
+        assert size_cap_peak(lambda: run_reconstruction(w, 0.05, shots=None, seed=0,
+                                                        post_index=0)) < 5 * 2**20
+
     @pytest.mark.parametrize("epsilon", [0.0, -0.05, np.pi / 2, 2.0, np.nan, np.inf])
     def test_epsilon_outside_the_open_quarter_turn_rejected(self, packet, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
@@ -405,9 +485,9 @@ class TestReconstruction:
 
     def test_shot_sweep_past_the_stream_index_range_rejected(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("photon prepared past the stream index range")
+            raise AssertionError("SLM setting run past the stream index range")
 
-        monkeypatch.setattr(photonics, "prepare_photon", fail)
+        monkeypatch.setattr(photonics, "run_setting", fail)
         w = gaussian_state(Grid(8192, 200.0), width=WIDTH)
         with pytest.raises(ValueError, match="4096"):
             run_reconstruction(w, 0.05, shots=1000, seed=0, joint=True)
@@ -416,18 +496,18 @@ class TestReconstruction:
     def test_out_of_range_post_index_rejected_before_any_work(self, packet, monkeypatch,
                                                               post_index):
         def fail(*args):
-            raise AssertionError("photon prepared for an out-of-range post_index")
+            raise AssertionError("SLM setting run for an out-of-range post_index")
 
-        monkeypatch.setattr(photonics, "prepare_photon", fail)
+        monkeypatch.setattr(photonics, "run_setting", fail)
         assert packet.grid.n == 64
         with pytest.raises(ValueError, match=r"post_index .* outside \[0, 64\)"):
             run_reconstruction(packet, 0.05, shots=None, seed=0, post_index=post_index)
 
     def test_unknown_mode_rejected_before_any_work(self, packet, monkeypatch):
         def fail(*args):
-            raise AssertionError("photon prepared for an unknown mode")
+            raise AssertionError("SLM setting run for an unknown mode")
 
-        monkeypatch.setattr(photonics, "prepare_photon", fail)
+        monkeypatch.setattr(photonics, "run_setting", fail)
         with pytest.raises(ValueError, match="sideways"):
             run_reconstruction(packet, 0.05, shots=None, seed=0, mode="sideways")
 
@@ -461,11 +541,10 @@ class TestReconstruction:
         w = gaussian_state(g, center=0.8, width=WIDTH)
         wt_samples = to_momentum(w).samples
         wt = WaveFunction(g, wt_samples, "position")
-        setting = SlmSetting(2 * g.dk, 0.4, 0.05)
-        probs_ptx = run_setting(w, setting, "p-then-x", "diag")
-        probs_xtp = run_setting(wt, setting, "x-then-p", "diag")
+        probs_ptx = run_setting(w, 2 * g.dk, 0.4, 0.05, "p-then-x")
+        probs_xtp = run_setting(wt, 2 * g.dk, 0.4, 0.05, "x-then-p")
         # second Fourier transform flips parity: pixel m <-> (N - m) mod N
-        flipped = np.roll(probs_xtp[::-1], 1, axis=0)
+        flipped = np.roll(probs_xtp[..., ::-1], 1, axis=-1)
         assert np.max(np.abs(probs_ptx - flipped)) < 1e-9
 
     def test_statistical_soundness(self, packet):

@@ -246,3 +246,15 @@ class TestOrdersCap:
         # the (orders x orders) M alone would take 34 kB
         moments = np.ones(MAX_ORDERS + 1, dtype=complex)
         assert size_cap_peak(lambda: conditional_from_moments(SZ, moments)) < 4096
+
+    @pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
+    def test_overflowing_rescaled_powers_refused(self):
+        # beta**59 passes the float range (a raw OverflowError before), and
+        # alpha**59 underflows to 0 (M came out infinite)
+        with pytest.raises(SizeCap, match="overflow"):
+            conditional_from_moments(ObservableSpec([1e6, 1e6 + 1], np.eye(2)), np.ones(60))
+        with pytest.raises(SizeCap, match="overflow"):
+            conditional_from_moments(ObservableSpec([0.0, 1e-7], np.eye(2)), np.ones(60))
+        for nodes in ([1e6, 1e6 + 1], [0.0, 1e-7]):
+            _, m = _rescaled(np.array(nodes), 40)
+            assert np.all(np.isfinite(m))
