@@ -28,6 +28,15 @@ def _add_scenario_args(sub):
                      help="also write the ground-truth distribution")
 
 
+def _tolerance(text: str) -> float:
+    try:
+        if float(text) >= 0:  # False for NaN
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kdrecon",
@@ -46,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_sub = subs.add_parser("compare", help="diff two pseudo-distribution JSON files")
     cmp_sub.add_argument("path_a")
     cmp_sub.add_argument("path_b")
-    cmp_sub.add_argument("--tol", type=float, default=1e-8)
+    cmp_sub.add_argument("--tol", type=_tolerance, default=1e-8,
+                         help="largest |a - b| allowed per entry (a number >= 0)")
     return parser
 
 

@@ -287,9 +287,12 @@ def _plot_columns_1d(coords, values, coord_name="x"):
 
 
 def _plot_columns_2d(coords_a, coords_b, values, names):
-    aa, bb = np.meshgrid(coords_a, coords_b, indexing="ij")
-    return {names[0]: aa.ravel(), names[1]: bb.ravel(),
-            "re": values.real.ravel(), "im": values.imag.ravel()}
+    """Columns over the (a, b) grid in row-major order; the coordinates are
+    broadcast views, so write_plot_csv formats each coordinate once."""
+    shape = (len(coords_a), len(coords_b))
+    return {names[0]: np.broadcast_to(np.asarray(coords_a)[:, None], shape),
+            names[1]: np.broadcast_to(coords_b, shape),
+            "re": values.real, "im": values.imag}
 
 
 def _cv_conditional(grid: cv.Grid, q: np.ndarray, conditioning: str,
@@ -465,7 +468,7 @@ def compare_distributions(path_a, path_b, tol: float) -> dict:
     report = {"max_delta": max_delta, "tol": tol, "pass": bool(max_delta <= tol)}
     if not report["pass"]:
         worst = np.unravel_index(int(np.argmax(delta)), delta.shape)
-        failing = delta > tol
+        failing = ~(delta <= tol)  # a NaN delta fails too
         report["entries"] = [
             {"index": index, "a": {"re": ar, "im": ai}, "b": {"re": br, "im": bi}, "delta": d}
             for index, ar, ai, br, bi, d in zip(

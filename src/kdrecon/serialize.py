@@ -2,10 +2,11 @@
 
 Complex numbers are {"re": ..., "im": ...} pairs; floats are written with
 shortest round-trip precision (repr), so every artifact re-loads bit-exactly.
-Arrays are encoded whole: every float is formatted once with
-``float.__repr__``, and the entries and rows are laid out from fixed
-templates, byte for byte as ``json.dumps(..., indent=2, sort_keys=True)`` and
-``csv.writer`` lay out the same values one cell at a time.
+Arrays are encoded whole: every stored float is formatted once with
+``float.__repr__`` (a broadcast axis holds one stored value, repeated), and
+each artifact is laid out in one join, byte for byte as
+``json.dumps(..., indent=2, sort_keys=True)`` and ``csv.writer`` lay out the
+same values one cell at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -37,17 +38,40 @@ def _float_reprs(data: bytes) -> tuple:
     return tuple(map(float.__repr__, np.frombuffer(data).tolist()))
 
 
+def _broadcast(strs, base_shape, shape) -> list:
+    """Strings of an array of ``base_shape`` repeated over ``shape``, row-major."""
+    base = np.array(strs, dtype=object).reshape(base_shape)
+    return np.broadcast_to(base, shape).ravel().tolist()
+
+
 def _reprs(a, nonfinite=None):
     """repr of every element of a real array as a float, in row-major order;
-    ``nonfinite`` maps the repr of nan and of each infinity to another string."""
-    flat = np.ascontiguousarray(a, dtype=float).ravel()
-    out = _float_reprs(flat.tobytes())
-    bad = np.flatnonzero(~np.isfinite(flat)).tolist() if nonfinite else []
+    ``nonfinite`` maps the repr of nan and of each infinity to another string.
+
+    A stride-0 (broadcast) axis holds one stored value, so only the base the
+    array is broadcast from is formatted."""
+    a = np.asarray(a, dtype=float)
+    base = np.ascontiguousarray(a[tuple(slice(None) if s else slice(0, 1) for s in a.strides)])
+    out = _float_reprs(base.tobytes())
+    bad = np.flatnonzero(~np.isfinite(base)).tolist() if nonfinite else []
     if bad:
         out = list(out)
         for i in bad:
             out[i] = nonfinite[out[i]]
-    return out
+    return _broadcast(out, base.shape, a.shape) if base.size != a.size else out
+
+
+def _join_rows(columns, before, head, tail) -> str:
+    """Equal-length columns of strings laid out row by row in one join: each
+    cell follows its column's separator in ``before``, except that ``head``
+    opens the first row, and ``tail`` closes the last."""
+    n, k = len(columns[0]), 2 * len(columns)
+    parts = [tail] * (k * n + 1)
+    for j, (cells, sep) in enumerate(zip(columns, before)):
+        parts[2 * j:-1:k] = repeat(sep, n)
+        parts[2 * j + 1::k] = cells
+    parts[0] = head
+    return "".join(parts)
 
 
 def _json_pairs(values: np.ndarray) -> str:
@@ -55,15 +79,14 @@ def _json_pairs(values: np.ndarray) -> str:
     sort_keys=True) writes for the value of a top-level key."""
     if values.size == 0:
         return "[]"
-    ims = _reprs(values.imag, _JSON_NONFINITE)
-    res = _reprs(values.real, _JSON_NONFINITE)
-    entries = '\n    },\n    {\n      "im": '.join(map(',\n      "re": '.join, zip(ims, res)))
-    return '[\n    {\n      "im": ' + entries + "\n    }\n  ]"
+    columns = [_reprs(values.imag, _JSON_NONFINITE), _reprs(values.real, _JSON_NONFINITE)]
+    return _join_rows(columns, ['\n    },\n    {\n      "im": ', ',\n      "re": '],
+                      head='[\n    {\n      "im": ', tail="\n    }\n  ]")
 
 
 def _csv_rows(columns) -> str:
     """Rows of plain fields as csv.writer writes them: comma-joined, CRLF-ended."""
-    return "".join(map("{}\r\n".format, map(",".join, zip(*columns))))
+    return _join_rows(columns, ["\r\n"] + [","] * (len(columns) - 1), head="", tail="\r\n")
 
 
 def _first_bad_pair(entries):
@@ -159,7 +182,12 @@ def write_json(path, payload):
 
 
 def read_json(path):
-    text = Path(path).read_text()
+    """The JSON value in a UTF-8 file; undecodable bytes and malformed JSON are
+    a ParseError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8: {exc.reason}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -168,8 +196,10 @@ def read_json(path):
 
 def write_pseudo_csv(pd: PseudoDistribution, path):
     """Index columns (one per axis) followed by re and im columns."""
-    index = np.indices(pd.shape).reshape(len(pd.shape), pd.values.size).tolist()
-    columns = [list(map(str, c)) for c in index]
+    shape = pd.shape
+    # axis k's index column: str(range(m)) along axis k, repeated over the others
+    columns = [_broadcast(list(map(str, range(m))), (m,) + (1,) * (len(shape) - k - 1), shape)
+               for k, m in enumerate(shape)]
     columns += [_reprs(pd.values.real), _reprs(pd.values.imag)]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([f"i_{label}" for label in pd.axes] + ["re", "im"])
@@ -177,7 +207,12 @@ def write_pseudo_csv(pd: PseudoDistribution, path):
 
 
 def write_plot_csv(path, columns: dict):
-    """Plot-ready CSV: named real-valued columns of equal length."""
+    """Plot-ready CSV: named real-valued columns of equal length (a column may
+    be an array of any shape, read in row-major order)."""
+    cells = [_reprs(c) for c in columns.values()]
+    lengths = dict(zip(columns, map(len, cells)))
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"plot columns differ in length: {lengths}")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(list(columns))
-        fh.write(_csv_rows([_reprs(c) for c in columns.values()]))
+        fh.write(_csv_rows(cells))

@@ -586,3 +586,46 @@ class TestCompare:
         write_json(tmp_path / "b.json", pseudo_to_dict(other))
         assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
                      "--tol", "1e-6"]) == 2
+
+    def test_nan_mismatch_reported(self, tmp_path, capsys):
+        # delta > tol is False for a NaN delta: the NaN cell must still be listed
+        write_json(tmp_path / "a.json", pseudo_to_dict(
+            PseudoDistribution(np.array([1.0, 2.0, 3.0]), ("A",), "kd")))
+        write_json(tmp_path / "b.json", pseudo_to_dict(
+            PseudoDistribution(np.array([1.0, np.nan, 3.0]), ("A",), "kd")))
+        assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                     "--tol", "1e-6"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False and np.isnan(report["max_delta"])
+        assert [e["index"] for e in report["entries"]] == [[1]]
+        assert report["worst_index"] == [1]
+        assert np.isnan(report["entries"][0]["b"]["re"])
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-9", "-inf", "tight"])
+    def test_bad_tolerance_refused(self, tmp_path, tol, capsys):
+        pd = PseudoDistribution(np.array([1.0]), ("A",), "kd")
+        write_json(tmp_path / "a.json", pseudo_to_dict(pd))
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(tmp_path / "a.json"), str(tmp_path / "a.json"), f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert f"argument --tol: must be a number >= 0, got '{tol}'" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is a ParseError (exit 2), not a traceback."""
+
+    def test_compare(self, tmp_path, capsys):
+        write_json(tmp_path / "a.json", _distribution_json())
+        (tmp_path / "b.json").write_bytes(b'{"shape": [2], "axes": ["\xff"]}')
+        assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
+        assert "ParseError" in capsys.readouterr().err
+        with pytest.raises(ParseError, match="UTF-8"):
+            read_json(tmp_path / "b.json")
+
+    @pytest.mark.parametrize("command", ["reconstruct", "experiment", "ccr"])
+    def test_scenario(self, tmp_path, command):
+        scen = tmp_path / "scenario.json"
+        scen.write_bytes(json.dumps(CCR_SCENARIO).encode()[:-1] + b', "kind\xff": 1}')
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "ParseError"

@@ -12,9 +12,11 @@ import json
 import numpy as np
 import pytest
 
-from kdrecon import cv
+from kdrecon import cv, serialize
 from kdrecon.cli import main
+from kdrecon.core import random_observable
 from kdrecon.oracle import PseudoDistribution
+from kdrecon.scenarios import _phase_space
 from kdrecon.serialize import (
     pseudo_from_dict,
     pseudo_to_dict,
@@ -55,7 +57,7 @@ def reference_pseudo_csv(pd: PseudoDistribution) -> bytes:
 
 
 def reference_plot_csv(columns: dict) -> bytes:
-    arrays = [np.asarray(c) for c in columns.values()]
+    arrays = [np.asarray(c).ravel() for c in columns.values()]
     return reference_rows(list(columns), ([repr(float(v)) for v in row]
                                           for row in zip(*arrays)))
 
@@ -87,6 +89,9 @@ DISTRIBUTIONS = {
     "specials-3d": PseudoDistribution(with_specials(random_values((2, 3, 6), 5)),
                                       ("A0", "A1", "A2"), "kd", conditioning="p=0.5"),
     "empty": PseudoDistribution(np.zeros(0), ("A",), "kd"),
+    "length-1-axes": PseudoDistribution(random_values((1, 4, 1), 9), ("A0", "A1", "A2"), "kd"),
+    "length-0-axis": PseudoDistribution(np.zeros((3, 0, 2)), ("A0", "A1", "A2"), "kd"),
+    "wide-index": PseudoDistribution(random_values((11, 1, 12), 10), ("A0", "A1", "A2"), "kd"),
 }
 
 
@@ -121,6 +126,64 @@ def test_plot_csv_matches_per_cell_encoding(tmp_path, columns):
     path = tmp_path / "plot.csv"
     write_plot_csv(path, columns)
     assert path.read_bytes() == reference_plot_csv(columns)
+
+
+BASE = np.array(SPECIALS + [1.5, -2.25])
+
+
+@pytest.mark.parametrize("columns", [
+    {"x": np.broadcast_to(BASE[:, None], (len(BASE), 3)),
+     "p": np.broadcast_to(-BASE[:3], (len(BASE), 3)),
+     "re": random_values((len(BASE), 3), 11).real, "im": np.zeros((len(BASE), 3))},
+    {"a": np.broadcast_to(BASE, (2, len(BASE))), "b": np.broadcast_to(BASE[::-1], (2, len(BASE)))},
+    {"c": np.broadcast_to(np.float64(np.nan), (5,)), "d": np.broadcast_to(-0.0, (1, 5))},
+    {"e": np.broadcast_to(BASE[:, None, None], (len(BASE), 2, 3)).transpose(2, 0, 1),
+     "f": np.broadcast_to(np.arange(3.0)[:, None, None], (3, len(BASE), 2))},
+    {"g": np.broadcast_to(BASE[:, None], (len(BASE), 0)), "h": np.zeros((len(BASE), 0))},
+], ids=["phase-space", "row", "scalar", "3d-transposed", "empty"])
+def test_broadcast_plot_columns_match_per_cell_encoding(tmp_path, columns):
+    """A stride-0 column is formatted from its base, with the same bytes."""
+    assert any(0 in np.asarray(c).strides for c in columns.values())
+    path = tmp_path / "plot.csv"
+    write_plot_csv(path, columns)
+    assert path.read_bytes() == reference_plot_csv(columns)
+
+
+def test_broadcast_array_json_matches_per_cell_encoding(tmp_path):
+    """JSON's NaN/Infinity spellings apply to the base of a broadcast array."""
+    base = with_specials(random_values((len(SPECIALS) * 2,), 12))
+    values = np.broadcast_to(base, (3, base.size))
+    write_json(tmp_path / "d.json", {"values": values})
+    expected = json.dumps({"values": [{"re": z.real, "im": z.imag}
+                                      for z in values.ravel().tolist()]},
+                          indent=2, sort_keys=True)
+    assert (tmp_path / "d.json").read_text() == expected + "\n"
+
+
+@pytest.mark.parametrize("lengths", [(5, 3), (3, 5, 5), (4, 0)])
+def test_unequal_plot_columns_refused(tmp_path, lengths):
+    columns = {f"c{i}": np.arange(float(m)) for i, m in enumerate(lengths)}
+    with pytest.raises(ValueError, match="differ in length"):
+        write_plot_csv(tmp_path / "plot.csv", columns)
+    assert not (tmp_path / "plot.csv").exists()
+
+
+def test_phase_space_plot_formats_each_coordinate_once(tmp_path, monkeypatch):
+    n = 32
+    grid = cv.Grid(n, 12.0)
+    values = random_values((n, n), 13)
+    formatted = []
+
+    def counting(data):
+        formatted.append(len(data) // 8)
+        return tuple(map(float.__repr__, np.frombuffer(data).tolist()))
+
+    monkeypatch.setattr(serialize, "_float_reprs", counting)
+    write_plot_csv(tmp_path / "plot.csv", _phase_space(grid, values, "x-then-p")[1])
+    assert sorted(formatted) == [n, n, n * n, n * n]  # x, p, then re and im
+    x, p = np.meshgrid(grid.x, grid.p, indexing="ij")
+    assert (tmp_path / "plot.csv").read_bytes() == reference_plot_csv(
+        {"x": x, "p": p, "re": values.real, "im": values.imag})
 
 
 def test_payload_without_arrays_is_plain_json(tmp_path):
@@ -187,3 +250,27 @@ def test_cli_artifacts_round_trip_bit_exactly(tmp_path, command, scenario):
     if scenario["kind"] == "cv-joint":
         direct = cv.joint_kd_cv(cv.random_smooth_state(cv.Grid(32, 12.0, 1.5), 3), "p-then-x")
         assert np.array_equal(_bits(read_back["distribution"].values), _bits(direct))
+
+
+@pytest.mark.parametrize("scenario", [
+    {"kind": "cv-joint", "grid": {"n": 32, "length": 12.0, "hbar": 1.5},
+     "state": {"type": "random-smooth", "seed": 3}},
+    {"kind": "discrete-joint", "state": {"random": {"dim": 5, "seed": 1}},
+     "observable_a": {"random": {"dim": 5, "seed": 2}},
+     "observable_b": {"random": {"dim": 5, "seed": 3}}},
+], ids=["cv-joint", "discrete-joint"])
+def test_cli_plot_coordinates_are_the_meshgrid(tmp_path, scenario):
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--scenario", str(scen), "--out", str(out)]) == 0
+    if scenario["kind"] == "cv-joint":
+        grid = cv.Grid(32, 12.0, 1.5)
+        names, coords = ["x", "p"], (grid.x, grid.p)
+    else:
+        names = ["a", "b"]
+        coords = [random_observable(5, seed).eigenvalues for seed in (2, 3)]
+    header, cols = _csv_columns(out / "plot.csv")
+    assert header == names + ["re", "im"]
+    for col, mesh in zip(cols, np.meshgrid(*coords, indexing="ij")):
+        assert col == [repr(float(v)) for v in mesh.ravel()]
