@@ -186,13 +186,17 @@ def inverse_char_transform(params: np.ndarray, z: np.ndarray, out_values: np.nda
 
     ``params`` and ``out_values`` are uniform grids of the same length n whose
     steps satisfy dparam * dout = 2 pi / n.  The sum runs along axis 0 of ``z``;
-    trailing axes are transformed independently.
+    trailing axes are transformed independently.  The result is the only
+    array of ``z``'s size that is built: the FFT and the output phase work
+    on it in place.
     """
     # e^{-i p_m y_n} = e^{-i p_m y_0} e^{-i p_0 (y_n - y_0)} e^{-2 pi i m n / N}
     trailing = (1,) * (np.ndim(z) - 1)
-    pre = np.fft.fft(z * np.exp(-1j * params * out_values[0]).reshape(-1, *trailing), axis=0)
-    post = np.exp(-1j * params[0] * (out_values - out_values[0])).reshape(-1, *trailing)
-    return (params[1] - params[0]) / (2 * np.pi) * post * pre
+    q = z * np.exp(-1j * params * out_values[0]).reshape(-1, *trailing)
+    np.fft.fft(q, axis=0, out=q)
+    post = (params[1] - params[0]) / (2 * np.pi) \
+        * np.exp(-1j * params[0] * (out_values - out_values[0])).reshape(-1, *trailing)
+    return np.multiply(post, q, out=q)
 
 
 def conditional_pseudo_cv(z: CharFnSample) -> np.ndarray:
@@ -213,25 +217,36 @@ def joint_kd_cv(w: WaveFunction, ordering: str = "x-then-p") -> np.ndarray:
     x-then-p: K(x, p) = <p|x><x|psi><psi|p>, with rows indexing x and columns
     indexing p; p-then-x gives the reversed-order distribution, the elementwise
     conjugate.  Grids past GRID_CAP points are refused (SizeCap).
+
+    On the grid dx*dp/hbar = 2 pi/n, so <p_m|x_i> = omega^r/sqrt(2 pi hbar) with
+    omega = e^{-2 pi i/n} and r = (i - n/2)(m - n/2) mod n: the kernel is gathered
+    exactly from a table of n roots, and the states multiply it in place, so
+    the result and one index array are the only n x n arrays built.
     """
     g = w.grid
     require_grid_size(g.n)
+    if ordering not in ORDERINGS:
+        raise ValueError(f"unknown ordering {ordering!r}")
     psi_x = w.samples if w.representation == "position" else to_position(w).samples
     psi_p = _momentum_samples(w)
-    bra_p_x = np.exp(-1j * np.outer(g.x, g.p) / g.hbar) / np.sqrt(2 * np.pi * g.hbar)
-    k = bra_p_x * psi_x[:, None] * psi_p.conj()[None, :]
-    if ordering == "x-then-p":
-        return k
+    roots = np.exp(-2j * np.pi * np.arange(g.n) / g.n) / np.sqrt(2 * np.pi * g.hbar)
+    centred = np.arange(g.n) - g.n // 2
+    r = np.multiply.outer(centred, centred)
+    r &= g.n - 1  # n is a power of two: the residue mod n, negative products included
+    k = roots[r]
+    k *= psi_x[:, None]
+    k *= psi_p.conj()
     if ordering == "p-then-x":
-        return k.conj()
-    raise ValueError(f"unknown ordering {ordering!r}")
+        np.conjugate(k, out=k)
+    return k
 
 
 def ccr_witness(w: WaveFunction) -> complex:
     """<xp>_Ktilde - <xp>_K = i*hbar for every state (grid-converged).
 
-    A warning is emitted when the state's spectral tails exceed TAIL_FLOOR,
-    since grid moments then stop converging.
+    <xp>_K = dx dp x.(K p) is two matrix-vector products, so K is the only
+    n x n array held.  A warning is emitted when the state's spectral tails
+    exceed TAIL_FLOOR, since grid moments then stop converging.
     """
     g = w.grid
     psi_p = _momentum_samples(w)
@@ -244,8 +259,7 @@ def ccr_witness(w: WaveFunction) -> complex:
             RuntimeWarning,
             stacklevel=2,
         )
-    k = joint_kd_cv(w, "x-then-p")
-    xp_k = g.dx * g.dp * np.sum(g.x[:, None] * g.p[None, :] * k)
+    xp_k = g.dx * g.dp * (g.x @ (joint_kd_cv(w, "x-then-p") @ g.p))
     return complex(np.conj(xp_k) - xp_k)
 
 

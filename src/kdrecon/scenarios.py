@@ -39,6 +39,7 @@ from .serialize import (
     pseudo_from_dict,
     pseudo_to_dict,
     read_json,
+    release_reprs,
     write_json,
     write_plot_csv,
     write_pseudo_csv,
@@ -416,16 +417,19 @@ def run_scenario(sc: Scenario, out_dir, emit_oracle: bool = False) -> dict:
     built = _build_inputs(sc)
     diag = {"kind": sc.kind, "seed": sc.seed}
     outputs = _RUNNERS[sc.kind](sc, built, diag)
-    if outputs is not None:
-        result, plot, oracle_pd = outputs
-        total = result.total
-        diag["sum"] = {"re": total.real, "im": total.imag}
-        diag["sum_deviation"] = abs(total - 1.0)
-        _write_distribution(out, result)
-        write_plot_csv(out / "plot.csv", plot)
-        if emit_oracle and oracle_pd is not None:
-            _write_distribution(out, oracle_pd, stem="oracle")
-    write_json(out / "diagnostics.json", diag)
+    try:
+        if outputs is not None:
+            result, plot, oracle_pd = outputs
+            total = result.total
+            diag["sum"] = {"re": total.real, "im": total.imag}
+            diag["sum_deviation"] = abs(total - 1.0)
+            _write_distribution(out, result)
+            write_plot_csv(out / "plot.csv", plot)
+            if emit_oracle and oracle_pd is not None:
+                _write_distribution(out, oracle_pd, stem="oracle")
+        write_json(out / "diagnostics.json", diag)
+    finally:
+        release_reprs()  # the formatted strings of this run's arrays
     return diag
 
 
@@ -442,15 +446,22 @@ def _cv_joint_oracle(grid: cv.Grid, w: cv.WaveFunction, ordering: str) -> Pseudo
     T[k, p] = psi~(p - hbar k) conj(psi~(p)) is Z(k | p) times the
     post-selection density |psi~(p)|^2, so its inverse transform over k is
     <p|x><x|psi><psi|p> with no division.  hbar*k_m is (m - n/2) momentum
-    steps, so the shift is an exact (periodic) index offset.
+    steps, so the shift is an exact (periodic) index offset.  The table is
+    gathered and weighted in place, so at most two n x n complex arrays, the
+    table and its transform, are held at once.
     """
     n = grid.n
     require_grid_size(n)
     psi_p = cv.to_momentum(w).samples
-    shifts = np.arange(n) - n // 2
-    table = psi_p[(np.arange(n)[None, :] - shifts[:, None]) % n] * psi_p.conj()
+    index = np.add.outer(n // 2 - np.arange(n), np.arange(n))  # p - shift, row by row
+    index %= n
+    table = psi_p[index]
+    del index
+    table *= psi_p.conj()
     k = cv.inverse_char_transform(grid.k, table, grid.x)
-    return _phase_space(grid, k if ordering == "x-then-p" else k.conj(), ordering)[0]
+    if ordering == "p-then-x":
+        np.conjugate(k, out=k)
+    return _phase_space(grid, k, ordering)[0]
 
 
 def compare_distributions(path_a, path_b, tol: float) -> dict:

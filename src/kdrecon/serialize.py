@@ -2,18 +2,16 @@
 
 Complex numbers are {"re": ..., "im": ...} pairs; floats are written with
 shortest round-trip precision (repr), so every artifact re-loads bit-exactly.
-Arrays are encoded whole: every stored float is formatted once with
-``float.__repr__`` (a broadcast axis holds one stored value, repeated), and
-each artifact is laid out in one join, byte for byte as
-``json.dumps(..., indent=2, sort_keys=True)`` and ``csv.writer`` lay out the
-same values one cell at a time.
+Every stored float is formatted once with ``float.__repr__`` (a broadcast axis
+holds one stored value, repeated), and each artifact is written CHUNK_ROWS
+rows at a time, byte for byte as ``json.dumps(..., indent=2, sort_keys=True)``
+and ``csv.writer`` lay out the same values one cell at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from functools import lru_cache
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -23,70 +21,94 @@ import numpy as np
 from .errors import ParseError, SchemaError
 from .oracle import PseudoDistribution
 
+CHUNK_ROWS = 4096  # rows joined per write: the strings held at once stay bounded
 # json writes the non-finite floats that repr calls nan, inf and -inf like this
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _RE_IM = itemgetter("re", "im")
+# The strings of the arrays write_json wrote last, by their bytes: a
+# distribution's re and im parts, formatted for its JSON file and re-used by
+# its CSV file and the re/im columns of its plot file.
+_REPR_CACHE: dict = {}
+_REPR_CACHE_SIZE = 2
 
 
-@lru_cache(maxsize=4)
 def _float_reprs(data: bytes) -> tuple:
-    """repr of each float64 packed in ``data``.
-
-    The strings depend on the bytes alone, so the last four arrays' strings are
-    kept: a distribution's real and imaginary parts are formatted once for its
-    JSON file, its CSV file and the re/im columns of its plot file."""
+    """repr of each float64 packed in ``data``."""
     return tuple(map(float.__repr__, np.frombuffer(data).tolist()))
 
 
-def _broadcast(strs, base_shape, shape) -> list:
-    """Strings of an array of ``base_shape`` repeated over ``shape``, row-major."""
-    base = np.array(strs, dtype=object).reshape(base_shape)
-    return np.broadcast_to(base, shape).ravel().tolist()
+def release_reprs():
+    """Drop the strings kept for re-use between writers."""
+    _REPR_CACHE.clear()
 
 
-def _reprs(a, nonfinite=None):
-    """repr of every element of a real array as a float, in row-major order;
+def _broadcast(strs, base_shape, shape) -> np.ndarray:
+    """Strings of an array of ``base_shape`` repeated over ``shape``: a
+    read-only object-array view."""
+    return np.broadcast_to(np.asarray(strs, dtype=object).reshape(base_shape), shape)
+
+
+def _reprs(a, nonfinite=None, keep=False) -> np.ndarray:
+    """repr of every element of a real array as a float, as an object array:
+    flat, in row-major order, or a broadcast view of ``a``'s shape;
     ``nonfinite`` maps the repr of nan and of each infinity to another string.
 
     A stride-0 (broadcast) axis holds one stored value, so only the base the
-    array is broadcast from is formatted."""
+    array is broadcast from is formatted.  Strings in the cache are re-used;
+    ``keep`` puts these in it, in place of the oldest."""
     a = np.asarray(a, dtype=float)
     base = np.ascontiguousarray(a[tuple(slice(None) if s else slice(0, 1) for s in a.strides)])
-    out = _float_reprs(base.tobytes())
-    bad = np.flatnonzero(~np.isfinite(base)).tolist() if nonfinite else []
-    if bad:
-        out = list(out)
-        for i in bad:
-            out[i] = nonfinite[out[i]]
-    return _broadcast(out, base.shape, a.shape) if base.size != a.size else out
+    key = base.tobytes()
+    out = _REPR_CACHE.get(key)
+    if out is None and keep:
+        # room first, so that no more than two arrays' strings are held while formatting
+        while len(_REPR_CACHE) >= _REPR_CACHE_SIZE:
+            del _REPR_CACHE[next(iter(_REPR_CACHE))]
+        out = _REPR_CACHE[key] = np.array(_float_reprs(key), dtype=object)
+    elif out is None:
+        out = np.array(_float_reprs(key), dtype=object)
+    bad = np.flatnonzero(~np.isfinite(base)) if nonfinite else []
+    if len(bad):
+        out = out.copy()
+        out[bad] = [nonfinite[s] for s in out[bad]]
+    return out if base.size == a.size else _broadcast(out, base.shape, a.shape)
 
 
-def _join_rows(columns, before, head, tail) -> str:
-    """Equal-length columns of strings laid out row by row in one join: each
-    cell follows its column's separator in ``before``, except that ``head``
-    opens the first row, and ``tail`` closes the last."""
-    n, k = len(columns[0]), 2 * len(columns)
-    parts = [tail] * (k * n + 1)
-    for j, (cells, sep) in enumerate(zip(columns, before)):
-        parts[2 * j:-1:k] = repeat(sep, n)
-        parts[2 * j + 1::k] = cells
-    parts[0] = head
-    return "".join(parts)
+def _write_rows(fh, columns, before, head, tail):
+    """Write equal-size arrays of strings row by row, in row-major order, one
+    join of CHUNK_ROWS rows at a time: each cell follows its column's
+    separator in ``before``, except that ``head`` opens the first row, and
+    ``tail`` closes the last.  No rows write nothing."""
+    n, k = columns[0].size, 2 * len(columns)
+    flat = [c if c.ndim == 1 else c.flat for c in columns]
+    for start in range(0, n, CHUNK_ROWS):
+        rows = min(CHUNK_ROWS, n - start)
+        parts = [tail] * (k * rows + 1)
+        for j, (cells, sep) in enumerate(zip(flat, before)):
+            parts[2 * j:-1:k] = repeat(sep, rows)
+            parts[2 * j + 1::k] = cells[start:start + rows].tolist()
+        if start == 0:
+            parts[0] = head
+        if start + rows < n:
+            parts.pop()
+        fh.write("".join(parts))
 
 
-def _json_pairs(values: np.ndarray) -> str:
+def _write_json_pairs(fh, values: np.ndarray):
     """A complex array as the list of {re, im} pairs that json.dumps(indent=2,
     sort_keys=True) writes for the value of a top-level key."""
     if values.size == 0:
-        return "[]"
-    columns = [_reprs(values.imag, _JSON_NONFINITE), _reprs(values.real, _JSON_NONFINITE)]
-    return _join_rows(columns, ['\n    },\n    {\n      "im": ', ',\n      "re": '],
-                      head='[\n    {\n      "im": ', tail="\n    }\n  ]")
+        fh.write("[]")
+        return
+    columns = [_reprs(values.imag, _JSON_NONFINITE, keep=True),
+               _reprs(values.real, _JSON_NONFINITE, keep=True)]
+    _write_rows(fh, columns, ['\n    },\n    {\n      "im": ', ',\n      "re": '],
+                head='[\n    {\n      "im": ', tail="\n    }\n  ]")
 
 
-def _csv_rows(columns) -> str:
+def _write_csv_rows(fh, columns):
     """Rows of plain fields as csv.writer writes them: comma-joined, CRLF-ended."""
-    return _join_rows(columns, ["\r\n"] + [","] * (len(columns) - 1), head="", tail="\r\n")
+    _write_rows(fh, columns, ["\r\n"] + [","] * (len(columns) - 1), head="", tail="\r\n")
 
 
 def _first_bad_pair(entries):
@@ -177,7 +199,7 @@ def write_json(path, payload):
             field = f"\n  {json.dumps(key)}: "
             head, _, rest = rest.partition(field + "null")
             fh.write(head + field)
-            fh.write(_json_pairs(np.asarray(arrays[key], dtype=complex)))
+            _write_json_pairs(fh, np.asarray(arrays[key], dtype=complex))
         fh.write(rest + "\n")
 
 
@@ -203,16 +225,16 @@ def write_pseudo_csv(pd: PseudoDistribution, path):
     columns += [_reprs(pd.values.real), _reprs(pd.values.imag)]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([f"i_{label}" for label in pd.axes] + ["re", "im"])
-        fh.write(_csv_rows(columns))
+        _write_csv_rows(fh, columns)
 
 
 def write_plot_csv(path, columns: dict):
     """Plot-ready CSV: named real-valued columns of equal length (a column may
     be an array of any shape, read in row-major order)."""
     cells = [_reprs(c) for c in columns.values()]
-    lengths = dict(zip(columns, map(len, cells)))
+    lengths = {name: c.size for name, c in zip(columns, cells)}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"plot columns differ in length: {lengths}")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(list(columns))
-        fh.write(_csv_rows(cells))
+        _write_csv_rows(fh, cells)

@@ -1,3 +1,7 @@
+import cmath
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from kdrecon.cv import (
     weak_char_fn,
 )
 from kdrecon.core import GRID_CAP
+from kdrecon.scenarios import _cv_joint_oracle
 from kdrecon.errors import (
     IncompleteSampling,
     NormViolation,
@@ -261,6 +266,60 @@ class TestJoint:
         direct = grid.dx * np.sum(grid.x * np.abs(w.samples) ** 2)
         assert abs(mean_x.real - direct) < 1e-7
         assert abs(mean_x.imag) < 1e-9
+
+
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    @pytest.mark.parametrize("ordering", ["x-then-p", "p-then-x"])
+    def test_kernel_is_exact_on_a_wide_grid(self, hbar, ordering):
+        """<p_m|x_i> = e^{-2 pi i r/n}/sqrt(2 pi hbar), r = (i - n/2)(m - n/2) mod n:
+        no phase error grows with |x p|, which reaches about 3200 hbar here."""
+        g = Grid(2048, 200.0, hbar)
+        rng = np.random.default_rng(17)
+        # random samples fill both representations, so no entry is zero
+        w = WaveFunction.normalized(g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+        k = joint_kd_cv(w, ordering)
+        psi_x, psi_p = w.samples.tolist(), to_momentum(w).samples.tolist()
+        last = g.n - 1
+        cells = [(0, 0), (0, last), (last, 0), (last, last)]
+        cells += [tuple(c) for c in rng.integers(g.n, size=(296, 2)).tolist()]
+        worst = 0.0
+        for i, m in cells:
+            r = (i - g.n // 2) * (m - g.n // 2) % g.n
+            ref = (psi_x[i] * psi_p[m].conjugate() * cmath.exp(-2j * cmath.pi * r / g.n)
+                   / math.sqrt(2 * math.pi * hbar))
+            ref = ref if ordering == "x-then-p" else ref.conjugate()
+            worst = max(worst, abs(complex(k[i, m]) - ref) / abs(ref))
+        assert worst <= 1e-15
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDenseMemory:
+    """The dense paths hold their result and one index array (or, for the
+    oracle, the table and its transform), with no further n x n temporaries."""
+
+    @pytest.mark.parametrize("call", [
+        lambda w: joint_kd_cv(w), lambda w: joint_kd_cv(w, "p-then-x"), ccr_witness,
+    ], ids=["joint-x-then-p", "joint-p-then-x", "ccr"])
+    def test_joint_and_witness_at_n_2048(self, call):
+        # the complex 2048 x 2048 result alone is 67 MB, its int64 index 34 MB
+        w = gaussian_state(Grid(2048, 200.0))
+        assert traced_peak(lambda: call(w)) < 110e6
+
+    @pytest.mark.parametrize("ordering", ["x-then-p", "p-then-x"])
+    def test_cv_joint_oracle_at_n_1024(self, ordering):
+        # two complex 1024 x 1024 arrays are 33.6 MB
+        g = Grid(1024, 40.0)
+        w = gaussian_state(g)
+        assert traced_peak(lambda: _cv_joint_oracle(g, w, ordering)) < 34e6
 
 
 class TestCcrWitness:

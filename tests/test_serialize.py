@@ -8,15 +8,16 @@ repr(float(v)).  The writers must produce the same bytes.
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kdrecon import cv, serialize
+from kdrecon import cv, scenarios, serialize
 from kdrecon.cli import main
 from kdrecon.core import random_observable
 from kdrecon.oracle import PseudoDistribution
-from kdrecon.scenarios import _phase_space
+from kdrecon.scenarios import _phase_space, load_scenario, run_scenario
 from kdrecon.serialize import (
     pseudo_from_dict,
     pseudo_to_dict,
@@ -184,6 +185,97 @@ def test_phase_space_plot_formats_each_coordinate_once(tmp_path, monkeypatch):
     x, p = np.meshgrid(grid.x, grid.p, indexing="ij")
     assert (tmp_path / "plot.csv").read_bytes() == reference_plot_csv(
         {"x": x, "p": p, "re": values.real, "im": values.imag})
+
+
+CHUNK = serialize.CHUNK_ROWS
+# value counts around the chunk edges, each with a 2-D factorization
+EDGE_SHAPES = {CHUNK - 1: (63, 65), CHUNK: (64, 64), CHUNK + 1: (17, 241),
+               3 * CHUNK + 5: (19, 647)}
+assert all(a * b == size for size, (a, b) in EDGE_SHAPES.items())
+
+
+@pytest.mark.parametrize("size", sorted(EDGE_SHAPES))
+@pytest.mark.parametrize("rank", [1, 2])
+def test_chunk_edges_match_per_cell_encoding(tmp_path, size, rank):
+    """Rows are written CHUNK_ROWS at a time; the bytes do not show where."""
+    shape = (size,) if rank == 1 else EDGE_SHAPES[size]
+    pd = PseudoDistribution(with_specials(random_values(shape, size + rank)),
+                            ("x", "p")[:rank], "cv-x-then-p", cell_weight=0.5)
+    write_json(tmp_path / "d.json", pseudo_to_dict(pd))
+    assert (tmp_path / "d.json").read_bytes() == reference_json(pd)
+    write_pseudo_csv(pd, tmp_path / "d.csv")
+    assert (tmp_path / "d.csv").read_bytes() == reference_pseudo_csv(pd)
+    if rank == 1:
+        columns = {"x": np.linspace(-3.0, 3.0, size), "re": pd.values.real,
+                   "im": pd.values.imag}
+    else:  # broadcast coordinates, as a phase-space plot has
+        a, b = (np.linspace(-1.0, 1.0, m) for m in shape)
+        columns = {"a": np.broadcast_to(a[:, None], shape), "b": np.broadcast_to(b, shape),
+                   "re": pd.values.real, "im": pd.values.imag}
+    write_plot_csv(tmp_path / "plot.csv", columns)
+    assert (tmp_path / "plot.csv").read_bytes() == reference_plot_csv(columns)
+
+
+def _cv_joint_scenario(tmp_path, n):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "cv-joint", "grid": {"n": n, "length": 12.0},
+                                "state": {"type": "random-smooth", "seed": n}}))
+    return load_scenario(path)
+
+
+def test_run_formats_each_stored_float_once(tmp_path, monkeypatch):
+    """The result's re and im are formatted for its JSON file and re-used by
+    its CSV and plot files; the plot coordinates do not push them out."""
+    n = 32
+    formatted = []
+    original = serialize._float_reprs
+
+    def counting(data):
+        formatted.append(len(data) // 8)
+        return original(data)
+
+    monkeypatch.setattr(serialize, "_float_reprs", counting)
+    run_scenario(_cv_joint_scenario(tmp_path, n), tmp_path / "out", emit_oracle=True)
+    # x, p, then the result's and the oracle's re and im
+    assert sorted(formatted) == [n, n, n * n, n * n, n * n, n * n]
+
+
+def test_cache_keeps_only_the_last_json_arrays(tmp_path):
+    first, last = random_values((8,), 21), random_values((8,), 22)
+    write_json(tmp_path / "a.json", {"values": first})
+    write_plot_csv(tmp_path / "plot.csv", {"x": np.arange(8.0), "re": first.real})
+    write_json(tmp_path / "b.json", {"values": last})
+    assert sorted(serialize._REPR_CACHE) == sorted([last.real.tobytes(), last.imag.tobytes()])
+    serialize.release_reprs()
+    assert serialize._REPR_CACHE == {}
+
+
+def _held_after(call) -> int:
+    """Bytes still traced after ``call()`` has returned or raised."""
+    tracemalloc.start()
+    try:
+        try:
+            call()
+        except OSError:
+            pass
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "writer-raises"])
+def test_run_keeps_no_strings_after_it_ends(tmp_path, monkeypatch, fail):
+    """An n=256 run formats 4 x 65,536 floats (about 5 MB of strings each);
+    none of them outlive it, also when a writer raises after the cache is filled."""
+    run_scenario(_cv_joint_scenario(tmp_path, 32), tmp_path / "warm", emit_oracle=True)
+    sc = _cv_joint_scenario(tmp_path, 256)
+    if fail:
+        def refuse(path, columns):
+            raise OSError("disk full")
+        monkeypatch.setattr(scenarios, "write_plot_csv", refuse)
+    held = _held_after(lambda: run_scenario(sc, tmp_path / "out", emit_oracle=True))
+    assert (tmp_path / "out" / "distribution.csv").exists()
+    assert held < 1e6
 
 
 def test_payload_without_arrays_is_plain_json(tmp_path):
