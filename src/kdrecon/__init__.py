@@ -21,7 +21,6 @@ from .moments import (
 )
 from .oracle import (
     PseudoDistribution,
-    frames,
     kd_conditional,
     kd_joint,
     kd_marginals,

@@ -5,12 +5,18 @@ default.  The momentum grid has spacing dp = 2 pi hbar / L and covers
 [-pi hbar / dx, pi hbar / dx); characteristic-function parameters k live on
 the conjugate grid with spacing dk = 2 pi / L (so the momentum shift hbar*k
 is an exact number of grid steps and reconstruction is an exact inverse DFT).
+
+Every grid is centred, y_i = (i - n/2) dy, and every conjugate pair has step
+product 2 pi / n: (x, p/hbar), (k, x) and (x/hbar, p).  Because n/2 is even,
+each Fourier kernel is exactly e^{-i u_m y_i} = (-1)^{i+m} omega^{im} with
+omega = e^{-2 pi i/n}, so every transform is one sign-modulated FFT
+(_centred_fft) and no phase is evaluated.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,26 +72,25 @@ class Grid:
 
 @dataclass(frozen=True)
 class WaveFunction:
+    """Position samples psi(x_i) on ``grid``, with dx * sum |psi|^2 = 1."""
+
     grid: Grid
     samples: np.ndarray
-    representation: str = "position"  # or "momentum"
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=complex)
         if s.size != self.grid.n:
             raise DimensionMismatch("sample count must equal grid size")
-        step = self.grid.dx if self.representation == "position" else self.grid.dp
-        norm = step * np.sum(np.abs(s) ** 2)
+        norm = self.grid.dx * np.sum(np.abs(s) ** 2)
         if not abs(norm - 1.0) <= 1e-9:
             raise NormViolation(f"wavefunction norm deviates from 1 by {abs(norm - 1.0):.3e}")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
     @classmethod
-    def normalized(cls, grid: Grid, samples, representation: str = "position") -> "WaveFunction":
+    def normalized(cls, grid: Grid, samples) -> "WaveFunction":
         s = np.asarray(samples, dtype=complex)
-        step = grid.dx if representation == "position" else grid.dp
-        return cls(grid, s / np.sqrt(step * np.sum(np.abs(s) ** 2)), representation)
+        return cls(grid, s / np.sqrt(grid.dx * np.sum(np.abs(s) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -108,41 +113,39 @@ class CharFnSample:
         object.__setattr__(self, "values", vals)
 
 
-def momentum_samples_raw(g: Grid, samples: np.ndarray) -> np.ndarray:
-    """Forward transform of raw (not necessarily normalized) position samples.
+def _centred_fft(a, scale: float, axis: int = -1, inverse: bool = False) -> np.ndarray:
+    """scale * sum_m e^{-i u_m y_i} a_m along ``axis``, for centred conjugate
+    grids u and y (see the module docstring), as (-1)^i fft((-1)^m a)_i;
+    ``inverse`` takes the conjugate kernel and ifft's factor 1/n.
 
-    psi_tilde(p_m) = dx/sqrt(2 pi hbar) * sum_n e^{-i p_m x_n / hbar} psi(x_n);
-    the kernel splits into e^{-i p_m x_0}, e^{-i p_0 (x_n - x_0)} and the bare
-    DFT kernel e^{-2 pi i m n / N}.
+    The result is the only array of ``a``'s size that is built: the FFT and
+    the output signs work on it in place.
     """
-    phase_n = np.exp(-1j * g.p[0] * (g.x - g.x[0]) / g.hbar)
-    pre = np.fft.fft(samples * phase_n)
-    return g.dx / np.sqrt(2 * np.pi * g.hbar) * np.exp(-1j * g.p * g.x[0] / g.hbar) * pre
+    n = np.shape(a)[axis]
+    trailing = (1,) * (np.ndim(a) - 1 - axis % np.ndim(a))
+    sign = np.resize([1.0, -1.0], n).reshape(n, *trailing)
+    out = np.multiply(a, scale * sign, dtype=complex)
+    (np.fft.ifft if inverse else np.fft.fft)(out, axis=axis, out=out)
+    out *= sign
+    return out
+
+
+def momentum_samples_raw(g: Grid, samples: np.ndarray) -> np.ndarray:
+    """Forward transform of raw (not necessarily normalized) position samples
+    along the last axis:
+    psi_tilde(p_m) = dx/sqrt(2 pi hbar) * sum_i e^{-i p_m x_i / hbar} psi(x_i).
+    """
+    return _centred_fft(samples, g.dx / np.sqrt(2 * np.pi * g.hbar))
 
 
 def position_samples_raw(g: Grid, samples: np.ndarray) -> np.ndarray:
     """Inverse of momentum_samples_raw."""
-    phase_m = np.exp(1j * (g.p - g.p[0]) * g.x[0] / g.hbar)
-    pre = np.fft.ifft(samples * phase_m) * g.n
-    return g.dp / np.sqrt(2 * np.pi * g.hbar) * np.exp(1j * g.p[0] * g.x / g.hbar) * pre
+    return _centred_fft(samples, g.dp * g.n / np.sqrt(2 * np.pi * g.hbar), inverse=True)
 
 
-def to_momentum(w: WaveFunction) -> WaveFunction:
-    """Momentum representation of a position-space wavefunction."""
-    if w.representation != "position":
-        raise ValueError("input must be in position representation")
-    return WaveFunction(w.grid, momentum_samples_raw(w.grid, w.samples), "momentum")
-
-
-def to_position(w: WaveFunction) -> WaveFunction:
-    """Inverse of to_momentum."""
-    if w.representation != "momentum":
-        raise ValueError("input must be in momentum representation")
-    return WaveFunction(w.grid, position_samples_raw(w.grid, w.samples), "position")
-
-
-def _momentum_samples(w: WaveFunction) -> np.ndarray:
-    return w.samples if w.representation == "momentum" else to_momentum(w).samples
+def to_momentum(w: WaveFunction) -> np.ndarray:
+    """Momentum amplitudes psi_tilde(p) of ``w`` on the grid's p."""
+    return momentum_samples_raw(w.grid, w.samples)
 
 
 def _grid_offsets(g: Grid, targets, step: float, what: str) -> np.ndarray:
@@ -164,7 +167,7 @@ def weak_char_fn(w: WaveFunction, post_p: float, k_values=None) -> CharFnSample:
     artifact of the finite conjugate grid).
     """
     g = w.grid
-    pt = _momentum_samples(w)
+    pt = to_momentum(w)
     if max(abs(pt[0]), abs(pt[-1])) > EDGE_GUARD:
         warnings.warn(
             "momentum amplitude at the grid edge exceeds 1e-8; periodic "
@@ -181,22 +184,16 @@ def weak_char_fn(w: WaveFunction, post_p: float, k_values=None) -> CharFnSample:
     return CharFnSample(g, k_values, z, conditioning=f"p={g.p[ip]:.6g}")
 
 
-def inverse_char_transform(params: np.ndarray, z: np.ndarray, out_values: np.ndarray) -> np.ndarray:
-    """q(y_n) = dparam/(2 pi) * sum_m e^{-i param_m y_n} Z_m, by one FFT.
+def inverse_char_transform(z: np.ndarray, dparam: float) -> np.ndarray:
+    """q(y_i) = dparam/(2 pi) * sum_m e^{-i u_m y_i} Z_m, by one FFT.
 
-    ``params`` and ``out_values`` are uniform grids of the same length n whose
-    steps satisfy dparam * dout = 2 pi / n.  The sum runs along axis 0 of ``z``;
-    trailing axes are transformed independently.  The result is the only
-    array of ``z``'s size that is built: the FFT and the output phase work
-    on it in place.
+    The parameters u_m and the outputs y_i are centred grids with step product
+    2 pi / n, as every conjugate pair on Grid is: (k, x) with dparam = dk,
+    and (x/hbar, p) with dparam = dx/hbar.  The sum runs along axis 0 of
+    ``z``; trailing axes are transformed independently, and the result is
+    the only array of ``z``'s size that is built.
     """
-    # e^{-i p_m y_n} = e^{-i p_m y_0} e^{-i p_0 (y_n - y_0)} e^{-2 pi i m n / N}
-    trailing = (1,) * (np.ndim(z) - 1)
-    q = z * np.exp(-1j * params * out_values[0]).reshape(-1, *trailing)
-    np.fft.fft(q, axis=0, out=q)
-    post = (params[1] - params[0]) / (2 * np.pi) \
-        * np.exp(-1j * params[0] * (out_values - out_values[0])).reshape(-1, *trailing)
-    return np.multiply(post, q, out=q)
+    return _centred_fft(z, dparam / (2 * np.pi), axis=0)
 
 
 def conditional_pseudo_cv(z: CharFnSample) -> np.ndarray:
@@ -208,7 +205,7 @@ def conditional_pseudo_cv(z: CharFnSample) -> np.ndarray:
     g = z.grid
     if z.parameters.size != g.n or not np.max(np.abs(z.parameters - g.k)) <= 1e-9 * g.dk:
         raise IncompleteSampling("characteristic function must cover the full conjugate grid")
-    return inverse_char_transform(z.parameters, z.values, g.x)
+    return inverse_char_transform(z.values, g.dk)
 
 
 def joint_kd_cv(w: WaveFunction, ordering: str = "x-then-p") -> np.ndarray:
@@ -227,8 +224,7 @@ def joint_kd_cv(w: WaveFunction, ordering: str = "x-then-p") -> np.ndarray:
     require_grid_size(g.n)
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-    psi_x = w.samples if w.representation == "position" else to_position(w).samples
-    psi_p = _momentum_samples(w)
+    psi_x, psi_p = w.samples, to_momentum(w)
     roots = np.exp(-2j * np.pi * np.arange(g.n) / g.n) / np.sqrt(2 * np.pi * g.hbar)
     centred = np.arange(g.n) - g.n // 2
     r = np.multiply.outer(centred, centred)
@@ -249,8 +245,7 @@ def ccr_witness(w: WaveFunction) -> complex:
     exceed TAIL_FLOOR, since grid moments then stop converging.
     """
     g = w.grid
-    psi_p = _momentum_samples(w)
-    psi_x = w.samples if w.representation == "position" else to_position(w).samples
+    psi_x, psi_p = w.samples, to_momentum(w)
     edge = max(np.max(np.abs(psi_p[[0, -1]])), np.max(np.abs(psi_x[[0, -1]])))
     if edge > TAIL_FLOOR:
         warnings.warn(

@@ -66,26 +66,6 @@ def _require_incompatible(a: ObservableSpec, b: ObservableSpec) -> np.ndarray:
     return overlaps
 
 
-def frames(a: ObservableSpec, b: ObservableSpec):
-    """Primary frame F[i,j] = |a_i><a_i|b_j><b_j| and dual G[i,j] = |a_i><b_j|/<b_j|a_i>.
-
-    Returned as (d, d, d, d) arrays indexed [i, j, row, col]; they satisfy
-    Tr(F_ij G_kl^dag) = delta_ik delta_jl.
-    """
-    overlaps = _require_incompatible(a, b)
-    d = a.dim
-    f = np.empty((d, d, d, d), dtype=complex)
-    g = np.empty((d, d, d, d), dtype=complex)
-    for i in range(d):
-        ai = a.eigenvector(i)
-        for j in range(d):
-            bj = b.eigenvector(j)
-            outer = np.outer(ai, bj.conj())
-            f[i, j] = outer * overlaps[i, j]
-            g[i, j] = outer / overlaps[i, j].conjugate()
-    return f, g
-
-
 def kd_joint(state, a: ObservableSpec, b: ObservableSpec) -> PseudoDistribution:
     """K[i, j] = <b_j|a_i><a_i|rho|b_j>."""
     rho = as_density(state)
@@ -147,11 +127,12 @@ def kd_npoint(psi: QuantumState, obs_list) -> PseudoDistribution:
 
 
 def reconstruct_state(k: PseudoDistribution, a: ObservableSpec, b: ObservableSpec) -> DensityMatrix:
-    """rho = sum_ij K[i, j] G[i, j] (informational completeness of the KD frame)."""
+    """rho = sum_ij K[i, j] |a_i><b_j| / conj(<a_i|b_j>) = U_a (K / conj(O)) U_b^dag,
+    the dual-frame expansion (informational completeness of the KD frame)."""
     if k.values.shape != (a.dim, b.dim):
         raise DimensionMismatch("distribution shape does not match observables")
-    _, g = frames(a, b)
-    rho = np.einsum("ij,ijrc->rc", k.values, g)
+    overlaps = _require_incompatible(a, b)
+    rho = a.eigenvectors @ (k.values / overlaps.conj()) @ b.eigenvectors.conj().T
     # round off tiny Hermiticity/trace violations inherited from the input
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho / np.trace(rho).real)
@@ -164,10 +145,3 @@ def kd_marginals(k: PseudoDistribution):
     pa = np.sum(k.values, axis=1)
     pb = np.sum(k.values, axis=0)
     return pa.real, pb.real
-
-
-def observable_transform(x: np.ndarray, a: ObservableSpec, b: ObservableSpec) -> np.ndarray:
-    """T[i, j] = <a_i|X|b_j> / <a_i|b_j>, the dual-frame observable representation."""
-    overlaps = _require_incompatible(a, b)
-    inner = a.eigenvectors.conj().T @ np.asarray(x, dtype=complex) @ b.eigenvectors
-    return inner / overlaps

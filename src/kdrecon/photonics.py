@@ -65,8 +65,6 @@ def run_setting(w: WaveFunction, k, phase: float, epsilon: float, mode: str) -> 
     whose SLM sits in the 4f momentum plane.  Every k must be a multiple of
     the conjugate step (dk, or dx/hbar).
     """
-    if w.representation != "position":
-        raise ValueError("run_setting expects a position-representation state")
     g = w.grid
     if mode == "x-then-p":
         h, coords, step = w.samples, g.x, g.dk
@@ -297,15 +295,14 @@ def run_reconstruction(
     z_values, z_errors = estimate_weak_char(asym, var_sum, epsilon)
     z_values[short] = 0.0
     z_errors[short] = np.inf
-    out_values = g.x if mode == "x-then-p" else g.p
+    dparam = params[1] - params[0]
     conditional = conditional_se = None
     if post_index is not None:
         if not np.all(np.isfinite(z_errors[:, post_index])):
             raise InsufficientCounts(
                 f"post-selected pixel {post_index} lacks counts at some frequencies"
             )
-        conditional = inverse_char_transform(params, z_values[:, post_index], out_values)
-        dparam = params[1] - params[0]
+        conditional = inverse_char_transform(z_values[:, post_index], dparam)
         # independent errors per frequency propagate in quadrature through the
         # linear inverse transform
         conditional_se = np.full(
@@ -316,8 +313,7 @@ def run_reconstruction(
         step = g.dp if mode == "x-then-p" else g.dx
         valid = np.all(np.isfinite(z_errors), axis=0) & (rates > 0)
         # rows: reconstructed variable; columns: camera pixel
-        joint_est = inverse_char_transform(params, z_values, out_values) \
-            * np.where(valid, rates / step, 0.0)
+        joint_est = inverse_char_transform(z_values, dparam) * np.where(valid, rates / step, 0.0)
         if mode == "p-then-x":
             # rows currently index p, columns index x; present as (x, p)
             joint_est = joint_est.T

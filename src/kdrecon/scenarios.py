@@ -435,7 +435,7 @@ def run_scenario(sc: Scenario, out_dir, emit_oracle: bool = False) -> dict:
 
 def _cv_conditional_oracle(grid: cv.Grid, w: cv.WaveFunction, ip: int) -> PseudoDistribution:
     """Weak-valued position projector <p|x><x|psi>/<p|psi> on the grid."""
-    psi_p = cv.to_momentum(w).samples
+    psi_p = cv.to_momentum(w)
     bra_p_x = np.exp(-1j * grid.p[ip] * grid.x / grid.hbar) / np.sqrt(2 * np.pi * grid.hbar)
     return _cv_conditional(grid, bra_p_x * w.samples / psi_p[ip], f"p={grid.p[ip]:.6g}")
 
@@ -452,13 +452,13 @@ def _cv_joint_oracle(grid: cv.Grid, w: cv.WaveFunction, ordering: str) -> Pseudo
     """
     n = grid.n
     require_grid_size(n)
-    psi_p = cv.to_momentum(w).samples
+    psi_p = cv.to_momentum(w)
     index = np.add.outer(n // 2 - np.arange(n), np.arange(n))  # p - shift, row by row
     index %= n
     table = psi_p[index]
     del index
     table *= psi_p.conj()
-    k = cv.inverse_char_transform(grid.k, table, grid.x)
+    k = cv.inverse_char_transform(table, grid.dk)
     if ordering == "p-then-x":
         np.conjugate(k, out=k)
     return _phase_space(grid, k, ordering)[0]

@@ -231,6 +231,8 @@ def write_pseudo_csv(pd: PseudoDistribution, path):
 def write_plot_csv(path, columns: dict):
     """Plot-ready CSV: named real-valued columns of equal length (a column may
     be an array of any shape, read in row-major order)."""
+    if not columns:
+        raise ValueError("a plot needs at least one column")
     cells = [_reprs(c) for c in columns.values()]
     lengths = {name: c.size for name, c in zip(columns, cells)}
     if len(set(lengths.values())) > 1:

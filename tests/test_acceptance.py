@@ -211,7 +211,7 @@ def test_criterion_7_cv_conditional():
     worst = 0.0
     for w in states.values():
         q = conditional_pseudo_cv(weak_char_fn(w, 0.0))
-        pt = to_momentum(w).samples
+        pt = to_momentum(w)
         oracle = (
             np.exp(-1j * 0.0 * g.x) / np.sqrt(2 * np.pi) * w.samples / pt[g.n // 2]
         )

@@ -13,10 +13,12 @@ from kdrecon.cv import (
     conditional_pseudo_cv,
     gaussian_state,
     hermite_state,
+    inverse_char_transform,
     joint_kd_cv,
+    momentum_samples_raw,
+    position_samples_raw,
     random_smooth_state,
     to_momentum,
-    to_position,
     two_peak_state,
     weak_char_fn,
 )
@@ -86,32 +88,32 @@ class TestTransforms:
         w = gaussian_state(grid)
         pt = to_momentum(w)
         expected = np.pi ** (-0.25) * np.exp(-grid.p ** 2 / 2)
-        assert np.max(np.abs(pt.samples - expected)) < 1e-8
+        assert np.max(np.abs(pt - expected)) < 1e-8
 
     def test_broad_state_peaks_at_zero_momentum(self, grid):
         w = gaussian_state(grid, width=6.0)
         pt = to_momentum(w)
-        assert np.argmax(np.abs(pt.samples)) == grid.n // 2
+        assert np.argmax(np.abs(pt)) == grid.n // 2
 
     def test_double_transform_is_parity(self):
         # self-dual grid (dx == dp) so position and momentum grids coincide
         n = 512
         g = Grid(n, float(np.sqrt(2 * np.pi * n)))
         w = random_smooth_state(g, seed=4)
-        once = to_momentum(w).samples
-        twice = to_momentum(WaveFunction(g, once, "position")).samples
+        once = to_momentum(w)
+        twice = to_momentum(WaveFunction(g, once))
         flipped = np.roll(w.samples[::-1], 1)  # x -> -x on the half-open grid
         assert np.max(np.abs(twice - flipped)) < 1e-8
 
     def test_roundtrip(self, grid):
         w = random_smooth_state(grid, seed=9)
-        back = to_position(to_momentum(w))
-        assert np.max(np.abs(back.samples - w.samples)) < 1e-12
+        back = position_samples_raw(grid, to_momentum(w))
+        assert np.max(np.abs(back - w.samples)) < 1e-12
 
     def test_norm_preserved(self, grid):
         w = two_peak_state(grid)
         pt = to_momentum(w)
-        assert abs(grid.dp * np.sum(np.abs(pt.samples) ** 2) - 1) < 1e-9
+        assert abs(grid.dp * np.sum(np.abs(pt) ** 2) - 1) < 1e-9
 
     def test_norm_enforced(self, grid):
         with pytest.raises(NormViolation):
@@ -125,7 +127,62 @@ class TestTransforms:
         k0 = 5 * grid.dp
         w = gaussian_state(grid, momentum=k0)
         pt = to_momentum(w)
-        assert grid.p[np.argmax(np.abs(pt.samples))] == pytest.approx(k0)
+        assert grid.p[np.argmax(np.abs(pt))] == pytest.approx(k0)
+
+
+def gaussian_pair(g: Grid, center: float, momentum: float, width: float):
+    """psi(x) and psi~(p) of a displaced, boosted Gaussian, in closed form."""
+    norm = (np.pi * width**2) ** -0.25
+    psi = norm * np.exp(-((g.x - center) ** 2) / (2 * width**2) + 1j * momentum * g.x / g.hbar)
+    psi_p = norm * width / np.sqrt(g.hbar) * np.exp(
+        -(width * (g.p - momentum) / g.hbar) ** 2 / 2 - 1j * (g.p - momentum) * center / g.hbar)
+    return psi, psi_p
+
+
+def hermite_pair(g: Grid, order: int, width: float):
+    """psi(x) = phi_n(x/width)/sqrt(width) and psi~(p) =
+    (-i)^n sqrt(width/hbar) phi_n(p width/hbar), phi_n the Hermite function."""
+    def phi(u):
+        h = np.polynomial.hermite.hermval(u, [0.0] * order + [1.0])
+        return h * np.exp(-(u**2) / 2) / math.sqrt(2.0**order * math.factorial(order)
+                                                    * math.sqrt(math.pi))
+
+    return (phi(g.x / width) / math.sqrt(width),
+            (-1j) ** order * math.sqrt(width / g.hbar) * phi(g.p * width / g.hbar))
+
+
+class TestExactFourierPairs:
+    """The transforms evaluate no phase, so no error grows with |x p|, which
+    reaches about 3200 hbar at L = 200."""
+
+    @pytest.mark.parametrize("length", [40.0, 200.0])
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    @pytest.mark.parametrize("pair", [
+        lambda g: gaussian_pair(g, 0.7, 1.3, 1.1), lambda g: hermite_pair(g, 3, 0.9),
+    ], ids=["displaced-boosted-gaussian", "hermite-3"])
+    def test_transforms_match_the_closed_form(self, length, hbar, pair):
+        g = Grid(4096, length, hbar)
+        psi, psi_p = pair(g)
+        assert np.max(np.abs(momentum_samples_raw(g, psi) - psi_p)) <= 1e-15
+        assert np.max(np.abs(position_samples_raw(g, psi_p) - psi)) <= 1e-15
+        round_trip = position_samples_raw(g, momentum_samples_raw(g, psi))
+        assert np.max(np.abs(round_trip - psi)) <= 1e-15
+
+    @pytest.mark.parametrize("mode, hbar", [("x-then-p", 1.0), ("p-then-x", 2.5)])
+    def test_inverse_char_transform_matches_the_exact_kernel(self, mode, hbar):
+        """q(y_i) = du/(2 pi) sum_m omega^r Z_m, r = (i - n/2)(m - n/2) mod n,
+        summed directly in long double at 64 rows, corners included."""
+        g = Grid(2048, 200.0, hbar)
+        du = g.dk if mode == "x-then-p" else g.dx / g.hbar
+        rng = np.random.default_rng(23)
+        z = rng.normal(size=(g.n, 2)) + 1j * rng.normal(size=(g.n, 2))
+        q = inverse_char_transform(z, du)
+        roots = np.array([cmath.exp(-2j * cmath.pi * r / g.n) for r in range(g.n)])
+        rows = np.r_[0, g.n - 1, rng.integers(g.n, size=62)]
+        centred = np.arange(g.n) - g.n // 2
+        kernel = roots[np.multiply.outer(centred[rows], centred) % g.n]
+        direct = du / (2 * math.pi) * (kernel.astype(np.clongdouble) @ z).astype(complex)
+        assert np.max(np.abs(q[rows] - direct)) <= 1e-15 * np.max(np.abs(direct))
 
 
 class TestWeakCharFn:
@@ -166,7 +223,7 @@ class TestWeakCharFn:
 
     def test_k_lookup_matches_explicit_shift(self, grid):
         w = random_smooth_state(grid, seed=3)
-        pt = to_momentum(w).samples
+        pt = to_momentum(w)
         ip = grid.n // 2 + 2
         rng = np.random.default_rng(0)
         idx = rng.integers(0, grid.n, size=50)
@@ -202,7 +259,7 @@ class TestConditional:
             w = builder(grid)
             z = weak_char_fn(w, 0.0)
             q = conditional_pseudo_cv(z)
-            pt = to_momentum(w).samples
+            pt = to_momentum(w)
             ip = grid.n // 2
             # <p|x><x|psi>/<p|psi> with <p|x> = e^{-ipx}/sqrt(2 pi)
             oracle = (
@@ -278,7 +335,7 @@ class TestJoint:
         # random samples fill both representations, so no entry is zero
         w = WaveFunction.normalized(g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
         k = joint_kd_cv(w, ordering)
-        psi_x, psi_p = w.samples.tolist(), to_momentum(w).samples.tolist()
+        psi_x, psi_p = w.samples.tolist(), to_momentum(w).tolist()
         last = g.n - 1
         cells = [(0, 0), (0, last), (last, 0), (last, last)]
         cells += [tuple(c) for c in rng.integers(g.n, size=(296, 2)).tolist()]

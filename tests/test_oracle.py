@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,11 @@ from kdrecon.core import (
 from kdrecon.errors import IncompatibilityViolated, PostSelectionTooWeak
 from kdrecon.oracle import (
     PseudoDistribution,
-    frames,
+    _require_incompatible,
     kd_conditional,
     kd_joint,
     kd_marginals,
     kd_npoint,
-    observable_transform,
     postselection_probability,
     reconstruct_state,
 )
@@ -26,6 +27,33 @@ from kdrecon.oracle import (
 SZ = pauli_spec("z")
 SX = pauli_spec("x")
 SY = pauli_spec("y")
+
+
+def frames(a, b):
+    """Primary frame F[i,j] = |a_i><a_i|b_j><b_j| and dual G[i,j] = |a_i><b_j|/<b_j|a_i>.
+
+    Returned as (d, d, d, d) arrays indexed [i, j, row, col]; they satisfy
+    Tr(F_ij G_kl^dag) = delta_ik delta_jl.
+    """
+    overlaps = _require_incompatible(a, b)
+    d = a.dim
+    f = np.empty((d, d, d, d), dtype=complex)
+    g = np.empty((d, d, d, d), dtype=complex)
+    for i in range(d):
+        ai = a.eigenvector(i)
+        for j in range(d):
+            bj = b.eigenvector(j)
+            outer = np.outer(ai, bj.conj())
+            f[i, j] = outer * overlaps[i, j]
+            g[i, j] = outer / overlaps[i, j].conjugate()
+    return f, g
+
+
+def observable_transform(x, a, b):
+    """T[i, j] = <a_i|X|b_j> / <a_i|b_j>, the dual-frame observable representation."""
+    overlaps = _require_incompatible(a, b)
+    inner = a.eigenvectors.conj().T @ np.asarray(x, dtype=complex) @ b.eigenvectors
+    return inner / overlaps
 
 
 def brute_force_joint(rho, a, b):
@@ -232,6 +260,32 @@ class TestReconstructState:
         k = PseudoDistribution(np.full((2, 2), 0.25), ("A", "B"), "kd")
         back = reconstruct_state(k, SZ, SX)
         assert np.allclose(back.matrix, np.eye(2) / 2)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 32])
+    def test_matches_the_dual_frame_sum(self, d):
+        a, b = random_observable(d, d + 30), random_observable(d, d + 60)
+        k = kd_joint(random_density(d, d), a, b)
+        rho = np.einsum("ij,ijrc->rc", k.values, frames(a, b)[1])
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
+        assert np.max(np.abs(reconstruct_state(k, a, b).matrix - rho)) <= 1e-15
+
+    def test_builds_no_d4_array(self):
+        # the (32, 32, 32, 32) complex dual frame alone is 16.8 MB
+        a, b = random_observable(32, 1), random_observable(32, 2)
+        k = kd_joint(random_density(32, 3), a, b)
+        tracemalloc.start()
+        try:
+            reconstruct_state(k, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_orthogonal_bases_rejected(self):
+        k = PseudoDistribution(np.full((2, 2), 0.25), ("A", "B"), "kd")
+        with pytest.raises(IncompatibilityViolated):
+            reconstruct_state(k, SZ, SZ)
 
 
 class TestMarginals:

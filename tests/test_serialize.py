@@ -169,6 +169,12 @@ def test_unequal_plot_columns_refused(tmp_path, lengths):
     assert not (tmp_path / "plot.csv").exists()
 
 
+def test_empty_plot_refused(tmp_path):
+    with pytest.raises(ValueError, match="at least one column"):
+        write_plot_csv(tmp_path / "plot.csv", {})
+    assert not (tmp_path / "plot.csv").exists()
+
+
 def test_phase_space_plot_formats_each_coordinate_once(tmp_path, monkeypatch):
     n = 32
     grid = cv.Grid(n, 12.0)
