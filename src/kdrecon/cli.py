@@ -8,16 +8,27 @@ to the output directory when possible).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 
-from .errors import KdreconError
+from .errors import KdreconError, SchemaError
 from .scenarios import compare_distributions, load_scenario, run_scenario
 from .serialize import write_json
 
 DEFAULT_OUT_ENV = "KDRECON_OUT"
+
+# scenario subcommand -> (help, the one scenario kind it runs or None for any,
+# emit the oracle)
+_SCENARIO_COMMANDS = {
+    "reconstruct": ("run a discrete or continuous-variable reconstruction scenario", None, False),
+    "oracle": ("run a scenario as reconstruct --emit-oracle does: write the "
+               "reconstruction and the ground-truth distribution", None, True),
+    "experiment": ("run a shot-level photonic experiment scenario", "experiment", False),
+    "ccr": ("evaluate the commutation-relation witness for a scenario", "ccr", False),
+}
 
 
 def _add_scenario_args(sub):
@@ -43,13 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reconstruct quantum pseudo-distributions from weak-measurement data",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("reconstruct", "run a discrete or continuous-variable reconstruction scenario"),
-        ("oracle", "run a scenario as reconstruct --emit-oracle does: write the "
-                   "reconstruction and the ground-truth distribution"),
-        ("experiment", "run a shot-level photonic experiment scenario"),
-        ("ccr", "evaluate the commutation-relation witness for a scenario"),
-    ]:
+    for name, (help_text, _, _) in _SCENARIO_COMMANDS.items():
         sub = subs.add_parser(name, help=help_text, description=help_text)
         _add_scenario_args(sub)
     cmp_sub = subs.add_parser("compare", help="diff two pseudo-distribution JSON files")
@@ -66,16 +71,15 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get(DEFAULT_OUT_ENV, "kdrecon-out"))
 
 
-def _run_scenario_command(args, expect_kinds=None, emit_oracle=False) -> int:
+def _run_scenario_command(args, kind, emit_oracle) -> int:
     out = _out_dir(args)
     try:
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
-            scenario = type(scenario)(scenario.kind, scenario.params, args.seed)
-        if expect_kinds and scenario.kind not in expect_kinds:
-            raise KdreconError(
-                f"scenario kind {scenario.kind!r} not valid for this subcommand"
-            )
+            scenario = dataclasses.replace(scenario, seed=args.seed)
+        if kind is not None and scenario.kind != kind:
+            raise SchemaError(f"kdrecon {args.command} runs only {kind!r} scenarios, "
+                              f"got kind {scenario.kind!r}")
         diag = run_scenario(scenario, out, emit_oracle=args.emit_oracle or emit_oracle)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
@@ -106,13 +110,8 @@ def main(argv=None) -> int:
             return 2
         print(json.dumps(report))
         return 0 if report["pass"] else 2
-    if args.command == "ccr":
-        return _run_scenario_command(args, expect_kinds={"ccr"})
-    if args.command == "experiment":
-        return _run_scenario_command(args, expect_kinds={"experiment"})
-    if args.command == "oracle":
-        return _run_scenario_command(args, emit_oracle=True)
-    return _run_scenario_command(args)
+    _, kind, emit_oracle = _SCENARIO_COMMANDS[args.command]
+    return _run_scenario_command(args, kind, emit_oracle)
 
 
 if __name__ == "__main__":

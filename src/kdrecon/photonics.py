@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,16 +205,12 @@ def estimate_weak_char(asym: dict, var_sum, epsilon: float):
 
 @dataclass
 class ReconstructionResult:
-    grid: Grid
-    mode: str
-    post_index: int | None
     z_values: np.ndarray          # (n_k, n_pixels) complex estimates
     z_errors: np.ndarray          # (n_k, n_pixels) standard errors
     rates: np.ndarray             # post-selection frequency per pixel
     conditional: np.ndarray | None  # q(x) at post_index (or q(p) in p-then-x)
     conditional_se: np.ndarray | None
     joint: np.ndarray | None      # (n_x, n_p) joint estimate when requested
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
@@ -252,6 +248,23 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
     return asym, var_sum, short, recorded
 
 
+def require_settings(grid: Grid, epsilon: float, shots: int | None, mode: str,
+                     post_index: int | None = None):
+    """ValueError unless ``run_reconstruction`` can run these settings: a known
+    mode, epsilon in (0, pi/2) so that sin(2 epsilon) > 0, at most 4096 grid
+    points for a shot-level sweep (``sample_shots``' stream index range) and a
+    post_index on the grid; SizeCap for a grid past the n x n cap."""
+    if mode not in ORDERINGS:
+        raise ValueError(f"unknown mode {mode!r}")
+    if not 0 < epsilon < np.pi / 2:
+        raise ValueError(f"coupling epsilon must lie in (0, pi/2), got {epsilon!r}")
+    if shots is not None and grid.n > STREAM_BASE:
+        raise ValueError(f"a shot-level sweep takes grid n <= {STREAM_BASE}, got {grid.n}")
+    require_grid_size(grid.n)  # refused before the n x n (k, pixel) tables are built
+    if post_index is not None:
+        require_index(post_index, grid.n, "post_index")
+
+
 def _conjugate_params(grid: Grid, mode: str) -> np.ndarray:
     # modulation frequencies conjugate to the detected variable's partner
     if mode == "x-then-p":
@@ -274,20 +287,11 @@ def run_reconstruction(
     ``shots=None`` selects the infinite-statistics shortcut (analytic Born
     probabilities, zero statistical error).  Each (k, quadrature, analyzer)
     cell draws from its own Philox stream keyed by (seed, indices), so shard
-    merging is schedule-independent.  ``epsilon`` must lie in (0, pi/2), so
-    that sin(2 epsilon) > 0, and a shot-level sweep takes at most 4096
-    frequencies (``sample_shots``' stream index range).
+    merging is schedule-independent.  The settings are refused as
+    ``require_settings`` says.
     """
-    if mode not in ORDERINGS:
-        raise ValueError(f"unknown mode {mode!r}")
-    if not 0 < epsilon < np.pi / 2:
-        raise ValueError(f"coupling epsilon must lie in (0, pi/2), got {epsilon!r}")
     g = w.grid
-    if shots is not None and g.n > STREAM_BASE:
-        raise ValueError(f"shot streams index at most {STREAM_BASE} frequencies, got {g.n}")
-    require_grid_size(g.n)  # refused before the n x n (k, pixel) tables are built
-    if post_index is not None:
-        require_index(post_index, g.n, "post_index")
+    require_settings(g, epsilon, shots, mode, post_index)
     params = _conjugate_params(g, mode)
     n = g.n
     asym, var_sum, short, recorded = _sweep(w, params, epsilon, mode, shots, seed, min_counts)
@@ -318,19 +322,10 @@ def run_reconstruction(
             # rows currently index p, columns index x; present as (x, p)
             joint_est = joint_est.T
     return ReconstructionResult(
-        grid=g,
-        mode=mode,
-        post_index=post_index,
         z_values=z_values,
         z_errors=z_errors,
         rates=rates,
         conditional=conditional,
         conditional_se=conditional_se,
         joint=joint_est,
-        diagnostics={
-            "epsilon": epsilon,
-            "shots": shots,
-            "seed": seed,
-            "mode": mode,
-        },
     )

@@ -1,13 +1,16 @@
 """Scenario files: schema validation, object construction, and orchestration.
 
 A scenario is a JSON object with a ``kind`` selecting the pipeline; unknown
-keys anywhere in the file are rejected by name so typos fail loudly.
+keys anywhere in the file are rejected by name so typos fail loudly.  Each
+kind has one builder (``_KINDS``): it checks and builds every object the kind
+refers to, once, at load time, and returns the closure that runs the kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -46,53 +49,18 @@ from .serialize import (
 )
 from .vandermonde import MAX_ORDERS
 
-_COMMON_KEYS = {"kind", "seed"}
 _MISSING = object()  # a required key that is absent
-
-_KIND_KEYS = {
-    "discrete-conditional": {
-        "required": {"state", "observable_a", "observable_b", "postselect_index"},
-        "optional": {"moment_orders": None, "renormalize": False},
-        "index": "postselect_index",  # an eigenvector of observable_b
-    },
-    "discrete-joint": {
-        "required": {"state", "observable_a", "observable_b"},
-        "optional": {"renormalize": False},
-    },
-    "discrete-npoint": {
-        "required": {"state", "observables"},
-        "optional": {"renormalize": False},
-    },
-    "cv-conditional": {
-        "required": {"grid", "state", "post_momentum_index"},
-        "optional": {},
-        "index": "post_momentum_index",  # a grid point, as is post_index
-    },
-    "cv-joint": {
-        "required": {"grid", "state"},
-        "optional": {"ordering": "x-then-p"},
-        "choices": {"ordering": cv.ORDERINGS},
-    },
-    "experiment": {
-        "required": {"grid", "state", "epsilon", "shots"},
-        "optional": {
-            "mode": "x-then-p",
-            "post_index": None,
-            "joint": False,
-            "min_counts": 100,
-        },
-        "choices": {"mode": cv.ORDERINGS},
-        "index": "post_index",
-    },
-    "ccr": {"required": {"grid", "state"}, "optional": {}},
-}
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A loaded scenario: ``run(seed, diag)`` does the kind's work on objects
+    built at load time, extends ``diag`` and returns (result, plot columns,
+    oracle), or None for a kind that writes no distribution."""
+
     kind: str
-    params: dict
     seed: int
+    run: Callable[[int, dict], tuple | None]
 
     def __post_init__(self):
         if type(self.seed) is not int or not 0 <= self.seed < photonics.SEED_LIMIT:
@@ -121,32 +89,21 @@ def _check_keys(obj: dict, allowed, context: str):
         raise SchemaError(f"unknown key {sorted(unknown)[0]!r} in {context}")
 
 
-def _validated(raw: dict) -> Scenario:
+def load_scenario(path) -> Scenario:
+    """Check a scenario file and build every object it refers to, so a bad
+    spec fails at load time; the returned Scenario runs on those objects."""
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise SchemaError("scenario must be a JSON object")
     kind = raw.get("kind")
-    if kind not in KINDS:
+    if kind not in _KINDS:
         raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}")
-    spec = _KIND_KEYS[kind]
-    allowed = _COMMON_KEYS | spec["required"] | set(spec["optional"])
-    _check_keys(raw, allowed, "scenario")
-    missing = spec["required"] - set(raw)
+    required, optional, build = _KINDS[kind]
+    _check_keys(raw, {"kind", "seed"} | required | set(optional), "scenario")
+    missing = required - set(raw)
     if missing:
         raise SchemaError(f"missing required key {sorted(missing)[0]!r} for kind {kind}")
-    params = {k: v for k, v in raw.items() if k not in _COMMON_KEYS}
-    for key, default in spec["optional"].items():
-        params.setdefault(key, default)
-    for key, choices in spec.get("choices", {}).items():
-        if params[key] not in choices:
-            raise SchemaError(f"{key} must be one of {choices}, got {params[key]!r}")
-    return Scenario(kind=kind, params=params, seed=raw.get("seed", 0))
-
-
-def load_scenario(path) -> Scenario:
-    scenario = _validated(read_json(path))
-    # eagerly construct every referenced object so bad specs fail at load time
-    _build_inputs(scenario)
-    return scenario
+    return Scenario(kind, raw.get("seed", 0), build({**optional, **raw}))
 
 
 # -- input object builders ---------------------------------------------------
@@ -232,48 +189,22 @@ def _build_cv_state(spec, grid: cv.Grid) -> cv.WaveFunction:
     raise SchemaError(f"unknown cv state type {state_type!r}")
 
 
-def _build_inputs(sc: Scenario) -> dict:
-    p = sc.params
-    if p.get("moment_orders") is not None:
-        if _number(p["moment_orders"], "moment_orders", int, minimum=1) > MAX_ORDERS:
-            raise SizeCap(f"moment_orders {p['moment_orders']} exceeds the cap of {MAX_ORDERS}")
-    built = {}
-    if sc.kind.startswith("discrete"):
-        built["state"] = _build_state(p["state"])
-        if sc.kind == "discrete-npoint":
-            obs = p["observables"]
-            if not isinstance(obs, list) or not obs:
-                raise SchemaError(f"observables must be a non-empty list, got {obs!r}")
-            built["observables"] = [
-                _build_observable(o, f"observables[{i}]") for i, o in enumerate(obs)
-            ]
-        else:
-            built["observable_a"] = _build_observable(p["observable_a"], "observable_a")
-            built["observable_b"] = _build_observable(p["observable_b"], "observable_b")
-    else:
-        built["grid"] = _build_grid(p["grid"])
-        built["state"] = _build_cv_state(p["state"], built["grid"])
-    key = _KIND_KEYS[sc.kind].get("index")
-    if key is not None and p[key] is not None:
-        size = built["grid"].n if "grid" in built else built["observable_b"].dim
-        if type(p[key]) is not int or not 0 <= p[key] < size:
-            raise SchemaError(f"{key} must be an integer in [0, {size}), got {p[key]!r}")
-    if sc.kind == "experiment":
-        _check_experiment(p, built["grid"])
-    return built
+def _discrete_pair(p: dict):
+    """The state and the two observables of a discrete conditional or joint."""
+    return (_build_state(p["state"]), _build_observable(p["observable_a"], "observable_a"),
+            _build_observable(p["observable_b"], "observable_b"))
 
 
-def _check_experiment(p: dict, grid: cv.Grid):
-    if p["shots"] is not None:
-        _number(p["shots"], "shots", int, minimum=1)
-        if grid.n > photonics.STREAM_BASE:
-            raise SchemaError(f"a shot-level experiment takes grid n <= {photonics.STREAM_BASE}")
-    # sin(2 epsilon) > 0 normalizes every asymmetry
-    if not 0 < _number(p["epsilon"], "epsilon") < np.pi / 2:
-        raise SchemaError(f"epsilon must be a number in (0, pi/2), got {p['epsilon']!r}")
-    _number(p["min_counts"], "min_counts", int, minimum=1)
-    if p["post_index"] is None and not p["joint"]:
-        raise SchemaError("experiment scenario needs post_index or joint=true")
+def _cv_inputs(p: dict):
+    grid = _build_grid(p["grid"])
+    return grid, _build_cv_state(p["state"], grid)
+
+
+def _index(p: dict, key: str, size: int) -> int:
+    """p[key] as an outcome or grid index, refused outside [0, size)."""
+    if type(p[key]) is not int or not 0 <= p[key] < size:
+        raise SchemaError(f"{key} must be an integer in [0, {size}), got {p[key]!r}")
+    return p[key]
 
 
 # -- orchestration -----------------------------------------------------------
@@ -313,100 +244,138 @@ def _phase_space(grid: cv.Grid, values: np.ndarray, ordering: str):
     return pd, _plot_columns_2d(grid.x, grid.p, values, ("x", "p"))
 
 
-# Runners: (scenario, built inputs, diagnostics dict to extend) -> (result,
-# plot columns, oracle or None), or None for a kind that writes no distribution.
+# Kind builders: checked params -> run(seed, diag), on objects built here.
 
-def _run_discrete_conditional(sc: Scenario, built: dict, diag: dict):
-    p = sc.params
-    psi, a, b = built["state"], built["observable_a"], built["observable_b"]
-    j = p["postselect_index"]
-    mv = moment_vector(a, psi, QuantumState(b.eigenvector(j)), orders=p["moment_orders"])
-    result = conditional_from_moments(a, mv, renormalize=p["renormalize"])
-    oracle_pd = kd_conditional(psi, a, b, j)
-    diag["postselection_probability"] = postselection_probability(psi, b, j)
-    return result, _plot_columns_1d(a.eigenvalues, result.values, "eigenvalue"), oracle_pd
+def _build_discrete_conditional(p: dict):
+    orders = p["moment_orders"]
+    if orders is not None and _number(orders, "moment_orders", int, minimum=1) > MAX_ORDERS:
+        raise SizeCap(f"moment_orders {orders} exceeds the cap of {MAX_ORDERS}")
+    psi, a, b = _discrete_pair(p)
+    j = _index(p, "postselect_index", b.dim)  # an eigenvector of observable_b
 
-
-def _run_discrete_joint(sc: Scenario, built: dict, diag: dict):
-    psi, a, b = built["state"], built["observable_a"], built["observable_b"]
-    c = correlation_matrix(a, b, psi)
-    result = joint_from_correlations(a, b, c, renormalize=sc.params["renormalize"])
-    k = kd_joint(psi, a, b)
-    oracle_pd = PseudoDistribution(np.conj(k.values), k.axes, ordering_tag="kd-conjugate")
-    plot = _plot_columns_2d(a.eigenvalues, b.eigenvalues, result.values, ("a", "b"))
-    return result, plot, oracle_pd
+    def run(seed, diag):
+        mv = moment_vector(a, psi, QuantumState(b.eigenvector(j)), orders=orders)
+        result = conditional_from_moments(a, mv, renormalize=p["renormalize"])
+        oracle_pd = kd_conditional(psi, a, b, j)
+        diag["postselection_probability"] = postselection_probability(psi, b, j)
+        return result, _plot_columns_1d(a.eigenvalues, result.values, "eigenvalue"), oracle_pd
+    return run
 
 
-def _run_discrete_npoint(sc: Scenario, built: dict, diag: dict):
-    psi, obs = built["state"], built["observables"]
-    c = correlation_tensor(obs, psi)
-    result = npoint_from_correlations(obs, c, renormalize=sc.params["renormalize"])
-    flat = result.values.ravel()
-    plot = _plot_columns_1d(np.arange(flat.size), flat, "flat_index")
-    return result, plot, kd_npoint(psi, obs)
+def _build_discrete_joint(p: dict):
+    psi, a, b = _discrete_pair(p)
+
+    def run(seed, diag):
+        c = correlation_matrix(a, b, psi)
+        result = joint_from_correlations(a, b, c, renormalize=p["renormalize"])
+        k = kd_joint(psi, a, b)
+        oracle_pd = PseudoDistribution(np.conj(k.values), k.axes, ordering_tag="kd-conjugate")
+        plot = _plot_columns_2d(a.eigenvalues, b.eigenvalues, result.values, ("a", "b"))
+        return result, plot, oracle_pd
+    return run
 
 
-def _run_cv_conditional(sc: Scenario, built: dict, diag: dict):
-    grid, w = built["grid"], built["state"]
-    ip = sc.params["post_momentum_index"]
-    z = cv.weak_char_fn(w, grid.p[ip])
-    q = cv.conditional_pseudo_cv(z)
-    diag["post_momentum"] = float(grid.p[ip])
-    result = _cv_conditional(grid, q, z.conditioning)
-    return result, _plot_columns_1d(grid.x, q), _cv_conditional_oracle(grid, w, ip)
+def _build_discrete_npoint(p: dict):
+    psi, obs = _build_state(p["state"]), p["observables"]
+    if not isinstance(obs, list) or not obs:
+        raise SchemaError(f"observables must be a non-empty list, got {obs!r}")
+    obs = [_build_observable(o, f"observables[{i}]") for i, o in enumerate(obs)]
+
+    def run(seed, diag):
+        c = correlation_tensor(obs, psi)
+        result = npoint_from_correlations(obs, c, renormalize=p["renormalize"])
+        flat = result.values.ravel()
+        plot = _plot_columns_1d(np.arange(flat.size), flat, "flat_index")
+        return result, plot, kd_npoint(psi, obs)
+    return run
 
 
-def _run_cv_joint(sc: Scenario, built: dict, diag: dict):
-    grid, w = built["grid"], built["state"]
-    ordering = sc.params["ordering"]
-    result, plot = _phase_space(grid, cv.joint_kd_cv(w, ordering), ordering)
-    return result, plot, _cv_joint_oracle(grid, w, ordering)
+def _build_cv_conditional(p: dict):
+    grid, w = _cv_inputs(p)
+    ip = _index(p, "post_momentum_index", grid.n)
+
+    def run(seed, diag):
+        z = cv.weak_char_fn(w, grid.p[ip])
+        q = cv.conditional_pseudo_cv(z)
+        diag["post_momentum"] = float(grid.p[ip])
+        result = _cv_conditional(grid, q, z.conditioning)
+        return result, _plot_columns_1d(grid.x, q), _cv_conditional_oracle(grid, w, ip)
+    return run
 
 
-def _run_experiment(sc: Scenario, built: dict, diag: dict):
-    p = sc.params
-    grid, w = built["grid"], built["state"]
+def _build_cv_joint(p: dict):
+    ordering = p["ordering"]
+    if ordering not in cv.ORDERINGS:
+        raise SchemaError(f"ordering must be one of {cv.ORDERINGS}, got {ordering!r}")
+    grid, w = _cv_inputs(p)
+
+    def run(seed, diag):
+        result, plot = _phase_space(grid, cv.joint_kd_cv(w, ordering), ordering)
+        return result, plot, _cv_joint_oracle(grid, w, ordering)
+    return run
+
+
+def _build_experiment(p: dict):
+    grid, w = _cv_inputs(p)
     post, mode = p["post_index"], p["mode"]
-    res = photonics.run_reconstruction(
-        w,
-        epsilon=float(p["epsilon"]),
-        shots=p["shots"],
-        seed=sc.seed,
-        mode=mode,
-        post_index=post,
-        joint=bool(p["joint"]),
-        min_counts=p["min_counts"],
-    )
-    diag.update(res.diagnostics)
-    diag["post_selection_rates"] = [float(r) for r in res.rates]
-    if res.conditional is not None:
-        axis = "x" if mode == "x-then-p" else "p"
-        result = _cv_conditional(grid, res.conditional, f"pixel={post}", axis)
-        diag["conditional_standard_error"] = float(res.conditional_se[0])
-        coords = grid.x if axis == "x" else grid.p
-        oracle_pd = _cv_conditional_oracle(grid, w, post) if axis == "x" else None
-        return result, _plot_columns_1d(coords, res.conditional), oracle_pd
-    result, plot = _phase_space(grid, res.joint, mode)
-    return result, plot, _phase_space(grid, cv.joint_kd_cv(w, mode), mode)[0]
+    if post is not None:
+        _index(p, "post_index", grid.n)  # a camera pixel
+    shots = None if p["shots"] is None else _number(p["shots"], "shots", int, minimum=1)
+    epsilon = _number(p["epsilon"], "epsilon")
+    min_counts = _number(p["min_counts"], "min_counts", int, minimum=1)
+    try:
+        photonics.require_settings(grid, epsilon, shots, mode, post)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    if post is None and not p["joint"]:
+        raise SchemaError("experiment scenario needs post_index or joint=true")
+
+    def run(seed, diag):
+        res = photonics.run_reconstruction(w, epsilon=epsilon, shots=shots, seed=seed, mode=mode,
+                                           post_index=post, joint=bool(p["joint"]),
+                                           min_counts=min_counts)
+        diag.update(epsilon=epsilon, shots=shots, mode=mode)
+        diag["post_selection_rates"] = [float(r) for r in res.rates]
+        if post is not None:
+            axis = "x" if mode == "x-then-p" else "p"
+            result = _cv_conditional(grid, res.conditional, f"pixel={post}", axis)
+            diag["conditional_standard_error"] = float(res.conditional_se[0])
+            coords = grid.x if axis == "x" else grid.p
+            oracle_pd = _cv_conditional_oracle(grid, w, post, axis)
+            return result, _plot_columns_1d(coords, res.conditional), oracle_pd
+        result, plot = _phase_space(grid, res.joint, mode)
+        return result, plot, _phase_space(grid, cv.joint_kd_cv(w, mode), mode)[0]
+    return run
 
 
-def _run_ccr(sc: Scenario, built: dict, diag: dict):
-    witness = cv.ccr_witness(built["state"])
-    diag["witness"] = {"re": witness.real, "im": witness.imag}
-    diag["expected"] = {"re": 0.0, "im": built["grid"].hbar}
-    return None
+def _build_ccr(p: dict):
+    grid, w = _cv_inputs(p)
+
+    def run(seed, diag):
+        witness = cv.ccr_witness(w)
+        diag["witness"] = {"re": witness.real, "im": witness.imag}
+        diag["expected"] = {"re": 0.0, "im": grid.hbar}
+        return None
+    return run
 
 
-_RUNNERS = {
-    "discrete-conditional": _run_discrete_conditional,
-    "discrete-joint": _run_discrete_joint,
-    "discrete-npoint": _run_discrete_npoint,
-    "cv-conditional": _run_cv_conditional,
-    "cv-joint": _run_cv_joint,
-    "experiment": _run_experiment,
-    "ccr": _run_ccr,
+# kind -> (required keys, optional keys with their defaults, builder)
+_KINDS = {
+    "discrete-conditional": ({"state", "observable_a", "observable_b", "postselect_index"},
+                             {"moment_orders": None, "renormalize": False},
+                             _build_discrete_conditional),
+    "discrete-joint": ({"state", "observable_a", "observable_b"}, {"renormalize": False},
+                       _build_discrete_joint),
+    "discrete-npoint": ({"state", "observables"}, {"renormalize": False},
+                        _build_discrete_npoint),
+    "cv-conditional": ({"grid", "state", "post_momentum_index"}, {}, _build_cv_conditional),
+    "cv-joint": ({"grid", "state"}, {"ordering": "x-then-p"}, _build_cv_joint),
+    "experiment": ({"grid", "state", "epsilon", "shots"},
+                   {"mode": "x-then-p", "post_index": None, "joint": False, "min_counts": 100},
+                   _build_experiment),
+    "ccr": ({"grid", "state"}, {}, _build_ccr),
 }
-KINDS = tuple(_RUNNERS)
+KINDS = tuple(_KINDS)
 
 
 def run_scenario(sc: Scenario, out_dir, emit_oracle: bool = False) -> dict:
@@ -414,9 +383,8 @@ def run_scenario(sc: Scenario, out_dir, emit_oracle: bool = False) -> dict:
     a diagnostics dict (also written to diagnostics.json)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    built = _build_inputs(sc)
     diag = {"kind": sc.kind, "seed": sc.seed}
-    outputs = _RUNNERS[sc.kind](sc, built, diag)
+    outputs = sc.run(sc.seed, diag)
     try:
         if outputs is not None:
             result, plot, oracle_pd = outputs
@@ -425,7 +393,7 @@ def run_scenario(sc: Scenario, out_dir, emit_oracle: bool = False) -> dict:
             diag["sum_deviation"] = abs(total - 1.0)
             _write_distribution(out, result)
             write_plot_csv(out / "plot.csv", plot)
-            if emit_oracle and oracle_pd is not None:
+            if emit_oracle:
                 _write_distribution(out, oracle_pd, stem="oracle")
         write_json(out / "diagnostics.json", diag)
     finally:
@@ -433,11 +401,18 @@ def run_scenario(sc: Scenario, out_dir, emit_oracle: bool = False) -> dict:
     return diag
 
 
-def _cv_conditional_oracle(grid: cv.Grid, w: cv.WaveFunction, ip: int) -> PseudoDistribution:
-    """Weak-valued position projector <p|x><x|psi>/<p|psi> on the grid."""
+def _cv_conditional_oracle(grid: cv.Grid, w: cv.WaveFunction, index: int,
+                           axis: str = "x") -> PseudoDistribution:
+    """Weak-valued position projector <p|x><x|psi>/<p|psi> on the grid, for p
+    at ``index``; over p (the p-then-x experiment) the momentum projector
+    <x|p><p|psi>/<x|psi> for x at ``index``."""
     psi_p = cv.to_momentum(w)
-    bra_p_x = np.exp(-1j * grid.p[ip] * grid.x / grid.hbar) / np.sqrt(2 * np.pi * grid.hbar)
-    return _cv_conditional(grid, bra_p_x * w.samples / psi_p[ip], f"p={grid.p[ip]:.6g}")
+    if axis == "x":
+        bra_p_x = np.exp(-1j * grid.p[index] * grid.x / grid.hbar) / np.sqrt(2 * np.pi * grid.hbar)
+        return _cv_conditional(grid, bra_p_x * w.samples / psi_p[index], f"p={grid.p[index]:.6g}")
+    bra_x_p = np.exp(1j * grid.x[index] * grid.p / grid.hbar) / np.sqrt(2 * np.pi * grid.hbar)
+    return _cv_conditional(grid, bra_x_p * psi_p / w.samples[index], f"x={grid.x[index]:.6g}",
+                           "p")
 
 
 def _cv_joint_oracle(grid: cv.Grid, w: cv.WaveFunction, ordering: str) -> PseudoDistribution:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kdrecon import cv, photonics
+from kdrecon import cv, photonics, scenarios
 from kdrecon.cli import main
 from kdrecon.core import GRID_CAP
 from kdrecon.errors import (
@@ -411,9 +411,42 @@ class TestCliRuns:
             "post_index": 32, "mode": "p-then-x",
         })
         out = tmp_path / "out"
-        assert main(["experiment", "--scenario", str(scen), "--out", str(out)]) == 0
+        assert main(["experiment", "--scenario", str(scen), "--out", str(out),
+                     "--emit-oracle"]) == 0
         assert read_json(out / "diagnostics.json")["sum_deviation"] < 1e-6
         assert pseudo_from_dict(read_json(out / "distribution.json")).axes == ("p",)
+        assert main(["compare", str(out / "distribution.json"), str(out / "oracle.json"),
+                     "--tol", "1e-5"]) == 0
+
+    def test_seed_override_reaches_the_shot_streams(self, tmp_path):
+        override, in_file, default = tmp_path / "override", tmp_path / "file", tmp_path / "zero"
+        scen = write_scenario(tmp_path, EXPERIMENT)
+        assert main(["experiment", "--scenario", str(scen), "--out", str(override),
+                     "--seed", "5"]) == 0
+        assert main(["experiment", "--scenario", str(scen), "--out", str(default)]) == 0
+        seeded = write_scenario(tmp_path, dict(EXPERIMENT, seed=5), "seeded.json")
+        assert main(["experiment", "--scenario", str(seeded), "--out", str(in_file)]) == 0
+        distribution = (override / "distribution.json").read_bytes()
+        assert distribution == (in_file / "distribution.json").read_bytes()
+        assert distribution != (default / "distribution.json").read_bytes()
+        assert read_json(override / "diagnostics.json")["seed"] == 5
+
+    @pytest.mark.parametrize("scenario, builder", [
+        (dict(EXPERIMENT, shots=None), (cv, "gaussian_state")),
+        (CCR_SCENARIO, (cv, "gaussian_state")),
+        ({"kind": "discrete-joint", "state": {"random": {"dim": 3, "seed": 1}},
+          "observable_a": {"random": {"dim": 3, "seed": 2}},
+          "observable_b": {"random": {"dim": 3, "seed": 3}}}, (scenarios, "random_state")),
+    ])
+    def test_a_run_builds_its_state_once(self, tmp_path, monkeypatch, scenario, builder):
+        calls = []
+        module, name = builder
+        build = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or build(*a, **k))
+        scen = write_scenario(tmp_path, scenario)
+        command = "ccr" if scenario["kind"] == "ccr" else "reconstruct"
+        assert main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
     def test_schema_error_exit_code(self, tmp_path):
         scen = write_scenario(tmp_path, dict(QUBIT_SCENARIO, epsilonn=1))
@@ -429,6 +462,14 @@ class TestCliRuns:
         scen = write_scenario(tmp_path, QUBIT_SCENARIO)
         rc = main(["ccr", "--scenario", str(scen), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_wrong_kind_is_schema_error(self, tmp_path):
+        scen = write_scenario(tmp_path, CCR_SCENARIO)
+        out = tmp_path / "out"
+        assert main(["experiment", "--scenario", str(scen), "--out", str(out)]) == 2
+        err = read_json(out / "error.json")
+        assert err["error"] == "SchemaError" and "'ccr'" in err["message"]
+        assert not (out / "distribution.json").exists()
 
     def test_out_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KDRECON_OUT", str(tmp_path / "envout"))
