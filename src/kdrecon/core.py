@@ -10,7 +10,7 @@ are written as ``not deviation <= tol``, so that a NaN fails them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,14 @@ class QuantumState:
         return cls(amps / np.linalg.norm(amps))
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+        """|psi><psi|, read-only.  It is Hermitian, of unit trace (to the
+        norm check above) and rank-1 PSD by construction, so it skips the
+        checks, among them an O(d^3) eigvalsh, that DensityMatrix runs on
+        user data."""
+        rho = object.__new__(DensityMatrix)
+        matrix = _as_complex(np.outer(self.amplitudes, self.amplitudes.conj()))
+        object.__setattr__(rho, "matrix", matrix)
+        return rho
 
 
 @dataclass(frozen=True)
@@ -125,21 +132,27 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableSpec:
     """Non-degenerate Hermitian observable as eigenvalues + eigenvector columns.
 
     Degenerate spectra are rejected at construction: a near-zero eigenvalue gap
     makes the associated Vandermonde system singular.  Tilt the operator by an
     infinitesimal amount to lift the degeneracy.
+
+    Compared and hashed by identity, so that ``reconstruct`` can keep each
+    observable's inverse operator in a weak-keyed cache; both arrays are
+    read-only.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    label: str = field(default="A", compare=False)
+    label: str = "A"
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
+        # a copy: the caller's array could be made writable again and change
+        # the eigenvalues that ``reconstruct`` has built an operator from
+        vals = np.array(self.eigenvalues, dtype=float)
         vecs = _as_complex(self.eigenvectors)
         d = vals.size
         if vecs.shape != (d, d):

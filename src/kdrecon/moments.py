@@ -53,8 +53,10 @@ def _powers(obs: ObservableSpec, orders: int) -> np.ndarray:
     row (i, m) is u_i a^m, and one product with u^dagger gives every power.
     SizeCap if a power of an eigenvalue overflows."""
     u, d = obs.eigenvectors, obs.dim
-    # a**m with a scalar m, as observable_power has it: numpy takes x*x for m = 2
-    lam_m = np.array([obs.eigenvalues**m for m in range(orders)])
+    # a**m with a scalar m, as observable_power has it: numpy takes x*x for m = 2;
+    # an overflow is refused below, not warned of
+    with np.errstate(over="ignore"):
+        lam_m = np.array([obs.eigenvalues**m for m in range(orders)])
     if not np.isfinite(lam_m).all():
         raise SizeCap(f"eigenvalue powers up to {orders - 1} overflow a float")
     return ((u[:, None, :] * lam_m).reshape(d * orders, d) @ u.conj().T).reshape(d, orders, d)

@@ -9,18 +9,23 @@ Conventions (recorded on each output's ordering_tag):
 Eigenvalue nodes are affinely rescaled to [-1, 1] before inversion to tame
 Vandermonde conditioning; the moment data are transformed consistently
 (binomial re-expansion of operator powers), which is mathematically exact.
+
+The rescaled operators depend on the observable alone, not on the state, so
+each is built on first use and kept, O(d^2) floats, until the observable is
+garbage-collected (``_operator``).
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 
 import numpy as np
 
 from .core import ObservableSpec, require_tensor_size
 from .errors import DimensionMismatch, SizeCap
 from .oracle import PseudoDistribution
-from .vandermonde import MAX_ORDERS, invert_vandermonde, solve_least_squares
+from .vandermonde import MAX_ORDERS, _inverse_and_spread, _warn_spread, solve_least_squares
 
 SUM_CHECK_TOL = 1e-6
 
@@ -55,8 +60,10 @@ def _rescaled(nodes: np.ndarray, orders: int):
     try:  # a Python float power raises OverflowError where numpy gives inf
         shift = np.array([(-beta) ** j for j in range(orders)])
         scale = np.array([alpha**j for j in range(orders)])
-        # above the diagonal C(n, k) = 0 meets shift[0] = 1, so M is exactly lower-triangular
-        m = _BINOMIALS[:orders, :orders] * shift[_LAGS[:orders, :orders]] / scale[:, None]
+        # above the diagonal C(n, k) = 0 meets shift[0] = 1, so M is exactly
+        # lower-triangular; an inf or NaN entry is refused below, not warned of
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            m = _BINOMIALS[:orders, :orders] * shift[_LAGS[:orders, :orders]] / scale[:, None]
         if not np.isfinite(m).all():
             raise OverflowError
     except OverflowError:
@@ -67,16 +74,44 @@ def _rescaled(nodes: np.ndarray, orders: int):
     return (nodes - beta) / alpha, m
 
 
+# ObservableSpec (compared and hashed by identity) -> {orders: operator}
+_OPERATORS = weakref.WeakKeyDictionary()
+
+
+def _operator(obs: ObservableSpec, orders: int) -> tuple:
+    """The observable's rescaled operator for ``orders`` measured moments,
+    built on first use: (R = V_t^{-1} M, coefficient spread of V_t^{-1}) when
+    orders == d, (V_t's ``orders`` rows of powers, M) otherwise.
+
+    Two threads missing at once build equal entries and one is kept.
+    """
+    ops = _OPERATORS.setdefault(obs, {})
+    op = ops.get(orders)
+    if op is None:
+        t_nodes, m = _rescaled(obs.eigenvalues, orders)
+        if orders == obs.dim:
+            inv, spread = _inverse_and_spread(t_nodes)
+            op = (inv @ m, spread)
+        else:
+            op = (np.vander(t_nodes, orders, increasing=True).T, m)
+            m.setflags(write=False)
+        op[0].setflags(write=False)
+        ops[orders] = op
+    return op
+
+
 def _contract(observables, values: np.ndarray) -> np.ndarray:
     """Apply R = V_t^{-1} M along axis i of ``values`` for the i-th observable:
     Q = R_A C for a moment vector, R_A C R_B^T for a correlation matrix.
 
     Each step contracts the leading axis with one (d x d) @ (d x rest) product
     and moves the new axis last, so after N steps the axes are back in order.
+    Warns on every call whose observable's inverse has a wide coefficient
+    spread, not only when the operator is built.
     """
     for obs in observables:
-        t_nodes, m = _rescaled(np.asarray(obs.eigenvalues, float), obs.dim)
-        r = invert_vandermonde(t_nodes) @ m
+        r, spread = _operator(obs, obs.dim)
+        _warn_spread(spread)
         values = (r @ values.reshape(obs.dim, -1)).T.reshape(*values.shape[1:], -1)
     return values
 
@@ -110,8 +145,7 @@ def conditional_from_moments(
     if r == a.dim:
         q = _contract([a], moments)
     else:
-        t_nodes, m = _rescaled(np.asarray(a.eigenvalues, dtype=float), r)
-        v_rect = np.vander(t_nodes, r, increasing=True).T  # r rows of powers
+        v_rect, m = _operator(a, r)
         q = solve_least_squares(v_rect, m @ moments)
     q = _check_sum(q, renormalize, "conditional pseudo-distribution")
     return PseudoDistribution(q, (a.label,), ordering_tag="kd-conditional", conditioning="phi")

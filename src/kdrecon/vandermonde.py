@@ -31,9 +31,10 @@ def _check_nodes(nodes: np.ndarray):
     require_node_gap(nodes)
 
 
-def invert_vandermonde(nodes) -> np.ndarray:
+def _inverse_and_spread(nodes) -> tuple[np.ndarray, float]:
     """Inverse of V[n, i] = nodes[i]**n via Lagrange coefficient deflation,
-    O(d^2) arithmetic.
+    O(d^2) arithmetic, and its coefficient spread (largest over smallest
+    significant magnitude).
 
     Row i holds the monomial coefficients (increasing powers) of L_i.  The
     nodes must be distinct (gap check), at least one and at most MAX_NODES.
@@ -61,14 +62,26 @@ def invert_vandermonde(nodes) -> np.ndarray:
     # coefficients that are structurally zero come out at roundoff level;
     # exclude them from the spread estimate
     significant = mags[mags > 1e-14 * top]
-    ratio = top / significant.min() if significant.size else 1.0
-    if np.isfinite(ratio) and ratio > CONDITION_WARN_RATIO:
+    return inv, float(top / significant.min()) if significant.size else 1.0
+
+
+def _warn_spread(spread: float) -> None:
+    """Warn, at the caller's caller, when an inverse's coefficient spread
+    passes CONDITION_WARN_RATIO."""
+    if np.isfinite(spread) and spread > CONDITION_WARN_RATIO:
         warnings.warn(
-            f"Vandermonde inverse coefficient spread {ratio:.2e} exceeds 1e12; "
+            f"Vandermonde inverse coefficient spread {spread:.2e} exceeds 1e12; "
             "results may be inaccurate",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+
+
+def invert_vandermonde(nodes) -> np.ndarray:
+    """Inverse of V[n, i] = nodes[i]**n (see ``_inverse_and_spread``), with a
+    RuntimeWarning when its coefficient spread exceeds 1e12."""
+    inv, spread = _inverse_and_spread(nodes)
+    _warn_spread(spread)
     return inv
 
 

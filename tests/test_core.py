@@ -139,3 +139,26 @@ class TestConstructors:
             DensityMatrix(np.diag([np.nan, 0.5]))
         with pytest.raises(NormViolation):
             DensityMatrix(np.diag([0.5 + 1j * np.nan, 0.5]))
+
+    def test_pure_density_is_the_outer_product_read_only(self):
+        for d in (1, 2, 8, 32):
+            psi = random_state(d, 40 + d)
+            rho = psi.density()
+            assert isinstance(rho, DensityMatrix) and rho.dim == d
+            assert np.array_equal(rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+            assert not rho.matrix.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rho.matrix[0, 0] = 0
+
+    def test_observables_compare_and_hash_by_identity(self):
+        a = random_observable(3, seed=9)
+        twin = ObservableSpec(a.eigenvalues, a.eigenvectors, label=a.label)
+        assert a == a and a != twin
+        assert hash(a) == hash(a) and len({a, twin}) == 2
+        assert not a.eigenvalues.flags.writeable and not a.eigenvectors.flags.writeable
+
+    def test_eigenvalues_are_copied_from_the_caller(self):
+        vals = np.array([1.0, -1.0])
+        obs = ObservableSpec(vals, np.eye(2))
+        vals[0] = 5.0  # the caller's array stays writable and is not shared
+        assert np.array_equal(obs.eigenvalues, [1.0, -1.0])

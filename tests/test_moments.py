@@ -304,7 +304,7 @@ class TestOrdersCap:
         ):
             assert size_cap_peak(call) < 4096
 
-    @pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_eigenvalue_powers_refused(self, plus_x):
         # 1e6**59 passes the float range; the moments came out NaN
         a = ObservableSpec([1e6, 1e6 + 1], np.eye(2))

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+import weakref
 from math import comb
 
 import numpy as np
@@ -18,13 +21,20 @@ from kdrecon.moments import (
 )
 from kdrecon.oracle import kd_conditional, kd_joint, kd_npoint
 from kdrecon.reconstruct import (
+    _OPERATORS,
     _contract,
+    _operator,
     _rescaled,
     conditional_from_moments,
     joint_from_correlations,
     npoint_from_correlations,
 )
-from kdrecon.vandermonde import MAX_NODES, MAX_ORDERS, invert_vandermonde
+from kdrecon.vandermonde import (
+    MAX_NODES,
+    MAX_ORDERS,
+    invert_vandermonde,
+    solve_least_squares,
+)
 
 SZ = pauli_spec("z")
 SX = pauli_spec("x")
@@ -247,7 +257,7 @@ class TestOrdersCap:
         moments = np.ones(MAX_ORDERS + 1, dtype=complex)
         assert size_cap_peak(lambda: conditional_from_moments(SZ, moments)) < 4096
 
-    @pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_rescaled_powers_refused(self):
         # beta**59 passes the float range (a raw OverflowError before), and
         # alpha**59 underflows to 0 (M came out infinite)
@@ -258,3 +268,75 @@ class TestOrdersCap:
         for nodes in ([1e6, 1e6 + 1], [0.0, 1e-7]):
             _, m = _rescaled(np.array(nodes), 40)
             assert np.all(np.isfinite(m))
+
+
+class TestOperatorCache:
+    """Each observable's rescaled operator is built on first use and kept
+    while the observable lives; every result is the bits of rebuilding it."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # spread and sum at d = 32
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_first_and_second_call_equal_uncached(self, d):
+        psi = random_state(d, 900 + d)
+        a, b, c = (random_observable(d, 910 + 3 * d + i) for i in range(3))
+        phi = QuantumState(b.eigenvector(0))
+        mv, mv_lsq = moment_vector(a, psi, phi), moment_vector(a, psi, phi, orders=d + 2)
+        cm, ct = correlation_matrix(a, b, psi), correlation_tensor([a, b, c], psi)
+        # references: R rebuilt from the public inverse, V_t and M from the comb loop
+        t_nodes, m = comb_rescaled(a.eigenvalues, d + 2)
+        lsq_ref = solve_least_squares(np.vander(t_nodes, d + 2, increasing=True).T, m @ mv_lsq)
+        refs = [
+            (lambda: _contract([a, b], cm), tensordot_contract([a, b], cm)),
+            (lambda: conditional_from_moments(a, mv).values, tensordot_contract([a], mv)),
+            (lambda: conditional_from_moments(a, mv_lsq).values, lsq_ref),
+            (lambda: joint_from_correlations(a, b, cm).values, tensordot_contract([a, b], cm)),
+            (lambda: npoint_from_correlations([a, b, c], ct).values,
+             tensordot_contract([a, b, c], ct)),
+        ]
+        for _ in range(2):  # the first call builds the operators, the second reuses them
+            for call, ref in refs:
+                assert np.array_equal(call(), ref)
+        assert _operator(a, d) is _operator(a, d)
+        assert set(_OPERATORS[a]) == {d, d + 2} and set(_OPERATORS[c]) == {d}
+
+    def test_cached_operators_are_read_only(self):
+        a = random_observable(4, 931)
+        for orders in (4, 6):
+            with pytest.raises(ValueError, match="read-only"):
+                _operator(a, orders)[0][0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            _operator(a, 6)[1][0, 0] = 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # spread and sum at d = 32
+    def test_cache_of_24_d32_observables_stays_under_1_mb(self):
+        d, psi = 32, random_state(32, 940)
+        obs = [random_observable(d, 941 + i) for i in range(24)]
+        triples = [obs[i:i + 3] for i in range(0, 24, 3)]
+        tensors = [correlation_tensor(t, psi) for t in triples]  # 512 kB each
+        tracemalloc.start()
+        try:
+            for t, c in zip(triples, tensors):
+                npoint_from_correlations(t, c)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(o in _OPERATORS for o in obs)
+        assert retained < 2**20
+
+    def test_entry_dies_with_the_observable(self):
+        a = random_observable(5, 960)
+        conditional_from_moments(a, np.r_[1.0, np.zeros(4)])
+        observable, operator = weakref.ref(a), weakref.ref(_OPERATORS[a][5][0])
+        del a
+        gc.collect()
+        assert observable() is None and operator() is None
+
+    def test_spread_warning_on_every_call(self):
+        # equally spaced nodes: the rescaled inverse's spread is 4.5e13 at d = 20
+        wide = ObservableSpec(np.arange(20.0), np.eye(20))
+        c = np.zeros((20, 20), dtype=complex)
+        c[0, 0] = 1
+        for _ in range(2):  # the second call finds the operator built
+            with pytest.warns(RuntimeWarning, match="coefficient spread"):
+                joint_from_correlations(wide, wide, c)
