@@ -68,7 +68,9 @@ def require_node_gap(nodes: np.ndarray) -> None:
 
 
 def _as_complex(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=complex)
+    """A read-only complex copy: the caller's array stays writable, and
+    changing it cannot change a checked state or eigenvector matrix."""
+    arr = np.array(a, dtype=complex)
     arr.setflags(write=False)
     return arr
 
@@ -103,7 +105,8 @@ class QuantumState:
         checks, among them an O(d^3) eigvalsh, that DensityMatrix runs on
         user data."""
         rho = object.__new__(DensityMatrix)
-        matrix = _as_complex(np.outer(self.amplitudes, self.amplitudes.conj()))
+        matrix = np.outer(self.amplitudes, self.amplitudes.conj())
+        matrix.setflags(write=False)
         object.__setattr__(rho, "matrix", matrix)
         return rho
 

@@ -110,65 +110,77 @@ def propagate_and_analyze(g: Grid, hv: np.ndarray, mode: str) -> np.ndarray:
 # into one stream word below 2^63, together the 128-bit Philox key
 SEED_LIMIT = 2**63
 STREAM_BASE = 4096
-_ZERO_WORDS = [0, 0, 0, 0]
 _thread = threading.local()
 
 
-def _philox(key) -> np.random.Generator:
-    """This thread's Philox generator, re-keyed to ``key`` at counter 0.
+def _philox(key: np.ndarray) -> np.random.Generator:
+    """This thread's Philox generator, re-keyed to the uint64 words ``key``.
 
-    Philox is counter-based, so the state set here is exactly that of a fresh
-    ``Philox(key=key)`` and yields the same stream, without the OS-entropy
-    seed sequence that constructor draws.
+    Philox is counter-based, so the state set here (counter 0, empty buffer:
+    the state of a fresh generator, kept as one dict per thread) is exactly
+    that of a fresh ``Philox(key=key)`` and yields the same stream, without
+    the OS-entropy seed sequence that constructor draws.
     """
-    rng = getattr(_thread, "rng", None)
-    if rng is None:
-        rng = _thread.rng = np.random.Generator(np.random.Philox(key=0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": np.asarray(key).astype(np.uint64)},
-        "buffer": _ZERO_WORDS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+    if not hasattr(_thread, "rng"):
+        _thread.rng = np.random.Generator(np.random.Philox(key=0))
+        _thread.state = _thread.rng.bit_generator.state
+    _thread.state["state"]["key"] = key
+    _thread.rng.bit_generator.state = _thread.state
+    return _thread.rng
 
 
 def sample_shots(prob: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Multinomial camera counts, shaped as ``prob``, from a counter-based
-    (Philox) stream.
+    """Multinomial camera counts, shaped as ``prob``, from counter-based
+    (Philox) streams.
 
     ``seed`` is an integer in [0, 2^63) or a tuple (seed, i_1, ..., i_m) of
     one with stream indices in [0, 4096); the indices fold into one stream
     word, which must stay below 2^63, and (seed, stream) is the Philox key.
-    Each thread re-keys one generator per call rather than building one; the
+    An index may be a 1-D integer array along ``prob``'s leading axis: each
+    row ``prob[j]`` is then a cell of its own, drawn from the stream of its
+    j-th index, exactly as a call per row would draw it.  A cell's counts
+    follow its values in C order, normalised by their sum in column-major
+    order, so they depend on the values alone, not on the memory layout.
+    Each thread re-keys one generator per cell rather than building one; the
     streams are those of ``np.random.Generator(np.random.Philox(key=key))``.
     """
     p = np.asarray(prob, dtype=float)
+    base, *indices = seed if isinstance(seed, (tuple, list)) else (seed,)
+    block = any(isinstance(v, np.ndarray) and v.ndim for v in indices)
+    cells = p if block else p[None]
     if not p.min(initial=0.0) >= -1e-12:
         raise InvalidProbability("negative probability encountered")
-    total = p.sum()
-    if not total <= 1 + 1e-9:
-        raise InvalidProbability(f"probabilities sum to {total}")
-    base, *indices = seed if isinstance(seed, (tuple, list)) else (seed,)
+    # each cell's axes reversed, in C order: the sweep's (pixel, outcome)
+    # cells are views of (outcome, pixel) rows, so this costs it no copy
+    totals = np.ascontiguousarray(
+        cells.transpose(0, *range(cells.ndim - 1, 0, -1))
+    ).reshape(len(cells), -1).sum(axis=1)
+    over = totals[~(totals <= 1 + 1e-9)]
+    if over.size:
+        raise InvalidProbability(f"probabilities sum to {over[0]}")
+    # clip to [0, inf) straight into one C-ordered block
+    pvals = np.maximum(cells, 0, out=np.empty(cells.shape)).reshape(len(cells), -1)
+    pvals /= np.maximum(totals, 1e-300)[:, None]
     base = operator.index(base)
     if not 0 <= base < SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2^63), got {base}")
     stream = 0
     for v in indices:
-        v = operator.index(v)
-        if not 0 <= v < STREAM_BASE:
+        v = v if isinstance(v, np.ndarray) and v.dtype.kind in "iu" else operator.index(v)
+        if not np.all((0 <= v) & (v < STREAM_BASE)):
             raise ValueError(f"stream index must lie in [0, {STREAM_BASE}), got {v}")
-        stream = stream * STREAM_BASE + v
-    if stream >= SEED_LIMIT:
-        raise ValueError(f"{len(indices)} stream indices fold past 2^63")
-    key = (base, stream)
-    # clip to [0, inf) straight into C order, so a transposed view (as the
-    # sweep passes) costs no separate ravel copy
-    pvals = np.maximum(p, 0, out=np.empty(p.shape)).ravel()
-    pvals /= max(total, 1e-300)
-    counts = _philox(key).multinomial(shots, pvals)
+        # stream * 4096 + v < 2^63 exactly when stream < 2^51, so int64 holds it
+        if np.any(stream >= SEED_LIMIT // STREAM_BASE):
+            raise ValueError(f"{len(indices)} stream indices fold past 2^63")
+        stream = stream * STREAM_BASE + np.asarray(v, dtype=np.int64)
+    if np.ndim(stream) and np.shape(stream) != (len(cells),):
+        raise ValueError(f"{np.size(stream)} stream indices for {len(cells)} rows")
+    keys = np.empty((len(cells), 2), dtype=np.uint64)
+    keys[:, 0] = base
+    keys[:, 1] = stream
+    counts = np.empty(pvals.shape, dtype=np.int64)
+    for key, row, out in zip(keys, pvals, counts):
+        out[...] = _philox(key).multinomial(shots, row)
     return counts.reshape(p.shape)
 
 
@@ -232,12 +244,10 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
         probs = run_setting(w, params, _QUAD_PHASE[quad], epsilon, mode)
         for ai, rows in enumerate(probs):  # (k, outcome, pixel)
             if shots is not None:
-                # each frequency m draws from the Philox stream of its cell
-                # (seed, m, qi, ai)
-                rows = np.stack([
-                    sample_shots(cell.T, shots, (seed, m, qi, ai)).T
-                    for m, cell in enumerate(rows)
-                ])
+                # one call per block; frequency m draws its (pixel, outcome)
+                # cell from the Philox stream (seed, m, qi, ai)
+                rows = sample_shots(rows.transpose(0, 2, 1), shots,
+                                    (seed, np.arange(len(rows)), qi, ai)).transpose(0, 2, 1)
             asym[quad, ANALYZERS[ai]], var, total, cell_short = _asymmetry(
                 rows[:, 0], rows[:, 1], None if shots is None else min_counts
             )

@@ -162,3 +162,24 @@ class TestConstructors:
         obs = ObservableSpec(vals, np.eye(2))
         vals[0] = 5.0  # the caller's array stays writable and is not shared
         assert np.array_equal(obs.eigenvalues, [1.0, -1.0])
+
+    def test_eigenvectors_are_copied_from_the_caller(self):
+        u = np.eye(2, dtype=complex)
+        obs = ObservableSpec([1.0, -1.0], u)
+        assert u.flags.writeable  # the caller's own array is not frozen
+        u.setflags(write=True)
+        u[:] = 0
+        assert np.array_equal(obs.eigenvectors, np.eye(2))
+        assert not obs.eigenvectors.flags.writeable
+
+    def test_states_are_copied_from_the_caller(self):
+        amps = np.array([1.0, 1.0j]) / np.sqrt(2)
+        psi = QuantumState(amps)
+        rho_in = np.outer(amps, amps.conj())
+        rho = DensityMatrix(rho_in)
+        assert amps.flags.writeable and rho_in.flags.writeable
+        amps[:] = [1.0, 0.0]
+        rho_in[:] = 0
+        assert np.array_equal(psi.amplitudes, np.array([1.0, 1.0j]) / np.sqrt(2))
+        assert np.array_equal(rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        assert not psi.amplitudes.flags.writeable and not rho.matrix.flags.writeable

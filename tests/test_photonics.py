@@ -109,8 +109,9 @@ def fresh_sample_shots(prob, shots, seed):
     for v in indices:
         stream = stream * 4096 + v
     p = np.asarray(prob, dtype=float)
+    total = np.ascontiguousarray(p.T).sum()  # the values in column-major order
     rng = np.random.Generator(np.random.Philox(key=(base, stream)))
-    counts = rng.multinomial(shots, np.clip(p, 0, None).ravel() / max(p.sum(), 1e-300))
+    counts = rng.multinomial(shots, np.clip(p, 0, None).ravel() / max(total, 1e-300))
     return counts.reshape(p.shape)
 
 
@@ -126,7 +127,7 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts):
         else (position_samples_raw, g.dx)
     z_values = np.zeros((n, n), dtype=complex)
     z_errors = np.zeros((n, n))
-    rates = np.zeros(n)
+    recorded = np.zeros(n)
     for m, kp in enumerate(_conjugate_params(g, mode)):
         rows = {}
         for qi, quad in enumerate(QUADRATURES):
@@ -137,7 +138,7 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts):
                 if shots is not None:
                     probs = fresh_sample_shots(probs.T, shots, (seed, m, qi, ai)).T
                 rows[quad, analyzer] = probs
-                rates += probs.sum(axis=0) / (4 * n * (1 if shots is None else shots))
+                recorded += probs.sum(axis=0)
         for pix in range(n):
             asym, var_sum = {}, 0.0
             for key, (plus, minus) in rows.items():
@@ -153,7 +154,7 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts):
                 z_values[m, pix] = (asym["cos", "diag"] - asym["sin", "circ"] + 1j * (
                     asym["cos", "circ"] + asym["sin", "diag"])) / norm
                 z_errors[m, pix] = np.sqrt(var_sum) / norm
-    return z_values, z_errors, rates
+    return z_values, z_errors, recorded / (4 * n * (1 if shots is None else shots))
 
 
 class TestPreparation:
@@ -353,6 +354,73 @@ class TestSampling:
         assert not any(t.is_alive() for t in threads)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_layouts_of_equal_values_give_identical_counts(self, mode):
+        # the sweep's own (pixel, outcome) cells, whose sums in C and in
+        # memory order differ in the last bit for many cells
+        g = Grid(64, 16.0)
+        w = gaussian_state(g, center=0.4, width=WIDTH)
+        for qi, phase in enumerate((np.pi / 2, 0.0)):
+            probs = run_setting(w, _conjugate_params(g, mode), phase, 0.05, mode)
+            for ai, rows in enumerate(probs):
+                for m, cell in enumerate(rows):
+                    transposed = cell.T
+                    c_ordered = np.ascontiguousarray(transposed)
+                    strided = np.zeros((g.n, 6))
+                    strided[:, ::3] = c_ordered
+                    key = (3, m, qi, ai)
+                    counts = sample_shots(c_ordered, 10**6, key)
+                    for view in (transposed, strided[:, ::3]):
+                        assert np.array_equal(sample_shots(view, 10**6, key), counts), key
+
+    @pytest.mark.parametrize("layout", ["C", "transposed"])
+    def test_block_rows_match_one_cell_calls(self, layout):
+        rng = np.random.default_rng(9)
+        block = rng.random((12, 8, 2))
+        block /= block.sum(axis=(1, 2), keepdims=True) * (1 + rng.random((12, 1, 1)))
+        if layout == "transposed":
+            block = np.ascontiguousarray(block.transpose(0, 2, 1)).transpose(0, 2, 1)
+        rows = np.array([0, 7, 4095, 3, 3, 2048, 1, 9, 4000, 0, 12, 5], dtype=np.uint32)
+        for shots in (0, 1, 10**6):
+            counts = sample_shots(block, shots, (2**62 + 3, 4095, rows, 1))
+            assert counts.shape == block.shape
+            for j, cell in enumerate(block):
+                key = (2**62 + 3, 4095, int(rows[j]), 1)
+                assert np.array_equal(counts[j], sample_shots(cell, shots, key)), (j, shots)
+                assert np.array_equal(counts[j], fresh_sample_shots(cell, shots, key)), (j, shots)
+
+    @pytest.mark.parametrize("bad", ["sum", "negative", "nan"])
+    def test_invalid_block_rejected_before_any_draw(self, bad, monkeypatch):
+        def fail(key):
+            raise AssertionError("a row was drawn from an invalid block")
+
+        monkeypatch.setattr(photonics, "_philox", fail)
+        block = np.full((5, 4, 2), 1 / 8)
+        # only the last row is bad
+        if bad == "sum":
+            block[-1] *= 1 + 2e-9
+        else:
+            block[-1, 3, 1] = -1e-6 if bad == "negative" else np.nan
+        with pytest.raises(InvalidProbability):
+            sample_shots(block, 100, (0, np.arange(5), 1, 0))
+
+    @pytest.mark.parametrize("seed, error", [
+        ((0, np.array([0, 1, 2, 3, 4096])), ValueError),
+        ((0, np.array([0, 1, -1, 3, 4])), ValueError),
+        ((0, np.arange(5), 4096), ValueError), ((0, 4096, np.arange(5)), ValueError),
+        ((0, np.arange(5), -1), ValueError), ((0, np.arange(6)), ValueError),
+        ((0, np.arange(1)), ValueError), ((0, np.arange(5).reshape(5, 1)), ValueError),
+        ((0, 4095, 4095, 4095, 4095, 4095, np.array([0, 0, 0, 0, 1])), ValueError),
+        ((2**63, np.arange(5)), ValueError), ((0, np.arange(5.0)), TypeError),
+    ])
+    def test_out_of_range_stream_index_in_block_rejected(self, seed, error, monkeypatch):
+        def fail(key):
+            raise AssertionError("a row was drawn for a refused key")
+
+        monkeypatch.setattr(photonics, "_philox", fail)
+        with pytest.raises(error):
+            sample_shots(np.full((5, 2, 2), 0.25), 10, seed)
+
     @pytest.mark.parametrize("seed", [
         (2**63,), (2**64 - 1,), (-1,), 2**63, -5, (0, 4096), (0, -1), (0, 1, 4096),
         (0, 4095, 4095, 4095, 4095, 4095, 4095),
@@ -438,21 +506,43 @@ class TestReconstruction:
                                    min_counts=100)
 
     @pytest.mark.parametrize("mode", ["x-then-p", "p-then-x"])
-    def test_sweep_draws_the_streams_of_fresh_generators(self, mode, monkeypatch):
-        w = gaussian_state(Grid(16, 12.0), center=0.3, width=WIDTH)
-        res = run_reconstruction(w, 0.05, 10**4, 23, mode=mode, joint=True)
+    # the second case has cells whose counts change when they are normalised
+    # by their sum in C order instead of column-major order
+    @pytest.mark.parametrize("n, length, center, shots, seed", [
+        (16, 12.0, 0.3, 10**4, 23), (64, 16.0, 0.4, 10**6, 3)])
+    def test_sweep_draws_the_streams_of_fresh_generators(self, mode, n, length, center, shots,
+                                                         seed, monkeypatch):
+        w = gaussian_state(Grid(n, length), center=center, width=WIDTH)
+        res = run_reconstruction(w, 0.05, shots, seed, mode=mode, joint=True)
         calls = []
 
-        def fresh(prob, shots, seed):
-            calls.append(seed)
-            return fresh_sample_shots(prob, shots, seed)
+        def fresh(prob, shots, seed, _block=sample_shots):
+            # one call per (quadrature, analyzer) block of (pixel, outcome)
+            # cells; every row is drawn here from a generator of its own
+            base, m, qi, ai = seed
+            calls.append((base, qi, ai))
+            assert prob.shape == (n, n, 2) and np.array_equal(m, np.arange(n))
+            rows = np.stack([fresh_sample_shots(cell, shots, (base, j, qi, ai))
+                             for j, cell in zip(m.tolist(), prob)])
+            assert np.array_equal(_block(prob, shots, seed), rows)
+            return rows
 
         monkeypatch.setattr(photonics, "sample_shots", fresh)
-        ref = run_reconstruction(w, 0.05, 10**4, 23, mode=mode, joint=True)
-        assert sorted(calls) == [(23, m, qi, ai) for m in range(16)
-                                 for qi in range(2) for ai in range(2)]
-        for name in ("z_values", "z_errors", "rates"):
+        ref = run_reconstruction(w, 0.05, shots, seed, mode=mode, joint=True)
+        assert calls == [(seed, qi, ai) for qi in range(2) for ai in range(2)]
+        for name in ("z_values", "z_errors", "rates", "joint"):
             assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_block_draw_matches_per_cell_path_at_benchmark_scale(self, mode):
+        g = Grid(64, 16.0)
+        w = gaussian_state(g, center=0.4, width=WIDTH)
+        z_ref, se_ref, rates_ref = per_cell_reconstruction(w, 0.05, 10**6, 29, mode, 100)
+        res = run_reconstruction(w, 0.05, 10**6, 29, mode=mode, joint=True)
+        assert 0 < np.isinf(se_ref).sum() < se_ref.size
+        assert np.array_equal(res.z_values, z_ref)
+        assert np.array_equal(res.z_errors, se_ref)
+        assert np.array_equal(res.rates, rates_ref)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("shots", [None, 10**4])
@@ -469,9 +559,9 @@ class TestReconstruction:
             monkeypatch.setattr(photonics, name, counted)
         run_reconstruction(w, 0.05, shots, 3, mode=mode, post_index=n // 2, joint=True)
         # one setting and one propagation per quadrature, a draw per
-        # (k, quadrature, analyzer) cell, one batched estimate
+        # (quadrature, analyzer) block of all frequencies, one batched estimate
         assert calls == {"run_setting": 2, "propagate_and_analyze": 2,
-                         "sample_shots": 0 if shots is None else 4 * n,
+                         "sample_shots": 0 if shots is None else 4,
                          "estimate_weak_char": 1}
 
     def test_grid_past_the_cap_builds_nothing(self, size_cap_peak):
