@@ -506,32 +506,33 @@ class TestReconstruction:
                                    min_counts=100)
 
     @pytest.mark.parametrize("mode", ["x-then-p", "p-then-x"])
-    # the second case has cells whose counts change when they are normalised
-    # by their sum in C order instead of column-major order
-    @pytest.mark.parametrize("n, length, center, shots, seed", [
-        (16, 12.0, 0.3, 10**4, 23), (64, 16.0, 0.4, 10**6, 3)])
-    def test_sweep_draws_the_streams_of_fresh_generators(self, mode, n, length, center, shots,
-                                                         seed, monkeypatch):
-        w = gaussian_state(Grid(n, length), center=center, width=WIDTH)
-        res = run_reconstruction(w, 0.05, shots, seed, mode=mode, joint=True)
-        calls = []
+    def test_sweep_draws_the_streams_of_fresh_generators(self, mode, monkeypatch):
+        # the second case has cells whose counts change when they are
+        # normalised by their sum in C order instead of column-major order
+        for n, length, center, shots, seed in [(16, 12.0, 0.3, 10**4, 23),
+                                               (64, 16.0, 0.4, 10**6, 3)]:
+            w = gaussian_state(Grid(n, length), center=center, width=WIDTH)
+            res = run_reconstruction(w, 0.05, shots, seed, mode=mode, joint=True)
+            calls = []
 
-        def fresh(prob, shots, seed, _block=sample_shots):
-            # one call per (quadrature, analyzer) block of (pixel, outcome)
-            # cells; every row is drawn here from a generator of its own
-            base, m, qi, ai = seed
-            calls.append((base, qi, ai))
-            assert prob.shape == (n, n, 2) and np.array_equal(m, np.arange(n))
-            rows = np.stack([fresh_sample_shots(cell, shots, (base, j, qi, ai))
-                             for j, cell in zip(m.tolist(), prob)])
-            assert np.array_equal(_block(prob, shots, seed), rows)
-            return rows
+            def fresh(prob, shots, seed, n=n, _block=sample_shots):
+                # one call per (quadrature, analyzer) block of (pixel,
+                # outcome) cells; every row is drawn here from a generator
+                # of its own
+                base, m, qi, ai = seed
+                calls.append((base, qi, ai))
+                assert prob.shape == (n, n, 2) and np.array_equal(m, np.arange(n))
+                rows = np.stack([fresh_sample_shots(cell, shots, (base, j, qi, ai))
+                                 for j, cell in zip(m.tolist(), prob)])
+                assert np.array_equal(_block(prob, shots, seed), rows)
+                return rows
 
-        monkeypatch.setattr(photonics, "sample_shots", fresh)
-        ref = run_reconstruction(w, 0.05, shots, seed, mode=mode, joint=True)
-        assert calls == [(seed, qi, ai) for qi in range(2) for ai in range(2)]
-        for name in ("z_values", "z_errors", "rates", "joint"):
-            assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+            monkeypatch.setattr(photonics, "sample_shots", fresh)
+            ref = run_reconstruction(w, 0.05, shots, seed, mode=mode, joint=True)
+            monkeypatch.undo()
+            assert calls == [(seed, qi, ai) for qi in range(2) for ai in range(2)]
+            for name in ("z_values", "z_errors", "rates", "joint"):
+                assert np.array_equal(getattr(res, name), getattr(ref, name)), (n, name)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_block_draw_matches_per_cell_path_at_benchmark_scale(self, mode):
