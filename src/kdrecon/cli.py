@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import KdreconError, SchemaError
 from .scenarios import compare_distributions, load_scenario, run_scenario
-from .serialize import write_json
+from .serialize import _JSON_NONFINITE, write_json
 
 DEFAULT_OUT_ENV = "KDRECON_OUT"
 
@@ -65,6 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _strict(value):
+    """``value`` with each non-finite float as the string "NaN", "Infinity"
+    or "-Infinity", so that it dumps as strict JSON."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return list(map(_strict, value))
+    return _JSON_NONFINITE.get(repr(value), value)
+
+
 def _out_dir(args) -> Path:
     if args.out is not None:
         return Path(args.out)
@@ -108,7 +118,7 @@ def main(argv=None) -> int:
         except KdreconError as exc:
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
-        print(json.dumps(report))
+        print(json.dumps(_strict(report), allow_nan=False))
         return 0 if report["pass"] else 2
     _, kind, emit_oracle = _SCENARIO_COMMANDS[args.command]
     return _run_scenario_command(args, kind, emit_oracle)

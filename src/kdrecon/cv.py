@@ -39,7 +39,7 @@ class Grid:
 
     def __post_init__(self):
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("grid size must be a power of two, at least 16")
+            raise ValueError(f"grid n must be a power of two, at least 16, got {self.n}")
         if not 0 < self.length < np.inf:
             raise ValueError("grid length must be positive and finite")
         if not 0 < self.hbar < np.inf:

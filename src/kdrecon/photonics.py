@@ -18,7 +18,6 @@ polarization H and rotation angle eps*sin(k x + phi),
 from __future__ import annotations
 
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,82 +105,37 @@ def propagate_and_analyze(g: Grid, hv: np.ndarray, mode: str) -> np.ndarray:
     return probs
 
 
-# shot streams: a seed in [0, 2^63) and stream indices in [0, 4096) folded
-# into one stream word below 2^63, together the 128-bit Philox key
-SEED_LIMIT = 2**63
-STREAM_BASE = 4096
-_thread = threading.local()
+SEED_LIMIT = 2**63  # each Philox key word lies in [0, 2^63)
 
 
-def _philox(key: np.ndarray) -> np.random.Generator:
-    """This thread's Philox generator, re-keyed to the uint64 words ``key``.
+def sample_shots(prob: np.ndarray, shots: int, key) -> np.ndarray:
+    """Multinomial camera counts, shaped as ``prob``, from one Philox stream.
 
-    Philox is counter-based, so the state set here (counter 0, empty buffer:
-    the state of a fresh generator, kept as one dict per thread) is exactly
-    that of a fresh ``Philox(key=key)`` and yields the same stream, without
-    the OS-entropy seed sequence that constructor draws.
+    Each cell is ``prob[j]``; its outcomes are its values in C order,
+    normalised by their sum.  ``key``, the Philox key, is a (seed, stream)
+    pair of integers in [0, 2^63); anything else, or a cell that is not a
+    probability, is refused before any draw.  The cells are drawn in order
+    from ``np.random.Generator(np.random.Philox(key=key))``, so consecutive
+    runs of cells drawn from one such generator give the same counts.
     """
-    if not hasattr(_thread, "rng"):
-        _thread.rng = np.random.Generator(np.random.Philox(key=0))
-        _thread.state = _thread.rng.bit_generator.state
-    _thread.state["state"]["key"] = key
-    _thread.rng.bit_generator.state = _thread.state
-    return _thread.rng
-
-
-def sample_shots(prob: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Multinomial camera counts, shaped as ``prob``, from counter-based
-    (Philox) streams.
-
-    ``seed`` is an integer in [0, 2^63) or a tuple (seed, i_1, ..., i_m) of
-    one with stream indices in [0, 4096); the indices fold into one stream
-    word, which must stay below 2^63, and (seed, stream) is the Philox key.
-    An index may be a 1-D integer array along ``prob``'s leading axis: each
-    row ``prob[j]`` is then a cell of its own, drawn from the stream of its
-    j-th index, exactly as a call per row would draw it.  A cell's counts
-    follow its values in C order, normalised by their sum in column-major
-    order, so they depend on the values alone, not on the memory layout.
-    Each thread re-keys one generator per cell rather than building one; the
-    streams are those of ``np.random.Generator(np.random.Philox(key=key))``.
-    """
+    if not (isinstance(key, tuple) and len(key) == 2):
+        raise ValueError(f"key must be a (seed, stream) pair, got {key!r}")
+    key = tuple(operator.index(v) for v in key)
+    if not all(0 <= v < SEED_LIMIT for v in key):
+        raise ValueError(f"key words must lie in [0, 2^63), got {key}")
     p = np.asarray(prob, dtype=float)
-    base, *indices = seed if isinstance(seed, (tuple, list)) else (seed,)
-    block = any(isinstance(v, np.ndarray) and v.ndim for v in indices)
-    cells = p if block else p[None]
+    if p.ndim < 2:
+        raise ValueError(f"prob needs a leading axis of cells, got shape {p.shape}")
     if not p.min(initial=0.0) >= -1e-12:
         raise InvalidProbability("negative probability encountered")
-    # each cell's axes reversed, in C order: the sweep's (pixel, outcome)
-    # cells are views of (outcome, pixel) rows, so this costs it no copy
-    totals = np.ascontiguousarray(
-        cells.transpose(0, *range(cells.ndim - 1, 0, -1))
-    ).reshape(len(cells), -1).sum(axis=1)
-    over = totals[~(totals <= 1 + 1e-9)]
-    if over.size:
-        raise InvalidProbability(f"probabilities sum to {over[0]}")
-    # clip to [0, inf) straight into one C-ordered block
-    pvals = np.maximum(cells, 0, out=np.empty(cells.shape)).reshape(len(cells), -1)
+    # clip to [0, inf) straight into one C-ordered (cell, outcome) block
+    pvals = np.maximum(p, 0, out=np.empty(p.shape)).reshape(len(p), -1)
+    totals = pvals.sum(axis=1)
+    if not np.all(totals <= 1 + 1e-9):
+        raise InvalidProbability(f"probabilities sum to {totals.max()}")
     pvals /= np.maximum(totals, 1e-300)[:, None]
-    base = operator.index(base)
-    if not 0 <= base < SEED_LIMIT:
-        raise ValueError(f"seed must lie in [0, 2^63), got {base}")
-    stream = 0
-    for v in indices:
-        v = v if isinstance(v, np.ndarray) and v.dtype.kind in "iu" else operator.index(v)
-        if not np.all((0 <= v) & (v < STREAM_BASE)):
-            raise ValueError(f"stream index must lie in [0, {STREAM_BASE}), got {v}")
-        # stream * 4096 + v < 2^63 exactly when stream < 2^51, so int64 holds it
-        if np.any(stream >= SEED_LIMIT // STREAM_BASE):
-            raise ValueError(f"{len(indices)} stream indices fold past 2^63")
-        stream = stream * STREAM_BASE + np.asarray(v, dtype=np.int64)
-    if np.ndim(stream) and np.shape(stream) != (len(cells),):
-        raise ValueError(f"{np.size(stream)} stream indices for {len(cells)} rows")
-    keys = np.empty((len(cells), 2), dtype=np.uint64)
-    keys[:, 0] = base
-    keys[:, 1] = stream
-    counts = np.empty(pvals.shape, dtype=np.int64)
-    for key, row, out in zip(keys, pvals, counts):
-        out[...] = _philox(key).multinomial(shots, row)
-    return counts.reshape(p.shape)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return rng.multinomial(shots, pvals).reshape(p.shape)
 
 
 def _asymmetry(plus, minus, min_counts: int | None):
@@ -243,11 +197,8 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
     for qi, quad in enumerate(QUADRATURES):
         probs = run_setting(w, params, _QUAD_PHASE[quad], epsilon, mode)
         for ai, rows in enumerate(probs):  # (k, outcome, pixel)
-            if shots is not None:
-                # one call per block; frequency m draws its (pixel, outcome)
-                # cell from the Philox stream (seed, m, qi, ai)
-                rows = sample_shots(rows.transpose(0, 2, 1), shots,
-                                    (seed, np.arange(len(rows)), qi, ai)).transpose(0, 2, 1)
+            if shots is not None:  # one stream per block, its k cells in order
+                rows = sample_shots(rows, shots, (seed, 2 * qi + ai))
             asym[quad, ANALYZERS[ai]], var, total, cell_short = _asymmetry(
                 rows[:, 0], rows[:, 1], None if shots is None else min_counts
             )
@@ -258,18 +209,14 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
     return asym, var_sum, short, recorded
 
 
-def require_settings(grid: Grid, epsilon: float, shots: int | None, mode: str,
-                     post_index: int | None = None):
+def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | None = None):
     """ValueError unless ``run_reconstruction`` can run these settings: a known
-    mode, epsilon in (0, pi/2) so that sin(2 epsilon) > 0, at most 4096 grid
-    points for a shot-level sweep (``sample_shots``' stream index range) and a
-    post_index on the grid; SizeCap for a grid past the n x n cap."""
+    mode, epsilon in (0, pi/2) so that sin(2 epsilon) > 0, and a post_index on
+    the grid; SizeCap for a grid past the n x n cap."""
     if mode not in ORDERINGS:
         raise ValueError(f"unknown mode {mode!r}")
     if not 0 < epsilon < np.pi / 2:
         raise ValueError(f"coupling epsilon must lie in (0, pi/2), got {epsilon!r}")
-    if shots is not None and grid.n > STREAM_BASE:
-        raise ValueError(f"a shot-level sweep takes grid n <= {STREAM_BASE}, got {grid.n}")
     require_grid_size(grid.n)  # refused before the n x n (k, pixel) tables are built
     if post_index is not None:
         require_index(post_index, grid.n, "post_index")
@@ -295,13 +242,12 @@ def run_reconstruction(
     """Full k-sweep: the four stages, then the inverse Fourier transform.
 
     ``shots=None`` selects the infinite-statistics shortcut (analytic Born
-    probabilities, zero statistical error).  Each (k, quadrature, analyzer)
-    cell draws from its own Philox stream keyed by (seed, indices), so shard
-    merging is schedule-independent.  The settings are refused as
-    ``require_settings`` says.
+    probabilities, zero statistical error).  Each (quadrature qi, analyzer
+    ai) block draws its k cells in order from the Philox stream keyed by
+    (seed, 2 qi + ai).  The settings are refused as ``require_settings`` says.
     """
     g = w.grid
-    require_settings(g, epsilon, shots, mode, post_index)
+    require_settings(g, epsilon, mode, post_index)
     params = _conjugate_params(g, mode)
     n = g.n
     asym, var_sum, short, recorded = _sweep(w, params, epsilon, mode, shots, seed, min_counts)

@@ -55,8 +55,8 @@ _MISSING = object()  # a required key that is absent
 @dataclass(frozen=True)
 class Scenario:
     """A loaded scenario: ``run(seed, diag)`` does the kind's work on objects
-    built at load time, extends ``diag`` and returns (result, plot columns,
-    oracle), or None for a kind that writes no distribution."""
+    built at load time, extends ``diag`` and returns (result, plot columns, a
+    callable that builds the oracle), or None for a kind that writes none."""
 
     kind: str
     seed: int
@@ -256,22 +256,24 @@ def _build_discrete_conditional(p: dict):
     def run(seed, diag):
         mv = moment_vector(a, psi, QuantumState(b.eigenvector(j)), orders=orders)
         result = conditional_from_moments(a, mv, renormalize=p["renormalize"])
-        oracle_pd = kd_conditional(psi, a, b, j)
         diag["postselection_probability"] = postselection_probability(psi, b, j)
-        return result, _plot_columns_1d(a.eigenvalues, result.values, "eigenvalue"), oracle_pd
+        return (result, _plot_columns_1d(a.eigenvalues, result.values, "eigenvalue"),
+                lambda: kd_conditional(psi, a, b, j))
     return run
 
 
 def _build_discrete_joint(p: dict):
     psi, a, b = _discrete_pair(p)
 
+    def oracle():
+        k = kd_joint(psi, a, b)
+        return PseudoDistribution(np.conj(k.values), k.axes, ordering_tag="kd-conjugate")
+
     def run(seed, diag):
         c = correlation_matrix(a, b, psi)
         result = joint_from_correlations(a, b, c, renormalize=p["renormalize"])
-        k = kd_joint(psi, a, b)
-        oracle_pd = PseudoDistribution(np.conj(k.values), k.axes, ordering_tag="kd-conjugate")
         plot = _plot_columns_2d(a.eigenvalues, b.eigenvalues, result.values, ("a", "b"))
-        return result, plot, oracle_pd
+        return result, plot, oracle
     return run
 
 
@@ -286,7 +288,7 @@ def _build_discrete_npoint(p: dict):
         result = npoint_from_correlations(obs, c, renormalize=p["renormalize"])
         flat = result.values.ravel()
         plot = _plot_columns_1d(np.arange(flat.size), flat, "flat_index")
-        return result, plot, kd_npoint(psi, obs)
+        return result, plot, lambda: kd_npoint(psi, obs)
     return run
 
 
@@ -299,7 +301,7 @@ def _build_cv_conditional(p: dict):
         q = cv.conditional_pseudo_cv(z)
         diag["post_momentum"] = float(grid.p[ip])
         result = _cv_conditional(grid, q, z.conditioning)
-        return result, _plot_columns_1d(grid.x, q), _cv_conditional_oracle(grid, w, ip)
+        return result, _plot_columns_1d(grid.x, q), lambda: _cv_conditional_oracle(grid, w, ip)
     return run
 
 
@@ -311,7 +313,7 @@ def _build_cv_joint(p: dict):
 
     def run(seed, diag):
         result, plot = _phase_space(grid, cv.joint_kd_cv(w, ordering), ordering)
-        return result, plot, _cv_joint_oracle(grid, w, ordering)
+        return result, plot, lambda: _cv_joint_oracle(grid, w, ordering)
     return run
 
 
@@ -324,7 +326,7 @@ def _build_experiment(p: dict):
     epsilon = _number(p["epsilon"], "epsilon")
     min_counts = _number(p["min_counts"], "min_counts", int, minimum=1)
     try:
-        photonics.require_settings(grid, epsilon, shots, mode, post)
+        photonics.require_settings(grid, epsilon, mode, post)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     if post is None and not p["joint"]:
@@ -341,10 +343,10 @@ def _build_experiment(p: dict):
             result = _cv_conditional(grid, res.conditional, f"pixel={post}", axis)
             diag["conditional_standard_error"] = float(res.conditional_se[0])
             coords = grid.x if axis == "x" else grid.p
-            oracle_pd = _cv_conditional_oracle(grid, w, post, axis)
-            return result, _plot_columns_1d(coords, res.conditional), oracle_pd
+            return (result, _plot_columns_1d(coords, res.conditional),
+                    lambda: _cv_conditional_oracle(grid, w, post, axis))
         result, plot = _phase_space(grid, res.joint, mode)
-        return result, plot, _phase_space(grid, cv.joint_kd_cv(w, mode), mode)[0]
+        return result, plot, lambda: _phase_space(grid, cv.joint_kd_cv(w, mode), mode)[0]
     return run
 
 
@@ -387,13 +389,14 @@ def run_scenario(sc: Scenario, out_dir, emit_oracle: bool = False) -> dict:
     outputs = sc.run(sc.seed, diag)
     try:
         if outputs is not None:
-            result, plot, oracle_pd = outputs
+            result, plot, oracle = outputs
+            oracle_pd = oracle() if emit_oracle else None
             total = result.total
             diag["sum"] = {"re": total.real, "im": total.imag}
             diag["sum_deviation"] = abs(total - 1.0)
             _write_distribution(out, result)
             write_plot_csv(out / "plot.csv", plot)
-            if emit_oracle:
+            if oracle_pd is not None:
                 _write_distribution(out, oracle_pd, stem="oracle")
         write_json(out / "diagnostics.json", diag)
     finally:

@@ -14,7 +14,12 @@ from kdrecon.errors import (
     SizeCap,
 )
 from kdrecon.oracle import PseudoDistribution
-from kdrecon.scenarios import _cv_joint_oracle, compare_distributions, load_scenario
+from kdrecon.scenarios import (
+    _cv_joint_oracle,
+    compare_distributions,
+    load_scenario,
+    run_scenario,
+)
 from kdrecon.serialize import (
     complex_array_from_json,
     pseudo_from_dict,
@@ -275,7 +280,7 @@ class TestCliRuns:
         *((dict(EXPERIMENT, epsilon=eps), "epsilon")
           for eps in ("x", 0, -0.05, 1.5707963267948966, 2.0, True, None)),
         *((dict(EXPERIMENT, min_counts=floor), "min_counts") for floor in (0, 2.5, "100")),
-        (dict(EXPERIMENT, grid={"n": 8192, "length": 200.0}), "grid n"),
+        (dict(EXPERIMENT, grid={"n": 96, "length": 16.0}), "grid n"),
         ({"kind": "discrete-npoint", "state": {"random": {"dim": 3, "seed": 1}},
           "observables": []}, "observables"),
         # numbers are checked, never coerced; a bool is never a number
@@ -355,6 +360,7 @@ class TestCliRuns:
         {"kind": "cv-joint", "ordering": "p-then-x"},
         {"kind": "ccr"},
         dict(EXPERIMENT, shots=None, post_index=0),
+        EXPERIMENT,
     ])
     def test_grid_past_the_cap_is_size_cap(self, tmp_path, scenario):
         scen = write_scenario(tmp_path, dict(
@@ -364,6 +370,38 @@ class TestCliRuns:
         assert main([command, "--scenario", str(scen), "--out", str(out),
                      "--emit-oracle"]) == 2
         assert read_json(out / "error.json")["error"] == "SizeCap"
+
+    @pytest.mark.parametrize("scenario, oracle", [
+        (QUBIT_SCENARIO, "kd_conditional"),
+        ({"kind": "discrete-joint", "state": {"random": {"dim": 3, "seed": 1}},
+          "observable_a": {"random": {"dim": 3, "seed": 2}},
+          "observable_b": {"random": {"dim": 3, "seed": 3}}}, "kd_joint"),
+        ({"kind": "discrete-npoint", "state": {"random": {"dim": 2, "seed": 1}},
+          "observables": [{"pauli": "z"}, {"pauli": "x"}]}, "kd_npoint"),
+        ({"kind": "cv-conditional", "grid": {"n": 64, "length": 16.0},
+          "state": {"type": "gaussian"}, "post_momentum_index": 32}, "_cv_conditional_oracle"),
+        ({"kind": "cv-joint", "grid": {"n": 64, "length": 16.0},
+          "state": {"type": "gaussian"}}, "_cv_joint_oracle"),
+        (dict(EXPERIMENT, shots=None), "_cv_conditional_oracle"),
+        (dict(EXPERIMENT, shots=None, post_index=None, joint=True), "joint_kd_cv"),
+    ], ids=["discrete-conditional", "discrete-joint", "discrete-npoint", "cv-conditional",
+            "cv-joint", "experiment-conditional", "experiment-joint"])
+    def test_oracle_built_only_when_written(self, tmp_path, monkeypatch, scenario, oracle):
+        class Built(Exception):
+            pass
+
+        def build(*args, **kwargs):
+            raise Built(oracle)
+
+        # the experiment's joint oracle is the exact CV joint, which no
+        # experiment run computes otherwise
+        monkeypatch.setattr(cv if oracle == "joint_kd_cv" else scenarios, oracle, build)
+        sc = load_scenario(write_scenario(tmp_path, scenario))
+        run_scenario(sc, tmp_path / "plain")
+        assert (tmp_path / "plain" / "distribution.json").exists()
+        assert not (tmp_path / "plain" / "oracle.json").exists()
+        with pytest.raises(Built):
+            run_scenario(sc, tmp_path / "emit", emit_oracle=True)
 
     def test_cv_joint_oracle_past_the_cap_builds_nothing(self, size_cap_peak):
         grid = cv.Grid(2 * GRID_CAP, 400.0)
@@ -636,11 +674,24 @@ class TestCompare:
             PseudoDistribution(np.array([1.0, np.nan, 3.0]), ("A",), "kd")))
         assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
                      "--tol", "1e-6"]) == 2
-        report = json.loads(capsys.readouterr().out)
-        assert report["pass"] is False and np.isnan(report["max_delta"])
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        # the report is strict JSON: NaN is a string
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["pass"] is False and np.isnan(float(report["max_delta"]))
         assert [e["index"] for e in report["entries"]] == [[1]]
         assert report["worst_index"] == [1]
-        assert np.isnan(report["entries"][0]["b"]["re"])
+        assert np.isnan(float(report["entries"][0]["b"]["re"]))
+        assert float(report["entries"][0]["a"]["re"]) == 2.0
+        # and so are the infinities
+        write_json(tmp_path / "c.json", pseudo_to_dict(
+            PseudoDistribution(np.array([1.0, np.inf, -np.inf]), ("A",), "kd")))
+        assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "c.json")]) == 2
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert report["max_delta"] == "Infinity"
+        assert [e["b"]["re"] for e in report["entries"]] == ["Infinity", "-Infinity"]
 
     @pytest.mark.parametrize("tol", ["nan", "-1e-9", "-inf", "tight"])
     def test_bad_tolerance_refused(self, tmp_path, tol, capsys):
