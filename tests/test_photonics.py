@@ -390,14 +390,16 @@ class TestSampling:
         block /= block.sum(axis=(1, 2), keepdims=True) * (1 + rng.random((12, 1, 1)))
         if layout == "transposed":
             block = np.ascontiguousarray(block.transpose(0, 2, 1)).transpose(0, 2, 1)
-        pvals = block.reshape(12, -1) / block.sum(axis=(1, 2))[:, None]
+        flat = block.reshape(12, -1)  # each cell's values in C order
+        pvals = flat / flat.sum(axis=1)[:, None]
         key = (2**62 + 3, 2**63 - 1)
         for shots in (0, 1, 10**6):
             counts = sample_shots(block, shots, key)
             assert counts.shape == block.shape
             for split in (0, 5, 12):
                 gen = philox(key)
-                runs = [gen.multinomial(shots, pvals[:split]), gen.multinomial(shots, pvals[split:])]
+                runs = [gen.multinomial(shots, pvals[:split]),
+                        gen.multinomial(shots, pvals[split:])]
                 assert np.array_equal(counts.reshape(12, -1), np.concatenate(runs)), (split, shots)
             gen = philox(key)
             for j, cell in enumerate(block):
