@@ -4,8 +4,10 @@ Pipeline of public stages, each batched over every frequency k and camera
 pixel: imprint a wavefunction on an H-polarized photon and weakly rotate its
 polarization as a sinusoid of position, or of momentum in the 4f
 configuration (run_setting); Fourier-propagate and analyze it
-(propagate_and_analyze); draw camera counts (sample_shots); estimate the weak
-characteristic function from conditioned asymmetries (estimate_weak_char).
+(propagate_and_analyze); draw the camera counts of a quadrature's two analyzer
+blocks at once, each from its own Philox stream, the second on a persistent
+worker thread (sample_shots); estimate the weak characteristic function from
+conditioned asymmetries (estimate_weak_char).
 
 Readout protocol (validated against the grid oracle, not assumed): with input
 polarization H and rotation angle eps*sin(k x + phi),
@@ -18,6 +20,8 @@ polarization H and rotation angle eps*sin(k x + phi),
 from __future__ import annotations
 
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,37 +109,102 @@ def propagate_and_analyze(g: Grid, hv: np.ndarray, mode: str) -> np.ndarray:
     return probs
 
 
-SEED_LIMIT = 2**63  # each Philox key word lies in [0, 2^63)
+SEED_LIMIT = 2**63  # each Philox key word, and each shot count, lies in [0, 2^63)
+
+_pool = None  # the one worker thread that draws blocks 1.. of a stack
+_pool_lock = threading.Lock()
 
 
-def sample_shots(prob: np.ndarray, shots: int, key) -> np.ndarray:
-    """Multinomial camera counts, shaped as ``prob``, from one Philox stream.
+def _forget_pool():
+    # a fork child has no copy of the parent's worker thread, so a pool it
+    # inherited would queue draws that never run
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
-    Each cell is ``prob[j]``; its outcomes are its values in C order,
-    normalised by their sum.  ``key``, the Philox key, is a (seed, stream)
-    pair of integers in [0, 2^63); anything else, or a cell that is not a
-    probability, is refused before any draw.  The cells are drawn in order
-    from ``np.random.Generator(np.random.Philox(key=key))``, so consecutive
-    runs of cells drawn from one such generator give the same counts.
-    """
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _draw(pvals: np.ndarray, shots: int, key: tuple[int, int]) -> np.ndarray:
+    """The counts of one block's (cell, outcome) probabilities, its cells drawn
+    in order from a generator of its own."""
+    return np.random.Generator(np.random.Philox(key=key)).multinomial(shots, pvals)
+
+
+def _submit_draw(*args):
+    """Draw on the worker thread, which is started on first use (with the
+    ``concurrent.futures`` import) and kept for later calls."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kdrecon-shots")
+        return _pool.submit(_draw, *args)
+
+
+def _require_key(key) -> tuple[int, int]:
     if not (isinstance(key, tuple) and len(key) == 2):
         raise ValueError(f"key must be a (seed, stream) pair, got {key!r}")
     key = tuple(operator.index(v) for v in key)
     if not all(0 <= v < SEED_LIMIT for v in key):
         raise ValueError(f"key words must lie in [0, 2^63), got {key}")
+    return key
+
+
+def _require_shots(shots, minimum: int = 0) -> int:
+    """``shots`` as an integer in [minimum, 2^63); TypeError for a bool or a
+    non-integer, ValueError outside the range."""
+    if isinstance(shots, bool):
+        raise TypeError(f"shots must be an integer, got {shots!r}")
+    shots = operator.index(shots)
+    if not minimum <= shots < SEED_LIMIT:
+        raise ValueError(f"shots must lie in [{minimum}, 2^63), got {shots}")
+    return shots
+
+
+def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
+    """Multinomial camera counts, shaped as ``prob``, of a stack of blocks.
+
+    Block ``prob[b]`` holds the cells ``prob[b, j]``; a cell's outcomes are
+    its values in C order, normalised by their sum.  ``keys`` holds one
+    Philox key per block, a (seed, stream) pair of integers in [0, 2^63).
+    The cells of block b are drawn in order from
+    ``np.random.Generator(np.random.Philox(key=keys[b]))``, so consecutive
+    runs of cells drawn from one such generator give the same counts.  A bad
+    key, ``shots`` outside [0, 2^63), or a cell that is not a probability or
+    sums to 0 is refused before any draw.
+
+    The calling thread draws block 0 and one persistent worker thread the
+    others; each block owns its generator, so the counts are those of
+    drawing the blocks one after another.  No draw outlives the call.
+    """
+    keys = [_require_key(key) for key in keys]
+    shots = _require_shots(shots)
     p = np.asarray(prob, dtype=float)
-    if p.ndim < 2:
-        raise ValueError(f"prob needs a leading axis of cells, got shape {p.shape}")
+    if p.ndim < 3 or len(p) != len(keys):
+        raise ValueError(
+            f"prob needs a leading axis of {len(keys)} blocks of cells, got shape {p.shape}"
+        )
     if not p.min(initial=0.0) >= -1e-12:
         raise InvalidProbability("negative probability encountered")
-    # clip to [0, inf) straight into one C-ordered (cell, outcome) block
-    pvals = np.maximum(p, 0, out=np.empty(p.shape)).reshape(len(p), -1)
-    totals = pvals.sum(axis=1)
+    # clip to [0, inf) straight into C-ordered (block, cell, outcome) blocks
+    pvals = np.maximum(p, 0, out=np.empty(p.shape)).reshape(p.shape[:2] + (-1,))
+    totals = pvals.sum(axis=2)
     if not np.all(totals <= 1 + 1e-9):
         raise InvalidProbability(f"probabilities sum to {totals.max()}")
-    pvals /= np.maximum(totals, 1e-300)[:, None]
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.multinomial(shots, pvals).reshape(p.shape)
+    if not np.all(totals > 0):
+        raise InvalidProbability("a cell's probabilities sum to 0")
+    pvals /= totals[..., None]
+    pending = [_submit_draw(pvals[b], shots, keys[b]) for b in range(1, len(keys))]
+    try:
+        counts = [_draw(pvals[0], shots, keys[0])]
+    finally:
+        for future in pending:  # wait for every draw, even when block 0 raised
+            future.exception()
+    counts += [future.result() for future in pending]
+    return np.stack(counts).reshape(p.shape)
 
 
 def _asymmetry(plus, minus, min_counts: int | None):
@@ -187,7 +256,7 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
     summed variance, the (k, pixel) mask of entries lacking data, and the
     counts (or probability) per pixel summed over all cells.  It works one
     quadrature at a time, so no (k, quadrature, analyzer, outcome, pixel)
-    tensor is ever held.
+    tensor is ever held.  Every stage runs on the calling thread.
     """
     n = w.grid.n
     asym = {}
@@ -196,9 +265,9 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
     recorded = np.zeros(n)
     for qi, quad in enumerate(QUADRATURES):
         probs = run_setting(w, params, _QUAD_PHASE[quad], epsilon, mode)
+        if shots is not None:  # one stream per (quadrature, analyzer) block, its k cells in order
+            probs = sample_shots(probs, shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])
         for ai, rows in enumerate(probs):  # (k, outcome, pixel)
-            if shots is not None:  # one stream per block, its k cells in order
-                rows = sample_shots(rows, shots, (seed, 2 * qi + ai))
             asym[quad, ANALYZERS[ai]], var, total, cell_short = _asymmetry(
                 rows[:, 0], rows[:, 1], None if shots is None else min_counts
             )
@@ -209,10 +278,14 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
     return asym, var_sum, short, recorded
 
 
-def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | None = None):
+def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | None = None,
+                     shots: int | None = None):
     """ValueError unless ``run_reconstruction`` can run these settings: a known
-    mode, epsilon in (0, pi/2) so that sin(2 epsilon) > 0, and a post_index on
-    the grid; SizeCap for a grid past the n x n cap."""
+    mode, epsilon in (0, pi/2) so that sin(2 epsilon) > 0, a post_index on
+    the grid, and shots None or in [1, 2^63) (TypeError for a bool or a
+    non-integer); SizeCap for a grid past the n x n cap."""
+    if shots is not None:
+        _require_shots(shots, minimum=1)
     if mode not in ORDERINGS:
         raise ValueError(f"unknown mode {mode!r}")
     if not 0 < epsilon < np.pi / 2:
@@ -244,10 +317,12 @@ def run_reconstruction(
     ``shots=None`` selects the infinite-statistics shortcut (analytic Born
     probabilities, zero statistical error).  Each (quadrature qi, analyzer
     ai) block draws its k cells in order from the Philox stream keyed by
-    (seed, 2 qi + ai).  The settings are refused as ``require_settings`` says.
+    (seed, 2 qi + ai); a quadrature's two blocks are drawn in one
+    ``sample_shots`` call.  The settings are refused, before any work, as
+    ``require_settings`` says.
     """
     g = w.grid
-    require_settings(g, epsilon, mode, post_index)
+    require_settings(g, epsilon, mode, post_index, shots)
     params = _conjugate_params(g, mode)
     n = g.n
     asym, var_sum, short, recorded = _sweep(w, params, epsilon, mode, shots, seed, min_counts)

@@ -326,7 +326,7 @@ def _build_experiment(p: dict):
     epsilon = _number(p["epsilon"], "epsilon")
     min_counts = _number(p["min_counts"], "min_counts", int, minimum=1)
     try:
-        photonics.require_settings(grid, epsilon, mode, post)
+        photonics.require_settings(grid, epsilon, mode, post, shots)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     if post is None and not p["joint"]:

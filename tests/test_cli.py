@@ -276,7 +276,7 @@ class TestCliRuns:
         *((dict(QUBIT_SCENARIO, seed=seed), "seed")
           for seed in (1.7, True, -1, 2**63, 2**64, "3")),
         *((dict(EXPERIMENT, seed=seed), "seed") for seed in (-1, 2**64)),
-        *((dict(EXPERIMENT, shots=shots), "shots") for shots in (-5, 0, "1e4", 2.5, True)),
+        *((dict(EXPERIMENT, shots=shots), "shots") for shots in (-5, 0, "1e4", 2.5, True, 2**63, 10**19)),
         *((dict(EXPERIMENT, epsilon=eps), "epsilon")
           for eps in ("x", 0, -0.05, 1.5707963267948966, 2.0, True, None)),
         *((dict(EXPERIMENT, min_counts=floor), "min_counts") for floor in (0, 2.5, "100")),

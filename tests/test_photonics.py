@@ -1,5 +1,7 @@
+import multiprocessing
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -90,10 +92,10 @@ def single_k_estimate(w, k, epsilon, pixel, shots=None, seed=None, mode="x-then-
     asym, var_sum = {}, 0.0
     for qi, quad in enumerate(QUADRATURES):
         probs = run_setting(w, k, np.pi / 2 if quad == "cos" else 0.0, epsilon, mode)
+        if shots is not None:  # a stack of two one-cell blocks
+            probs = sample_shots(probs[:, None], shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])[:, 0]
         for ai, analyzer in enumerate(ANALYZERS):
             rows = probs[ai]  # (outcome, pixel)
-            if shots is not None:
-                rows = sample_shots(rows[None], shots, (seed, 2 * qi + ai))[0]
             asym[quad, analyzer], var, _, short = _asymmetry(
                 rows[0, pixel], rows[1, pixel], None if shots is None else 100)
             assert not short
@@ -115,10 +117,16 @@ def fresh_cell(rng, cell, shots):
 
 
 def fresh_sample_shots(prob, shots, key):
-    """The documented ``sample_shots`` counts: the cells of ``prob`` drawn one
-    at a time, in order, from a generator built for this call."""
+    """The documented counts of one ``sample_shots`` block: the cells of
+    ``prob`` drawn one at a time, in order, from a generator built for this
+    call."""
     rng = philox(key)
     return np.stack([fresh_cell(rng, cell, shots) for cell in np.asarray(prob, dtype=float)])
+
+
+def sample_block(prob, shots, key):
+    """``sample_shots`` on the one-block stack of ``prob``, keyed by ``key``."""
+    return sample_shots(np.asarray(prob)[None], shots, [key])[0]
 
 
 def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts):
@@ -168,6 +176,11 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts):
 
 def refuse_draw(*args, **kwargs):
     raise AssertionError("a Philox generator was built for a refused call")
+
+
+def _draw_into(queue, stack, shots, keys):
+    """Body of a forked child: draw the stack and send the counts back."""
+    queue.put(sample_shots(stack, shots, keys))
 
 
 class TestPreparation:
@@ -287,29 +300,29 @@ class TestSampling:
     def test_delta_distribution(self):
         prob = np.zeros((1, 4, 2))
         prob[0, 2, 0] = 1.0
-        counts = sample_shots(prob, 1000, (0, 1))
+        counts = sample_block(prob, 1000, (0, 1))
         assert counts[0, 2, 0] == 1000
         assert counts.sum() == 1000
 
     def test_uniform_binomial_band(self):
         prob = np.full((1, 2, 2), 0.25)
-        counts = sample_shots(prob, 10**6, (42, 0))
+        counts = sample_block(prob, 10**6, (42, 0))
         sigma = np.sqrt(10**6 * 0.25 * 0.75)
         assert np.max(np.abs(counts - 250000)) < 5 * sigma
 
     def test_determinism(self):
         prob = np.full((1, 2, 2), 0.25)
-        a = sample_shots(prob, 5000, (7, 3))
-        b = sample_shots(prob, 5000, (7, 3))
+        a = sample_block(prob, 5000, (7, 3))
+        b = sample_block(prob, 5000, (7, 3))
         assert np.array_equal(a, b)
         for other in ((7, 4), (8, 3), (3, 7)):
-            assert not np.array_equal(a, sample_shots(prob, 5000, other)), other
+            assert not np.array_equal(a, sample_block(prob, 5000, other)), other
 
     def test_negative_probability_rejected(self):
         with pytest.raises(InvalidProbability):
-            sample_shots(np.array([[-0.1, 0.5]]), 100, (0, 0))
+            sample_block(np.array([[-0.1, 0.5]]), 100, (0, 0))
         with pytest.raises(InvalidProbability):
-            sample_shots(np.array([[np.nan, 0.5]]), 100, (0, 0))
+            sample_block(np.array([[np.nan, 0.5]]), 100, (0, 0))
 
     def test_matches_fresh_generators_in_shuffled_key_order(self):
         rng = np.random.default_rng(5)
@@ -331,16 +344,21 @@ class TestSampling:
             key = keys[i]
             p = probs[i % len(probs)]
             for shots in (0, 1, 10**6):
-                counts = sample_shots(p, shots, key)
+                counts = sample_block(p, shots, key)
                 assert counts.shape == p.shape
                 assert np.array_equal(counts, fresh_sample_shots(p, shots, key)), (key, shots)
 
     def test_threads_sampling_interleaved_keys_match_sequential(self):
+        # every caller shares the one worker thread that draws block 1
         rng = np.random.default_rng(6)
-        p = rng.random((32, 2))
-        p /= p.sum()
-        keys = [(int(s), m % 4) for m, s in enumerate(rng.integers(2**40, size=400))]
-        expected = [sample_shots(p, 10**5, key) for key in keys]
+        p = rng.random((2, 32, 2))
+        p /= p.sum(axis=(1, 2), keepdims=True)
+        keys = [[(int(s), m % 4), (int(s), m % 4 + 4)]
+                for m, s in enumerate(rng.integers(2**40, size=400))]
+        expected = [sample_shots(p, 10**5, pair) for pair in keys]
+        for pair, counts in zip(keys[:20], expected):
+            for block, key, block_counts in zip(p, pair, counts):
+                assert np.array_equal(block_counts, fresh_sample_shots(block, 10**5, key)), key
         got = [None] * len(keys)
         workers = 4  # more threads than the cores of a small CI runner
         start = threading.Barrier(workers)
@@ -373,12 +391,85 @@ class TestSampling:
             probs = run_setting(w, _conjugate_params(g, mode), phase, 0.05, mode)
             for ai, rows in enumerate(probs):
                 key = (3, 2 * qi + ai)
-                counts = sample_shots(rows, 10**6, key)
+                counts = sample_block(rows, 10**6, key)
                 transposed = np.ascontiguousarray(rows.transpose(0, 2, 1)).transpose(0, 2, 1)
                 strided = np.zeros(rows.shape[:2] + (3 * g.n,))
                 strided[..., ::3] = rows
                 for view in (transposed, strided[..., ::3], np.asfortranarray(rows)):
-                    assert np.array_equal(sample_shots(view, 10**6, key), counts), key
+                    assert np.array_equal(sample_block(view, 10**6, key), counts), key
+
+    @pytest.mark.parametrize("blocks", [1, 2, 5])
+    @pytest.mark.parametrize("layout", ["C", "transposed", "strided"])
+    def test_stack_matches_fresh_generators_per_block(self, blocks, layout):
+        rng = np.random.default_rng(blocks)
+        stack = rng.random((blocks, 7, 2, 6))
+        stack /= stack.sum(axis=(2, 3), keepdims=True) * (1 + rng.random((blocks, 7, 1, 1)))
+        if layout == "transposed":
+            stack = np.ascontiguousarray(stack.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+        elif layout == "strided":
+            wide = np.zeros(stack.shape[:3] + (12,))
+            wide[..., ::2] = stack
+            stack = wide[..., ::2]
+        keys = [(int(rng.integers(2**63)), int(rng.integers(2**63))) for _ in range(blocks)]
+        for shots in (0, 1, 10**6):
+            counts = sample_shots(stack, shots, keys)
+            assert counts.shape == stack.shape
+            for b, key in enumerate(keys):
+                assert np.array_equal(counts[b], fresh_sample_shots(stack[b], shots, key)), (b, shots)
+
+    @pytest.mark.parametrize("failing", [0, 1, 3])
+    def test_error_in_a_block_draw_reaches_the_caller_after_every_draw(self, failing,
+                                                                         monkeypatch):
+        # one block's draw raises; sample_shots re-raises it, with its type,
+        # only once no draw it started is still running
+        class DrawFailed(RuntimeError):
+            pass
+
+        lock = threading.Lock()
+        running, finished = set(), []
+
+        def draw(pvals, shots, key, _draw=photonics._draw):
+            with lock:
+                running.add(key)
+            try:
+                if key[1] == failing:
+                    raise DrawFailed(key)
+                time.sleep(0.05)
+                return _draw(pvals, shots, key)
+            finally:
+                with lock:
+                    running.discard(key)
+                    finished.append(key)
+
+        monkeypatch.setattr(photonics, "_draw", draw)
+        keys = [(4, b) for b in range(5)]
+        with pytest.raises(DrawFailed) as raised:
+            sample_shots(np.full((5, 3, 2, 2), 0.25), 100, keys)
+        assert raised.value.args == ((4, failing),)
+        assert not running
+        assert sorted(finished) == keys
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_fork_child_draws_the_parents_counts(self):
+        # the child inherits the parent's pool but not its worker thread
+        stack = np.full((3, 4, 2, 8), 1 / 16)
+        keys = [(11, 0), (11, 1), (11, 2)]
+        parent = sample_shots(stack, 10**4, keys)
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_draw_into, args=(queue, stack, 10**4, keys))
+        child.start()
+        try:
+            counts = queue.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+        assert not child.is_alive()
+        assert child.exitcode == 0
+        assert np.array_equal(counts, parent)
 
     @pytest.mark.parametrize("layout", ["C", "transposed"])
     def test_block_rows_match_one_cell_calls(self, layout):
@@ -394,7 +485,7 @@ class TestSampling:
         pvals = flat / flat.sum(axis=1)[:, None]
         key = (2**62 + 3, 2**63 - 1)
         for shots in (0, 1, 10**6):
-            counts = sample_shots(block, shots, key)
+            counts = sample_block(block, shots, key)
             assert counts.shape == block.shape
             for split in (0, 5, 12):
                 gen = philox(key)
@@ -417,7 +508,42 @@ class TestSampling:
         else:
             block[-1, 3, 1] = -1e-6 if bad == "negative" else np.nan
         with pytest.raises(error):
-            sample_shots(block, 100, (0, 1))
+            sample_block(block, 100, (0, 1))
+
+    @pytest.mark.parametrize("bad, error", [
+        ("zero", InvalidProbability), ("sum", InvalidProbability),
+        ("negative", InvalidProbability), ("key", ValueError), ("blocks", ValueError),
+        ("2-d", ValueError),
+    ])
+    def test_invalid_stack_rejected_before_any_draw(self, bad, error, monkeypatch):
+        # only block 1, or its key, is bad: block 0 is drawn on the calling
+        # thread, so a check made block by block would draw it first
+        monkeypatch.setattr(np.random, "Philox", refuse_draw)
+        stack, keys = np.full((3, 5, 4, 2), 1 / 8), [(0, 0), (0, 1), (0, 2)]
+        if bad == "zero":
+            stack[1, 2] = 0.0
+        elif bad == "sum":
+            stack[1, 4] *= 1 + 2e-9
+        elif bad == "negative":
+            stack[1, 4, 3, 1] = -1e-6
+        elif bad == "key":
+            keys[1] = (0, 2**63)
+        elif bad == "blocks":
+            keys.pop()
+        else:  # a stack needs axes of blocks, cells and outcomes
+            stack = stack[:, :, 0, 0]
+        with pytest.raises(error):
+            sample_shots(stack, 100, keys)
+
+    @pytest.mark.parametrize("shots, error", [
+        (-1, ValueError), (2**63, ValueError), (10**19, ValueError),
+        (1.5, TypeError), (1.0, TypeError), (True, TypeError), (None, TypeError),
+        (np.float64(3.0), TypeError),
+    ])
+    def test_out_of_range_shots_rejected_before_any_draw(self, shots, error, monkeypatch):
+        monkeypatch.setattr(np.random, "Philox", refuse_draw)
+        with pytest.raises(error):
+            sample_shots(np.full((2, 3, 2, 2), 0.25), shots, [(0, 0), (0, 1)])
 
     @pytest.mark.parametrize("seed, error", [
         ((0, 2**63), ValueError), ((0, -1), ValueError),
@@ -431,7 +557,7 @@ class TestSampling:
     def test_out_of_range_stream_index_in_block_rejected(self, seed, error, monkeypatch):
         monkeypatch.setattr(np.random, "Philox", refuse_draw)
         with pytest.raises(error):
-            sample_shots(np.full((5, 2, 2), 0.25), 10, seed)
+            sample_block(np.full((5, 2, 2), 0.25), 10, seed)
 
     @pytest.mark.parametrize("seed", [
         (2**63,), (2**64 - 1,), (-1,), 2**63, -5, (0, 2**63), (0, -1), (0, 1, 4096),
@@ -441,7 +567,7 @@ class TestSampling:
         # a key is a (seed, stream) pair: no bare integer, no other length
         monkeypatch.setattr(np.random, "Philox", refuse_draw)
         with pytest.raises(ValueError):
-            sample_shots(np.full((2, 2), 0.25), 10, seed)
+            sample_block(np.full((2, 2), 0.25), 10, seed)
 
 
 class TestEstimator:
@@ -528,20 +654,21 @@ class TestReconstruction:
             res = run_reconstruction(w, 0.05, shots, seed, mode=mode, joint=True)
             calls = []
 
-            def fresh(prob, shots, key, n=n, _block=sample_shots):
-                # one call per (quadrature, analyzer) block of (outcome,
-                # pixel) cells, drawn here one cell at a time from a
-                # generator of the block's key
-                calls.append(key)
-                assert prob.shape == (n, 2, n)
-                rows = fresh_sample_shots(prob, shots, key)
-                assert np.array_equal(_block(prob, shots, key), rows)
+            def fresh(prob, shots, keys, n=n, _stack=sample_shots):
+                # one call per quadrature on its (analyzer, k, outcome, pixel)
+                # stack, each analyzer block's cells drawn here one at a time
+                # from a generator of the block's key
+                calls.append(keys)
+                assert prob.shape == (2, n, 2, n)
+                rows = np.stack([fresh_sample_shots(block, shots, key)
+                                 for block, key in zip(prob, keys)])
+                assert np.array_equal(_stack(prob, shots, keys), rows)
                 return rows
 
             monkeypatch.setattr(photonics, "sample_shots", fresh)
             ref = run_reconstruction(w, 0.05, shots, seed, mode=mode, joint=True)
             monkeypatch.undo()
-            assert calls == [(seed, stream) for stream in range(4)]
+            assert calls == [[(seed, 0), (seed, 1)], [(seed, 2), (seed, 3)]]
             for name in ("z_values", "z_errors", "rates", "joint"):
                 assert np.array_equal(getattr(res, name), getattr(ref, name)), (n, name)
 
@@ -570,10 +697,10 @@ class TestReconstruction:
 
             monkeypatch.setattr(photonics, name, counted)
         run_reconstruction(w, 0.05, shots, 3, mode=mode, post_index=n // 2, joint=True)
-        # one setting and one propagation per quadrature, a draw per
-        # (quadrature, analyzer) block of all frequencies, one batched estimate
+        # one setting, one propagation and one draw of both analyzer blocks
+        # per quadrature, each over all frequencies; one batched estimate
         assert calls == {"run_setting": 2, "propagate_and_analyze": 2,
-                         "sample_shots": 0 if shots is None else 4,
+                         "sample_shots": 0 if shots is None else 2,
                          "estimate_weak_char": 1}
 
     def test_grid_past_the_cap_builds_nothing(self, size_cap_peak):
@@ -606,6 +733,25 @@ class TestReconstruction:
         assert packet.grid.n == 64
         with pytest.raises(ValueError, match=r"post_index .* outside \[0, 64\)"):
             run_reconstruction(packet, 0.05, shots=None, seed=0, post_index=post_index)
+
+    @pytest.mark.parametrize("shots, error", [
+        (0, ValueError), (-5, ValueError), (10**19, ValueError), (2**63, ValueError),
+        (1.5, TypeError), (1e4, TypeError), (True, TypeError), (np.float64(1e4), TypeError),
+    ])
+    def test_bad_shots_rejected_before_any_work(self, packet, monkeypatch, shots, error):
+        def fail(*args):
+            raise AssertionError("SLM setting run for a bad shot count")
+
+        monkeypatch.setattr(photonics, "run_setting", fail)
+        with pytest.raises(error, match="shots|integer"):
+            run_reconstruction(packet, 0.05, shots=shots, seed=0, joint=True)
+
+    def test_numpy_integer_shots_match_python_int(self):
+        w = gaussian_state(Grid(16, 12.0), center=0.3, width=WIDTH)
+        a = run_reconstruction(w, 0.05, shots=np.int64(10**4), seed=3, joint=True)
+        b = run_reconstruction(w, 0.05, shots=10**4, seed=3, joint=True)
+        assert np.array_equal(a.z_values, b.z_values)
+        assert np.array_equal(a.rates, b.rates)
 
     def test_unknown_mode_rejected_before_any_work(self, packet, monkeypatch):
         def fail(*args):
