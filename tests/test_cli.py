@@ -276,7 +276,7 @@ class TestCliRuns:
         *((dict(QUBIT_SCENARIO, seed=seed), "seed")
           for seed in (1.7, True, -1, 2**63, 2**64, "3")),
         *((dict(EXPERIMENT, seed=seed), "seed") for seed in (-1, 2**64)),
-        *((dict(EXPERIMENT, shots=shots), "shots") for shots in (-5, 0, "1e4", 2.5, True, 2**63, 10**19)),
+        *((dict(EXPERIMENT, shots=shots), "shots") for shots in (-5, 0, "1e4", 2.5, True)),
         *((dict(EXPERIMENT, epsilon=eps), "epsilon")
           for eps in ("x", 0, -0.05, 1.5707963267948966, 2.0, True, None)),
         *((dict(EXPERIMENT, min_counts=floor), "min_counts") for floor in (0, 2.5, "100")),
@@ -314,6 +314,8 @@ class TestCliRuns:
         # a value of the wrong JSON type where an object or a list is due
         (dict(QUBIT_SCENARIO, state={"amplitudes": 5}), "amplitudes"),
         (dict(QUBIT_SCENARIO, state="abc"), "state must be a JSON object"),
+        # a shot count outside [0, 2^63), which no int64 sample count holds
+        *((dict(EXPERIMENT, shots=shots), "shots") for shots in (2**63, 10**19)),
     ])
     def test_unknown_ordering_or_mode_is_schema_error(self, tmp_path, monkeypatch,
                                                       scenario, key):
