@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import require_grid_size, require_index
 from .cv import (
-    ORDERINGS,
     Grid,
     WaveFunction,
     inverse_char_transform,
@@ -52,11 +51,17 @@ _ANALYZER_KETS = (
 )
 
 
-def _require_unit_norm(amplitudes: np.ndarray, step: float):
-    """NormViolation unless every state held in the last two axes has unit norm."""
-    deviation = np.max(np.abs(step * np.sum(np.abs(amplitudes) ** 2, axis=(-2, -1)) - 1.0))
-    if not deviation <= 1e-9:
-        raise NormViolation(f"photon norm deviates from 1 by {deviation:.3e}")
+def _order(g: Grid, mode: str):
+    """What the measurement order fixes: the SLM coordinate, the conjugate
+    frequencies and their step, the lens transform from the SLM plane to the
+    camera and the camera step.  x-then-p modulates x, at k, and images p
+    through one Fourier lens; p-then-x modulates p, at lambda = x/hbar (shifts
+    of x by lambda*hbar), in the 4f momentum plane and images x."""
+    if mode == "x-then-p":
+        return g.x, g.k, g.dk, momentum_samples_raw, g.dp
+    if mode == "p-then-x":
+        return g.p, g.x / g.hbar, g.dx / g.hbar, position_samples_raw, g.dx
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def run_setting(w: WaveFunction, k, phase: float, epsilon: float, mode: str) -> np.ndarray:
@@ -66,15 +71,12 @@ def run_setting(w: WaveFunction, k, phase: float, epsilon: float, mode: str) -> 
     exact angle epsilon*sin(k*coord + phase) at each SLM pixel and frequency
     in ``k`` (a scalar k drops that axis); coord is x, or p for p-then-x,
     whose SLM sits in the 4f momentum plane.  Every k must be a multiple of
-    the conjugate step (dk, or dx/hbar).
+    the conjugate step (dk, or dx/hbar).  Both come from ``_order``, which
+    refuses an unknown mode before any transform.
     """
     g = w.grid
-    if mode == "x-then-p":
-        h, coords, step = w.samples, g.x, g.dk
-    elif mode == "p-then-x":
-        h, coords, step = momentum_samples_raw(g, w.samples), g.p, g.dx / g.hbar
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    coords, _, step, _, _ = _order(g, mode)
+    h = w.samples if mode == "x-then-p" else momentum_samples_raw(g, w.samples)
     k = np.asarray(k, dtype=float)
     off = ~(np.abs(k / step - np.round(k / step)) <= 1e-9)  # NaN and inf are off too
     if np.any(off):
@@ -94,18 +96,17 @@ def propagate_and_analyze(g: Grid, hv: np.ndarray, mode: str) -> np.ndarray:
 
     x-then-p: single Fourier lens, camera in the momentum plane.
     p-then-x: second half of the 4f system, camera in the position plane.
-    Each camera-plane state must have unit norm.
+    Each camera-plane state must have unit norm, checked from the analyzer-0
+    probabilities: its two ports sum to the photon's norm.
     """
-    if mode not in ORDERINGS:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "x-then-p":
-        out, step = momentum_samples_raw(g, hv), g.dp
-    else:
-        out, step = position_samples_raw(g, hv), g.dx
-    _require_unit_norm(out, step)
+    *_, lens, step = _order(g, mode)
+    out = lens(g, hv)
     probs = np.empty((len(ANALYZERS),) + out.shape)
     for p, kets in zip(probs, _ANALYZER_KETS):
         p[...] = step * np.abs(kets.conj().T @ out) ** 2
+    deviation = np.max(np.abs(probs[0].sum(axis=(-2, -1)) - 1.0))
+    if not deviation <= 1e-9:
+        raise NormViolation(f"photon norm deviates from 1 by {deviation:.3e}")
     return probs
 
 
@@ -286,20 +287,12 @@ def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | No
     non-integer); SizeCap for a grid past the n x n cap."""
     if shots is not None:
         _require_shots(shots, minimum=1)
-    if mode not in ORDERINGS:
-        raise ValueError(f"unknown mode {mode!r}")
+    _order(grid, mode)  # ValueError for an unknown mode
     if not 0 < epsilon < np.pi / 2:
         raise ValueError(f"coupling epsilon must lie in (0, pi/2), got {epsilon!r}")
     require_grid_size(grid.n)  # refused before the n x n (k, pixel) tables are built
     if post_index is not None:
         require_index(post_index, grid.n, "post_index")
-
-
-def _conjugate_params(grid: Grid, mode: str) -> np.ndarray:
-    # modulation frequencies conjugate to the detected variable's partner
-    if mode == "x-then-p":
-        return grid.k
-    return grid.x / grid.hbar  # lambda values: shifts of x by lambda*hbar
 
 
 def run_reconstruction(
@@ -323,7 +316,7 @@ def run_reconstruction(
     """
     g = w.grid
     require_settings(g, epsilon, mode, post_index, shots)
-    params = _conjugate_params(g, mode)
+    _, params, _, _, step = _order(g, mode)
     n = g.n
     asym, var_sum, short, recorded = _sweep(w, params, epsilon, mode, shots, seed, min_counts)
     rates = recorded / (4 * n * (1 if shots is None else shots))
@@ -345,7 +338,6 @@ def run_reconstruction(
         )
     joint_est = None
     if joint:
-        step = g.dp if mode == "x-then-p" else g.dx
         valid = np.all(np.isfinite(z_errors), axis=0) & (rates > 0)
         # rows: reconstructed variable; columns: camera pixel
         joint_est = inverse_char_transform(z_values, dparam) * np.where(valid, rates / step, 0.0)

@@ -42,7 +42,7 @@ from .serialize import (
     pseudo_from_dict,
     pseudo_to_dict,
     read_json,
-    release_reprs,
+    shared_reprs,
     write_json,
     write_plot_csv,
     write_pseudo_csv,
@@ -209,9 +209,14 @@ def _index(p: dict, key: str, size: int) -> int:
 
 # -- orchestration -----------------------------------------------------------
 
-def _write_distribution(out: Path, pd: PseudoDistribution, stem="distribution"):
-    write_json(out / f"{stem}.json", pseudo_to_dict(pd))
-    write_pseudo_csv(pd, out / f"{stem}.csv")
+def _write_distribution(out: Path, pd: PseudoDistribution, stem="distribution", plot=None):
+    """The distribution's JSON and CSV files, and plot.csv from ``plot``'s
+    columns; its re and im parts are formatted once for all of them."""
+    with shared_reprs():
+        write_json(out / f"{stem}.json", pseudo_to_dict(pd))
+        write_pseudo_csv(pd, out / f"{stem}.csv")
+        if plot is not None:
+            write_plot_csv(out / "plot.csv", plot)
 
 
 def _plot_columns_1d(coords, values, coord_name="x"):
@@ -387,20 +392,16 @@ def run_scenario(sc: Scenario, out_dir, emit_oracle: bool = False) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     diag = {"kind": sc.kind, "seed": sc.seed}
     outputs = sc.run(sc.seed, diag)
-    try:
-        if outputs is not None:
-            result, plot, oracle = outputs
-            oracle_pd = oracle() if emit_oracle else None
-            total = result.total
-            diag["sum"] = {"re": total.real, "im": total.imag}
-            diag["sum_deviation"] = abs(total - 1.0)
-            _write_distribution(out, result)
-            write_plot_csv(out / "plot.csv", plot)
-            if oracle_pd is not None:
-                _write_distribution(out, oracle_pd, stem="oracle")
-        write_json(out / "diagnostics.json", diag)
-    finally:
-        release_reprs()  # the formatted strings of this run's arrays
+    if outputs is not None:
+        result, plot, oracle = outputs
+        oracle_pd = oracle() if emit_oracle else None
+        total = result.total
+        diag["sum"] = {"re": total.real, "im": total.imag}
+        diag["sum_deviation"] = abs(total - 1.0)
+        _write_distribution(out, result, plot=plot)
+        if oracle_pd is not None:
+            _write_distribution(out, oracle_pd, stem="oracle")
+    write_json(out / "diagnostics.json", diag)
     return diag
 
 

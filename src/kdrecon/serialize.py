@@ -5,13 +5,17 @@ shortest round-trip precision (repr), so every artifact re-loads bit-exactly.
 Every stored float is formatted once with ``float.__repr__`` (a broadcast axis
 holds one stored value, repeated), and each artifact is written CHUNK_ROWS
 rows at a time, byte for byte as ``json.dumps(..., indent=2, sort_keys=True)``
-and ``csv.writer`` lay out the same values one cell at a time.
+and ``csv.writer`` lay out the same values one cell at a time.  Inside a
+``shared_reprs()`` scope the writers on that thread format each array once
+and share its strings; a writer called outside any scope keeps nothing.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import threading
+from contextlib import contextmanager
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -25,11 +29,8 @@ CHUNK_ROWS = 4096  # rows joined per write: the strings held at once stay bounde
 # json writes the non-finite floats that repr calls nan, inf and -inf like this
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _RE_IM = itemgetter("re", "im")
-# The strings of the arrays write_json wrote last, by their bytes: a
-# distribution's re and im parts, formatted for its JSON file and re-used by
-# its CSV file and the re/im columns of its plot file.
-_REPR_CACHE: dict = {}
-_REPR_CACHE_SIZE = 2
+# inside shared_reprs(), .reprs holds this thread's formatted arrays, by their bytes
+_SCOPE = threading.local()
 
 
 def _float_reprs(data: bytes) -> tuple:
@@ -37,9 +38,17 @@ def _float_reprs(data: bytes) -> tuple:
     return tuple(map(float.__repr__, np.frombuffer(data).tolist()))
 
 
-def release_reprs():
-    """Drop the strings kept for re-use between writers."""
-    _REPR_CACHE.clear()
+@contextmanager
+def shared_reprs():
+    """Share formatted strings between the writes made in this scope on this
+    thread: a distribution's JSON file, its CSV file and its plot file format
+    its re and im parts once.  The strings are dropped when the scope ends,
+    also on an error."""
+    _SCOPE.reprs = {}
+    try:
+        yield
+    finally:
+        del _SCOPE.reprs
 
 
 def _broadcast(strs, base_shape, shape) -> np.ndarray:
@@ -48,25 +57,19 @@ def _broadcast(strs, base_shape, shape) -> np.ndarray:
     return np.broadcast_to(np.asarray(strs, dtype=object).reshape(base_shape), shape)
 
 
-def _reprs(a, nonfinite=None, keep=False) -> np.ndarray:
+def _reprs(a, nonfinite=None) -> np.ndarray:
     """repr of every element of a real array as a float, as an object array:
     flat, in row-major order, or a broadcast view of ``a``'s shape;
     ``nonfinite`` maps the repr of nan and of each infinity to another string.
 
     A stride-0 (broadcast) axis holds one stored value, so only the base the
-    array is broadcast from is formatted.  Strings in the cache are re-used;
-    ``keep`` puts these in it, in place of the oldest."""
+    array is broadcast from is formatted, once per ``shared_reprs()`` scope."""
     a = np.asarray(a, dtype=float)
     base = np.ascontiguousarray(a[tuple(slice(None) if s else slice(0, 1) for s in a.strides)])
-    key = base.tobytes()
-    out = _REPR_CACHE.get(key)
-    if out is None and keep:
-        # room first, so that no more than two arrays' strings are held while formatting
-        while len(_REPR_CACHE) >= _REPR_CACHE_SIZE:
-            del _REPR_CACHE[next(iter(_REPR_CACHE))]
-        out = _REPR_CACHE[key] = np.array(_float_reprs(key), dtype=object)
-    elif out is None:
-        out = np.array(_float_reprs(key), dtype=object)
+    key, shared = base.tobytes(), getattr(_SCOPE, "reprs", {})  # outside a scope: {}, unkept
+    out = shared.get(key)
+    if out is None:
+        out = shared[key] = np.array(_float_reprs(key), dtype=object)
     bad = np.flatnonzero(~np.isfinite(base)) if nonfinite else []
     if len(bad):
         out = out.copy()
@@ -100,8 +103,7 @@ def _write_json_pairs(fh, values: np.ndarray):
     if values.size == 0:
         fh.write("[]")
         return
-    columns = [_reprs(values.imag, _JSON_NONFINITE, keep=True),
-               _reprs(values.real, _JSON_NONFINITE, keep=True)]
+    columns = [_reprs(values.imag, _JSON_NONFINITE), _reprs(values.real, _JSON_NONFINITE)]
     _write_rows(fh, columns, ['\n    },\n    {\n      "im": ', ',\n      "re": '],
                 head='[\n    {\n      "im": ', tail="\n    }\n  ]")
 

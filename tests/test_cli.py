@@ -5,7 +5,7 @@ import pytest
 
 from kdrecon import cv, photonics, scenarios
 from kdrecon.cli import main
-from kdrecon.core import GRID_CAP
+from kdrecon.core import GRID_CAP, random_observable, random_state
 from kdrecon.errors import (
     OrderingTagMismatch,
     ParseError,
@@ -94,6 +94,7 @@ class TestSerialize:
         ([{"re": 1.0, "im": 0.0}] * 4, (3,)),
         ([{"re": 1e308, "im": 10**400}], (1,)),
         ({"re": 1.0, "im": 0.0}, (1,)),
+        ([{"re": 1.0, "imag": 0.0}], (1,)),
     ])
     def test_unfillable_values_rejected(self, entries, shape):
         with pytest.raises(SchemaError):
@@ -405,6 +406,58 @@ class TestCliRuns:
         with pytest.raises(Built):
             run_scenario(sc, tmp_path / "emit", emit_oracle=True)
 
+    def test_discrete_joint_oracle_is_the_conjugate_kd_bracket(self, tmp_path):
+        scenario = {"kind": "discrete-joint", "state": {"random": {"dim": 4, "seed": 3}},
+                    "observable_a": {"random": {"dim": 4, "seed": 5}, "label": "A"},
+                    "observable_b": {"random": {"dim": 4, "seed": 7}, "label": "B"}}
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--scenario", str(write_scenario(tmp_path, scenario)),
+                     "--out", str(out), "--emit-oracle"]) == 0
+        oracle = pseudo_from_dict(read_json(out / "oracle.json"))
+        psi = random_state(4, 3).amplitudes
+        ua, ub = random_observable(4, 5).eigenvectors, random_observable(4, 7).eigenvectors
+        # conj(<b_j|a_i><a_i|psi><psi|b_j>) = <a_i|b_j><psi|a_i><b_j|psi>
+        bracket = np.array([[(ua[:, i].conj() @ ub[:, j]) * (psi.conj() @ ua[:, i])
+                             * (ub[:, j].conj() @ psi) for j in range(4)] for i in range(4)])
+        assert (oracle.ordering_tag, oracle.axes) == ("kd-conjugate", ("A", "B"))
+        assert np.max(np.abs(oracle.values - bracket)) < 1e-15
+
+    @pytest.mark.parametrize("command, scenario, index", [
+        ("reconstruct", {"kind": "cv-conditional", "grid": {"n": 64, "length": 16.0, "hbar": 2.5},
+                         "state": {"type": "gaussian", "center": 0.5, "momentum": 0.7},
+                         "post_momentum_index": 30}, "post_momentum_index"),
+        ("experiment", dict(EXPERIMENT, shots=None, post_index=34,
+                            state={"type": "random-smooth", "seed": 4}), "post_index"),
+    ], ids=["cv-conditional", "experiment-x-then-p"])
+    def test_position_conditional_oracle_is_the_weak_valued_projector(
+            self, tmp_path, command, scenario, index):
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(write_scenario(tmp_path, scenario)),
+                     "--out", str(out), "--emit-oracle"]) == 0
+        oracle = pseudo_from_dict(read_json(out / "oracle.json"))
+        grid = cv.Grid(**scenario["grid"])
+        psi = scenarios._build_cv_state(scenario["state"], grid).samples
+        p = grid.p[scenario[index]]
+        bra_p_x = np.exp(-1j * p * grid.x / grid.hbar) / np.sqrt(2 * np.pi * grid.hbar)
+        # <p|x><x|psi>/<p|psi>, with <p|psi> summed directly over the grid
+        bracket = bra_p_x * psi / (grid.dx * np.sum(bra_p_x * psi))
+        assert (oracle.ordering_tag, oracle.axes) == ("cv-conditional", ("x",))
+        assert (oracle.conditioning, oracle.cell_weight) == (f"p={p:.6g}", grid.dx)
+        assert np.max(np.abs(oracle.values - bracket)) < 1e-13 * np.max(np.abs(bracket))
+
+    @pytest.mark.parametrize("scenario, match", [
+        ([QUBIT_SCENARIO], "must be a JSON object"),
+        (dict(QUBIT_SCENARIO, kind="discrete-marginal"), "kind must be one of"),
+        ({k: v for k, v in QUBIT_SCENARIO.items() if k != "kind"}, "kind must be one of"),
+    ], ids=["array", "unknown-kind", "no-kind"])
+    def test_scenario_not_an_object_of_a_known_kind(self, tmp_path, scenario, match):
+        scen = write_scenario(tmp_path, scenario)
+        with pytest.raises(SchemaError, match=match):
+            load_scenario(scen)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "SchemaError"
+
     def test_cv_joint_oracle_past_the_cap_builds_nothing(self, size_cap_peak):
         grid = cv.Grid(2 * GRID_CAP, 400.0)
         w = cv.gaussian_state(grid)
@@ -667,6 +720,7 @@ class TestCompare:
         write_json(tmp_path / "b.json", pseudo_to_dict(other))
         assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
                      "--tol", "1e-6"]) == 2
+        assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "missing.json")]) == 1
 
     def test_nan_mismatch_reported(self, tmp_path, capsys):
         # delta > tol is False for a NaN delta: the NaN cell must still be listed

@@ -183,3 +183,28 @@ class TestConstructors:
         assert np.array_equal(psi.amplitudes, np.array([1.0, 1.0j]) / np.sqrt(2))
         assert np.array_equal(rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
         assert not psi.amplitudes.flags.writeable and not rho.matrix.flags.writeable
+
+
+Q3 = random_observable(3, 0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: QuantumState([]), DimensionMismatch, "nonempty vector"),
+    (lambda: QuantumState([[1, 0]]), DimensionMismatch, "nonempty vector"),
+    (lambda: DensityMatrix(np.full((2, 3), 0.5)), DimensionMismatch, "square"),
+    (lambda: DensityMatrix(np.eye(2)), NormViolation, "trace"),
+    (lambda: ObservableSpec([1.0, -1.0], np.eye(3)), DimensionMismatch, "eigenvector matrix"),
+    (lambda: observable_power(SZ, -1), ValueError, "non-negative"),
+    (lambda: check_incompatibility(SZ, SX, 0.0), ValueError, "threshold"),
+    (lambda: check_incompatibility(SZ, SX, np.nan), ValueError, "threshold"),
+    (lambda: expectation(QuantumState([1, 0]), np.eye(3)), DimensionMismatch, "operator shape"),
+    (lambda: expectation(random_density(2, seed=1), np.eye(3)), DimensionMismatch,
+     "operator shape"),
+    (lambda: expectation(np.array([1.0, 0.0]), np.eye(2)), TypeError, "unsupported state"),
+    (lambda: pauli_spec("w"), ValueError, "unknown Pauli axis"),
+], ids=["empty-state", "2d-state", "non-square-density", "density-trace",
+        "eigenvector-shape", "negative-power", "zero-threshold", "nan-threshold",
+        "pure-operator-shape", "mixed-operator-shape", "state-type", "pauli-axis"])
+def test_typed_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

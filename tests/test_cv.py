@@ -25,6 +25,7 @@ from kdrecon.cv import (
 from kdrecon.core import GRID_CAP
 from kdrecon.scenarios import _cv_joint_oracle
 from kdrecon.errors import (
+    DimensionMismatch,
     IncompleteSampling,
     NormViolation,
     OffGridParameter,
@@ -240,6 +241,12 @@ class TestWeakCharFn:
         with pytest.raises(PostSelectionTooWeak):
             weak_char_fn(w, grid.p[-1])
 
+    def test_edge_aliasing_warning(self):
+        # width 0.1 on a 32-point grid: the momentum amplitude at the edge is about 0.1
+        w = gaussian_state(Grid(32, 6.0), width=0.1)
+        with pytest.warns(RuntimeWarning, match="grid edge"):
+            weak_char_fn(w, 0.0)
+
     def test_general_phi_matches_momentum_eigenstate_limit(self, grid):
         # plane-wave phi on the grid approximates momentum post-selection
         w = random_smooth_state(grid, seed=2)
@@ -415,3 +422,15 @@ class TestGridCap:
         w = gaussian_state(Grid(2 * GRID_CAP, 400.0))
         q = conditional_pseudo_cv(weak_char_fn(w, 0.0))
         assert abs(w.grid.dx * np.sum(q) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: WaveFunction(Grid(16, 8.0), np.ones(8)), DimensionMismatch, "sample count"),
+    (lambda: CharFnSample(Grid(16, 8.0), np.zeros(3), np.zeros(4)), DimensionMismatch,
+     "parameter and value counts"),
+    (lambda: joint_kd_cv(gaussian_state(Grid(16, 8.0)), "sideways"), ValueError,
+     "unknown ordering"),
+], ids=["samples", "char-fn-sample", "ordering"])
+def test_typed_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

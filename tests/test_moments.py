@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -385,3 +387,25 @@ class TestCharFn:
                 fine, coarse = mixed(n, m, h), mixed(n, m, 2 * h)
                 richardson = (4 * fine - coarse) / 3
                 assert abs(richardson - c[n, m]) < 1e-5
+
+
+Q3 = random_observable(3, 0)
+PSI2 = random_state(2, 1)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: weak_value(np.eye(2), PSI2, random_state(3, 2)), DimensionMismatch,
+     "pre- and post-selection dimensions"),
+    (lambda: correlation_matrix(SZ, SX, SimpleNamespace(dim=2)), TypeError,
+     "unsupported state type"),
+    (lambda: correlation_matrix(SZ, Q3, PSI2), DimensionMismatch, "different dimensions"),
+    (lambda: correlation_matrix(SZ, SX, random_state(3, 2)), DimensionMismatch,
+     "state dimension"),
+    (lambda: correlation_tensor([SZ, Q3], PSI2), DimensionMismatch, "dimension mismatch"),
+    (lambda: char_fn_discrete(SZ, Q3, PSI2, 0.1, 0.2), DimensionMismatch,
+     "different dimensions"),
+], ids=["overlap-dims", "state-type", "matrix-observables", "matrix-state", "tensor",
+        "char-fn"])
+def test_typed_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

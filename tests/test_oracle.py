@@ -12,7 +12,7 @@ from kdrecon.core import (
     random_observable,
     random_state,
 )
-from kdrecon.errors import IncompatibilityViolated, PostSelectionTooWeak
+from kdrecon.errors import DimensionMismatch, IncompatibilityViolated, PostSelectionTooWeak
 from kdrecon.oracle import (
     PseudoDistribution,
     _require_incompatible,
@@ -327,3 +327,23 @@ class TestExpectationIdentity:
             lhs = np.trace(x @ rho.matrix)
             rhs = np.sum(t.conj() * k.values)
             assert abs(lhs - rhs) < 1e-9
+
+
+Q3 = random_observable(3, 0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: kd_joint(random_state(3, 1), SZ, SX), DimensionMismatch, "one dimension"),
+    (lambda: kd_joint(random_state(2, 1), SZ, Q3), DimensionMismatch, "one dimension"),
+    (lambda: kd_npoint(random_state(2, 1), [SZ, Q3]), DimensionMismatch,
+     "match the state dimension"),
+    (lambda: reconstruct_state(PseudoDistribution(np.full((2, 3), 1 / 6), ("A", "B"), "kd"),
+                               SZ, SX), DimensionMismatch, "distribution shape"),
+    (lambda: kd_marginals(PseudoDistribution(np.eye(2) / 2, ("A", "B"), "kd",
+                                             conditioning="B[0]")),
+     ValueError, "unconditioned"),
+], ids=["joint-state", "joint-observables", "npoint", "reconstruct-shape",
+        "conditioned-marginals"])
+def test_typed_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -30,7 +30,7 @@ from kdrecon.photonics import (
     ANALYZERS,
     QUADRATURES,
     _asymmetry,
-    _conjugate_params,
+    _order,
     estimate_weak_char,
     propagate_and_analyze,
     run_reconstruction,
@@ -145,7 +145,7 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts):
     z_values = np.zeros((n, n), dtype=complex)
     z_errors = np.zeros((n, n))
     recorded = np.zeros(n)
-    for m, kp in enumerate(_conjugate_params(g, mode)):
+    for m, kp in enumerate(_order(g, mode)[1]):
         rows = {}
         for qi, quad in enumerate(QUADRATURES):
             theta = epsilon * np.sin(kp * coords + (np.pi / 2 if quad == "cos" else 0.0))
@@ -246,7 +246,7 @@ class TestSlmRotation:
 
     def test_norm_preserved(self, packet):
         for mode in MODES:
-            params = _conjugate_params(packet.grid, mode)
+            params = _order(packet.grid, mode)[1]
             out = run_setting(packet, params, 0.3, 0.4, mode)  # (analyzer, k, outcome, pixel)
             assert np.max(np.abs(out.sum(axis=(2, 3)) - 1.0)) < 1e-12
 
@@ -388,7 +388,7 @@ class TestSampling:
         g = Grid(64, 16.0)
         w = gaussian_state(g, center=0.4, width=WIDTH)
         for qi, phase in enumerate((np.pi / 2, 0.0)):
-            probs = run_setting(w, _conjugate_params(g, mode), phase, 0.05, mode)
+            probs = run_setting(w, _order(g, mode)[1], phase, 0.05, mode)
             for ai, rows in enumerate(probs):
                 key = (3, 2 * qi + ai)
                 counts = sample_block(rows, 10**6, key)
@@ -605,7 +605,7 @@ class TestReconstruction:
     @pytest.mark.parametrize("n, hbar", [(16, 1.0), (64, 2.5), (128, 0.37)])
     def test_inverse_transform_matches_direct_sum(self, mode, n, hbar):
         g = Grid(n, 16.0, hbar)
-        params = _conjugate_params(g, mode)
+        params = _order(g, mode)[1]
         out_values = g.x if mode == "x-then-p" else g.p
         rng = np.random.default_rng(n)
         z = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
@@ -632,7 +632,7 @@ class TestReconstruction:
         assert np.max(np.abs(res.z_values - z_ref)) <= 1e-12
         assert np.max(np.abs(res.z_errors[~masked] - se_ref[~masked]), initial=0.0) <= 1e-12
         assert np.allclose(res.rates, rates_ref, rtol=1e-12, atol=0)
-        params = _conjugate_params(g, mode)
+        params = _order(g, mode)[1]
         step = g.dp if mode == "x-then-p" else g.dx
         valid = ~masked.any(axis=0) & (rates_ref > 0)
         joint = inverse_char_transform(z_ref, params[1] - params[0]) \

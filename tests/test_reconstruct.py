@@ -340,3 +340,14 @@ class TestOperatorCache:
         for _ in range(2):  # the second call finds the operator built
             with pytest.warns(RuntimeWarning, match="coefficient spread"):
                 joint_from_correlations(wide, wide, c)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: joint_from_correlations(SZ, random_observable(3, 0), np.eye(2)),
+     "different dimensions"),
+    (lambda: npoint_from_correlations([SZ, SX], np.ones((2, 2, 2))), "tensor rank"),
+    (lambda: npoint_from_correlations([SZ, SX], np.ones((2, 3))), "axis 1 length"),
+], ids=["joint-observables", "npoint-rank", "npoint-axis"])
+def test_dimension_refusals(call, match):
+    with pytest.raises(DimensionMismatch, match=match):
+        call()

@@ -8,6 +8,8 @@ repr(float(v)).  The writers must produce the same bytes.
 import csv
 import io
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -231,7 +233,7 @@ def _cv_joint_scenario(tmp_path, n):
 
 def test_run_formats_each_stored_float_once(tmp_path, monkeypatch):
     """The result's re and im are formatted for its JSON file and re-used by
-    its CSV and plot files; the plot coordinates do not push them out."""
+    its CSV and plot files, and the oracle's by its CSV file."""
     n = 32
     formatted = []
     original = serialize._float_reprs
@@ -246,14 +248,35 @@ def test_run_formats_each_stored_float_once(tmp_path, monkeypatch):
     assert sorted(formatted) == [n, n, n * n, n * n, n * n, n * n]
 
 
-def test_cache_keeps_only_the_last_json_arrays(tmp_path):
-    first, last = random_values((8,), 21), random_values((8,), 22)
-    write_json(tmp_path / "a.json", {"values": first})
-    write_plot_csv(tmp_path / "plot.csv", {"x": np.arange(8.0), "re": first.real})
-    write_json(tmp_path / "b.json", {"values": last})
-    assert sorted(serialize._REPR_CACHE) == sorted([last.real.tobytes(), last.imag.tobytes()])
-    serialize.release_reprs()
-    assert serialize._REPR_CACHE == {}
+def test_scope_shares_each_array_and_bare_writers_format_their_own(tmp_path, monkeypatch):
+    """Inside shared_reprs() the JSON, CSV and plot writers format a
+    distribution's re and im once; outside it each writer formats its own."""
+    pd = PseudoDistribution(random_values((8,), 21), ("x",), "cv-conditional")
+    plot = {"x": np.arange(8.0), "re": pd.values.real, "im": pd.values.imag}
+    formatted = []
+    original = serialize._float_reprs
+
+    def counting(data):
+        formatted.append(len(data) // 8)
+        return original(data)
+
+    monkeypatch.setattr(serialize, "_float_reprs", counting)
+
+    def write_all():
+        write_json(tmp_path / "d.json", pseudo_to_dict(pd))
+        write_pseudo_csv(pd, tmp_path / "d.csv")
+        write_plot_csv(tmp_path / "plot.csv", plot)
+
+    with serialize.shared_reprs():
+        write_all()
+    assert len(formatted) == 3  # im, re, then the x column
+    assert not hasattr(serialize._SCOPE, "reprs")
+    formatted.clear()
+    write_all()
+    assert len(formatted) == 7  # 2 for the JSON file, 2 for the CSV file, 3 for the plot
+    assert (tmp_path / "d.json").read_bytes() == reference_json(pd)
+    assert (tmp_path / "d.csv").read_bytes() == reference_pseudo_csv(pd)
+    assert (tmp_path / "plot.csv").read_bytes() == reference_plot_csv(plot)
 
 
 def _held_after(call) -> int:
@@ -272,7 +295,7 @@ def _held_after(call) -> int:
 @pytest.mark.parametrize("fail", [False, True], ids=["returns", "writer-raises"])
 def test_run_keeps_no_strings_after_it_ends(tmp_path, monkeypatch, fail):
     """An n=256 run formats 4 x 65,536 floats (about 5 MB of strings each);
-    none of them outlive it, also when a writer raises after the cache is filled."""
+    none of them outlive it, also when a writer raises inside a filled scope."""
     run_scenario(_cv_joint_scenario(tmp_path, 32), tmp_path / "warm", emit_oracle=True)
     sc = _cv_joint_scenario(tmp_path, 256)
     if fail:
@@ -282,6 +305,71 @@ def test_run_keeps_no_strings_after_it_ends(tmp_path, monkeypatch, fail):
     held = _held_after(lambda: run_scenario(sc, tmp_path / "out", emit_oracle=True))
     assert (tmp_path / "out" / "distribution.csv").exists()
     assert held < 1e6
+
+
+def _joint(n):
+    grid = cv.Grid(n, 24.0)
+    return _phase_space(grid, cv.joint_kd_cv(cv.random_smooth_state(grid, 5)), "x-then-p")[0]
+
+
+def test_bare_write_keeps_no_strings(tmp_path):
+    """A 512 x 512 distribution's re and im parts make about 43 MB of strings;
+    a write_json called outside any scope keeps none of them."""
+    pd = _joint(512)
+    held = _held_after(lambda: write_json(tmp_path / "d.json", pseudo_to_dict(pd)))
+    assert (tmp_path / "d.json").stat().st_size > 2 * pd.values.size * 10
+    assert held < 1e6
+
+
+def test_error_in_a_scope_drops_its_strings(tmp_path):
+    pd = _joint(256)
+
+    def write_then_fail():
+        with serialize.shared_reprs():
+            write_json(tmp_path / "d.json", pseudo_to_dict(pd))
+            assert len(serialize._SCOPE.reprs) == 2  # the re and im strings, held
+            raise OSError("disk full")
+
+    assert _held_after(write_then_fail) < 1e6
+    assert not hasattr(serialize._SCOPE, "reprs")
+
+
+def test_threads_writing_at_once_each_write_their_own_bytes(tmp_path):
+    """Four threads write small distributions, bare and inside a scope, with
+    the interpreter switching threads every microsecond: no write raises,
+    and each thread's files hold its own distribution."""
+    calls = 3000
+    pds = [PseudoDistribution(random_values((4,), 30 + t), ("A",), "kd") for t in range(4)]
+    errors = []
+
+    def work(t):
+        out = tmp_path / f"t{t}"
+        out.mkdir()
+        expected = reference_json(pds[t]), reference_pseudo_csv(pds[t])
+        try:
+            for i in range(calls):
+                if i % 2:
+                    scenarios._write_distribution(out, pds[t])
+                    assert (out / "distribution.csv").read_bytes() == expected[1]
+                    assert (out / "distribution.json").read_bytes() == expected[0]
+                else:
+                    write_json(out / "bare.json", pseudo_to_dict(pds[t]))
+                    assert (out / "bare.json").read_bytes() == expected[0]
+        except Exception as exc:  # reported below, with its thread and call
+            errors.append((t, i, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 def test_payload_without_arrays_is_plain_json(tmp_path):
