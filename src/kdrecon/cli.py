@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -72,7 +73,9 @@ def _strict(value):
         return {k: _strict(v) for k, v in value.items()}
     if isinstance(value, list):
         return list(map(_strict, value))
-    return _JSON_NONFINITE.get(repr(value), value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return _JSON_NONFINITE[repr(float(value))]
+    return value
 
 
 def _out_dir(args) -> Path:

@@ -46,7 +46,10 @@ def require_grid_size(n: int) -> None:
 
 def require_index(i, size: int, what: str) -> int:
     """``i`` as an index into ``size`` outcomes, refused (ValueError) outside
-    [0, size) rather than wrapped round as a negative numpy index would be."""
+    [0, size) rather than wrapped round as a negative numpy index would be.
+    A bool is a TypeError: numpy would read it as a mask, not an index."""
+    if isinstance(i, bool):
+        raise TypeError(f"{what} must be an integer, got {i!r}")
     i = operator.index(i)
     if not 0 <= i < size:
         raise ValueError(f"{what} {i} outside [0, {size})")

@@ -113,21 +113,32 @@ class CharFnSample:
         object.__setattr__(self, "values", vals)
 
 
-def _centred_fft(a, scale: float, axis: int = -1, inverse: bool = False) -> np.ndarray:
+def _centred_fft(a, scale: float, axis: int = -1, inverse: bool = False,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """scale * sum_m e^{-i u_m y_i} a_m along ``axis``, for centred conjugate
     grids u and y (see the module docstring), as (-1)^i fft((-1)^m a)_i;
     ``inverse`` takes the conjugate kernel and ifft's factor 1/n.
 
     The result is the only array of ``a``'s size that is built: the FFT and
-    the output signs work on it in place.
+    the output signs work on it in place.  A complex ``out``, which may be
+    ``a`` itself, receives the result instead, and nothing of that size is
+    built.
     """
     n = np.shape(a)[axis]
     trailing = (1,) * (np.ndim(a) - 1 - axis % np.ndim(a))
     sign = np.resize([1.0, -1.0], n).reshape(n, *trailing)
-    out = np.multiply(a, scale * sign, dtype=complex)
+    out = np.multiply(a, scale * sign, out=out, dtype=complex)
     (np.fft.ifft if inverse else np.fft.fft)(out, axis=axis, out=out)
     out *= sign
     return out
+
+
+def _grid_transform(g: Grid, samples, inverse: bool = False,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """momentum_samples_raw, or position_samples_raw when ``inverse``, written
+    to ``out`` when it is given (see _centred_fft)."""
+    scale = (g.dp * g.n if inverse else g.dx) / np.sqrt(2 * np.pi * g.hbar)
+    return _centred_fft(samples, scale, inverse=inverse, out=out)
 
 
 def momentum_samples_raw(g: Grid, samples: np.ndarray) -> np.ndarray:
@@ -135,12 +146,12 @@ def momentum_samples_raw(g: Grid, samples: np.ndarray) -> np.ndarray:
     along the last axis:
     psi_tilde(p_m) = dx/sqrt(2 pi hbar) * sum_i e^{-i p_m x_i / hbar} psi(x_i).
     """
-    return _centred_fft(samples, g.dx / np.sqrt(2 * np.pi * g.hbar))
+    return _grid_transform(g, samples)
 
 
 def position_samples_raw(g: Grid, samples: np.ndarray) -> np.ndarray:
     """Inverse of momentum_samples_raw."""
-    return _centred_fft(samples, g.dp * g.n / np.sqrt(2 * np.pi * g.hbar), inverse=True)
+    return _grid_transform(g, samples, inverse=True)
 
 
 def to_momentum(w: WaveFunction) -> np.ndarray:

@@ -19,6 +19,7 @@ from .core import (
     as_density,
     check_incompatibility,
     overlap_matrix,
+    require_index,
     require_postselection,
     require_tensor_size,
 )
@@ -86,6 +87,7 @@ def postselection_probability(state, b: ObservableSpec, j: int) -> float:
 
 def kd_conditional(state, a: ObservableSpec, b: ObservableSpec, j: int) -> PseudoDistribution:
     """K[i|j] = K[i, j] / <b_j|rho|b_j>, conditioned on outcome b_j."""
+    j = require_index(j, b.dim, "eigenvector index")
     rho = as_density(state)  # built and checked once, for both calls below
     prob = postselection_probability(rho, b, j)
     require_postselection(prob, f"outcome {j} post-selection")

@@ -1,13 +1,18 @@
 """Shot-level Monte-Carlo simulation of the proposed optical experiment.
 
 Pipeline of public stages, each batched over every frequency k and camera
-pixel: imprint a wavefunction on an H-polarized photon and weakly rotate its
+pixel: imprint a wavefunction on an H-polarized photon, weakly rotate its
 polarization as a sinusoid of position, or of momentum in the 4f
-configuration (run_setting); Fourier-propagate and analyze it
-(propagate_and_analyze); draw the camera counts of a quadrature's two analyzer
-blocks at once, each from its own Philox stream, the second on a persistent
-worker thread (sample_shots); estimate the weak characteristic function from
-conditioned asymmetries (estimate_weak_char).
+configuration, then Fourier-propagate and analyze it (run_setting, whose
+last step propagate_and_analyze also offers on its own); draw the camera
+counts of a quadrature's two analyzer blocks, one after the other, each from
+its own Philox stream (sample_shots); estimate the weak characteristic
+function from conditioned asymmetries (estimate_weak_char).
+
+The sweep runs quadrature 0's chain (Born probabilities, draws, asymmetries)
+on the calling thread and quadrature 1's on a persistent worker thread.  The
+worker calls only the private stage bodies, so every call of a public name
+comes from the calling thread.
 
 Readout protocol (validated against the grid oracle, not assumed): with input
 polarization H and rotation angle eps*sin(k x + phi),
@@ -19,6 +24,7 @@ polarization H and rotation angle eps*sin(k x + phi),
 
 from __future__ import annotations
 
+import itertools
 import operator
 import os
 import threading
@@ -30,6 +36,7 @@ from .core import require_grid_size, require_index
 from .cv import (
     Grid,
     WaveFunction,
+    _grid_transform,
     inverse_char_transform,
     momentum_samples_raw,
     position_samples_raw,
@@ -49,19 +56,28 @@ _ANALYZER_KETS = (
     np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
 )
+_PRODUCT_CELLS = 2**15  # complex camera cells projected on the analyzers at once
 
 
 def _order(g: Grid, mode: str):
     """What the measurement order fixes: the SLM coordinate, the conjugate
-    frequencies and their step, the lens transform from the SLM plane to the
-    camera and the camera step.  x-then-p modulates x, at k, and images p
-    through one Fourier lens; p-then-x modulates p, at lambda = x/hbar (shifts
-    of x by lambda*hbar), in the 4f momentum plane and images x."""
+    frequencies and their step, whether the lens from the SLM plane to the
+    camera is the inverse transform, and the camera step.  x-then-p modulates
+    x, at k, and images p through one Fourier lens; p-then-x modulates p, at
+    lambda = x/hbar (shifts of x by lambda*hbar), in the 4f momentum plane and
+    images x through the inverse transform."""
     if mode == "x-then-p":
-        return g.x, g.k, g.dk, momentum_samples_raw, g.dp
+        return g.x, g.k, g.dk, False, g.dp
     if mode == "p-then-x":
-        return g.p, g.x / g.hbar, g.dx / g.hbar, position_samples_raw, g.dx
+        return g.p, g.x / g.hbar, g.dx / g.hbar, True, g.dx
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _slm_plane(w: WaveFunction, mode: str) -> np.ndarray:
+    """The photon's amplitudes on the SLM: ``w``'s position samples, or its
+    momentum samples in the 4f order, whose SLM sits in the momentum plane."""
+    _order(w.grid, mode)  # an unknown mode is refused before any transform
+    return w.samples if mode == "x-then-p" else momentum_samples_raw(w.grid, w.samples)
 
 
 def run_setting(w: WaveFunction, k, phase: float, epsilon: float, mode: str) -> np.ndarray:
@@ -72,11 +88,16 @@ def run_setting(w: WaveFunction, k, phase: float, epsilon: float, mode: str) -> 
     in ``k`` (a scalar k drops that axis); coord is x, or p for p-then-x,
     whose SLM sits in the 4f momentum plane.  Every k must be a multiple of
     the conjugate step (dk, or dx/hbar).  Both come from ``_order``, which
-    refuses an unknown mode before any transform.
+    refuses an unknown mode before any transform.  The photon is then
+    propagated and analyzed as ``propagate_and_analyze`` says.
     """
-    g = w.grid
-    coords, _, step, _, _ = _order(g, mode)
-    h = w.samples if mode == "x-then-p" else momentum_samples_raw(g, w.samples)
+    return _setting(w.grid, _slm_plane(w, mode), k, phase, epsilon, mode)
+
+
+def _setting(g: Grid, h: np.ndarray, k, phase: float, epsilon: float, mode: str) -> np.ndarray:
+    """run_setting's body, from the SLM-plane amplitudes ``h``: the rotated
+    photon is built in one buffer, which the lens transforms in place."""
+    coords, _, step, inverse, camera_step = _order(g, mode)
     k = np.asarray(k, dtype=float)
     off = ~(np.abs(k / step - np.round(k / step)) <= 1e-9)  # NaN and inf are off too
     if np.any(off):
@@ -85,25 +106,39 @@ def run_setting(w: WaveFunction, k, phase: float, epsilon: float, mode: str) -> 
         )
     theta = epsilon * np.sin(np.multiply.outer(k, coords) + phase)
     # the V input is 0, so the rotation sends h to (cos theta, sin theta) h
-    return propagate_and_analyze(g, np.stack([np.cos(theta) * h, np.sin(theta) * h], axis=-2),
-                                 mode)
+    hv = np.empty(theta.shape[:-1] + (2, g.n), dtype=complex)
+    np.multiply(np.cos(theta), h, out=hv[..., 0, :])
+    np.multiply(np.sin(theta), h, out=hv[..., 1, :])
+    del theta
+    return _analyze(_grid_transform(g, hv, inverse, out=hv), camera_step)
 
 
 def propagate_and_analyze(g: Grid, hv: np.ndarray, mode: str) -> np.ndarray:
     """Born probabilities (analyzer, ..., outcome, pixel) at the camera of
     SLM-plane amplitudes ``hv`` (..., component, pixel); analyzers in
-    ANALYZERS order, outcome 0 the analyzer's plus port.
+    ANALYZERS order, outcome 0 the analyzer's plus port.  ``hv`` is left
+    unchanged.
 
     x-then-p: single Fourier lens, camera in the momentum plane.
     p-then-x: second half of the 4f system, camera in the position plane.
     Each camera-plane state must have unit norm, checked from the analyzer-0
     probabilities: its two ports sum to the photon's norm.
     """
-    *_, lens, step = _order(g, mode)
-    out = lens(g, hv)
-    probs = np.empty((len(ANALYZERS),) + out.shape)
-    for p, kets in zip(probs, _ANALYZER_KETS):
-        p[...] = step * np.abs(kets.conj().T @ out) ** 2
+    *_, inverse, step = _order(g, mode)
+    return _analyze((position_samples_raw if inverse else momentum_samples_raw)(g, hv), step)
+
+
+def _analyze(camera: np.ndarray, step: float) -> np.ndarray:
+    """propagate_and_analyze's probabilities from the camera-plane amplitudes
+    ``camera``, projected a run of about _PRODUCT_CELLS cells at a time, so no
+    product of ``camera``'s size is built."""
+    rows = camera.reshape(-1, *camera.shape[-2:])
+    probs = np.empty((len(ANALYZERS),) + rows.shape)
+    run = max(1, _PRODUCT_CELLS // rows[0].size)
+    for start in range(0, len(rows), run):
+        for p, kets in zip(probs[:, start:start + run], _ANALYZER_KETS):
+            p[...] = step * np.abs(kets.conj().T @ rows[start:start + run]) ** 2
+    probs = probs.reshape((len(ANALYZERS),) + camera.shape)
     deviation = np.max(np.abs(probs[0].sum(axis=(-2, -1)) - 1.0))
     if not deviation <= 1e-9:
         raise NormViolation(f"photon norm deviates from 1 by {deviation:.3e}")
@@ -112,13 +147,13 @@ def propagate_and_analyze(g: Grid, hv: np.ndarray, mode: str) -> np.ndarray:
 
 SEED_LIMIT = 2**63  # each Philox key word, and each shot count, lies in [0, 2^63)
 
-_pool = None  # the one worker thread that draws blocks 1.. of a stack
+_pool = None  # the one worker thread that runs quadrature 1's chain of every sweep
 _pool_lock = threading.Lock()
 
 
 def _forget_pool():
     # a fork child has no copy of the parent's worker thread, so a pool it
-    # inherited would queue draws that never run
+    # inherited would queue chains that never run
     global _pool, _pool_lock
     _pool, _pool_lock = None, threading.Lock()
 
@@ -127,22 +162,30 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _draw(pvals: np.ndarray, shots: int, key: tuple[int, int]) -> np.ndarray:
-    """The counts of one block's (cell, outcome) probabilities, its cells drawn
-    in order from a generator of its own."""
-    return np.random.Generator(np.random.Philox(key=key)).multinomial(shots, pvals)
+def _clipped_rows(cells: np.ndarray) -> np.ndarray:
+    """``cells`` clipped to [0, inf), as C-ordered (cell, outcome) rows."""
+    return np.maximum(cells, 0, out=np.empty(cells.shape)).reshape(len(cells), -1)
 
 
-def _submit_draw(*args):
-    """Draw on the worker thread, which is started on first use (with the
-    ``concurrent.futures`` import) and kept for later calls."""
+def _draw(runs, shots: int, key: tuple[int, int], out: np.ndarray) -> None:
+    """Draw one block's counts into ``out``, its cells in order from a
+    generator of its own; ``runs`` yields the (cell slice, normalised rows) of
+    consecutive runs of cells."""
+    gen = np.random.Generator(np.random.Philox(key=key))
+    for cells, pvals in runs:
+        out[cells] = gen.multinomial(shots, pvals)
+
+
+def _submit(fn, *args):
+    """Run ``fn(*args)`` on the worker thread, which is started on first use
+    (with the ``concurrent.futures`` import) and kept for later sweeps."""
     global _pool
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kdrecon-shots")
-        return _pool.submit(_draw, *args)
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kdrecon-sweep")
+        return _pool.submit(fn, *args)
 
 
 def _require_key(key) -> tuple[int, int]:
@@ -175,12 +218,15 @@ def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
     ``np.random.Generator(np.random.Philox(key=keys[b]))``, so consecutive
     runs of cells drawn from one such generator give the same counts.  A bad
     key, ``shots`` outside [0, 2^63), or a cell that is not a probability or
-    sums to 0 is refused before any draw.
-
-    The calling thread draws block 0 and one persistent worker thread the
-    others; each block owns its generator, so the counts are those of
-    drawing the blocks one after another.  No draw outlives the call.
+    sums to 0 is refused before any draw.  The blocks are drawn one after
+    another on the calling thread.
     """
+    return _sample_shots(prob, shots, keys)
+
+
+def _sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
+    """sample_shots' body.  Each block is clipped, normalised and drawn a run
+    of about _PRODUCT_CELLS cells at a time, so no copy of the stack is built."""
     keys = [_require_key(key) for key in keys]
     shots = _require_shots(shots)
     p = np.asarray(prob, dtype=float)
@@ -190,39 +236,45 @@ def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
         )
     if not p.min(initial=0.0) >= -1e-12:
         raise InvalidProbability("negative probability encountered")
-    # clip to [0, inf) straight into C-ordered (block, cell, outcome) blocks
-    pvals = np.maximum(p, 0, out=np.empty(p.shape)).reshape(p.shape[:2] + (-1,))
-    totals = pvals.sum(axis=2)
+    outcomes = int(np.prod(p.shape[2:]))
+    run = max(1, _PRODUCT_CELLS // max(1, outcomes))
+    runs = [slice(start, start + run) for start in range(0, p.shape[1], run)]
+    totals = np.empty(p.shape[:2])
+    for block, block_totals in zip(p, totals):
+        for cells in runs:
+            block_totals[cells] = _clipped_rows(block[cells]).sum(axis=1)
     if not np.all(totals <= 1 + 1e-9):
         raise InvalidProbability(f"probabilities sum to {totals.max()}")
     if not np.all(totals > 0):
         raise InvalidProbability("a cell's probabilities sum to 0")
-    pvals /= totals[..., None]
-    pending = [_submit_draw(pvals[b], shots, keys[b]) for b in range(1, len(keys))]
-    try:
-        counts = [_draw(pvals[0], shots, keys[0])]
-    finally:
-        for future in pending:  # wait for every draw, even when block 0 raised
-            future.exception()
-    counts += [future.result() for future in pending]
-    return np.stack(counts).reshape(p.shape)
+    counts = np.empty(p.shape[:2] + (outcomes,), dtype=np.int64)
+    for block, block_totals, key, out in zip(p, totals, keys, counts):
+        _draw(((cells, _clipped_rows(block[cells]) / block_totals[cells, None]) for cells in runs),
+              shots, key, out)
+    return counts.reshape(p.shape)
 
 
 def _asymmetry(plus, minus, min_counts: int | None):
     """Elementwise (plus - minus)/(plus + minus), its variance, the total
     recorded, and a mask of entries too poorly recorded to use.
 
-    ``min_counts=None`` marks Born probabilities: zero variance, unusable
+    ``min_counts=None`` marks Born probabilities: variance 0.0, unusable
     where the probability vanishes.  Counts carry the binomial variance
-    (1 - A^2)/N and are unusable below ``min_counts``.
+    (1 - A^2)/N and are unusable below ``min_counts``.  The asymmetry is 0
+    where nothing was recorded.
     """
     total = plus + minus
     recorded = total > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        asym = np.where(recorded, (plus - minus) / total, 0.0)
-        if min_counts is None:
-            return asym, np.zeros_like(asym), total, ~recorded
-        var = np.where(recorded, np.maximum(1.0 - asym**2, 1e-12) / total, np.inf)
+    # nothing recorded means plus = minus = 0, so the asymmetry stays 0 there
+    asym = np.subtract(plus, minus, out=np.empty(np.shape(total)))
+    np.divide(asym, total, out=asym, where=recorded)
+    if min_counts is None:
+        return asym, 0.0, total, ~recorded
+    var = np.square(asym, out=np.empty(np.shape(total)))  # then 1 - A^2, floored, over N
+    np.subtract(1.0, var, out=var)
+    np.maximum(var, 1e-12, out=var)
+    np.divide(var, total, out=var, where=recorded)
+    np.copyto(var, np.inf, where=~recorded)
     return asym, var, total, total < min_counts
 
 
@@ -249,33 +301,57 @@ class ReconstructionResult:
     joint: np.ndarray | None      # (n_x, n_p) joint estimate when requested
 
 
+def _quadrature(qi: int, born, sample, shots: int | None, seed: int, min_counts: int):
+    """Quadrature qi's chain: its Born probabilities ``born(phase)``, their
+    two analyzer blocks drawn by ``sample`` from the streams (seed, 2 qi) and
+    (seed, 2 qi + 1), each block's k cells in order, then each analyzer's
+    ``_asymmetry`` figures, its total summed over k."""
+    probs = born(_QUAD_PHASE[QUADRATURES[qi]])
+    if shots is not None:
+        probs = sample(probs, shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])
+    chain = []
+    for rows in probs:  # (k, outcome, pixel)
+        asym, var, total, short = _asymmetry(rows[:, 0], rows[:, 1],
+                                             None if shots is None else min_counts)
+        chain.append((asym, var, total.sum(axis=0), short))
+        del total  # the next analyzer's tables are built without it
+    return chain
+
+
 def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
            shots: int | None, seed: int, min_counts: int):
     """Sweep every (k, quadrature, analyzer) cell, batched over k and pixel.
 
     Returns the (k, pixel) asymmetries keyed by (quadrature, analyzer), their
     summed variance, the (k, pixel) mask of entries lacking data, and the
-    counts (or probability) per pixel summed over all cells.  It works one
-    quadrature at a time, so no (k, quadrature, analyzer, outcome, pixel)
-    tensor is ever held.  Every stage runs on the calling thread.
+    counts (or probability) per pixel summed over all cells.  Quadrature 0's
+    chain runs on the calling thread through the public stages, and
+    quadrature 1's on the worker thread through their private bodies, so
+    every traced stage runs on the calling thread.  An error in either chain
+    is raised once both have ended.  The sums are formed here in (quadrature,
+    analyzer) order, so every output has the bits of running the chains one
+    after the other.
     """
-    n = w.grid.n
+    g = w.grid
+    h = _slm_plane(w, mode)
+    pending = _submit(_quadrature, 1, lambda phase: _setting(g, h, params, phase, epsilon, mode),
+                      _sample_shots, shots, seed, min_counts)
+    try:
+        chains = _quadrature(0, lambda phase: run_setting(w, params, phase, epsilon, mode),
+                             sample_shots, shots, seed, min_counts)
+    finally:
+        pending.exception()  # the worker's chain ends before any error of this one is raised
+    chains += pending.result()
     asym = {}
-    var_sum = np.zeros((n, n))
-    short = np.zeros((n, n), dtype=bool)
-    recorded = np.zeros(n)
-    for qi, quad in enumerate(QUADRATURES):
-        probs = run_setting(w, params, _QUAD_PHASE[quad], epsilon, mode)
-        if shots is not None:  # one stream per (quadrature, analyzer) block, its k cells in order
-            probs = sample_shots(probs, shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])
-        for ai, rows in enumerate(probs):  # (k, outcome, pixel)
-            asym[quad, ANALYZERS[ai]], var, total, cell_short = _asymmetry(
-                rows[:, 0], rows[:, 1], None if shots is None else min_counts
-            )
-            var_sum += var
-            short |= cell_short
-            recorded += total.sum(axis=0)
-        del probs, rows, var, total
+    var_sum = np.zeros((g.n, g.n))
+    short = np.zeros((g.n, g.n), dtype=bool)
+    recorded = np.zeros(g.n)
+    for key, (a, var, total, cell_short) in zip(itertools.product(QUADRATURES, ANALYZERS),
+                                                chains):
+        asym[key] = a
+        var_sum += var
+        short |= cell_short
+        recorded += total
     return asym, var_sum, short, recorded
 
 
@@ -284,15 +360,15 @@ def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | No
     """ValueError unless ``run_reconstruction`` can run these settings: a known
     mode, epsilon in (0, pi/2) so that sin(2 epsilon) > 0, a post_index on
     the grid, and shots None or in [1, 2^63) (TypeError for a bool or a
-    non-integer); SizeCap for a grid past the n x n cap."""
+    non-integer, shots or post_index); SizeCap for a grid past the n x n cap.
+    Returns post_index as an int, or None."""
     if shots is not None:
         _require_shots(shots, minimum=1)
     _order(grid, mode)  # ValueError for an unknown mode
     if not 0 < epsilon < np.pi / 2:
         raise ValueError(f"coupling epsilon must lie in (0, pi/2), got {epsilon!r}")
     require_grid_size(grid.n)  # refused before the n x n (k, pixel) tables are built
-    if post_index is not None:
-        require_index(post_index, grid.n, "post_index")
+    return None if post_index is None else require_index(post_index, grid.n, "post_index")
 
 
 def run_reconstruction(
@@ -310,12 +386,12 @@ def run_reconstruction(
     ``shots=None`` selects the infinite-statistics shortcut (analytic Born
     probabilities, zero statistical error).  Each (quadrature qi, analyzer
     ai) block draws its k cells in order from the Philox stream keyed by
-    (seed, 2 qi + ai); a quadrature's two blocks are drawn in one
-    ``sample_shots`` call.  The settings are refused, before any work, as
-    ``require_settings`` says.
+    (seed, 2 qi + ai); a quadrature's two blocks are drawn in one call, and
+    the two quadratures run on two threads.  The settings are refused,
+    before any work, as ``require_settings`` says.
     """
     g = w.grid
-    require_settings(g, epsilon, mode, post_index, shots)
+    post_index = require_settings(g, epsilon, mode, post_index, shots)
     _, params, _, _, step = _order(g, mode)
     n = g.n
     asym, var_sum, short, recorded = _sweep(w, params, epsilon, mode, shots, seed, min_counts)

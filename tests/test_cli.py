@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kdrecon import cv, photonics, scenarios
-from kdrecon.cli import main
+from kdrecon.cli import _strict, main
 from kdrecon.core import GRID_CAP, random_observable, random_state
 from kdrecon.errors import (
     OrderingTagMismatch,
@@ -748,6 +748,21 @@ class TestCompare:
         report = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert report["max_delta"] == "Infinity"
         assert [e["b"]["re"] for e in report["entries"]] == ["Infinity", "-Infinity"]
+
+    def test_strict_report_maps_only_the_non_finite_floats(self):
+        nan, inf = float("nan"), float("inf")
+        report = {"max_delta": nan, "tol": 1e-8, "pass": False, "worst_index": [0, 3],
+                  "entries": [{"index": [0, 3], "a": {"re": inf, "im": -0.0},
+                               "b": {"re": -inf, "im": 5e-324}, "delta": np.float64(nan)}],
+                  "note": "nan", "none": None}
+        assert _strict(report) == {
+            "max_delta": "NaN", "tol": 1e-8, "pass": False, "worst_index": [0, 3],
+            "entries": [{"index": [0, 3], "a": {"re": "Infinity", "im": -0.0},
+                         "b": {"re": "-Infinity", "im": 5e-324}, "delta": "NaN"}],
+            "note": "nan", "none": None}
+        assert json.dumps(_strict(report), allow_nan=False).count('"NaN"') == 2
+        finite = [1.5, -0.0, 7, True, "inf"]
+        assert all(a is b for a, b in zip(_strict(finite), finite))
 
     @pytest.mark.parametrize("tol", ["nan", "-1e-9", "-inf", "tight"])
     def test_bad_tolerance_refused(self, tmp_path, tol, capsys):

@@ -13,6 +13,7 @@ from kdrecon.core import (
     random_density,
     random_observable,
     random_state,
+    require_index,
 )
 from kdrecon.errors import DegenerateNodes, DimensionMismatch, NormViolation
 
@@ -208,3 +209,15 @@ Q3 = random_observable(3, 0)
 def test_typed_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_bool_index_is_a_type_error():
+    # numpy reads a bool as a mask, so True would select a (1, ...) slice
+    # where the index 1 selects one entry
+    for bad in (True, False):
+        with pytest.raises(TypeError, match="must be an integer"):
+            require_index(bad, 3, "index")
+        with pytest.raises(TypeError, match="must be an integer"):
+            Q3.eigenvector(bad)
+    assert require_index(np.int64(2), 3, "index") == 2
+    assert type(require_index(np.int64(2), 3, "index")) is int

@@ -168,6 +168,17 @@ class TestKdConditional:
         with pytest.raises(PostSelectionTooWeak):
             kd_conditional(psi, SX, SZ, 1)  # <1|0> = 0
 
+    def test_bool_outcome_rejected(self):
+        psi, a, b = random_state(3, 5), random_observable(3, 6), random_observable(3, 7)
+        for bad in (True, False):
+            with pytest.raises(TypeError, match="must be an integer"):
+                kd_conditional(psi, a, b, bad)
+        # an integer index of any integer type selects one outcome
+        for j in (1, np.int64(1), np.uint8(1)):
+            k = kd_conditional(psi, a, b, j)
+            assert k.values.shape == (3,)
+            assert np.array_equal(k.values, kd_conditional(psi, a, b, 1).values)
+
     @pytest.mark.parametrize("j", [-1, 2])
     def test_out_of_range_outcome_rejected(self, plus_x, j):
         # a negative outcome must not wrap round to the last one
