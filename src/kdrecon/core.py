@@ -5,6 +5,9 @@ as an eigen-decomposition (real eigenvalues plus a unitary matrix of
 eigenvectors), never as a raw Hermitian matrix.  All operations are pure
 functions of immutable inputs.  Tolerance checks here and across the package
 are written as ``not deviation <= tol``, so that a NaN fails them.
+``require_index`` is the package's one integer-range check.  The value types
+here and ``cv.WaveFunction`` keep the read-only copy ``_read_only_copy`` makes
+of their arrays, so no caller's array can change a value once it is checked.
 """
 
 from __future__ import annotations
@@ -45,15 +48,19 @@ def require_grid_size(n: int) -> None:
 
 
 def require_index(i, size: int, what: str) -> int:
-    """``i`` as an index into ``size`` outcomes, refused (ValueError) outside
-    [0, size) rather than wrapped round as a negative numpy index would be.
-    A bool is a TypeError: numpy would read it as a mask, not an index."""
-    if isinstance(i, bool):
+    """``i`` as a Python int in [0, size), refused (ValueError) outside it
+    rather than wrapped round as a negative numpy index would be.  A bool or
+    a non-integer is a TypeError that names ``what``: numpy would read a bool
+    as a mask, not an index."""
+    try:
+        index = operator.index(i)
+    except TypeError:
+        index = None
+    if index is None or isinstance(i, bool):
         raise TypeError(f"{what} must be an integer, got {i!r}")
-    i = operator.index(i)
-    if not 0 <= i < size:
-        raise ValueError(f"{what} {i} outside [0, {size})")
-    return i
+    if not 0 <= index < size:
+        raise ValueError(f"{what} {index} outside [0, {size})")
+    return index
 
 
 def require_node_gap(nodes: np.ndarray) -> None:
@@ -70,10 +77,10 @@ def require_node_gap(nodes: np.ndarray) -> None:
             )
 
 
-def _as_complex(a) -> np.ndarray:
-    """A read-only complex copy: the caller's array stays writable, and
-    changing it cannot change a checked state or eigenvector matrix."""
-    arr = np.array(a, dtype=complex)
+def _read_only_copy(a, dtype=complex) -> np.ndarray:
+    """A read-only copy of ``a`` as ``dtype``: the caller's array stays
+    writable, and changing it cannot change a checked value."""
+    arr = np.array(a, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -85,7 +92,7 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _as_complex(self.amplitudes)
+        amps = _read_only_copy(self.amplitudes)
         if amps.ndim != 1 or amps.size < 1:
             raise DimensionMismatch("amplitudes must be a nonempty vector")
         norm = np.sum(np.abs(amps) ** 2)
@@ -103,15 +110,8 @@ class QuantumState:
         return cls(amps / np.linalg.norm(amps))
 
     def density(self) -> "DensityMatrix":
-        """|psi><psi|, read-only.  It is Hermitian, of unit trace (to the
-        norm check above) and rank-1 PSD by construction, so it skips the
-        checks, among them an O(d^3) eigvalsh, that DensityMatrix runs on
-        user data."""
-        rho = object.__new__(DensityMatrix)
-        matrix = np.outer(self.amplitudes, self.amplitudes.conj())
-        matrix.setflags(write=False)
-        object.__setattr__(rho, "matrix", matrix)
-        return rho
+        """|psi><psi|, checked as every DensityMatrix is."""
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_complex(self.matrix)
+        m = _read_only_copy(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch("density matrix must be square")
         if not np.max(np.abs(m - m.conj().T)) <= NORM_TOL:
@@ -156,17 +156,16 @@ class ObservableSpec:
     label: str = "A"
 
     def __post_init__(self):
-        # a copy: the caller's array could be made writable again and change
+        # copies: the caller's array could be made writable again and change
         # the eigenvalues that ``reconstruct`` has built an operator from
-        vals = np.array(self.eigenvalues, dtype=float)
-        vecs = _as_complex(self.eigenvectors)
+        vals = _read_only_copy(self.eigenvalues, float)
+        vecs = _read_only_copy(self.eigenvectors)
         d = vals.size
         if vecs.shape != (d, d):
             raise DimensionMismatch("eigenvector matrix shape must match eigenvalue count")
         if not np.max(np.abs(vecs.conj().T @ vecs - np.eye(d))) <= NORM_TOL:
             raise NormViolation("eigenvector matrix is not unitary within 1e-12")
         require_node_gap(vals)
-        vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
 
@@ -235,10 +234,6 @@ def expectation(state, m: np.ndarray) -> complex:
             raise DimensionMismatch("operator shape does not match state")
         return complex(np.trace(m @ state.matrix))
     raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def as_density(state) -> DensityMatrix:
-    return state.density() if isinstance(state, QuantumState) else state
 
 
 # ---------------------------------------------------------------------------

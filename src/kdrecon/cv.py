@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import require_grid_size, require_postselection
+from .core import _read_only_copy, require_grid_size, require_postselection
 from .errors import DimensionMismatch, IncompleteSampling, NormViolation, OffGridParameter
 
 EDGE_GUARD = 1e-8  # edge amplitude above which momentum shifts alias
@@ -72,19 +72,19 @@ class Grid:
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Position samples psi(x_i) on ``grid``, with dx * sum |psi|^2 = 1."""
+    """Position samples psi(x_i) on ``grid``, with dx * sum |psi|^2 = 1, kept
+    as a read-only copy, so the caller's array cannot change them."""
 
     grid: Grid
     samples: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
+        s = _read_only_copy(self.samples)
         if s.size != self.grid.n:
             raise DimensionMismatch("sample count must equal grid size")
         norm = self.grid.dx * np.sum(np.abs(s) ** 2)
         if not abs(norm - 1.0) <= 1e-9:
             raise NormViolation(f"wavefunction norm deviates from 1 by {abs(norm - 1.0):.3e}")
-        s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
     @classmethod
@@ -95,7 +95,8 @@ class WaveFunction:
 
 @dataclass(frozen=True)
 class CharFnSample:
-    """Characteristic-function values tabulated on conjugate-grid parameters."""
+    """Characteristic-function values tabulated on conjugate-grid parameters;
+    the arrays given are kept, not copied, and made read-only in place."""
 
     grid: Grid
     parameters: np.ndarray

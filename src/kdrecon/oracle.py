@@ -16,7 +16,6 @@ from .core import (
     DensityMatrix,
     ObservableSpec,
     QuantumState,
-    as_density,
     check_incompatibility,
     overlap_matrix,
     require_index,
@@ -34,7 +33,8 @@ class PseudoDistribution:
 
     ``cell_weight`` is the integration measure per cell: sum(values) *
     cell_weight == 1 for an unconditioned distribution (1.0 for discrete
-    distributions, dx*dp for phase-space grids).
+    distributions, dx*dp for phase-space grids).  The array given is kept,
+    not copied, and made read-only in place, so an n x n joint is held once.
     """
 
     values: np.ndarray
@@ -67,33 +67,44 @@ def _require_incompatible(a: ObservableSpec, b: ObservableSpec) -> np.ndarray:
     return overlaps
 
 
-def kd_joint(state, a: ObservableSpec, b: ObservableSpec) -> PseudoDistribution:
-    """K[i, j] = <b_j|a_i><a_i|rho|b_j>."""
-    rho = as_density(state)
-    if rho.dim != a.dim or a.dim != b.dim:
+def _matrix(state) -> np.ndarray:
+    """rho's matrix; |psi><psi| for a pure state, which holds DensityMatrix's
+    checks by construction, so none is run."""
+    if isinstance(state, QuantumState):
+        return np.outer(state.amplitudes, state.amplitudes.conj())
+    return state.matrix
+
+
+def _joint(rho: np.ndarray, a: ObservableSpec, b: ObservableSpec) -> np.ndarray:
+    if len(rho) != a.dim or a.dim != b.dim:
         raise DimensionMismatch("state and observables must share one dimension")
     overlaps = _require_incompatible(a, b)
     # <a_i|rho|b_j> for all i, j in one product
-    inner = a.eigenvectors.conj().T @ rho.matrix @ b.eigenvectors
-    values = overlaps.conj() * inner
-    return PseudoDistribution(values, (a.label, b.label), ordering_tag="kd")
+    return overlaps.conj() * (a.eigenvectors.conj().T @ rho @ b.eigenvectors)
+
+
+def _postselection(rho: np.ndarray, b: ObservableSpec, j: int) -> float:
+    bj = b.eigenvector(j)
+    return float(np.real(bj.conj() @ rho @ bj))
+
+
+def kd_joint(state, a: ObservableSpec, b: ObservableSpec) -> PseudoDistribution:
+    """K[i, j] = <b_j|a_i><a_i|rho|b_j>."""
+    return PseudoDistribution(_joint(_matrix(state), a, b), (a.label, b.label), ordering_tag="kd")
 
 
 def postselection_probability(state, b: ObservableSpec, j: int) -> float:
-    rho = as_density(state)
-    bj = b.eigenvector(j)
-    return float(np.real(bj.conj() @ rho.matrix @ bj))
+    return _postselection(_matrix(state), b, j)
 
 
 def kd_conditional(state, a: ObservableSpec, b: ObservableSpec, j: int) -> PseudoDistribution:
     """K[i|j] = K[i, j] / <b_j|rho|b_j>, conditioned on outcome b_j."""
     j = require_index(j, b.dim, "eigenvector index")
-    rho = as_density(state)  # built and checked once, for both calls below
-    prob = postselection_probability(rho, b, j)
+    rho = _matrix(state)  # built once, for both uses below
+    prob = _postselection(rho, b, j)
     require_postselection(prob, f"outcome {j} post-selection")
-    joint = kd_joint(rho, a, b)
     return PseudoDistribution(
-        joint.values[:, j] / prob,
+        _joint(rho, a, b)[:, j] / prob,
         (a.label,),
         ordering_tag="kd-conditional",
         conditioning=f"{b.label}[{j}]",

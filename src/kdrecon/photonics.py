@@ -25,7 +25,6 @@ polarization H and rotation angle eps*sin(k x + phi),
 from __future__ import annotations
 
 import itertools
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -191,21 +190,7 @@ def _submit(fn, *args):
 def _require_key(key) -> tuple[int, int]:
     if not (isinstance(key, tuple) and len(key) == 2):
         raise ValueError(f"key must be a (seed, stream) pair, got {key!r}")
-    key = tuple(operator.index(v) for v in key)
-    if not all(0 <= v < SEED_LIMIT for v in key):
-        raise ValueError(f"key words must lie in [0, 2^63), got {key}")
-    return key
-
-
-def _require_shots(shots, minimum: int = 0) -> int:
-    """``shots`` as an integer in [minimum, 2^63); TypeError for a bool or a
-    non-integer, ValueError outside the range."""
-    if isinstance(shots, bool):
-        raise TypeError(f"shots must be an integer, got {shots!r}")
-    shots = operator.index(shots)
-    if not minimum <= shots < SEED_LIMIT:
-        raise ValueError(f"shots must lie in [{minimum}, 2^63), got {shots}")
-    return shots
+    return tuple(require_index(v, SEED_LIMIT, "key word") for v in key)
 
 
 def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
@@ -228,7 +213,7 @@ def _sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
     """sample_shots' body.  Each block is clipped, normalised and drawn a run
     of about _PRODUCT_CELLS cells at a time, so no copy of the stack is built."""
     keys = [_require_key(key) for key in keys]
-    shots = _require_shots(shots)
+    shots = require_index(shots, SEED_LIMIT, "shots")
     p = np.asarray(prob, dtype=float)
     if p.ndim < 3 or len(p) != len(keys):
         raise ValueError(
@@ -362,12 +347,12 @@ def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | No
     the grid, and shots None or in [1, 2^63) (TypeError for a bool or a
     non-integer, shots or post_index); SizeCap for a grid past the n x n cap.
     Returns post_index as an int, or None."""
-    if shots is not None:
-        _require_shots(shots, minimum=1)
+    require_grid_size(grid.n)  # before _order builds the grid's axes
+    if shots is not None and require_index(shots, SEED_LIMIT, "shots") == 0:
+        raise ValueError("shots must be at least 1, got 0")
     _order(grid, mode)  # ValueError for an unknown mode
     if not 0 < epsilon < np.pi / 2:
         raise ValueError(f"coupling epsilon must lie in (0, pi/2), got {epsilon!r}")
-    require_grid_size(grid.n)  # refused before the n x n (k, pixel) tables are built
     return None if post_index is None else require_index(post_index, grid.n, "post_index")
 
 

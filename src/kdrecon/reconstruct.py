@@ -17,6 +17,7 @@ garbage-collected (``_operator``).
 
 from __future__ import annotations
 
+import math
 import warnings
 import weakref
 
@@ -30,19 +31,11 @@ from .vandermonde import MAX_ORDERS, _inverse_and_spread, _warn_spread, solve_le
 SUM_CHECK_TOL = 1e-6
 
 
-def _binomials(rows: int) -> np.ndarray:
-    """C(n, k) for n, k < rows by Pascal's rule on exact Python ints; the
-    float cast rounds each entry as float(comb(n, k)) does."""
-    table, row = [], [1]
-    for _ in range(rows):
-        table.append(row + [0] * (rows - len(row)))
-        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
-    return np.array(table, dtype=float)
-
-
-_BINOMIALS = _binomials(MAX_ORDERS)
-# n - k on and below the diagonal, 0 above it
-_LAGS = np.array([[max(n - k, 0) for k in range(MAX_ORDERS)] for n in range(MAX_ORDERS)])
+# C(n, k) and n - k for n, k < MAX_ORDERS, both 0 above the diagonal; the
+# float cast rounds each exact binomial once
+_BINOMIALS = np.array([[math.comb(n, k) for k in range(MAX_ORDERS)] for n in range(MAX_ORDERS)],
+                      dtype=float)
+_LAGS = np.subtract.outer(np.arange(MAX_ORDERS), np.arange(MAX_ORDERS)).clip(0)
 
 
 def _rescaled(nodes: np.ndarray, orders: int):

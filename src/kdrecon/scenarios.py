@@ -4,6 +4,10 @@ A scenario is a JSON object with a ``kind`` selecting the pipeline; unknown
 keys anywhere in the file are rejected by name so typos fail loudly.  Each
 kind has one builder (``_KINDS``): it checks and builds every object the kind
 refers to, once, at load time, and returns the closure that runs the kind.
+Here JSON types are checked (never coerced; a boolean option must be a
+boolean), and ranges where the objects are built (``core.require_index``,
+``cv.Grid``, ``photonics.require_settings``): ``load_scenario`` turns their
+ValueError or TypeError into a SchemaError.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .core import (
     random_observable,
     random_state,
     require_grid_size,
+    require_index,
 )
 from .errors import OrderingTagMismatch, SchemaError, ShapeMismatch, SizeCap
 from .moments import correlation_matrix, correlation_tensor, moment_vector
@@ -103,7 +108,14 @@ def load_scenario(path) -> Scenario:
     missing = required - set(raw)
     if missing:
         raise SchemaError(f"missing required key {sorted(missing)[0]!r} for kind {kind}")
-    return Scenario(kind, raw.get("seed", 0), build({**optional, **raw}))
+    for key, default in optional.items():
+        if type(default) is bool and type(raw.get(key, default)) is not bool:
+            raise SchemaError(f"{key} must be true or false, got {raw[key]!r}")
+    try:
+        run = build({**optional, **raw})
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"invalid {kind} scenario: {exc}") from exc
+    return Scenario(kind, raw.get("seed", 0), run)
 
 
 # -- input object builders ---------------------------------------------------
@@ -154,12 +166,9 @@ def _build_observable(spec, context="observable") -> ObservableSpec:
 
 def _build_grid(spec) -> cv.Grid:
     _check_keys(spec, {"n", "length", "hbar"}, "grid")
-    n = _number(spec.get("n", _MISSING), "grid.n", int)
-    length = _number(spec.get("length", _MISSING), "grid.length")
-    try:
-        return cv.Grid(n, length, _number(spec.get("hbar", 1.0), "grid.hbar"))
-    except ValueError as exc:
-        raise SchemaError(f"invalid grid: {exc}") from exc
+    return cv.Grid(_number(spec.get("n", _MISSING), "grid.n", int),
+                   _number(spec.get("length", _MISSING), "grid.length"),
+                   _number(spec.get("hbar", 1.0), "grid.hbar"))
 
 
 def _build_cv_state(spec, grid: cv.Grid) -> cv.WaveFunction:
@@ -195,16 +204,11 @@ def _discrete_pair(p: dict):
             _build_observable(p["observable_b"], "observable_b"))
 
 
-def _cv_inputs(p: dict):
+def _capped_cv_inputs(p: dict):
+    """Grid and state of a kind with n x n arrays, the grid cap checked first."""
     grid = _build_grid(p["grid"])
+    require_grid_size(grid.n)
     return grid, _build_cv_state(p["state"], grid)
-
-
-def _index(p: dict, key: str, size: int) -> int:
-    """p[key] as an outcome or grid index, refused outside [0, size)."""
-    if type(p[key]) is not int or not 0 <= p[key] < size:
-        raise SchemaError(f"{key} must be an integer in [0, {size}), got {p[key]!r}")
-    return p[key]
 
 
 # -- orchestration -----------------------------------------------------------
@@ -256,7 +260,7 @@ def _build_discrete_conditional(p: dict):
     if orders is not None and _number(orders, "moment_orders", int, minimum=1) > MAX_ORDERS:
         raise SizeCap(f"moment_orders {orders} exceeds the cap of {MAX_ORDERS}")
     psi, a, b = _discrete_pair(p)
-    j = _index(p, "postselect_index", b.dim)  # an eigenvector of observable_b
+    j = require_index(p["postselect_index"], b.dim, "postselect_index")  # of observable_b
 
     def run(seed, diag):
         mv = moment_vector(a, psi, QuantumState(b.eigenvector(j)), orders=orders)
@@ -298,8 +302,9 @@ def _build_discrete_npoint(p: dict):
 
 
 def _build_cv_conditional(p: dict):
-    grid, w = _cv_inputs(p)
-    ip = _index(p, "post_momentum_index", grid.n)
+    grid = _build_grid(p["grid"])  # O(n log n), so not capped
+    w = _build_cv_state(p["state"], grid)
+    ip = require_index(p["post_momentum_index"], grid.n, "post_momentum_index")
 
     def run(seed, diag):
         z = cv.weak_char_fn(w, grid.p[ip])
@@ -314,7 +319,7 @@ def _build_cv_joint(p: dict):
     ordering = p["ordering"]
     if ordering not in cv.ORDERINGS:
         raise SchemaError(f"ordering must be one of {cv.ORDERINGS}, got {ordering!r}")
-    grid, w = _cv_inputs(p)
+    grid, w = _capped_cv_inputs(p)
 
     def run(seed, diag):
         result, plot = _phase_space(grid, cv.joint_kd_cv(w, ordering), ordering)
@@ -323,23 +328,18 @@ def _build_cv_joint(p: dict):
 
 
 def _build_experiment(p: dict):
-    grid, w = _cv_inputs(p)
-    post, mode = p["post_index"], p["mode"]
-    if post is not None:
-        _index(p, "post_index", grid.n)  # a camera pixel
-    shots = None if p["shots"] is None else _number(p["shots"], "shots", int, minimum=1)
-    epsilon = _number(p["epsilon"], "epsilon")
+    grid = _build_grid(p["grid"])
+    mode, shots, epsilon = p["mode"], p["shots"], _number(p["epsilon"], "epsilon")
     min_counts = _number(p["min_counts"], "min_counts", int, minimum=1)
-    try:
-        photonics.require_settings(grid, epsilon, mode, post, shots)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    # the settings and the grid cap, before the state is built
+    post = photonics.require_settings(grid, epsilon, mode, p["post_index"], shots)
     if post is None and not p["joint"]:
         raise SchemaError("experiment scenario needs post_index or joint=true")
+    w = _build_cv_state(p["state"], grid)
 
     def run(seed, diag):
         res = photonics.run_reconstruction(w, epsilon=epsilon, shots=shots, seed=seed, mode=mode,
-                                           post_index=post, joint=bool(p["joint"]),
+                                           post_index=post, joint=p["joint"],
                                            min_counts=min_counts)
         diag.update(epsilon=epsilon, shots=shots, mode=mode)
         diag["post_selection_rates"] = [float(r) for r in res.rates]
@@ -356,7 +356,7 @@ def _build_experiment(p: dict):
 
 
 def _build_ccr(p: dict):
-    grid, w = _cv_inputs(p)
+    grid, w = _capped_cv_inputs(p)
 
     def run(seed, diag):
         witness = cv.ccr_witness(w)

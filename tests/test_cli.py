@@ -317,6 +317,14 @@ class TestCliRuns:
         (dict(QUBIT_SCENARIO, state="abc"), "state must be a JSON object"),
         # a shot count outside [0, 2^63), which no int64 sample count holds
         *((dict(EXPERIMENT, shots=shots), "shots") for shots in (2**63, 10**19)),
+        # a boolean option is a JSON boolean, never read by its truthiness
+        *((dict(QUBIT_SCENARIO, renormalize=flag), "renormalize")
+          for flag in ("yes", "false", 1, 0, None, [])),
+        *((dict(EXPERIMENT, joint=flag), "joint") for flag in ("false", "true", 1, 0, None)),
+        ({"kind": "discrete-joint", "state": {"random": {"dim": 2}}, "observable_a": {"pauli": "z"},
+          "observable_b": {"pauli": "x"}, "renormalize": "yes"}, "renormalize"),
+        ({"kind": "discrete-npoint", "state": {"random": {"dim": 2}},
+          "observables": [{"pauli": "z"}], "renormalize": 1}, "renormalize"),
     ])
     def test_unknown_ordering_or_mode_is_schema_error(self, tmp_path, monkeypatch,
                                                       scenario, key):
@@ -373,6 +381,46 @@ class TestCliRuns:
         assert main([command, "--scenario", str(scen), "--out", str(out),
                      "--emit-oracle"]) == 2
         assert read_json(out / "error.json")["error"] == "SizeCap"
+
+    @pytest.mark.parametrize("n", [2 * GRID_CAP, 2**40, 2**62])
+    @pytest.mark.parametrize("scenario", [
+        {"kind": "cv-joint"},
+        {"kind": "ccr"},
+        dict(EXPERIMENT, shots=None),
+        dict(EXPERIMENT, post_index=None, joint=True),
+    ], ids=["cv-joint", "ccr", "experiment-born", "experiment-shots-joint"])
+    def test_grid_past_the_cap_is_refused_before_the_state_is_built(self, tmp_path, monkeypatch,
+                                                                    scenario, n):
+        # at n = 2^40 the state alone was a MemoryError, at 2^62 numpy's
+        # ValueError, both as tracebacks
+        def build(*args):
+            raise AssertionError("the state was built")
+
+        monkeypatch.setattr(scenarios, "_build_cv_state", build)
+        scen = write_scenario(tmp_path, dict(
+            scenario, grid={"n": n, "length": 400.0}, state={"type": "gaussian"}))
+        with pytest.raises(SizeCap, match=str(GRID_CAP)):
+            load_scenario(scen)
+        out = tmp_path / "out"
+        command = "reconstruct" if scenario["kind"] == "cv-joint" else scenario["kind"]
+        assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "SizeCap"
+
+    def test_cv_conditional_past_the_grid_cap_is_loaded(self, tmp_path):
+        # its path is O(n log n) and builds no n x n array
+        scen = write_scenario(tmp_path, {
+            "kind": "cv-conditional", "grid": {"n": 2 * GRID_CAP, "length": 400.0},
+            "state": {"type": "gaussian"}, "post_momentum_index": GRID_CAP})
+        assert load_scenario(scen).kind == "cv-conditional"
+
+    def test_grid_no_array_can_hold_is_schema_error(self, tmp_path):
+        # numpy refuses 2^62 samples with a ValueError, which was a traceback
+        scen = write_scenario(tmp_path, {
+            "kind": "cv-conditional", "grid": {"n": 2**62, "length": 400.0},
+            "state": {"type": "gaussian"}, "post_momentum_index": 0})
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "SchemaError"
 
     @pytest.mark.parametrize("scenario, oracle", [
         (QUBIT_SCENARIO, "kd_conditional"),

@@ -221,3 +221,20 @@ def test_bool_index_is_a_type_error():
             Q3.eigenvector(bad)
     assert require_index(np.int64(2), 3, "index") == 2
     assert type(require_index(np.int64(2), 3, "index")) is int
+
+
+@pytest.mark.parametrize("bad", ["3", 2.5, None, np.float64(2.0), np.arange(2)],
+                         ids=["str", "float", "none", "numpy-float", "array"])
+def test_non_integer_index_is_a_type_error_that_names_it(bad):
+    with pytest.raises(TypeError, match=r"^outcome must be an integer, got "):
+        require_index(bad, 3, "outcome")
+
+
+def test_pure_density_is_checked_as_any_density_matrix(monkeypatch):
+    # density() has one constructor, the checked one, eigensolve included
+    def eigvalsh(m):
+        raise AssertionError("eigensolved")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(AssertionError, match="eigensolved"):
+        random_state(3, 1).density()

@@ -116,6 +116,15 @@ class TestTransforms:
         pt = to_momentum(w)
         assert abs(grid.dp * np.sum(np.abs(pt) ** 2) - 1) < 1e-9
 
+    def test_samples_are_copied_from_the_caller(self, grid):
+        samples = gaussian_state(grid).samples.copy()
+        w = WaveFunction(grid, samples)
+        assert samples.flags.writeable  # the caller's own array is not frozen
+        samples *= 200.0  # would take the checked norm from 1 to 40,000
+        assert np.array_equal(w.samples, gaussian_state(grid).samples)
+        assert abs(grid.dx * np.sum(np.abs(w.samples) ** 2) - 1) < 1e-9
+        assert not w.samples.flags.writeable
+
     def test_norm_enforced(self, grid):
         with pytest.raises(NormViolation):
             WaveFunction(grid, np.ones(grid.n))

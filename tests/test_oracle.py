@@ -179,6 +179,21 @@ class TestKdConditional:
             assert k.values.shape == (3,)
             assert np.array_equal(k.values, kd_conditional(psi, a, b, 1).values)
 
+    def test_pure_state_oracle_runs_no_eigensolve(self, monkeypatch):
+        psi, a, b = random_state(5, 5), random_observable(5, 6), random_observable(5, 7)
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        want = (a.eigenvectors.conj().T @ b.eigenvectors).conj() * (
+            a.eigenvectors.conj().T @ rho @ b.eigenvectors)
+
+        def eigvalsh(m):
+            raise AssertionError("eigensolved")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert np.array_equal(kd_joint(psi, a, b).values, want)
+        prob = postselection_probability(psi, b, 3)
+        assert prob == float(np.real(b.eigenvector(3).conj() @ rho @ b.eigenvector(3)))
+        assert np.array_equal(kd_conditional(psi, a, b, 3).values, want[:, 3] / prob)
+
     @pytest.mark.parametrize("j", [-1, 2])
     def test_out_of_range_outcome_rejected(self, plus_x, j):
         # a negative outcome must not wrap round to the last one
@@ -358,3 +373,10 @@ Q3 = random_observable(3, 0)
 def test_typed_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_distribution_keeps_the_complex_array_it_is_given():
+    # an n x n joint is held once: the array is kept and made read-only
+    values = np.array([[0.5, 0.5j], [0.25, -0.25]])
+    pd = PseudoDistribution(values, ("A", "B"), ordering_tag="kd")
+    assert pd.values is values and not values.flags.writeable

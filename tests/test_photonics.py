@@ -38,6 +38,7 @@ from kdrecon.photonics import (
     propagate_and_analyze,
     run_reconstruction,
     run_setting,
+    require_settings,
     sample_shots,
 )
 
@@ -588,6 +589,7 @@ class TestSampling:
         ((np.uint64(2**63), 1), ValueError),
         ((0, np.arange(5)), TypeError),  # one index per cell is not a key
         ((0, 1.0), TypeError), (("0", 1), TypeError),
+        ((0, True), TypeError), ((False, 1), TypeError),  # numpy would read a bool as a mask
     ])
     def test_out_of_range_stream_index_in_block_rejected(self, seed, error, monkeypatch):
         monkeypatch.setattr(np.random, "Philox", refuse_draw)
@@ -802,6 +804,13 @@ class TestReconstruction:
         # the (k, pixel) tables alone would take 0.5 GB each
         assert size_cap_peak(lambda: run_reconstruction(w, 0.05, shots=None, seed=0,
                                                         post_index=0)) < 5 * 2**20
+
+    @pytest.mark.parametrize("n", [2**40, 2**62])
+    def test_grid_no_array_can_hold_is_a_size_cap(self, n):
+        # the cap comes before any axis of the grid is built: a MemoryError
+        # at 2^40, numpy's ValueError at 2^62
+        with pytest.raises(SizeCap, match=str(GRID_CAP)):
+            require_settings(Grid(n, 400.0), 0.05, "x-then-p", post_index=0, shots=1000)
 
     @pytest.mark.parametrize("epsilon", [0.0, -0.05, np.pi / 2, 2.0, np.nan, np.inf])
     def test_epsilon_outside_the_open_quarter_turn_rejected(self, packet, epsilon):
