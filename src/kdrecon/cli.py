@@ -84,47 +84,40 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get(DEFAULT_OUT_ENV, "kdrecon-out"))
 
 
-def _run_scenario_command(args, kind, emit_oracle) -> int:
-    out = _out_dir(args)
-    try:
-        scenario = load_scenario(args.scenario)
-        if args.seed is not None:
-            scenario = dataclasses.replace(scenario, seed=args.seed)
-        if kind is not None and scenario.kind != kind:
-            raise SchemaError(f"kdrecon {args.command} runs only {kind!r} scenarios, "
-                              f"got kind {scenario.kind!r}")
-        diag = run_scenario(scenario, out, emit_oracle=args.emit_oracle or emit_oracle)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 1
-    except KdreconError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-            write_json(out / "error.json", payload)
-        except OSError:
-            pass
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(diag, default=str))
-    return 0
+def _run_scenario_command(args, out: Path) -> dict:
+    _, kind, emit_oracle = _SCENARIO_COMMANDS[args.command]
+    scenario = load_scenario(args.scenario)
+    if args.seed is not None:
+        scenario = dataclasses.replace(scenario, seed=args.seed)
+    if kind is not None and scenario.kind != kind:
+        raise SchemaError(f"kdrecon {args.command} runs only {kind!r} scenarios, "
+                          f"got kind {scenario.kind!r}")
+    return run_scenario(scenario, out, emit_oracle=args.emit_oracle or emit_oracle)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "compare":
-        try:
+    out = None if args.command == "compare" else _out_dir(args)
+    try:
+        if out is None:
             report = compare_distributions(args.path_a, args.path_b, args.tol)
-        except OSError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            return 1
-        except KdreconError as exc:
-            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
-        print(json.dumps(_strict(report), allow_nan=False))
-        return 0 if report["pass"] else 2
-    _, kind, emit_oracle = _SCENARIO_COMMANDS[args.command]
-    return _run_scenario_command(args, kind, emit_oracle)
+            text, code = json.dumps(_strict(report), allow_nan=False), 0 if report["pass"] else 2
+        else:
+            text, code = json.dumps(_run_scenario_command(args, out), default=str), 0
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 1
+    except KdreconError as exc:
+        if out is not None:
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+                write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
+            except OSError:
+                pass
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import require_grid_size, require_index
 from .cv import (
+    ORDERINGS,
     Grid,
     WaveFunction,
     _grid_transform,
@@ -75,8 +76,7 @@ def _order(g: Grid, mode: str):
 def _slm_plane(w: WaveFunction, mode: str) -> np.ndarray:
     """The photon's amplitudes on the SLM: ``w``'s position samples, or its
     momentum samples in the 4f order, whose SLM sits in the momentum plane."""
-    _order(w.grid, mode)  # an unknown mode is refused before any transform
-    return w.samples if mode == "x-then-p" else momentum_samples_raw(w.grid, w.samples)
+    return momentum_samples_raw(w.grid, w.samples) if mode == "p-then-x" else w.samples
 
 
 def run_setting(w: WaveFunction, k, phase: float, epsilon: float, mode: str) -> np.ndarray:
@@ -347,10 +347,11 @@ def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | No
     the grid, and shots None or in [1, 2^63) (TypeError for a bool or a
     non-integer, shots or post_index); SizeCap for a grid past the n x n cap.
     Returns post_index as an int, or None."""
-    require_grid_size(grid.n)  # before _order builds the grid's axes
+    require_grid_size(grid.n)
     if shots is not None and require_index(shots, SEED_LIMIT, "shots") == 0:
         raise ValueError("shots must be at least 1, got 0")
-    _order(grid, mode)  # ValueError for an unknown mode
+    if mode not in ORDERINGS:
+        raise ValueError(f"unknown mode {mode!r}")
     if not 0 < epsilon < np.pi / 2:
         raise ValueError(f"coupling epsilon must lie in (0, pi/2), got {epsilon!r}")
     return None if post_index is None else require_index(post_index, grid.n, "post_index")

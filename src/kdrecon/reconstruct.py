@@ -1,5 +1,8 @@
 """Inverse problem: measured moments/correlations -> pseudo-distributions.
 
+The conditional and the joint are the N = 1 and N = 2 cases of the n-point
+inversion, and all three run through ``_invert``, which checks their data.
+
 Conventions (recorded on each output's ordering_tag):
   - conditional_from_moments returns K[i|j] directly;
   - joint_from_correlations and npoint_from_correlations return the
@@ -104,7 +107,7 @@ def _contract(observables, values: np.ndarray) -> np.ndarray:
     """
     for obs in observables:
         r, spread = _operator(obs, obs.dim)
-        _warn_spread(spread)
+        _warn_spread(spread, stacklevel=5)  # at the caller of the entry point
         values = (r @ values.reshape(obs.dim, -1)).T.reshape(*values.shape[1:], -1)
     return values
 
@@ -116,11 +119,39 @@ def _check_sum(values: np.ndarray, renormalize: bool, what: str):
             f"{what} sums to {total:.6g}, deviating from 1 by {abs(total - 1.0):.3e} "
             "(noisy or inconsistent input data?)",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     if renormalize:
         return values / total
     return values
+
+
+def _invert(observables, data, renormalize: bool, what: str) -> np.ndarray:
+    """The pseudo-distribution ``what`` of C[n1, ..., nN] = <A1^n1 ... AN^nN>.
+
+    Refused before any inversion: no observable or C[0, ..., 0] != 1
+    (ValueError); observables of different dimensions d, or data without one
+    axis of d powers each (DimensionMismatch; one observable may have any
+    number >= 1 of moments, fitted by least squares when it is not d); a
+    tensor past the cap (SizeCap).  A sum other than 1 is warned of."""
+    if not observables:
+        raise ValueError(f"{what} needs at least one observable")
+    d, n = observables[0].dim, len(observables)
+    if any(obs.dim != d for obs in observables):
+        raise DimensionMismatch(f"{what}: observables act on different dimensions")
+    c = np.asarray(data, dtype=complex)
+    if c.shape != (d,) * n and not (n == 1 and c.ndim == 1 and c.size):
+        shape = "a nonempty vector" if n == 1 else "x".join([str(d)] * n)
+        raise DimensionMismatch(f"{what} data must be {shape}, got shape {c.shape}")
+    if not abs(c.flat[0] - 1.0) <= 1e-9:
+        raise ValueError(f"zeroth moment C[{','.join('0' * n)}] must be 1, got {c.flat[0]}")
+    require_tensor_size(d, n)
+    if c.size == d**n:
+        q = _contract(observables, c)
+    else:
+        v_rect, m = _operator(observables[0], c.size)
+        q = solve_least_squares(v_rect, m @ c)
+    return _check_sum(q, renormalize, what)
 
 
 def conditional_from_moments(
@@ -129,18 +160,7 @@ def conditional_from_moments(
     """Q = V^{-1} A-vector from the weak moments <A^k>, k = 0..len-1 (the
     first must be 1); least-squares (pseudo-inverse) when the number of
     measured moments differs from d."""
-    moments = np.asarray(moments, dtype=complex)
-    if moments.ndim != 1 or moments.size < 1:
-        raise DimensionMismatch(f"moments must be a nonempty 1-D array, got shape {moments.shape}")
-    if not abs(moments[0] - 1.0) <= 1e-9:
-        raise ValueError(f"zeroth moment must be 1, got {moments[0]}")
-    r = moments.size
-    if r == a.dim:
-        q = _contract([a], moments)
-    else:
-        v_rect, m = _operator(a, r)
-        q = solve_least_squares(v_rect, m @ moments)
-    q = _check_sum(q, renormalize, "conditional pseudo-distribution")
+    q = _invert([a], moments, renormalize, "conditional pseudo-distribution")
     return PseudoDistribution(q, (a.label,), ordering_tag="kd-conditional", conditioning="phi")
 
 
@@ -149,15 +169,7 @@ def joint_from_correlations(
 ) -> PseudoDistribution:
     """Q = V^{-1} C (W^{-1})^T from C[n, m] = <A^n B^m>; equals conj(kd_joint)
     of the underlying state."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("observables act on different dimensions")
-    d = a.dim
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (d, d):
-        raise DimensionMismatch(f"correlation matrix must be {d}x{d}, got {c.shape}")
-    if not abs(c[0, 0] - 1.0) <= 1e-9:
-        raise ValueError(f"C[0,0] must be 1, got {c[0, 0]}")
-    q = _check_sum(_contract([a, b], c), renormalize, "joint pseudo-distribution")
+    q = _invert([a, b], c, renormalize, "joint pseudo-distribution")
     return PseudoDistribution(q, (a.label, b.label), ordering_tag="kd-conjugate")
 
 
@@ -165,20 +177,9 @@ def npoint_from_correlations(obs_list, c_tensor, renormalize: bool = False) -> P
     """Per-axis inverse-Vandermonde contraction of an N-point correlation tensor.
 
     Returns the N-point bracket-chain distribution <psi|o_i1>...<o_iN|psi>,
-    which for N = 2 is the conjugate of the two-observable KD matrix.
+    which for N = 2 is the conjugate of the two-observable KD matrix.  With
+    one observable it accepts what ``conditional_from_moments`` accepts.
     """
     obs_list = list(obs_list)
-    if not obs_list:
-        raise ValueError("npoint_from_correlations needs at least one observable")
-    c = np.asarray(c_tensor, dtype=complex)
-    n = len(obs_list)
-    if c.ndim != n:
-        raise DimensionMismatch("tensor rank must match number of observables")
-    d = obs_list[0].dim
-    require_tensor_size(d, n)
-    for axis, obs in enumerate(obs_list):
-        if c.shape[axis] != obs.dim:
-            raise DimensionMismatch(f"axis {axis} length does not match observable dimension")
-    c = _check_sum(_contract(obs_list, c), renormalize, "n-point pseudo-distribution")
-    labels = tuple(obs.label for obs in obs_list)
-    return PseudoDistribution(c, labels, ordering_tag="kd-npoint")
+    q = _invert(obs_list, c_tensor, renormalize, "n-point pseudo-distribution")
+    return PseudoDistribution(q, tuple(obs.label for obs in obs_list), ordering_tag="kd-npoint")

@@ -7,7 +7,8 @@ refers to, once, at load time, and returns the closure that runs the kind.
 Here JSON types are checked (never coerced; a boolean option must be a
 boolean), and ranges where the objects are built (``core.require_index``,
 ``cv.Grid``, ``photonics.require_settings``): ``load_scenario`` turns their
-ValueError or TypeError into a SchemaError.
+ValueError or TypeError into a SchemaError, and a MemoryError (an uncapped
+grid too large to allocate) into a SizeCap.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def load_scenario(path) -> Scenario:
         run = build({**optional, **raw})
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid {kind} scenario: {exc}") from exc
+    except MemoryError as exc:
+        raise SizeCap(f"{kind} scenario too large to build in memory: {exc}") from exc
     return Scenario(kind, raw.get("seed", 0), run)
 
 
@@ -339,7 +342,7 @@ def _build_experiment(p: dict):
 
     def run(seed, diag):
         res = photonics.run_reconstruction(w, epsilon=epsilon, shots=shots, seed=seed, mode=mode,
-                                           post_index=post, joint=p["joint"],
+                                           post_index=post, joint=post is None,
                                            min_counts=min_counts)
         diag.update(epsilon=epsilon, shots=shots, mode=mode)
         diag["post_selection_rates"] = [float(r) for r in res.rates]

@@ -65,15 +65,15 @@ def _inverse_and_spread(nodes) -> tuple[np.ndarray, float]:
     return inv, float(top / significant.min()) if significant.size else 1.0
 
 
-def _warn_spread(spread: float) -> None:
-    """Warn, at the caller's caller, when an inverse's coefficient spread
-    passes CONDITION_WARN_RATIO."""
+def _warn_spread(spread: float, stacklevel: int = 3) -> None:
+    """Warn, at the caller's caller by default, when an inverse's coefficient
+    spread passes CONDITION_WARN_RATIO."""
     if np.isfinite(spread) and spread > CONDITION_WARN_RATIO:
         warnings.warn(
             f"Vandermonde inverse coefficient spread {spread:.2e} exceeds 1e12; "
             "results may be inaccurate",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 

@@ -325,6 +325,10 @@ class TestCliRuns:
           "observable_b": {"pauli": "x"}, "renormalize": "yes"}, "renormalize"),
         ({"kind": "discrete-npoint", "state": {"random": {"dim": 2}},
           "observables": [{"pauli": "z"}], "renormalize": 1}, "renormalize"),
+        # an object that names none of its kind's forms
+        (dict(QUBIT_SCENARIO, state={}), "state needs 'amplitudes' or 'random'"),
+        (dict(QUBIT_SCENARIO, observable_a={"label": "A"}), "observable_a needs 'pauli'"),
+        (dict(CCR_SCENARIO, state={"type": "squeezed"}), "unknown cv state type"),
     ])
     def test_unknown_ordering_or_mode_is_schema_error(self, tmp_path, monkeypatch,
                                                       scenario, key):
@@ -421,6 +425,22 @@ class TestCliRuns:
         out = tmp_path / "out"
         assert main(["reconstruct", "--scenario", str(scen), "--out", str(out)]) == 2
         assert read_json(out / "error.json")["error"] == "SchemaError"
+
+    def test_builder_out_of_memory_is_size_cap(self, tmp_path, monkeypatch):
+        # an uncapped grid numpy cannot allocate, without allocating it
+        def build(p):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        required, optional, _ = scenarios._KINDS["cv-conditional"]
+        monkeypatch.setitem(scenarios._KINDS, "cv-conditional", (required, optional, build))
+        scen = write_scenario(tmp_path, {
+            "kind": "cv-conditional", "grid": {"n": 2**40, "length": 400.0},
+            "state": {"type": "gaussian"}, "post_momentum_index": 0})
+        with pytest.raises(SizeCap, match="8.00 TiB"):
+            load_scenario(scen)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "SizeCap"
 
     @pytest.mark.parametrize("scenario, oracle", [
         (QUBIT_SCENARIO, "kd_conditional"),
@@ -536,6 +556,27 @@ class TestCliRuns:
         out = tmp_path / "out"
         assert main(["experiment", "--scenario", str(scen), "--out", str(out)]) == 2
         assert read_json(out / "error.json")["error"] == "SchemaError"
+
+    def test_conditional_experiment_builds_no_joint(self, tmp_path, monkeypatch):
+        # with a post_index only the conditional is written, so "joint": true
+        # must not build the n x n joint it would drop
+        ref = tmp_path / "ref"
+        assert main(["experiment", "--scenario", str(write_scenario(tmp_path, EXPERIMENT)),
+                     "--out", str(ref)]) == 0
+        joints, real = [], photonics.run_reconstruction
+
+        def spy(*args, joint, **kwargs):
+            joints.append(joint)
+            return real(*args, joint=joint, **kwargs)
+
+        monkeypatch.setattr(photonics, "run_reconstruction", spy)
+        scen = write_scenario(tmp_path, dict(EXPERIMENT, joint=True), "joint.json")
+        out = tmp_path / "out"
+        assert main(["experiment", "--scenario", str(scen), "--out", str(out)]) == 0
+        assert joints == [False]
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in ref.iterdir())
+        for path in ref.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**63)])
     def test_out_of_range_seed_override_is_schema_error(self, tmp_path, seed):

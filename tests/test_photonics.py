@@ -812,6 +812,17 @@ class TestReconstruction:
         with pytest.raises(SizeCap, match=str(GRID_CAP)):
             require_settings(Grid(n, 400.0), 0.05, "x-then-p", post_index=0, shots=1000)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_settings_check_builds_no_axis(self, mode):
+        g = Grid(GRID_CAP, 400.0)  # each of its axes takes 32 kB
+        tracemalloc.start()
+        try:
+            require_settings(g, 0.05, mode, post_index=0, shots=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+
     @pytest.mark.parametrize("epsilon", [0.0, -0.05, np.pi / 2, 2.0, np.nan, np.inf])
     def test_epsilon_outside_the_open_quarter_turn_rejected(self, packet, epsilon):
         with pytest.raises(ValueError, match="epsilon"):

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import warnings
 import weakref
 from math import comb
 
@@ -162,6 +163,14 @@ class TestNpoint:
         q1 = npoint_from_correlations([a, b], t)
         q2 = joint_from_correlations(a, b, correlation_matrix(a, b, psi))
         assert np.max(np.abs(q1.values - q2.values)) < 1e-10
+
+    def test_n1_least_squares_equals_conditional(self):
+        psi, a = random_state(3, 55), random_observable(3, 56)
+        phi = QuantumState(random_observable(3, 57).eigenvector(0))
+        moments = moment_vector(a, psi, phi, orders=5)
+        q1 = npoint_from_correlations([a], moments)
+        q2 = conditional_from_moments(a, moments)
+        assert np.array_equal(q1.values, q2.values)
 
     def test_n3_zxz_oracle(self, ket0):
         obs = [pauli_spec("z"), pauli_spec("x"), pauli_spec("z", label="sigma_z2")]
@@ -341,13 +350,35 @@ class TestOperatorCache:
             with pytest.warns(RuntimeWarning, match="coefficient spread"):
                 joint_from_correlations(wide, wide, c)
 
+    def test_warnings_name_the_callers_line(self):
+        # so the default once-per-location filter shows each call site's
+        # warnings, whichever entry point it calls
+        wide = ObservableSpec(np.arange(20.0), np.eye(20))
+        c = np.zeros((20, 20), dtype=complex)
+        c[0, 0] = 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            joint_from_correlations(wide, wide, c)
+            npoint_from_correlations([wide, wide], c)
+            conditional_from_moments(SZ, [1, 0.3, 0.9, 0.2])  # inconsistent moments
+        kinds = ["spread" if "spread" in str(w.message) else "sum" for w in caught]
+        assert kinds == ["spread"] * 4 + ["sum"]  # one spread per axis
+        assert {w.filename for w in caught} == {__file__}
 
-@pytest.mark.parametrize("call, match", [
+
+@pytest.mark.parametrize("call, error, match", [
     (lambda: joint_from_correlations(SZ, random_observable(3, 0), np.eye(2)),
-     "different dimensions"),
-    (lambda: npoint_from_correlations([SZ, SX], np.ones((2, 2, 2))), "tensor rank"),
-    (lambda: npoint_from_correlations([SZ, SX], np.ones((2, 3))), "axis 1 length"),
-], ids=["joint-observables", "npoint-rank", "npoint-axis"])
-def test_dimension_refusals(call, match):
-    with pytest.raises(DimensionMismatch, match=match):
+     DimensionMismatch, "different dimensions"),
+    (lambda: npoint_from_correlations([SZ, SX], np.ones((2, 2, 2))),
+     DimensionMismatch, r"must be 2x2, got shape \(2, 2, 2\)"),
+    (lambda: npoint_from_correlations([SZ, SX], np.ones((2, 3))),
+     DimensionMismatch, r"must be 2x2, got shape \(2, 3\)"),
+    # the conditional's and the joint's refusals hold for the n-point too
+    (lambda: npoint_from_correlations([SZ, random_observable(3, 0)], np.zeros((2, 3))),
+     DimensionMismatch, "different dimensions"),
+    (lambda: npoint_from_correlations([SZ, SX], [[0.5, 0], [0, 0]]),
+     ValueError, r"C\[0,0\] must be 1"),
+], ids=["joint-observables", "npoint-rank", "npoint-axis", "npoint-observables", "npoint-c00"])
+def test_dimension_refusals(call, error, match):
+    with pytest.raises(error, match=match):
         call()
