@@ -252,9 +252,12 @@ def joint_kd_cv(w: WaveFunction, ordering: str = "x-then-p") -> np.ndarray:
 def ccr_witness(w: WaveFunction) -> complex:
     """<xp>_Ktilde - <xp>_K = i*hbar for every state (grid-converged).
 
-    <xp>_K = dx dp x.(K p) is two matrix-vector products, so K is the only
-    n x n array held.  A warning is emitted when the state's spectral tails
-    exceed TAIL_FLOOR, since grid moments then stop converging.
+    In <xp>_K = dx dp sum_{x,p} x p K(x, p) the sum over p comes first:
+    dp sum_p p <p|x> conj(psi~(p)) = conj((p psi)(x)), with p psi the inverse
+    transform of p psi~(p).  So <xp>_K = dx sum_x x psi(x) conj((p psi)(x)),
+    one FFT pair on n-vectors and no n x n array, at any grid size.  A
+    warning is emitted when the state's spectral tails exceed TAIL_FLOOR,
+    since grid moments then stop converging.
     """
     g = w.grid
     psi_x, psi_p = w.samples, to_momentum(w)
@@ -266,7 +269,9 @@ def ccr_witness(w: WaveFunction) -> complex:
             RuntimeWarning,
             stacklevel=2,
         )
-    xp_k = g.dx * g.dp * (g.x @ (joint_kd_cv(w, "x-then-p") @ g.p))
+    p_psi = position_samples_raw(g, g.p * psi_p)
+    # np.sum, not a BLAS dot, whose bits can depend on the thread count
+    xp_k = g.dx * np.sum(g.x * psi_x * p_psi.conj())
     return complex(np.conj(xp_k) - xp_k)
 
 

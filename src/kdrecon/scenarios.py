@@ -207,13 +207,6 @@ def _discrete_pair(p: dict):
             _build_observable(p["observable_b"], "observable_b"))
 
 
-def _capped_cv_inputs(p: dict):
-    """Grid and state of a kind with n x n arrays, the grid cap checked first."""
-    grid = _build_grid(p["grid"])
-    require_grid_size(grid.n)
-    return grid, _build_cv_state(p["state"], grid)
-
-
 # -- orchestration -----------------------------------------------------------
 
 def _write_distribution(out: Path, pd: PseudoDistribution, stem="distribution", plot=None):
@@ -322,7 +315,9 @@ def _build_cv_joint(p: dict):
     ordering = p["ordering"]
     if ordering not in cv.ORDERINGS:
         raise SchemaError(f"ordering must be one of {cv.ORDERINGS}, got {ordering!r}")
-    grid, w = _capped_cv_inputs(p)
+    grid = _build_grid(p["grid"])
+    require_grid_size(grid.n)  # n x n arrays: the cap before the state is built
+    w = _build_cv_state(p["state"], grid)
 
     def run(seed, diag):
         result, plot = _phase_space(grid, cv.joint_kd_cv(w, ordering), ordering)
@@ -359,7 +354,8 @@ def _build_experiment(p: dict):
 
 
 def _build_ccr(p: dict):
-    grid, w = _capped_cv_inputs(p)
+    grid = _build_grid(p["grid"])  # O(n log n), so not capped
+    w = _build_cv_state(p["state"], grid)
 
     def run(seed, diag):
         witness = cv.ccr_witness(w)

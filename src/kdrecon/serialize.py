@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import threading
 from contextlib import contextmanager
 from itertools import chain, repeat
@@ -139,9 +140,12 @@ def complex_array_from_json(entries, shape) -> np.ndarray:
         values = np.array(parts, dtype=float)
     except OverflowError as exc:
         raise SchemaError(f"complex entry out of float range: {exc}") from exc
-    if values.size != 2 * np.prod(shape, dtype=int):
+    if values.size != 2 * math.prod(shape):  # exact: np.prod wraps modulo 2^64
         raise SchemaError(f"{len(entries)} complex entries do not fill shape {list(shape)}")
-    return values.view(complex).reshape(shape)
+    try:  # an empty shape numpy still cannot hold: too large a dimension, too many axes
+        return values.view(complex).reshape(shape)
+    except ValueError as exc:
+        raise SchemaError(f"shape {list(shape)} is not an array shape: {exc}") from exc
 
 
 def pseudo_to_dict(pd: PseudoDistribution) -> dict:

@@ -52,6 +52,10 @@ CCR_SCENARIO = {
     "state": {"type": "gaussian"},
 }
 
+# the CV kinds whose paths are O(n log n), so their grids are not capped; the
+# grid and the state are filled in by each test
+UNCAPPED_CV = ({"kind": "cv-conditional", "post_momentum_index": 0}, CCR_SCENARIO)
+
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
     path = tmp_path / name
@@ -373,7 +377,6 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("scenario", [
         {"kind": "cv-joint", "ordering": "p-then-x"},
-        {"kind": "ccr"},
         dict(EXPERIMENT, shots=None, post_index=0),
         EXPERIMENT,
     ])
@@ -389,10 +392,9 @@ class TestCliRuns:
     @pytest.mark.parametrize("n", [2 * GRID_CAP, 2**40, 2**62])
     @pytest.mark.parametrize("scenario", [
         {"kind": "cv-joint"},
-        {"kind": "ccr"},
         dict(EXPERIMENT, shots=None),
         dict(EXPERIMENT, post_index=None, joint=True),
-    ], ids=["cv-joint", "ccr", "experiment-born", "experiment-shots-joint"])
+    ], ids=["cv-joint", "experiment-born", "experiment-shots-joint"])
     def test_grid_past_the_cap_is_refused_before_the_state_is_built(self, tmp_path, monkeypatch,
                                                                     scenario, n):
         # at n = 2^40 the state alone was a MemoryError, at 2^62 numpy's
@@ -417,30 +419,43 @@ class TestCliRuns:
             "state": {"type": "gaussian"}, "post_momentum_index": GRID_CAP})
         assert load_scenario(scen).kind == "cv-conditional"
 
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    def test_ccr_past_the_grid_cap_writes_i_hbar(self, tmp_path, hbar):
+        # the witness is one FFT pair on n-vectors, so the cap does not apply
+        scen = write_scenario(tmp_path, dict(
+            CCR_SCENARIO, grid={"n": 2 * GRID_CAP, "length": 400.0, "hbar": hbar}))
+        out = tmp_path / "out"
+        assert main(["ccr", "--scenario", str(scen), "--out", str(out)]) == 0
+        w = read_json(out / "diagnostics.json")["witness"]
+        assert abs(complex(w["re"], w["im"]) - 1j * hbar) < 1e-9
+
     def test_grid_no_array_can_hold_is_schema_error(self, tmp_path):
         # numpy refuses 2^62 samples with a ValueError, which was a traceback
-        scen = write_scenario(tmp_path, {
-            "kind": "cv-conditional", "grid": {"n": 2**62, "length": 400.0},
-            "state": {"type": "gaussian"}, "post_momentum_index": 0})
-        out = tmp_path / "out"
-        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out)]) == 2
-        assert read_json(out / "error.json")["error"] == "SchemaError"
+        for scenario in UNCAPPED_CV:
+            scen = write_scenario(tmp_path, dict(
+                scenario, grid={"n": 2**62, "length": 400.0}, state={"type": "gaussian"}))
+            out = tmp_path / scenario["kind"]
+            command = "ccr" if scenario["kind"] == "ccr" else "reconstruct"
+            assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
+            assert read_json(out / "error.json")["error"] == "SchemaError"
 
     def test_builder_out_of_memory_is_size_cap(self, tmp_path, monkeypatch):
         # an uncapped grid numpy cannot allocate, without allocating it
         def build(p):
             raise MemoryError("Unable to allocate 8.00 TiB")
 
-        required, optional, _ = scenarios._KINDS["cv-conditional"]
-        monkeypatch.setitem(scenarios._KINDS, "cv-conditional", (required, optional, build))
-        scen = write_scenario(tmp_path, {
-            "kind": "cv-conditional", "grid": {"n": 2**40, "length": 400.0},
-            "state": {"type": "gaussian"}, "post_momentum_index": 0})
-        with pytest.raises(SizeCap, match="8.00 TiB"):
-            load_scenario(scen)
-        out = tmp_path / "out"
-        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out)]) == 2
-        assert read_json(out / "error.json")["error"] == "SizeCap"
+        for scenario in UNCAPPED_CV:
+            kind = scenario["kind"]
+            required, optional, _ = scenarios._KINDS[kind]
+            monkeypatch.setitem(scenarios._KINDS, kind, (required, optional, build))
+            scen = write_scenario(tmp_path, dict(
+                scenario, grid={"n": 2**40, "length": 400.0}, state={"type": "gaussian"}))
+            with pytest.raises(SizeCap, match="8.00 TiB"):
+                load_scenario(scen)
+            out = tmp_path / kind
+            command = "ccr" if kind == "ccr" else "reconstruct"
+            assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
+            assert read_json(out / "error.json")["error"] == "SizeCap"
 
     @pytest.mark.parametrize("scenario, oracle", [
         (QUBIT_SCENARIO, "kd_conditional"),
@@ -742,6 +757,22 @@ def test_compare_rejects_ill_typed_distribution_fields(tmp_path, broken, capsys)
     assert "SchemaError: pseudo-distribution" in capsys.readouterr().err
     with pytest.raises(SchemaError):
         pseudo_from_dict(broken)
+
+
+@pytest.mark.parametrize("shape", [[2**32, 2**32], [0, 2**63], [0] * 65],
+                         ids=["product-wraps-to-0", "dimension-past-intp", "65-axes"])
+def test_compare_rejects_a_shape_no_array_has(tmp_path, shape, capsys):
+    """A shape no array can have is a SchemaError.  np.prod wrapped the first
+    to 0 entries modulo 2^64, the other two have 0 entries, and so each
+    passed the entry count and numpy's reshape raised a bare ValueError."""
+    broken = _distribution_json(shape=shape, axes=["A"] * len(shape), values=[])
+    with pytest.raises(SchemaError):
+        pseudo_from_dict(broken)
+    write_json(tmp_path / "a.json", _distribution_json())
+    (tmp_path / "b.json").write_text(json.dumps(broken))
+    assert main(["compare", str(tmp_path / "b.json"), str(tmp_path / "b.json")]) == 2
+    assert main(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
+    assert "SchemaError" in capsys.readouterr().err
 
 
 def test_integer_cell_weight_and_null_conditioning_accepted():

@@ -380,8 +380,8 @@ class TestDenseMemory:
     oracle, the table and its transform), with no further n x n temporaries."""
 
     @pytest.mark.parametrize("call", [
-        lambda w: joint_kd_cv(w), lambda w: joint_kd_cv(w, "p-then-x"), ccr_witness,
-    ], ids=["joint-x-then-p", "joint-p-then-x", "ccr"])
+        lambda w: joint_kd_cv(w), lambda w: joint_kd_cv(w, "p-then-x"),
+    ], ids=["joint-x-then-p", "joint-p-then-x"])
     def test_joint_and_witness_at_n_2048(self, call):
         # the complex 2048 x 2048 result alone is 67 MB, its int64 index 34 MB
         w = gaussian_state(Grid(2048, 200.0))
@@ -418,19 +418,35 @@ class TestCcrWitness:
         with pytest.warns(RuntimeWarning, match="grid edge"):
             ccr_witness(gaussian_state(g))
 
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    @pytest.mark.parametrize("n, length", [(256, 20.0), (1024, 40.0)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_agrees_with_the_dense_kd_sum(self, seed, n, length, hbar):
+        g = Grid(n, length, hbar)
+        w = random_smooth_state(g, seed=seed)
+        xp_k = g.dx * g.dp * (g.x @ (joint_kd_cv(w) @ g.p))  # sum of x p K(x, p)
+        # a few ulps of |i hbar|: the dense sum itself misses i hbar by up to
+        # 1.3e-15 at hbar = 2.5
+        assert abs(ccr_witness(w) - (np.conj(xp_k) - xp_k)) <= 1e-15 * hbar
+
+    def test_holds_only_n_vectors(self):
+        # one complex n-vector at n = 2048 is 33 kB; the n x n K was 67 MB
+        w = gaussian_state(Grid(2048, 200.0))
+        assert traced_peak(lambda: ccr_witness(w)) < 5e6
+
 
 class TestGridCap:
     def test_dense_paths_one_grid_past_the_cap_build_nothing(self, size_cap_peak):
         # an n x n complex array at n = 8192 takes 1.07 GB
         w = gaussian_state(Grid(2 * GRID_CAP, 400.0))
-        for call in (lambda: joint_kd_cv(w), lambda: joint_kd_cv(w, "p-then-x"),
-                     lambda: ccr_witness(w)):
+        for call in (lambda: joint_kd_cv(w), lambda: joint_kd_cv(w, "p-then-x")):
             assert size_cap_peak(call) < 5 * 2**20
 
     def test_o_n_paths_take_grids_past_the_cap(self):
         w = gaussian_state(Grid(2 * GRID_CAP, 400.0))
         q = conditional_pseudo_cv(weak_char_fn(w, 0.0))
         assert abs(w.grid.dx * np.sum(q) - 1.0) < 1e-9
+        assert abs(ccr_witness(w) - 1j) < 1e-9
 
 
 @pytest.mark.parametrize("call, error, match", [
