@@ -9,6 +9,11 @@ counts of a quadrature's two analyzer blocks, one after the other, each from
 its own Philox stream (sample_shots); estimate the weak characteristic
 function from conditioned asymmetries (estimate_weak_char).
 
+A joint sweep draws the whole camera: its Z tables are (k, pixel).  A
+conditional-only sweep reads one post pixel, as a slit there would: it draws
+each cell's three-outcome marginal (plus, minus at the pixel; anywhere else),
+or takes the Born column, so its Z tables are one (k, 1) column.
+
 The sweep runs quadrature 0's chain (Born probabilities, draws, asymmetries)
 on the calling thread and quadrature 1's on a persistent worker thread.  The
 worker calls only the private stage bodies, so every call of a public name
@@ -278,22 +283,37 @@ def estimate_weak_char(asym: dict, var_sum, epsilon: float):
 
 @dataclass
 class ReconstructionResult:
+    # n_pixels is 1 for a conditional-only run (its post pixel), n otherwise
     z_values: np.ndarray          # (n_k, n_pixels) complex estimates
     z_errors: np.ndarray          # (n_k, n_pixels) standard errors
-    rates: np.ndarray             # post-selection frequency per pixel
+    rates: np.ndarray             # (n_pixels,) post-selection frequency per pixel
     conditional: np.ndarray | None  # q(x) at post_index (or q(p) in p-then-x)
     conditional_se: np.ndarray | None
     joint: np.ndarray | None      # (n_x, n_p) joint estimate when requested
 
 
-def _quadrature(qi: int, born, sample, shots: int | None, seed: int, min_counts: int):
+def _quadrature(qi: int, born, sample, shots: int | None, seed: int, min_counts: int,
+                pixel: int | None):
     """Quadrature qi's chain: its Born probabilities ``born(phase)``, their
     two analyzer blocks drawn by ``sample`` from the streams (seed, 2 qi) and
     (seed, 2 qi + 1), each block's k cells in order, then each analyzer's
-    ``_asymmetry`` figures, its total summed over k."""
+    ``_asymmetry`` figures, its total summed over k.
+
+    With a ``pixel``, only that camera column is kept: its Born
+    probabilities, or the (plus, minus) counts of each cell's (plus, minus
+    at the pixel; anywhere else) marginal, drawn as an (analyzer, k, 3) stack."""
     probs = born(_QUAD_PHASE[QUADRATURES[qi]])
-    if shots is not None:
-        probs = sample(probs, shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])
+    keys = [(seed, 2 * qi), (seed, 2 * qi + 1)]
+    if pixel is None:
+        if shots is not None:
+            probs = sample(probs, shots, keys)
+    elif shots is None:
+        probs = probs[..., pixel:pixel + 1]  # the Born column
+    else:
+        # each cell's marginal: its two ports at the pixel, and the rest of its photons
+        plus, minus = probs[..., 0, pixel], probs[..., 1, pixel]
+        marginal = np.stack([plus, minus, probs.sum(axis=(-2, -1)) - plus - minus], axis=-1)
+        probs = sample(marginal, shots, keys)[..., :2, None]
     chain = []
     for rows in probs:  # (k, outcome, pixel)
         asym, var, total, short = _asymmetry(rows[:, 0], rows[:, 1],
@@ -304,33 +324,35 @@ def _quadrature(qi: int, born, sample, shots: int | None, seed: int, min_counts:
 
 
 def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
-           shots: int | None, seed: int, min_counts: int):
+           shots: int | None, seed: int, min_counts: int, pixel: int | None):
     """Sweep every (k, quadrature, analyzer) cell, batched over k and pixel.
 
     Returns the (k, pixel) asymmetries keyed by (quadrature, analyzer), their
     summed variance, the (k, pixel) mask of entries lacking data, and the
-    counts (or probability) per pixel summed over all cells.  Quadrature 0's
-    chain runs on the calling thread through the public stages, and
-    quadrature 1's on the worker thread through their private bodies, so
-    every traced stage runs on the calling thread.  An error in either chain
-    is raised once both have ended.  The sums are formed here in (quadrature,
-    analyzer) order, so every output has the bits of running the chains one
-    after the other.
+    counts (or probability) per pixel summed over all cells; with a
+    ``pixel``, only that pixel's column, as ``_quadrature`` says.
+    Quadrature 0's chain runs on the calling thread through the public
+    stages, and quadrature 1's on the worker thread through their private
+    bodies, so every traced stage runs on the calling thread.  An error in
+    either chain is raised once both have ended.  The sums are formed here in
+    (quadrature, analyzer) order, so every output has the bits of running the
+    chains one after the other.
     """
     g = w.grid
     h = _slm_plane(w, mode)
     pending = _submit(_quadrature, 1, lambda phase: _setting(g, h, params, phase, epsilon, mode),
-                      _sample_shots, shots, seed, min_counts)
+                      _sample_shots, shots, seed, min_counts, pixel)
     try:
         chains = _quadrature(0, lambda phase: run_setting(w, params, phase, epsilon, mode),
-                             sample_shots, shots, seed, min_counts)
+                             sample_shots, shots, seed, min_counts, pixel)
     finally:
         pending.exception()  # the worker's chain ends before any error of this one is raised
     chains += pending.result()
     asym = {}
-    var_sum = np.zeros((g.n, g.n))
-    short = np.zeros((g.n, g.n), dtype=bool)
-    recorded = np.zeros(g.n)
+    shape = chains[0][0].shape  # (k, pixel)
+    var_sum = np.zeros(shape)
+    short = np.zeros(shape, dtype=bool)
+    recorded = np.zeros(shape[1])
     for key, (a, var, total, cell_short) in zip(itertools.product(QUADRATURES, ANALYZERS),
                                                 chains):
         asym[key] = a
@@ -373,14 +395,19 @@ def run_reconstruction(
     probabilities, zero statistical error).  Each (quadrature qi, analyzer
     ai) block draws its k cells in order from the Philox stream keyed by
     (seed, 2 qi + ai); a quadrature's two blocks are drawn in one call, and
-    the two quadratures run on two threads.  The settings are refused,
-    before any work, as ``require_settings`` says.
+    the two quadratures run on two threads.  Without ``joint``, a run with a
+    ``post_index`` reads only the post pixel: its ``z_values``, ``z_errors``
+    and ``rates`` are (n_k, 1) and (1,), and each cell draws only its
+    (plus, minus at the pixel; anywhere else) marginal.  The settings are
+    refused, before any work, as ``require_settings`` says.
     """
     g = w.grid
     post_index = require_settings(g, epsilon, mode, post_index, shots)
     _, params, _, _, step = _order(g, mode)
     n = g.n
-    asym, var_sum, short, recorded = _sweep(w, params, epsilon, mode, shots, seed, min_counts)
+    pixel = None if joint else post_index
+    asym, var_sum, short, recorded = _sweep(w, params, epsilon, mode, shots, seed, min_counts,
+                                            pixel)
     rates = recorded / (4 * n * (1 if shots is None else shots))
     z_values, z_errors = estimate_weak_char(asym, var_sum, epsilon)
     z_values[short] = 0.0
@@ -388,15 +415,16 @@ def run_reconstruction(
     dparam = params[1] - params[0]
     conditional = conditional_se = None
     if post_index is not None:
-        if not np.all(np.isfinite(z_errors[:, post_index])):
+        column = post_index if pixel is None else 0
+        if not np.all(np.isfinite(z_errors[:, column])):
             raise InsufficientCounts(
                 f"post-selected pixel {post_index} lacks counts at some frequencies"
             )
-        conditional = inverse_char_transform(z_values[:, post_index], dparam)
+        conditional = inverse_char_transform(z_values[:, column], dparam)
         # independent errors per frequency propagate in quadrature through the
         # linear inverse transform
         conditional_se = np.full(
-            n, dparam / (2 * np.pi) * float(np.sqrt(np.sum(z_errors[:, post_index] ** 2)))
+            n, dparam / (2 * np.pi) * float(np.sqrt(np.sum(z_errors[:, column] ** 2)))
         )
     joint_est = None
     if joint:

@@ -134,22 +134,26 @@ def sample_block(prob, shots, key):
     return sample_shots(np.asarray(prob)[None], shots, [key])[0]
 
 
-def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts):
+def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts, pixel=None):
     """Z estimates, errors and rates one (k, quadrature, analyzer) cell and one
     pixel at a time: the H photon is rotated, propagated and projected for
     each cell, and each pixel's four asymmetries are combined on their own.
     With shots, (quadrature qi, analyzer ai) has a generator of its own, keyed
     (seed, 2 qi + ai), which draws each frequency's (outcome, pixel) cell in
-    k order.  It shares no code with the stages beyond the transforms."""
+    k order.  With a ``pixel`` (shots needed), each cell draws instead its
+    three-outcome marginal (plus and minus at the pixel, anywhere else), and
+    only that pixel's column is kept.  Each block's counts are summed over
+    k, then the blocks in order.  It shares no code with the stages beyond the transforms."""
     g = w.grid
     n = g.n
+    width = n if pixel is None else 1
     rngs = [philox((seed, stream)) for stream in range(4)] if shots is not None else None
     slm, coords = slm_plane(w, mode)
     to_camera, step = (momentum_samples_raw, g.dp) if mode == "x-then-p" \
         else (position_samples_raw, g.dx)
-    z_values = np.zeros((n, n), dtype=complex)
-    z_errors = np.zeros((n, n))
-    recorded = np.zeros(n)
+    z_values = np.zeros((n, width), dtype=complex)
+    z_errors = np.zeros((n, width))
+    recorded = np.zeros((4, width))
     for m, kp in enumerate(_order(g, mode)[1]):
         rows = {}
         for qi, quad in enumerate(QUADRATURES):
@@ -157,11 +161,15 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts):
             camera = to_camera(g, np.stack([np.cos(theta) * slm, np.sin(theta) * slm]))
             for ai, analyzer in enumerate(("diag", "circ")):
                 probs = step * np.abs(KETS[analyzer].conj().T @ camera) ** 2
-                if shots is not None:
+                if pixel is not None:
+                    plus, minus = probs[:, pixel]
+                    marginal = [plus, minus, probs.sum() - plus - minus]
+                    probs = fresh_cell(rngs[2 * qi + ai], marginal, shots)[:2, None]
+                elif shots is not None:
                     probs = fresh_cell(rngs[2 * qi + ai], probs, shots)
                 rows[quad, analyzer] = probs
-                recorded += probs.sum(axis=0)
-        for pix in range(n):
+                recorded[2 * qi + ai] += probs.sum(axis=0)
+        for pix in range(width):
             asym, var_sum = {}, 0.0
             for key, (plus, minus) in rows.items():
                 total = plus[pix] + minus[pix]
@@ -176,7 +184,18 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts):
                 z_values[m, pix] = (asym["cos", "diag"] - asym["sin", "circ"] + 1j * (
                     asym["cos", "circ"] + asym["sin", "diag"])) / norm
                 z_errors[m, pix] = np.sqrt(var_sum) / norm
-    return z_values, z_errors, recorded / (4 * n * (1 if shots is None else shots))
+    rates = np.zeros(width)
+    for block in recorded:
+        rates += block
+    return z_values, z_errors, rates / (4 * n * (1 if shots is None else shots))
+
+
+def per_cell_conditional(z_values, z_errors, column, dparam):
+    """The conditional and its standard error from column ``column`` of the
+    per-cell tables: the inverse transform and the errors summed in quadrature."""
+    n = len(z_values)
+    se = dparam / (2 * np.pi) * float(np.sqrt(np.sum(z_errors[:, column] ** 2)))
+    return inverse_char_transform(z_values[:, column], dparam), np.full(n, se)
 
 
 def refuse_draw(*args, **kwargs):
@@ -657,30 +676,85 @@ class TestReconstruction:
     @pytest.mark.parametrize("hbar", [1.0, 2.5])
     @pytest.mark.parametrize("shots", [None, 10**4])
     def test_batched_sweep_matches_per_cell_path(self, mode, hbar, shots):
+        # a joint run draws the whole camera: every output, the conditional
+        # read from its post pixel included, has the per-cell path's bits
         g = Grid(32, 14.0, hbar)
         w = gaussian_state(g, center=0.4, width=WIDTH)
-        eps, seed = 0.05, 17
+        eps, seed, post = 0.05, 17, g.n // 2
         z_ref, se_ref, rates_ref = per_cell_reconstruction(w, eps, shots, seed, mode, 100)
-        res = run_reconstruction(w, eps, shots, seed, mode=mode, joint=True, min_counts=100)
+        res = run_reconstruction(w, eps, shots, seed, mode=mode, post_index=post, joint=True,
+                                 min_counts=100)
         masked = np.isinf(se_ref)
         if shots is not None:
             assert 0 < masked.sum() < masked.size  # the masks compared are not trivial
-        assert np.array_equal(np.isinf(res.z_errors), masked)
-        assert np.max(np.abs(res.z_values - z_ref)) <= 1e-12
-        assert np.max(np.abs(res.z_errors[~masked] - se_ref[~masked]), initial=0.0) <= 1e-12
-        assert np.allclose(res.rates, rates_ref, rtol=1e-12, atol=0)
+        assert np.array_equal(res.z_values, z_ref)
+        assert np.array_equal(res.z_errors, se_ref)
+        assert np.array_equal(res.rates, rates_ref)
         params = _order(g, mode)[1]
+        dparam = params[1] - params[0]
         step = g.dp if mode == "x-then-p" else g.dx
         valid = ~masked.any(axis=0) & (rates_ref > 0)
-        joint = inverse_char_transform(z_ref, params[1] - params[0]) \
-            * np.where(valid, rates_ref / step, 0.0)
-        joint = joint if mode == "x-then-p" else joint.T
-        assert np.max(np.abs(res.joint - joint)) <= 1e-12 * np.max(np.abs(joint))
+        joint = inverse_char_transform(z_ref, dparam) * np.where(valid, rates_ref / step, 0.0)
+        assert np.array_equal(res.joint, joint if mode == "x-then-p" else joint.T)
+        conditional, conditional_se = per_cell_conditional(z_ref, se_ref, post, dparam)
+        assert np.array_equal(res.conditional, conditional)
+        assert np.array_equal(res.conditional_se, conditional_se)
         if shots is not None:
-            short_pixel = int(np.flatnonzero(masked.any(axis=0))[0])
+            # a pixel whose Born probabilities give some cell an expected
+            # count below a tenth of min_counts: its refusal hangs on no draw
+            expected = np.stack([run_setting(w, params, phase, eps, mode)
+                                 for phase in (np.pi / 2, 0.0)]).sum(axis=3) * shots
+            dim_pixel = int(np.flatnonzero((expected < 100 / 10).any(axis=(0, 1, 2)))[0])
             with pytest.raises(InsufficientCounts):
-                run_reconstruction(w, eps, shots, seed, mode=mode, post_index=short_pixel,
+                run_reconstruction(w, eps, shots, seed, mode=mode, post_index=dim_pixel,
                                    min_counts=100)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    @pytest.mark.parametrize("shots", [10**4, 10**6])
+    def test_conditional_draws_the_post_pixels_marginal_per_cell(self, mode, hbar, shots):
+        # each (quadrature, analyzer) block draws, from a fresh generator of
+        # its key, one (plus, minus, elsewhere) multinomial per k cell in k order
+        g = Grid(32, 14.0, hbar)
+        w = gaussian_state(g, center=0.4, width=WIDTH)
+        self.check_marginal_draw(w, mode, shots, g.n // 2, seed=31)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_conditional_draws_the_post_pixels_marginal_at_benchmark_scale(self, mode):
+        w = random_smooth_state(Grid(128, 16 * np.sqrt(2)), 3, modes=6)
+        density = run_setting(w, 0.0, 0.0, 0.05, mode)[0].sum(axis=0)
+        self.check_marginal_draw(w, mode, 10**6, int(np.argmax(density)), seed=902)
+
+    @staticmethod
+    def check_marginal_draw(w, mode, shots, post, seed):
+        z_ref, se_ref, rates_ref = per_cell_reconstruction(w, 0.05, shots, seed, mode, 100,
+                                                           pixel=post)
+        res = run_reconstruction(w, 0.05, shots, seed, mode=mode, post_index=post)
+        assert res.z_values.shape == res.z_errors.shape == (w.grid.n, 1)
+        assert res.rates.shape == (1,) and res.joint is None
+        assert np.array_equal(res.z_values, z_ref)
+        assert np.array_equal(res.z_errors, se_ref)
+        assert np.array_equal(res.rates, rates_ref)
+        params = _order(w.grid, mode)[1]
+        conditional, conditional_se = per_cell_conditional(z_ref, se_ref, 0, params[1] - params[0])
+        assert np.array_equal(res.conditional, conditional)
+        assert np.array_equal(res.conditional_se, conditional_se)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_born_column_matches_the_joint_runs_column(self, mode, hbar, n):
+        g = Grid(n, 16.0, hbar)
+        for w in (gaussian_state(g, center=0.3, width=WIDTH), random_smooth_state(g, 5)):
+            post = n // 2 + 1
+            column = run_reconstruction(w, 0.05, None, 0, mode=mode, post_index=post)
+            joint = run_reconstruction(w, 0.05, None, 0, mode=mode, post_index=post, joint=True)
+            assert np.array_equal(column.conditional, joint.conditional)
+            assert np.array_equal(column.conditional_se, joint.conditional_se)
+            assert np.array_equal(column.z_values[:, 0], joint.z_values[:, post])
+            assert np.array_equal(column.z_errors[:, 0], joint.z_errors[:, post])
+            # the (k, 1) column may be summed in another order than the joint's rows
+            assert column.rates[0] == pytest.approx(joint.rates[post], rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("mode", ["x-then-p", "p-then-x"])
     def test_sweep_draws_the_streams_of_fresh_generators(self, mode, monkeypatch):
@@ -929,6 +1003,15 @@ class TestReconstruction:
         assert np.max(np.abs(probs_ptx - flipped)) < 1e-9
 
     def test_statistical_soundness(self, packet):
+        # the conditional-only run draws the post pixel's marginal
+        self.check_calibrated(packet, joint=False)
+
+    def test_statistical_soundness_of_the_joint_runs_conditional(self, packet):
+        # the same statistic, read from the post pixel of the whole camera
+        self.check_calibrated(packet, joint=True)
+
+    @staticmethod
+    def check_calibrated(packet, joint):
         # conditional_se is the standard error of the complex value, so the
         # calibrated statistic is E|r|^2 / se^2 = 1; each part alone has 1/2
         g = packet.grid
@@ -937,7 +1020,7 @@ class TestReconstruction:
         residuals = []
         for seed in range(30):
             res = run_reconstruction(packet, 0.05, shots=10**5, seed=seed,
-                                     post_index=g.n // 2)
+                                     post_index=g.n // 2, joint=joint)
             r = (res.conditional - oracle)[informative]
             residuals.extend((r / res.conditional_se[informative]).tolist())
         residuals = np.array(residuals)
