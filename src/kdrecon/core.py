@@ -5,9 +5,10 @@ as an eigen-decomposition (real eigenvalues plus a unitary matrix of
 eigenvectors), never as a raw Hermitian matrix.  All operations are pure
 functions of immutable inputs.  Tolerance checks here and across the package
 are written as ``not deviation <= tol``, so that a NaN fails them.
-``require_index`` is the package's one integer-range check.  The value types
-here and ``cv.WaveFunction`` keep the read-only copy ``_read_only_copy`` makes
-of their arrays, so no caller's array can change a value once it is checked.
+``require_index`` is the one integer-range check, ``require_observables`` the
+one check of a discrete problem's shape.  The value types here and
+``cv.WaveFunction`` keep the read-only copy ``_read_only_copy`` makes of
+their arrays, so no caller's array can change a value once it is checked.
 """
 
 from __future__ import annotations
@@ -37,9 +38,20 @@ def require_postselection(prob: float, what: str) -> None:
         raise PostSelectionTooWeak(f"{what} probability {prob:.3e} below floor {PS_FLOOR:.0e}")
 
 
-def require_tensor_size(d: int, n: int) -> None:
+def require_observables(what: str, observables, *states) -> int:
+    """The one dimension d of ``observables`` and ``states``: refused if there
+    is no observable (ValueError), if any of them acts on another dimension
+    than the first observable (DimensionMismatch), or if a d**N tensor over
+    the N observables passes TENSOR_CAP (SizeCap)."""
+    if not observables:
+        raise ValueError(f"{what} needs at least one observable")
+    dims = [x.dim for x in (*observables, *states)]
+    d, n = dims[0], len(observables)
+    if any(dim != d for dim in dims):
+        raise DimensionMismatch(f"{what}: observables and states of different dimensions {dims}")
     if d**n > TENSOR_CAP:
-        raise SizeCap(f"tensor with {d}^{n} entries exceeds the 1e6 cap")
+        raise SizeCap(f"{what}: tensor with {d}^{n} entries exceeds the 1e6 cap")
+    return d
 
 
 def require_grid_size(n: int) -> None:
@@ -203,8 +215,7 @@ def observable_power(obs: ObservableSpec, n: int) -> np.ndarray:
 
 def overlap_matrix(a: ObservableSpec, b: ObservableSpec) -> np.ndarray:
     """Matrix of overlaps O[i, j] = <a_i|b_j>."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("observables act on different dimensions")
+    require_observables("overlap_matrix", (a, b))
     return a.eigenvectors.conj().T @ b.eigenvectors
 
 
@@ -224,16 +235,14 @@ def check_incompatibility(a: ObservableSpec, b: ObservableSpec, threshold: float
 
 def expectation(state, m: np.ndarray) -> complex:
     """<psi|M|psi> for a pure state, Tr(M rho) for a density matrix."""
+    if not isinstance(state, (QuantumState, DensityMatrix)):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
     m = np.asarray(m, dtype=complex)
+    if m.shape != (state.dim, state.dim):
+        raise DimensionMismatch("operator shape does not match state")
     if isinstance(state, QuantumState):
-        if m.shape != (state.dim, state.dim):
-            raise DimensionMismatch("operator shape does not match state")
         return complex(state.amplitudes.conj() @ m @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        if m.shape != (state.dim, state.dim):
-            raise DimensionMismatch("operator shape does not match state")
-        return complex(np.trace(m @ state.matrix))
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    return complex(np.trace(m @ state.matrix))
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,17 @@ from .core import (
     ObservableSpec,
     QuantumState,
     expectation,
+    require_observables,
     require_postselection,
-    require_tensor_size,
 )
 from .errors import DimensionMismatch, SizeCap
 from .vandermonde import MAX_ORDERS
 
 
-def _overlap(psi: QuantumState, phi: QuantumState) -> complex:
-    """<phi|psi>, refused below the post-selection floor."""
+def _overlap(psi: QuantumState, phi: QuantumState, what: str) -> complex:
+    """<phi|psi> of two pure states, refused below the post-selection floor."""
+    if not (isinstance(psi, QuantumState) and isinstance(phi, QuantumState)):
+        raise TypeError(f"{what} takes pure states (QuantumState) only")
     if psi.dim != phi.dim:
         raise DimensionMismatch("pre- and post-selection dimensions differ")
     overlap = complex(phi.amplitudes.conj() @ psi.amplitudes)
@@ -41,7 +43,7 @@ def _overlap(psi: QuantumState, phi: QuantumState) -> complex:
 
 def weak_value(c: np.ndarray, psi: QuantumState, phi: QuantumState) -> complex:
     """<phi|C|psi> / <phi|psi>."""
-    overlap = _overlap(psi, phi)
+    overlap = _overlap(psi, phi, "weak_value")
     c = np.asarray(c, dtype=complex)
     if c.shape != (psi.dim, psi.dim):
         raise DimensionMismatch(f"operator shape {c.shape} does not match the states")
@@ -76,7 +78,7 @@ def _bra_ket(obs_list, orders, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     stack = ket
     for obs, n in zip(obs_list[:0:-1], orders[:0:-1]):
         stack = (_powers(obs, n).reshape(d * n, d) @ stack).reshape(d, -1)
-    first = _powers(obs_list[0], orders[0]).reshape(d, -1) if obs_list else np.eye(d)
+    first = _powers(obs_list[0], orders[0]).reshape(d, -1)
     left = (bra.conj().T @ first).reshape(k, -1, d).transpose(1, 0, 2).reshape(-1, k * d)
     right = stack.reshape(d, -1, k).transpose(2, 0, 1).reshape(k * d, -1)
     # np.dot, not @: for a 1-wide operand the two take different BLAS calls
@@ -99,11 +101,10 @@ def moment_vector(
 ) -> np.ndarray:
     """Weak moments <phi|A^n|psi> / <phi|psi>, powers 0..orders-1 (default d),
     as a complex 1-D array whose first entry is 1."""
-    if a.dim != psi.dim:
-        raise DimensionMismatch("observable dimension does not match the states")
+    require_observables("moment_vector", (a,), psi, phi)
     orders = a.dim if orders is None else orders
     _require_orders((orders,))
-    overlap = _overlap(psi, phi)
+    overlap = _overlap(psi, phi, "moment_vector")
     return _bra_ket([a], (orders,), phi.amplitudes[:, None], psi.amplitudes[:, None]) / overlap
 
 
@@ -124,34 +125,26 @@ def correlation_matrix(a: ObservableSpec, b: ObservableSpec, state, orders=None)
     A mixed state enters through its factor L (rho = L L^dagger), so C is
     sum_k <L_k|A^n B^m|L_k> = Tr(A^n B^m rho).
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch("observables act on different dimensions")
-    if state.dim != a.dim:
-        raise DimensionMismatch("state dimension does not match observables")
+    require_observables("correlation_matrix", (a, b), state)
     orders = (a.dim, b.dim) if orders is None else tuple(orders)
     _require_orders(orders)
     factor = _factor(state)
     return _bra_ket([a, b], orders, factor, factor)
 
 
-def correlation_tensor(obs_list, psi: QuantumState) -> np.ndarray:
-    """C[m_1..m_N] = <psi| O_1^m1 ... O_N^mN |psi>, each index 0..d-1."""
+def correlation_tensor(obs_list, state) -> np.ndarray:
+    """C[m_1..m_N] = <O_1^m1 ... O_N^mN>, each index 0..d-1, of a pure or,
+    through its factor as in ``correlation_matrix``, a mixed state."""
     obs_list = list(obs_list)
-    d = psi.dim
-    for obs in obs_list:
-        if obs.dim != d:
-            raise DimensionMismatch("observable dimension mismatch")
-    n = len(obs_list)
-    require_tensor_size(d, n)
-    _require_orders((d,) * n)
-    ket = psi.amplitudes[:, None]
-    return _bra_ket(obs_list, (d,) * n, ket, ket)
+    orders = (require_observables("correlation_tensor", obs_list, state),) * len(obs_list)
+    _require_orders(orders)
+    factor = _factor(state)
+    return _bra_ket(obs_list, orders, factor, factor)
 
 
 def char_fn_discrete(a: ObservableSpec, b: ObservableSpec, state, lam: float, chi: float) -> complex:
     """Z(lambda, chi) = <e^{i lambda A} e^{i chi B}> via eigenbasis exponentials."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("observables act on different dimensions")
+    require_observables("char_fn_discrete", (a, b), state)
     ua, ub = a.eigenvectors, b.eigenvectors
     exp_a = (ua * np.exp(1j * lam * a.eigenvalues)) @ ua.conj().T
     exp_b = (ub * np.exp(1j * chi * b.eigenvalues)) @ ub.conj().T

@@ -19,8 +19,8 @@ from .core import (
     check_incompatibility,
     overlap_matrix,
     require_index,
+    require_observables,
     require_postselection,
-    require_tensor_size,
 )
 from .errors import DimensionMismatch, IncompatibilityViolated
 
@@ -76,11 +76,10 @@ def _matrix(state) -> np.ndarray:
 
 
 def _joint(rho: np.ndarray, a: ObservableSpec, b: ObservableSpec) -> np.ndarray:
-    if len(rho) != a.dim or a.dim != b.dim:
-        raise DimensionMismatch("state and observables must share one dimension")
-    overlaps = _require_incompatible(a, b)
+    """K[i, j] = conj(<a_i|b_j>) <a_i|rho|b_j>, which divides by nothing, so a
+    vanishing overlap is a zero entry, not a refusal."""
     # <a_i|rho|b_j> for all i, j in one product
-    return overlaps.conj() * (a.eigenvectors.conj().T @ rho @ b.eigenvectors)
+    return overlap_matrix(a, b).conj() * (a.eigenvectors.conj().T @ rho @ b.eigenvectors)
 
 
 def _postselection(rho: np.ndarray, b: ObservableSpec, j: int) -> float:
@@ -90,15 +89,18 @@ def _postselection(rho: np.ndarray, b: ObservableSpec, j: int) -> float:
 
 def kd_joint(state, a: ObservableSpec, b: ObservableSpec) -> PseudoDistribution:
     """K[i, j] = <b_j|a_i><a_i|rho|b_j>."""
+    require_observables("kd_joint", (a, b), state)
     return PseudoDistribution(_joint(_matrix(state), a, b), (a.label, b.label), ordering_tag="kd")
 
 
 def postselection_probability(state, b: ObservableSpec, j: int) -> float:
+    require_observables("postselection_probability", (b,), state)
     return _postselection(_matrix(state), b, j)
 
 
 def kd_conditional(state, a: ObservableSpec, b: ObservableSpec, j: int) -> PseudoDistribution:
     """K[i|j] = K[i, j] / <b_j|rho|b_j>, conditioned on outcome b_j."""
+    require_observables("kd_conditional", (a, b), state)
     j = require_index(j, b.dim, "eigenvector index")
     rho = _matrix(state)  # built once, for both uses below
     prob = _postselection(rho, b, j)
@@ -120,14 +122,10 @@ def kd_npoint(psi: QuantumState, obs_list) -> PseudoDistribution:
     <psi|a_i> rather than <b_j|a_i>).
     """
     obs_list = list(obs_list)
-    if not obs_list:
-        raise ValueError("kd_npoint needs at least one observable")
-    d = psi.dim
-    for obs in obs_list:
-        if obs.dim != d:
-            raise DimensionMismatch("all observables must match the state dimension")
+    if not isinstance(psi, QuantumState):
+        raise TypeError("kd_npoint takes pure states (QuantumState) only")
+    require_observables("kd_npoint", obs_list, psi)
     n = len(obs_list)
-    require_tensor_size(d, n)
     first = obs_list[0].eigenvectors.conj().T @ psi.amplitudes  # <o_i1|psi>
     tensor = np.conj(first)  # <psi|o_i1>
     for k in range(1, n):

@@ -10,9 +10,9 @@ its own Philox stream (sample_shots); estimate the weak characteristic
 function from conditioned asymmetries (estimate_weak_char).
 
 A joint sweep draws the whole camera: its Z tables are (k, pixel).  A
-conditional-only sweep reads one post pixel, as a slit there would: it draws
+conditional-only sweep reads one post pixel, as a slit there would: it reads
 each cell's three-outcome marginal (plus, minus at the pixel; anywhere else),
-or takes the Born column, so its Z tables are one (k, 1) column.
+drawn when there are shots, so its Z tables are one (k, 1) column.
 
 The sweep runs quadrature 0's chain (Born probabilities, draws, asymmetries)
 on the calling thread and quadrature 1's on a persistent worker thread.  The
@@ -299,21 +299,17 @@ def _quadrature(qi: int, born, sample, shots: int | None, seed: int, min_counts:
     (seed, 2 qi + 1), each block's k cells in order, then each analyzer's
     ``_asymmetry`` figures, its total summed over k.
 
-    With a ``pixel``, only that camera column is kept: its Born
-    probabilities, or the (plus, minus) counts of each cell's (plus, minus
-    at the pixel; anywhere else) marginal, drawn as an (analyzer, k, 3) stack."""
+    With a ``pixel``, only that camera column is kept: each cell's (plus,
+    minus at the pixel; anywhere else) marginal, an (analyzer, k, 3, 1)
+    stack, whose plus and minus are read as they are, or drawn with ``shots``."""
     probs = born(_QUAD_PHASE[QUADRATURES[qi]])
-    keys = [(seed, 2 * qi), (seed, 2 * qi + 1)]
-    if pixel is None:
-        if shots is not None:
-            probs = sample(probs, shots, keys)
-    elif shots is None:
-        probs = probs[..., pixel:pixel + 1]  # the Born column
-    else:
+    if pixel is not None:
         # each cell's marginal: its two ports at the pixel, and the rest of its photons
         plus, minus = probs[..., 0, pixel], probs[..., 1, pixel]
-        marginal = np.stack([plus, minus, probs.sum(axis=(-2, -1)) - plus - minus], axis=-1)
-        probs = sample(marginal, shots, keys)[..., :2, None]
+        rest = probs.sum(axis=(-2, -1)) - plus - minus
+        probs = np.stack([plus, minus, rest], axis=-1)[..., None]
+    if shots is not None:
+        probs = sample(probs, shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])
     chain = []
     for rows in probs:  # (k, outcome, pixel)
         asym, var, total, short = _asymmetry(rows[:, 0], rows[:, 1],

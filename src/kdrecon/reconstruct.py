@@ -26,7 +26,7 @@ import weakref
 
 import numpy as np
 
-from .core import ObservableSpec, require_tensor_size
+from .core import ObservableSpec, require_observables
 from .errors import DimensionMismatch, SizeCap
 from .oracle import PseudoDistribution
 from .vandermonde import MAX_ORDERS, _inverse_and_spread, _warn_spread, solve_least_squares
@@ -129,23 +129,17 @@ def _check_sum(values: np.ndarray, renormalize: bool, what: str):
 def _invert(observables, data, renormalize: bool, what: str) -> np.ndarray:
     """The pseudo-distribution ``what`` of C[n1, ..., nN] = <A1^n1 ... AN^nN>.
 
-    Refused before any inversion: no observable or C[0, ..., 0] != 1
-    (ValueError); observables of different dimensions d, or data without one
-    axis of d powers each (DimensionMismatch; one observable may have any
-    number >= 1 of moments, fitted by least squares when it is not d); a
-    tensor past the cap (SizeCap).  A sum other than 1 is warned of."""
-    if not observables:
-        raise ValueError(f"{what} needs at least one observable")
-    d, n = observables[0].dim, len(observables)
-    if any(obs.dim != d for obs in observables):
-        raise DimensionMismatch(f"{what}: observables act on different dimensions")
+    Refused before any inversion: what ``core.require_observables`` refuses;
+    data without one axis of d powers each (DimensionMismatch; one observable
+    may have any number >= 1 of moments, fitted by least squares when it is
+    not d); C[0, ..., 0] != 1 (ValueError).  A sum other than 1 is warned of."""
+    d, n = require_observables(what, observables), len(observables)
     c = np.asarray(data, dtype=complex)
     if c.shape != (d,) * n and not (n == 1 and c.ndim == 1 and c.size):
         shape = "a nonempty vector" if n == 1 else "x".join([str(d)] * n)
         raise DimensionMismatch(f"{what} data must be {shape}, got shape {c.shape}")
     if not abs(c.flat[0] - 1.0) <= 1e-9:
         raise ValueError(f"zeroth moment C[{','.join('0' * n)}] must be 1, got {c.flat[0]}")
-    require_tensor_size(d, n)
     if c.size == d**n:
         q = _contract(observables, c)
     else:

@@ -28,6 +28,7 @@ from .core import (
     random_state,
     require_grid_size,
     require_index,
+    require_observables,
 )
 from .errors import OrderingTagMismatch, SchemaError, ShapeMismatch, SizeCap
 from .moments import correlation_matrix, correlation_tensor, moment_vector
@@ -102,7 +103,7 @@ def load_scenario(path) -> Scenario:
     if not isinstance(raw, dict):
         raise SchemaError("scenario must be a JSON object")
     kind = raw.get("kind")
-    if kind not in _KINDS:
+    if kind not in KINDS:  # a tuple: an unhashable kind is refused, not raised
         raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}")
     required, optional, build = _KINDS[kind]
     _check_keys(raw, {"kind", "seed"} | required | set(optional), "scenario")
@@ -123,6 +124,13 @@ def load_scenario(path) -> Scenario:
 
 # -- input object builders ---------------------------------------------------
 
+def _require_one_form(spec: dict, forms, context: str):
+    """Refuse keys of more than one of ``forms``, each a set of keys."""
+    given = [sorted(keys & spec.keys()) for keys in forms if keys & spec.keys()]
+    if len(given) > 1:
+        raise SchemaError(f"{context} mixes two forms: {given[0][0]!r} and {given[1][0]!r}")
+
+
 def _random_args(spec, context: str):
     """(dim, seed) of a seeded random state or observable."""
     _check_keys(spec, {"dim", "seed"}, context)
@@ -132,6 +140,7 @@ def _random_args(spec, context: str):
 
 def _build_state(spec, context="state") -> QuantumState:
     _check_keys(spec, {"amplitudes", "random"}, context)
+    _require_one_form(spec, ({"amplitudes"}, {"random"}), context)
     if "amplitudes" in spec:
         amps = spec["amplitudes"]
         if type(amps) is not list:
@@ -144,6 +153,7 @@ def _build_state(spec, context="state") -> QuantumState:
 
 def _build_observable(spec, context="observable") -> ObservableSpec:
     _check_keys(spec, {"pauli", "eigenvalues", "eigenvectors", "random", "label"}, context)
+    _require_one_form(spec, ({"pauli"}, {"random"}, {"eigenvalues", "eigenvectors"}), context)
     label = spec.get("label")
     if label is not None and not isinstance(label, str):
         raise SchemaError(f"{context}.label must be a string, got {label!r}")
@@ -174,37 +184,33 @@ def _build_grid(spec) -> cv.Grid:
                    _number(spec.get("hbar", 1.0), "grid.hbar"))
 
 
+# each cv state type's builder in ``cv``, and each of its keys' (default, kind, minimum)
+_CV_STATES = {
+    "gaussian": ("gaussian_state", {"center": (0.0,), "momentum": (0.0,), "width": (1.0,)}),
+    "hermite": ("hermite_state", {"n": (_MISSING, int, 0), "width": (1.0,)}),
+    "two-peak": ("two_peak_state", {"separation": (4.0,), "width": (1.0,), "phase": (0.0,)}),
+    "random-smooth": ("random_smooth_state", {"seed": (0, int, 0), "modes": (6, int, 1)}),
+}
+
+
 def _build_cv_state(spec, grid: cv.Grid) -> cv.WaveFunction:
-    _check_keys(
-        spec,
-        {"type", "center", "momentum", "width", "n", "separation", "phase", "seed", "modes"},
-        "state",
-    )
+    _check_keys(spec, {"type"}.union(*(keys for _, keys in _CV_STATES.values())), "state")
     state_type = spec.get("type")
-
-    def get(key, default=_MISSING, kind=float, minimum=None):
-        return _number(spec.get(key, default), f"state.{key}", kind, minimum)
-
-    if state_type == "gaussian":
-        return cv.gaussian_state(
-            grid, center=get("center", 0.0), momentum=get("momentum", 0.0), width=get("width", 1.0)
-        )
-    if state_type == "hermite":
-        return cv.hermite_state(grid, get("n", kind=int, minimum=0), width=get("width", 1.0))
-    if state_type == "two-peak":
-        return cv.two_peak_state(grid, separation=get("separation", 4.0),
-                                 width=get("width", 1.0), phase=get("phase", 0.0))
-    if state_type == "random-smooth":
-        return cv.random_smooth_state(
-            grid, get("seed", 0, int, minimum=0), modes=get("modes", 6, int, minimum=1)
-        )
-    raise SchemaError(f"unknown cv state type {state_type!r}")
+    if not isinstance(state_type, str) or state_type not in _CV_STATES:
+        raise SchemaError(f"unknown cv state type {state_type!r}")
+    build, keys = _CV_STATES[state_type]
+    _check_keys(spec, {"type", *keys}, f"{state_type} state")
+    args = {key: _number(spec.get(key, default), f"state.{key}", *rest)
+            for key, (default, *rest) in keys.items()}
+    return getattr(cv, build)(grid, **args)
 
 
 def _discrete_pair(p: dict):
     """The state and the two observables of a discrete conditional or joint."""
-    return (_build_state(p["state"]), _build_observable(p["observable_a"], "observable_a"),
-            _build_observable(p["observable_b"], "observable_b"))
+    psi = _build_state(p["state"])
+    a, b = (_build_observable(p[key], key) for key in ("observable_a", "observable_b"))
+    require_observables(p["kind"], (a, b), psi)
+    return psi, a, b
 
 
 # -- orchestration -----------------------------------------------------------
@@ -284,9 +290,10 @@ def _build_discrete_joint(p: dict):
 
 def _build_discrete_npoint(p: dict):
     psi, obs = _build_state(p["state"]), p["observables"]
-    if not isinstance(obs, list) or not obs:
-        raise SchemaError(f"observables must be a non-empty list, got {obs!r}")
+    if not isinstance(obs, list):
+        raise SchemaError(f"observables must be a list, got {obs!r}")
     obs = [_build_observable(o, f"observables[{i}]") for i, o in enumerate(obs)]
+    require_observables(p["kind"], obs, psi)
 
     def run(seed, diag):
         c = correlation_tensor(obs, psi)
@@ -346,7 +353,7 @@ def _build_experiment(p: dict):
             result = _cv_conditional(grid, res.conditional, f"pixel={post}", axis)
             diag["conditional_standard_error"] = float(res.conditional_se[0])
             coords = grid.x if axis == "x" else grid.p
-            return (result, _plot_columns_1d(coords, res.conditional),
+            return (result, _plot_columns_1d(coords, res.conditional, axis),
                     lambda: _cv_conditional_oracle(grid, w, post, axis))
         result, plot = _phase_space(grid, res.joint, mode)
         return result, plot, lambda: _phase_space(grid, cv.joint_kd_cv(w, mode), mode)[0]

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from kdrecon import cv, photonics, scenarios
 from kdrecon.cli import _strict, main
 from kdrecon.core import GRID_CAP, random_observable, random_state
 from kdrecon.errors import (
+    DimensionMismatch,
     OrderingTagMismatch,
     ParseError,
     SchemaError,
@@ -176,6 +178,32 @@ class TestCliRuns:
         for name in ("distribution.json", "oracle.json"):
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 
+    def test_commuting_joint_round_trip(self, tmp_path):
+        # the oracle divides by no overlap, so a commuting pair is no refusal
+        scen = write_scenario(tmp_path, {
+            "kind": "discrete-joint", "state": {"amplitudes": [{"re": 0.6, "im": 0.0},
+                                                               {"re": 0.8, "im": 0.0}]},
+            "observable_a": {"pauli": "z"}, "observable_b": {"pauli": "z"}})
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out),
+                     "--emit-oracle"]) == 0
+        dist = pseudo_from_dict(read_json(out / "distribution.json"))
+        assert np.max(np.abs(dist.values - np.diag([0.36, 0.64]))) < 1e-12
+        assert main(["compare", str(out / "distribution.json"), str(out / "oracle.json"),
+                     "--tol", "1e-12"]) == 0
+
+    @pytest.mark.parametrize("mode, axis", [("x-then-p", "x"), ("p-then-x", "p")])
+    def test_experiment_conditional_plot_names_its_axis(self, tmp_path, mode, axis):
+        scen = write_scenario(tmp_path, dict(EXPERIMENT, grid={"n": 32, "length": 12.0},
+                                             shots=None, post_index=16, mode=mode))
+        out = tmp_path / "out"
+        assert main(["experiment", "--scenario", str(scen), "--out", str(out)]) == 0
+        with open(out / "plot.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        coords = getattr(cv.Grid(32, 12.0), axis)
+        assert rows[0] == [axis, "re", "im"]
+        assert [float(r[0]) for r in rows[1:]] == coords.tolist()
+
     @pytest.mark.parametrize("ordering", ["x-then-p", "p-then-x"])
     def test_cv_joint_oracle_is_independent(self, tmp_path, monkeypatch, ordering):
         scen = write_scenario(tmp_path, {
@@ -287,7 +315,7 @@ class TestCliRuns:
         *((dict(EXPERIMENT, min_counts=floor), "min_counts") for floor in (0, 2.5, "100")),
         (dict(EXPERIMENT, grid={"n": 96, "length": 16.0}), "grid n"),
         ({"kind": "discrete-npoint", "state": {"random": {"dim": 3, "seed": 1}},
-          "observables": []}, "observables"),
+          "observables": []}, "discrete-npoint needs at least one observable"),
         # numbers are checked, never coerced; a bool is never a number
         *((dict(CCR_SCENARIO, grid=grid), "grid") for grid in (
             {"n": 64.7, "length": 16.0}, {"n": 64.0, "length": 16.0}, {"n": "64", "length": 16.0},
@@ -333,6 +361,19 @@ class TestCliRuns:
         (dict(QUBIT_SCENARIO, state={}), "state needs 'amplitudes' or 'random'"),
         (dict(QUBIT_SCENARIO, observable_a={"label": "A"}), "observable_a needs 'pauli'"),
         (dict(CCR_SCENARIO, state={"type": "squeezed"}), "unknown cv state type"),
+        # a key of another form, or of another cv state type, is refused by name
+        *((dict(CCR_SCENARIO, state={"type": "gaussian", key: 2}), f"'{key}' in gaussian state")
+          for key in ("seed", "modes", "separation")),
+        (dict(CCR_SCENARIO, state={"type": "random-smooth", "width": 1.0}),
+         "'width' in random-smooth state"),
+        (dict(CCR_SCENARIO, state={"type": "hermite", "n": 1, "phase": 0.0}),
+         "'phase' in hermite state"),
+        (dict(QUBIT_SCENARIO, state=dict(QUBIT_SCENARIO["state"], random={"dim": 2})),
+         "state mixes two forms: 'amplitudes' and 'random'"),
+        *((dict(QUBIT_SCENARIO, observable_a={"pauli": "z", key: value}),
+           f"observable_a mixes two forms: 'pauli' and '{key}'") for key, value in (
+            ("random", {"dim": 2}), ("eigenvalues", [1.0, -1.0]),
+            ("eigenvectors", [[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]]))),
     ])
     def test_unknown_ordering_or_mode_is_schema_error(self, tmp_path, monkeypatch,
                                                       scenario, key):
@@ -532,7 +573,8 @@ class TestCliRuns:
         ([QUBIT_SCENARIO], "must be a JSON object"),
         (dict(QUBIT_SCENARIO, kind="discrete-marginal"), "kind must be one of"),
         ({k: v for k, v in QUBIT_SCENARIO.items() if k != "kind"}, "kind must be one of"),
-    ], ids=["array", "unknown-kind", "no-kind"])
+        (dict(QUBIT_SCENARIO, kind=["discrete-joint"]), "kind must be one of"),
+    ], ids=["array", "unknown-kind", "no-kind", "unhashable-kind"])
     def test_scenario_not_an_object_of_a_known_kind(self, tmp_path, scenario, match):
         scen = write_scenario(tmp_path, scenario)
         with pytest.raises(SchemaError, match=match):
@@ -545,6 +587,27 @@ class TestCliRuns:
         grid = cv.Grid(2 * GRID_CAP, 400.0)
         w = cv.gaussian_state(grid)
         assert size_cap_peak(lambda: _cv_joint_oracle(grid, w, "x-then-p")) < 5 * 2**20
+
+    @pytest.mark.parametrize("scenario", [
+        dict(QUBIT_SCENARIO, state={"random": {"dim": 3}}),
+        {"kind": "discrete-joint", "state": {"random": {"dim": 2}},
+         "observable_a": {"pauli": "z"}, "observable_b": {"random": {"dim": 3}}},
+        {"kind": "discrete-npoint", "state": {"random": {"dim": 2}},
+         "observables": [{"pauli": "z"}, {"random": {"dim": 3}}]},
+    ], ids=["conditional", "joint", "npoint"])
+    def test_discrete_dimension_mismatch_is_refused_at_load(self, tmp_path, monkeypatch,
+                                                           scenario):
+        def synthesis(*args, **kwargs):
+            raise AssertionError("the data were synthesised")
+
+        for name in ("moment_vector", "correlation_matrix", "correlation_tensor"):
+            monkeypatch.setattr(scenarios, name, synthesis)
+        scen = write_scenario(tmp_path, scenario)
+        with pytest.raises(DimensionMismatch, match=scenario["kind"]):
+            load_scenario(scen)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "DimensionMismatch"
 
     def test_observable_a_dimension_mismatch_is_a_domain_error(self, tmp_path):
         scen = write_scenario(tmp_path, dict(

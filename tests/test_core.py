@@ -9,13 +9,26 @@ from kdrecon.core import (
     expectation,
     haar_unitary,
     observable_power,
+    overlap_matrix,
     pauli_spec,
     random_density,
     random_observable,
     random_state,
     require_index,
 )
-from kdrecon.errors import DegenerateNodes, DimensionMismatch, NormViolation
+from kdrecon.errors import DegenerateNodes, DimensionMismatch, NormViolation, SizeCap
+from kdrecon.moments import (
+    char_fn_discrete,
+    correlation_matrix,
+    correlation_tensor,
+    moment_vector,
+)
+from kdrecon.oracle import kd_conditional, kd_joint, kd_npoint, postselection_probability
+from kdrecon.reconstruct import (
+    conditional_from_moments,
+    joint_from_correlations,
+    npoint_from_correlations,
+)
 
 SZ = pauli_spec("z")
 SX = pauli_spec("x")
@@ -238,3 +251,73 @@ def test_pure_density_is_checked_as_any_density_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     with pytest.raises(AssertionError, match="eigensolved"):
         random_state(3, 1).density()
+
+
+PSI2, PSI3, RHO3 = random_state(2, 1), random_state(3, 2), random_density(3, 3)
+# a dense d x d array past TENSOR_CAP (1e6 entries), and 2^20 entries of N = 20 qubits
+BIG = ObservableSpec(np.arange(1001.0), np.eye(1001))
+BIG_PSI = QuantumState(np.eye(1001)[0])
+TWENTY = [SZ] * 20
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: moment_vector(SZ, PSI3, PSI3), DimensionMismatch, r"moment_vector: .* \[2, 3, 3\]"),
+    (lambda: moment_vector(SZ, PSI2, PSI3), DimensionMismatch, r"moment_vector: .* \[2, 2, 3\]"),
+    (lambda: correlation_matrix(SZ, Q3, PSI2), DimensionMismatch, "correlation_matrix: "),
+    (lambda: correlation_matrix(SZ, SX, RHO3), DimensionMismatch, "correlation_matrix: "),
+    (lambda: correlation_matrix(BIG, BIG, BIG_PSI), SizeCap, "correlation_matrix: "),
+    (lambda: correlation_tensor([SZ, Q3], PSI2), DimensionMismatch, "correlation_tensor: "),
+    (lambda: correlation_tensor([SZ, SX], RHO3), DimensionMismatch, "correlation_tensor: "),
+    (lambda: correlation_tensor([], PSI2), ValueError, "correlation_tensor needs"),
+    (lambda: correlation_tensor(TWENTY, PSI2), SizeCap, r"correlation_tensor: .* 2\^20"),
+    (lambda: char_fn_discrete(SZ, Q3, PSI2, 0.1, 0.2), DimensionMismatch, "char_fn_discrete: "),
+    (lambda: char_fn_discrete(SZ, SX, RHO3, 0.1, 0.2), DimensionMismatch, "char_fn_discrete: "),
+    (lambda: char_fn_discrete(BIG, BIG, BIG_PSI, 0.1, 0.2), SizeCap, "char_fn_discrete: "),
+    (lambda: overlap_matrix(SZ, Q3), DimensionMismatch, "overlap_matrix: "),
+    (lambda: overlap_matrix(BIG, BIG), SizeCap, r"overlap_matrix: .* 1001\^2"),
+    (lambda: kd_joint(PSI3, SZ, SX), DimensionMismatch, "kd_joint: "),
+    (lambda: kd_joint(RHO3, SZ, SX), DimensionMismatch, "kd_joint: "),
+    (lambda: kd_joint(PSI2, SZ, Q3), DimensionMismatch, "kd_joint: "),
+    (lambda: kd_joint(BIG_PSI, BIG, BIG), SizeCap, "kd_joint: "),
+    (lambda: kd_conditional(PSI3, SZ, SX, 0), DimensionMismatch, "kd_conditional: "),
+    (lambda: kd_conditional(RHO3, SZ, SX, 0), DimensionMismatch, "kd_conditional: "),
+    (lambda: kd_conditional(BIG_PSI, BIG, BIG, 0), SizeCap, "kd_conditional: "),
+    (lambda: postselection_probability(PSI3, SX, 0), DimensionMismatch,
+     "postselection_probability: "),
+    (lambda: postselection_probability(RHO3, SX, 0), DimensionMismatch,
+     "postselection_probability: "),
+    (lambda: kd_npoint(PSI2, [SZ, Q3]), DimensionMismatch, "kd_npoint: "),
+    (lambda: kd_npoint(PSI3, [SZ, SX]), DimensionMismatch, "kd_npoint: "),
+    (lambda: kd_npoint(PSI2, []), ValueError, "kd_npoint needs"),
+    (lambda: kd_npoint(PSI2, TWENTY), SizeCap, "kd_npoint: "),
+    (lambda: conditional_from_moments(SZ, np.eye(2)), DimensionMismatch,
+     "conditional pseudo-distribution data"),
+    (lambda: joint_from_correlations(SZ, Q3, np.eye(2)), DimensionMismatch,
+     "joint pseudo-distribution: "),
+    (lambda: joint_from_correlations(BIG, BIG, np.eye(2)), SizeCap,
+     "joint pseudo-distribution: "),
+    (lambda: npoint_from_correlations([SZ, Q3], np.eye(2)), DimensionMismatch,
+     "n-point pseudo-distribution: "),
+    (lambda: npoint_from_correlations([], np.ones(())), ValueError,
+     "n-point pseudo-distribution needs"),
+    (lambda: npoint_from_correlations(TWENTY, np.ones(())), SizeCap,
+     "n-point pseudo-distribution: "),
+], ids=["moment_vector-state", "moment_vector-post-state", "correlation_matrix-observables",
+        "correlation_matrix-state", "correlation_matrix-cap", "correlation_tensor-observables",
+        "correlation_tensor-mixed-state", "correlation_tensor-empty", "correlation_tensor-cap",
+        "char_fn_discrete-observables", "char_fn_discrete-state", "char_fn_discrete-cap",
+        "overlap_matrix-observables", "overlap_matrix-cap", "kd_joint-state",
+        "kd_joint-mixed-state", "kd_joint-observables", "kd_joint-cap", "kd_conditional-state",
+        "kd_conditional-mixed-state", "kd_conditional-cap", "postselection_probability-state",
+        "postselection_probability-mixed-state", "kd_npoint-observables", "kd_npoint-state",
+        "kd_npoint-empty", "kd_npoint-cap", "conditional_from_moments-data",
+        "joint_from_correlations-observables", "joint_from_correlations-cap",
+        "npoint_from_correlations-observables", "npoint_from_correlations-empty",
+        "npoint_from_correlations-cap"])
+def test_every_discrete_entry_point_refuses_a_bad_shape_by_type(call, error, match):
+    # one check, core.require_observables, names the entry point: no
+    # observable, two dimensions among the observables and states, or a
+    # d^N tensor past the cap
+    with pytest.raises(error, match=match) as caught:
+        call()
+    assert type(caught.value) is error

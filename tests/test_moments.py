@@ -192,6 +192,13 @@ class TestCorrelationTensor:
         t = correlation_tensor([a, b], psi)
         assert np.max(np.abs(t - correlation_matrix(a, b, psi))) < 1e-12
 
+    @pytest.mark.parametrize("state", [random_state(4, 10), random_density(4, 11)],
+                             ids=["pure", "mixed"])
+    def test_n2_has_the_bits_of_correlation_matrix(self, state):
+        # a mixed state enters through its factor, as in correlation_matrix
+        a, b = random_observable(4, 12), random_observable(4, 13)
+        assert np.array_equal(correlation_tensor([a, b], state), correlation_matrix(a, b, state))
+
     def test_triple_sigma_z_on_plus_x(self, plus_x):
         t = correlation_tensor([SZ, SZ, SZ], plus_x)
         assert abs(t[1, 1, 1]) < 1e-14  # odd total power of sigma_z
@@ -400,12 +407,18 @@ PSI2 = random_state(2, 1)
      "unsupported state type"),
     (lambda: correlation_matrix(SZ, Q3, PSI2), DimensionMismatch, "different dimensions"),
     (lambda: correlation_matrix(SZ, SX, random_state(3, 2)), DimensionMismatch,
-     "state dimension"),
-    (lambda: correlation_tensor([SZ, Q3], PSI2), DimensionMismatch, "dimension mismatch"),
+     r"different dimensions \[2, 2, 3\]"),
+    (lambda: correlation_tensor([SZ, Q3], PSI2), DimensionMismatch, "different dimensions"),
     (lambda: char_fn_discrete(SZ, Q3, PSI2, 0.1, 0.2), DimensionMismatch,
      "different dimensions"),
+    # the paths that read a ket refuse a mixed state by name
+    (lambda: moment_vector(SZ, random_density(2, 3), PSI2), TypeError, "moment_vector takes pure"),
+    (lambda: weak_value(np.eye(2), random_density(2, 3), PSI2), TypeError,
+     "weak_value takes pure"),
+    (lambda: weak_value(np.eye(2), PSI2, random_density(2, 3)), TypeError,
+     "weak_value takes pure"),
 ], ids=["overlap-dims", "state-type", "matrix-observables", "matrix-state", "tensor",
-        "char-fn"])
+        "char-fn", "moment-vector-mixed", "weak-value-mixed", "weak-value-mixed-post"])
 def test_typed_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -125,6 +125,18 @@ class TestKdJoint:
     def test_ordering_tag(self, ket0):
         assert kd_joint(ket0, SZ, SX).ordering_tag == "kd"
 
+    @pytest.mark.parametrize("state", [QuantumState([0.6, 0.8]), random_density(2, 5)],
+                             ids=["pure", "mixed"])
+    def test_commuting_observables_give_the_born_diagonal(self, state):
+        # K[i, j] = conj(<a_i|b_j>) <a_i|rho|b_j> divides by nothing, so a
+        # vanishing overlap is a zero entry, not an IncompatibilityViolated
+        rho = state.density() if isinstance(state, QuantumState) else state
+        assert np.array_equal(kd_joint(state, SZ, SZ).values, np.diag(np.diag(rho.matrix)))
+        for j in range(2):
+            assert np.max(np.abs(kd_conditional(state, SZ, SZ, j).values - np.eye(2)[j])) <= 1e-15
+        with pytest.raises(IncompatibilityViolated):
+            reconstruct_state(kd_joint(state, SZ, SZ), SZ, SZ)
+
 
 class TestKdConditional:
     def test_eigenstate_preselection_is_delta(self):
@@ -359,16 +371,18 @@ Q3 = random_observable(3, 0)
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: kd_joint(random_state(3, 1), SZ, SX), DimensionMismatch, "one dimension"),
-    (lambda: kd_joint(random_state(2, 1), SZ, Q3), DimensionMismatch, "one dimension"),
+    (lambda: kd_joint(random_state(3, 1), SZ, SX), DimensionMismatch,
+     r"different dimensions \[2, 2, 3\]"),
+    (lambda: kd_joint(random_state(2, 1), SZ, Q3), DimensionMismatch, "different dimensions"),
     (lambda: kd_npoint(random_state(2, 1), [SZ, Q3]), DimensionMismatch,
-     "match the state dimension"),
+     "different dimensions"),
+    (lambda: kd_npoint(random_density(2, 1), [SZ, SX]), TypeError, "kd_npoint takes pure"),
     (lambda: reconstruct_state(PseudoDistribution(np.full((2, 3), 1 / 6), ("A", "B"), "kd"),
                                SZ, SX), DimensionMismatch, "distribution shape"),
     (lambda: kd_marginals(PseudoDistribution(np.eye(2) / 2, ("A", "B"), "kd",
                                              conditioning="B[0]")),
      ValueError, "unconditioned"),
-], ids=["joint-state", "joint-observables", "npoint", "reconstruct-shape",
+], ids=["joint-state", "joint-observables", "npoint", "npoint-mixed", "reconstruct-shape",
         "conditioned-marginals"])
 def test_typed_refusals(call, error, match):
     with pytest.raises(error, match=match):
