@@ -27,7 +27,7 @@ from .core import (
     require_postselection,
 )
 from .errors import DimensionMismatch, SizeCap
-from .vandermonde import MAX_ORDERS
+from .vandermonde import require_orders
 
 
 def _overlap(psi: QuantumState, phi: QuantumState, what: str) -> complex:
@@ -85,14 +85,6 @@ def _bra_ket(obs_list, orders, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return np.dot(left, right).reshape(orders)
 
 
-def _require_orders(orders) -> None:
-    """Every order in 1..MAX_ORDERS, checked before anything is built."""
-    if any(n < 1 for n in orders):
-        raise ValueError(f"moment orders must be at least 1, got {orders}")
-    if any(n > MAX_ORDERS for n in orders):
-        raise SizeCap(f"moment orders {orders} exceed the cap of {MAX_ORDERS}")
-
-
 def moment_vector(
     a: ObservableSpec,
     psi: QuantumState,
@@ -103,7 +95,7 @@ def moment_vector(
     as a complex 1-D array whose first entry is 1."""
     require_observables("moment_vector", (a,), psi, phi)
     orders = a.dim if orders is None else orders
-    _require_orders((orders,))
+    require_orders((orders,), "moment_vector")
     overlap = _overlap(psi, phi, "moment_vector")
     return _bra_ket([a], (orders,), phi.amplitudes[:, None], psi.amplitudes[:, None]) / overlap
 
@@ -127,7 +119,7 @@ def correlation_matrix(a: ObservableSpec, b: ObservableSpec, state, orders=None)
     """
     require_observables("correlation_matrix", (a, b), state)
     orders = (a.dim, b.dim) if orders is None else tuple(orders)
-    _require_orders(orders)
+    require_orders(orders, "correlation_matrix")
     factor = _factor(state)
     return _bra_ket([a, b], orders, factor, factor)
 
@@ -137,7 +129,7 @@ def correlation_tensor(obs_list, state) -> np.ndarray:
     through its factor as in ``correlation_matrix``, a mixed state."""
     obs_list = list(obs_list)
     orders = (require_observables("correlation_tensor", obs_list, state),) * len(obs_list)
-    _require_orders(orders)
+    require_orders(orders, "correlation_tensor")
     factor = _factor(state)
     return _bra_ket(obs_list, orders, factor, factor)
 

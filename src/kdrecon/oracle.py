@@ -22,7 +22,7 @@ from .core import (
     require_observables,
     require_postselection,
 )
-from .errors import DimensionMismatch, IncompatibilityViolated
+from .errors import DimensionMismatch, IncompatibilityViolated, OrderingTagMismatch
 
 INCOMPAT_THRESHOLD = 1e-12
 
@@ -139,11 +139,15 @@ def kd_npoint(psi: QuantumState, obs_list) -> PseudoDistribution:
 
 def reconstruct_state(k: PseudoDistribution, a: ObservableSpec, b: ObservableSpec) -> DensityMatrix:
     """rho = sum_ij K[i, j] |a_i><b_j| / conj(<a_i|b_j>) = U_a (K / conj(O)) U_b^dag,
-    the dual-frame expansion (informational completeness of the KD frame)."""
+    the dual-frame expansion of K: ``k`` if tagged "kd", its conjugate if tagged
+    "kd-conjugate" (as correlation data give it); any other tag is refused."""
+    if k.ordering_tag not in ("kd", "kd-conjugate"):
+        raise OrderingTagMismatch(f"tag {k.ordering_tag!r} is not 'kd' or 'kd-conjugate'")
     if k.values.shape != (a.dim, b.dim):
         raise DimensionMismatch("distribution shape does not match observables")
     overlaps = _require_incompatible(a, b)
-    rho = a.eigenvectors @ (k.values / overlaps.conj()) @ b.eigenvectors.conj().T
+    values = k.values if k.ordering_tag == "kd" else k.values.conj()
+    rho = a.eigenvectors @ (values / overlaps.conj()) @ b.eigenvectors.conj().T
     # round off tiny Hermiticity/trace violations inherited from the input
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho / np.trace(rho).real)

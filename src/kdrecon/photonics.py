@@ -359,15 +359,17 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
 
 
 def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | None = None,
-                     shots: int | None = None):
+                     shots: int | None = None, min_counts: int = 100):
     """ValueError unless ``run_reconstruction`` can run these settings: a known
-    mode, epsilon in (0, pi/2) so that sin(2 epsilon) > 0, a post_index on
-    the grid, and shots None or in [1, 2^63) (TypeError for a bool or a
-    non-integer, shots or post_index); SizeCap for a grid past the n x n cap.
-    Returns post_index as an int, or None."""
+    mode, epsilon in (0, pi/2) so that sin(2 epsilon) > 0, a post_index on the
+    grid, shots None or in [1, 2^63), min_counts in [1, 2^63) (TypeError for a
+    bool or a non-integer, None for min_counts); SizeCap for a grid past the
+    n x n cap.  Returns post_index as an int, or None."""
     require_grid_size(grid.n)
     if shots is not None and require_index(shots, SEED_LIMIT, "shots") == 0:
         raise ValueError("shots must be at least 1, got 0")
+    if require_index(min_counts, SEED_LIMIT, "min_counts") == 0:
+        raise ValueError("min_counts must be at least 1, got 0")
     if mode not in ORDERINGS:
         raise ValueError(f"unknown mode {mode!r}")
     if not 0 < epsilon < np.pi / 2:
@@ -398,7 +400,7 @@ def run_reconstruction(
     refused, before any work, as ``require_settings`` says.
     """
     g = w.grid
-    post_index = require_settings(g, epsilon, mode, post_index, shots)
+    post_index = require_settings(g, epsilon, mode, post_index, shots, min_counts)
     _, params, _, _, step = _order(g, mode)
     n = g.n
     pixel = None if joint else post_index

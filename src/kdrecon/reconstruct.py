@@ -13,7 +13,9 @@ Eigenvalue nodes are affinely rescaled to [-1, 1] before inversion to tame
 Vandermonde conditioning; the moment data are transformed consistently
 (binomial re-expansion of operator powers), which is mathematically exact.
 
-The rescaled operators depend on the observable alone, not on the state, so
+Each axis is inverted by R = V_t^+ M, V_t^+ the inverse of the rescaled
+Vandermonde matrix for d moments and its pseudo-inverse (least squares) for
+any other number.  R depends on the observable alone, not on the state, so
 each is built on first use and kept, O(d^2) floats, until the observable is
 garbage-collected (``_operator``).
 """
@@ -29,7 +31,7 @@ import numpy as np
 from .core import ObservableSpec, require_observables
 from .errors import DimensionMismatch, SizeCap
 from .oracle import PseudoDistribution
-from .vandermonde import MAX_ORDERS, _inverse_and_spread, _warn_spread, solve_least_squares
+from .vandermonde import MAX_ORDERS, _inverse_and_spread, _warn_spread, require_orders
 
 SUM_CHECK_TOL = 1e-6
 
@@ -49,8 +51,6 @@ def _rescaled(nodes: np.ndarray, orders: int):
     Valid for weak values too: A commutes with itself, so the binomial
     expansion holds at operator level.  SizeCap if an entry of M overflows.
     """
-    if orders > MAX_ORDERS:
-        raise SizeCap(f"{orders} moment orders exceed the cap of {MAX_ORDERS}")
     lo, hi = float(nodes.min()), float(nodes.max())
     alpha, beta = ((hi - lo) / 2.0, (hi + lo) / 2.0) if hi != lo else (1.0, 0.0)
     try:  # a Python float power raises OverflowError where numpy gives inf
@@ -76,8 +76,8 @@ _OPERATORS = weakref.WeakKeyDictionary()
 
 def _operator(obs: ObservableSpec, orders: int) -> tuple:
     """The observable's rescaled operator for ``orders`` measured moments,
-    built on first use: (R = V_t^{-1} M, coefficient spread of V_t^{-1}) when
-    orders == d, (V_t's ``orders`` rows of powers, M) otherwise.
+    built on first use: (R = V_t^+ M, coefficient spread of V_t^+), V_t^+ as
+    ``vandermonde._inverse_and_spread`` builds and checks it.
 
     Two threads missing at once build equal entries and one is kept.
     """
@@ -85,30 +85,27 @@ def _operator(obs: ObservableSpec, orders: int) -> tuple:
     op = ops.get(orders)
     if op is None:
         t_nodes, m = _rescaled(obs.eigenvalues, orders)
-        if orders == obs.dim:
-            inv, spread = _inverse_and_spread(t_nodes)
-            op = (inv @ m, spread)
-        else:
-            op = (np.vander(t_nodes, orders, increasing=True).T, m)
-            m.setflags(write=False)
+        inv, spread = _inverse_and_spread(t_nodes, orders)
+        op = (inv @ m, spread)
         op[0].setflags(write=False)
         ops[orders] = op
     return op
 
 
 def _contract(observables, values: np.ndarray) -> np.ndarray:
-    """Apply R = V_t^{-1} M along axis i of ``values`` for the i-th observable:
-    Q = R_A C for a moment vector, R_A C R_B^T for a correlation matrix.
+    """Apply R = V_t^+ M, for the axis's length, along axis i of ``values`` for
+    the i-th observable: Q = R_A C for a moment vector, R_A C R_B^T for a
+    correlation matrix.
 
-    Each step contracts the leading axis with one (d x d) @ (d x rest) product
+    Each step contracts the leading axis with one (d x n) @ (n x rest) product
     and moves the new axis last, so after N steps the axes are back in order.
     Warns on every call whose observable's inverse has a wide coefficient
     spread, not only when the operator is built.
     """
     for obs in observables:
-        r, spread = _operator(obs, obs.dim)
+        r, spread = _operator(obs, values.shape[0])
         _warn_spread(spread, stacklevel=5)  # at the caller of the entry point
-        values = (r @ values.reshape(obs.dim, -1)).T.reshape(*values.shape[1:], -1)
+        values = (r @ values.reshape(values.shape[0], -1)).T.reshape(*values.shape[1:], -1)
     return values
 
 
@@ -121,9 +118,7 @@ def _check_sum(values: np.ndarray, renormalize: bool, what: str):
             RuntimeWarning,
             stacklevel=4,
         )
-    if renormalize:
-        return values / total
-    return values
+    return values / total if renormalize else values
 
 
 def _invert(observables, data, renormalize: bool, what: str) -> np.ndarray:
@@ -132,20 +127,17 @@ def _invert(observables, data, renormalize: bool, what: str) -> np.ndarray:
     Refused before any inversion: what ``core.require_observables`` refuses;
     data without one axis of d powers each (DimensionMismatch; one observable
     may have any number >= 1 of moments, fitted by least squares when it is
-    not d); C[0, ..., 0] != 1 (ValueError).  A sum other than 1 is warned of."""
+    not d); what ``vandermonde.require_orders`` refuses; C[0, ..., 0] != 1
+    (ValueError).  A sum other than 1 is warned of."""
     d, n = require_observables(what, observables), len(observables)
     c = np.asarray(data, dtype=complex)
     if c.shape != (d,) * n and not (n == 1 and c.ndim == 1 and c.size):
         shape = "a nonempty vector" if n == 1 else "x".join([str(d)] * n)
         raise DimensionMismatch(f"{what} data must be {shape}, got shape {c.shape}")
+    require_orders(c.shape, what)
     if not abs(c.flat[0] - 1.0) <= 1e-9:
         raise ValueError(f"zeroth moment C[{','.join('0' * n)}] must be 1, got {c.flat[0]}")
-    if c.size == d**n:
-        q = _contract(observables, c)
-    else:
-        v_rect, m = _operator(observables[0], c.size)
-        q = solve_least_squares(v_rect, m @ c)
-    return _check_sum(q, renormalize, what)
+    return _check_sum(_contract(observables, c), renormalize, what)
 
 
 def conditional_from_moments(

@@ -54,7 +54,7 @@ from .serialize import (
     write_plot_csv,
     write_pseudo_csv,
 )
-from .vandermonde import MAX_ORDERS
+from .vandermonde import require_orders
 
 _MISSING = object()  # a required key that is absent
 
@@ -259,8 +259,8 @@ def _phase_space(grid: cv.Grid, values: np.ndarray, ordering: str):
 
 def _build_discrete_conditional(p: dict):
     orders = p["moment_orders"]
-    if orders is not None and _number(orders, "moment_orders", int, minimum=1) > MAX_ORDERS:
-        raise SizeCap(f"moment_orders {orders} exceeds the cap of {MAX_ORDERS}")
+    if orders is not None:
+        require_orders((_number(orders, "moment_orders", int),), "moment_orders")
     psi, a, b = _discrete_pair(p)
     j = require_index(p["postselect_index"], b.dim, "postselect_index")  # of observable_b
 
@@ -335,9 +335,8 @@ def _build_cv_joint(p: dict):
 def _build_experiment(p: dict):
     grid = _build_grid(p["grid"])
     mode, shots, epsilon = p["mode"], p["shots"], _number(p["epsilon"], "epsilon")
-    min_counts = _number(p["min_counts"], "min_counts", int, minimum=1)
     # the settings and the grid cap, before the state is built
-    post = photonics.require_settings(grid, epsilon, mode, p["post_index"], shots)
+    post = photonics.require_settings(grid, epsilon, mode, p["post_index"], shots, p["min_counts"])
     if post is None and not p["joint"]:
         raise SchemaError("experiment scenario needs post_index or joint=true")
     w = _build_cv_state(p["state"], grid)
@@ -345,7 +344,7 @@ def _build_experiment(p: dict):
     def run(seed, diag):
         res = photonics.run_reconstruction(w, epsilon=epsilon, shots=shots, seed=seed, mode=mode,
                                            post_index=post, joint=post is None,
-                                           min_counts=min_counts)
+                                           min_counts=p["min_counts"])
         diag.update(epsilon=epsilon, shots=shots, mode=mode)
         diag["post_selection_rates"] = [float(r) for r in res.rates]
         if post is not None:

@@ -20,6 +20,15 @@ MAX_ORDERS = 2 * MAX_NODES  # most moment orders per observable (powers 0..63)
 CONDITION_WARN_RATIO = 1e12
 
 
+def require_orders(orders, what: str) -> None:
+    """Every moment order in ``orders`` in 1..MAX_ORDERS (ValueError below,
+    SizeCap above), checked before anything is built; the one such check."""
+    if any(n < 1 for n in orders):
+        raise ValueError(f"{what}: moment orders must be at least 1, got {orders}")
+    if any(n > MAX_ORDERS for n in orders):
+        raise SizeCap(f"{what}: moment orders {orders} exceed the cap of {MAX_ORDERS}")
+
+
 def _check_nodes(nodes: np.ndarray):
     if nodes.ndim != 1:
         raise DimensionMismatch(f"nodes must be a 1-D array, got shape {nodes.shape}")
@@ -31,32 +40,32 @@ def _check_nodes(nodes: np.ndarray):
     require_node_gap(nodes)
 
 
-def _inverse_and_spread(nodes) -> tuple[np.ndarray, float]:
-    """Inverse of V[n, i] = nodes[i]**n via Lagrange coefficient deflation,
-    O(d^2) arithmetic, and its coefficient spread (largest over smallest
-    significant magnitude).
-
-    Row i holds the monomial coefficients (increasing powers) of L_i.  The
-    nodes must be distinct (gap check), at least one and at most MAX_NODES.
-    """
+def _inverse_and_spread(nodes, orders: int | None = None) -> tuple[np.ndarray, float]:
+    """V^+ of V[n, i] = nodes[i]**n, n < ``orders`` (default d), and its
+    coefficient spread (largest over smallest significant magnitude): V^-1 by
+    Lagrange deflation at d orders, np.linalg.pinv at any other number.  The
+    nodes must be distinct (gap check), at least one and at most MAX_NODES."""
     nodes = np.asarray(nodes, dtype=float)
     _check_nodes(nodes)
     d = nodes.size
-    # P(x) = prod_m (x - a_m), one root at a time, highest power first
-    master = np.zeros(d + 1)
-    master[0] = 1.0
-    for i, a in enumerate(nodes, 1):
-        master[1:i + 1] -= a * master[:i]
-    master = master[::-1]  # increasing powers
-    # synthetic division of every row at once: q_i(x) = P(x) / (x - a_i),
-    # highest power first
-    q = np.empty((d, d))
-    q[:, d - 1] = master[d]
-    for n in range(d - 2, -1, -1):
-        q[:, n] = master[n + 1] + nodes * q[:, n + 1]
-    # denominators prod_{m != i} (a_i - a_m), off-diagonal entries in row order
-    gaps = (nodes[:, None] - nodes[None, :])[~np.eye(d, dtype=bool)].reshape(d, d - 1)
-    inv = q / gaps.prod(axis=1)[:, None]
+    if orders not in (None, d):
+        inv = np.linalg.pinv(np.vander(nodes, orders, increasing=True).T)
+    else:
+        # P(x) = prod_m (x - a_m), one root at a time, highest power first
+        master = np.zeros(d + 1)
+        master[0] = 1.0
+        for i, a in enumerate(nodes, 1):
+            master[1:i + 1] -= a * master[:i]
+        master = master[::-1]  # increasing powers
+        # synthetic division of every row at once: q_i(x) = P(x) / (x - a_i),
+        # highest power first
+        q = np.empty((d, d))
+        q[:, d - 1] = master[d]
+        for n in range(d - 2, -1, -1):
+            q[:, n] = master[n + 1] + nodes * q[:, n + 1]
+        # denominators prod_{m != i} (a_i - a_m), off-diagonal entries in row order
+        gaps = (nodes[:, None] - nodes[None, :])[~np.eye(d, dtype=bool)].reshape(d, d - 1)
+        inv = q / gaps.prod(axis=1)[:, None]
     mags = np.abs(inv)
     top = mags.max()
     # coefficients that are structurally zero come out at roundoff level;
@@ -79,14 +88,15 @@ def _warn_spread(spread: float, stacklevel: int = 3) -> None:
 
 def invert_vandermonde(nodes) -> np.ndarray:
     """Inverse of V[n, i] = nodes[i]**n (see ``_inverse_and_spread``), with a
-    RuntimeWarning when its coefficient spread exceeds 1e12."""
+    RuntimeWarning when its coefficient spread exceeds 1e12; no reconstruction
+    calls it."""
     inv, spread = _inverse_and_spread(nodes)
     _warn_spread(spread)
     return inv
 
 
 def solve_least_squares(m, rhs) -> np.ndarray:
-    """Minimum-norm least-squares solution of M x = rhs."""
+    """Minimum-norm least-squares solution of M x = rhs; no reconstruction calls it."""
     m = np.asarray(m, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
     x, *_ = np.linalg.lstsq(m, rhs, rcond=None)

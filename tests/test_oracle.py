@@ -12,7 +12,13 @@ from kdrecon.core import (
     random_observable,
     random_state,
 )
-from kdrecon.errors import DimensionMismatch, IncompatibilityViolated, PostSelectionTooWeak
+from kdrecon.errors import (
+    DimensionMismatch,
+    IncompatibilityViolated,
+    OrderingTagMismatch,
+    PostSelectionTooWeak,
+)
+from kdrecon.moments import correlation_matrix
 from kdrecon.oracle import (
     PseudoDistribution,
     _require_incompatible,
@@ -23,6 +29,7 @@ from kdrecon.oracle import (
     postselection_probability,
     reconstruct_state,
 )
+from kdrecon.reconstruct import joint_from_correlations
 
 SZ = pauli_spec("z")
 SX = pauli_spec("x")
@@ -319,6 +326,27 @@ class TestReconstructState:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_roundtrip_from_correlation_data(self, d):
+        # the reconstruction is conj(K), tagged kd-conjugate; Chebyshev
+        # spectra keep its Vandermonde inversion accurate
+        cheb = np.cos(np.pi * (np.arange(d) + 0.5) / d)
+        for seed in range(10):
+            a = random_observable(d, seed, eigenvalues=cheb)
+            b = random_observable(d, seed + 100, eigenvalues=cheb)
+            psi = random_state(d, seed + 200)
+            k = joint_from_correlations(a, b, correlation_matrix(a, b, psi))
+            assert k.ordering_tag == "kd-conjugate"
+            rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+            assert np.max(np.abs(reconstruct_state(k, a, b).matrix - rho)) < 1e-10
+
+    def test_npoint_tag_refused(self):
+        # a two-point bracket chain holds conj(K) too, but only the joint's
+        # tags say which form they hold
+        k = kd_npoint(random_state(2, 1), [SZ, SX])
+        with pytest.raises(OrderingTagMismatch, match="kd-npoint"):
+            reconstruct_state(k, SZ, SX)
 
     def test_orthogonal_bases_rejected(self):
         k = PseudoDistribution(np.full((2, 2), 0.25), ("A", "B"), "kd")

@@ -952,6 +952,21 @@ class TestReconstruction:
         with pytest.raises(error, match="shots|integer"):
             run_reconstruction(packet, 0.05, shots=shots, seed=0, joint=True)
 
+    @pytest.mark.parametrize("min_counts, error", [
+        (0, ValueError), (-1, ValueError), (None, TypeError), (True, TypeError),
+        (2.5, TypeError), ("100", TypeError),
+    ])
+    def test_bad_min_counts_rejected_before_any_work(self, packet, monkeypatch, min_counts,
+                                                      error):
+        # None made the counts pass for Born probabilities: a standard error of 0
+        def fail(*args):
+            raise AssertionError("SLM setting run for a bad count floor")
+
+        monkeypatch.setattr(photonics, "run_setting", fail)
+        with pytest.raises(error, match="min_counts"):
+            run_reconstruction(packet, 0.05, shots=10**4, seed=0, post_index=32,
+                               min_counts=min_counts)
+
     def test_numpy_integer_shots_match_python_int(self):
         w = gaussian_state(Grid(16, 12.0), center=0.3, width=WIDTH)
         a = run_reconstruction(w, 0.05, shots=np.int64(10**4), seed=3, joint=True)

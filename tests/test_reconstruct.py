@@ -1,4 +1,5 @@
 import gc
+import json
 import tracemalloc
 import warnings
 import weakref
@@ -30,12 +31,8 @@ from kdrecon.reconstruct import (
     joint_from_correlations,
     npoint_from_correlations,
 )
-from kdrecon.vandermonde import (
-    MAX_NODES,
-    MAX_ORDERS,
-    invert_vandermonde,
-    solve_least_squares,
-)
+from kdrecon.scenarios import load_scenario
+from kdrecon.vandermonde import MAX_NODES, MAX_ORDERS, invert_vandermonde
 
 SZ = pauli_spec("z")
 SX = pauli_spec("x")
@@ -209,11 +206,16 @@ def comb_rescaled(nodes, orders):
 
 
 def tensordot_contract(observables, values):
-    # reference: R applied along each axis by tensordot, moved back in place
+    # reference: R applied along each axis by tensordot, moved back in place;
+    # V_t^+ is the public inverse at d orders, numpy's pinv at any other number
     for axis, obs in enumerate(observables):
-        t_nodes, m = comb_rescaled(np.asarray(obs.eigenvalues, float), obs.dim)
-        r = invert_vandermonde(t_nodes) @ m
-        values = np.moveaxis(np.tensordot(r, values, axes=([1], [axis])), 0, axis)
+        orders = values.shape[axis]
+        t_nodes, m = comb_rescaled(np.asarray(obs.eigenvalues, float), orders)
+        if orders == obs.dim:
+            inv = invert_vandermonde(t_nodes)
+        else:
+            inv = np.linalg.pinv(np.vander(t_nodes, orders, increasing=True).T)
+        values = np.moveaxis(np.tensordot(inv @ m, values, axes=([1], [axis])), 0, axis)
     return values
 
 
@@ -239,8 +241,9 @@ class TestBitwisePaths:
                 assert np.array_equal(t, t_ref) and np.array_equal(m, m_ref)
 
     def test_rescaled_refuses_orders_past_the_cap(self):
+        # vandermonde.require_orders checks the cap before any rescaling
         with pytest.raises(SizeCap, match="cap"):
-            _rescaled(np.array([1.0, -1.0]), MAX_ORDERS + 1)
+            conditional_from_moments(SZ, np.ones(MAX_ORDERS + 1))
 
     @pytest.mark.filterwarnings("ignore:Vandermonde inverse coefficient spread")
     def test_contract_bitwise_equal_to_tensordot(self):
@@ -279,6 +282,56 @@ class TestOrdersCap:
             assert np.all(np.isfinite(m))
 
 
+def past_the_cap_scenario(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "kind": "discrete-conditional", "state": {"random": {"dim": 2, "seed": 1}},
+        "observable_a": {"pauli": "z"}, "observable_b": {"pauli": "y"}, "postselect_index": 0,
+        "moment_orders": MAX_ORDERS + 1,
+    }))
+    return load_scenario(path)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tmp_path: moment_vector(SZ, QuantumState([1, 0]), QuantumState.normalized([1, 1]),
+                                   orders=MAX_ORDERS + 1),
+    lambda tmp_path: correlation_matrix(SZ, SX, QuantumState([1, 0]), orders=(2, MAX_ORDERS + 1)),
+    lambda tmp_path: correlation_tensor([random_observable(MAX_ORDERS + 1, 0)],
+                                        random_state(MAX_ORDERS + 1, 1)),
+    lambda tmp_path: conditional_from_moments(SZ, np.ones(MAX_ORDERS + 1)),
+    past_the_cap_scenario,
+], ids=["moment_vector", "correlation_matrix", "correlation_tensor", "conditional", "scenario"])
+def test_orders_past_the_cap_one_refusal(call, tmp_path):
+    # vandermonde.require_orders is the one check of the cap, and its message
+    with pytest.raises(SizeCap, match=rf": moment orders \(.*{MAX_ORDERS + 1}.*\) "
+                                      rf"exceed the cap of {MAX_ORDERS}$"):
+        call(tmp_path)
+
+
+class TestLeastSquaresOperator:
+    """A least-squares conditional runs through the same cached, checked and
+    warned operator as the square inversions."""
+
+    def test_past_the_node_cap_is_size_cap(self):
+        # it used to return a result 1e10 off its oracle
+        d = MAX_NODES + 1
+        a, b, psi = random_observable(d, 1), random_observable(d, 2), random_state(d, 3)
+        mv = moment_vector(a, psi, QuantumState(b.eigenvector(0)), orders=d + 1)
+        with pytest.raises(SizeCap, match=f"{d} nodes exceeds the cap of {MAX_NODES}"):
+            conditional_from_moments(a, mv)
+
+    def test_spread_warning_on_every_call(self):
+        # equally spaced nodes: the rescaled pseudo-inverse's spread is 9e13 at
+        # d = 20 with 21 moments, and the result was 0.056 off with no warning
+        wide, moments = ObservableSpec(np.arange(20.0), np.eye(20)), np.r_[1.0, np.zeros(20)]
+        for _ in range(2):  # the second call finds the operator built
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                conditional_from_moments(wide, moments)
+            spread = [w for w in caught if "coefficient spread" in str(w.message)]
+            assert len(spread) == 1 and spread[0].filename == __file__
+
+
 class TestOperatorCache:
     """Each observable's rescaled operator is built on first use and kept
     while the observable lives; every result is the bits of rebuilding it."""
@@ -291,13 +344,11 @@ class TestOperatorCache:
         phi = QuantumState(b.eigenvector(0))
         mv, mv_lsq = moment_vector(a, psi, phi), moment_vector(a, psi, phi, orders=d + 2)
         cm, ct = correlation_matrix(a, b, psi), correlation_tensor([a, b, c], psi)
-        # references: R rebuilt from the public inverse, V_t and M from the comb loop
-        t_nodes, m = comb_rescaled(a.eigenvalues, d + 2)
-        lsq_ref = solve_least_squares(np.vander(t_nodes, d + 2, increasing=True).T, m @ mv_lsq)
+        # references: R rebuilt from the public inverse or pinv and the comb loop
         refs = [
             (lambda: _contract([a, b], cm), tensordot_contract([a, b], cm)),
             (lambda: conditional_from_moments(a, mv).values, tensordot_contract([a], mv)),
-            (lambda: conditional_from_moments(a, mv_lsq).values, lsq_ref),
+            (lambda: conditional_from_moments(a, mv_lsq).values, tensordot_contract([a], mv_lsq)),
             (lambda: joint_from_correlations(a, b, cm).values, tensordot_contract([a, b], cm)),
             (lambda: npoint_from_correlations([a, b, c], ct).values,
              tensordot_contract([a, b, c], ct)),
@@ -313,8 +364,6 @@ class TestOperatorCache:
         for orders in (4, 6):
             with pytest.raises(ValueError, match="read-only"):
                 _operator(a, orders)[0][0, 0] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            _operator(a, 6)[1][0, 0] = 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # spread and sum at d = 32
     def test_cache_of_24_d32_observables_stays_under_1_mb(self):
