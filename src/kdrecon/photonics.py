@@ -9,10 +9,14 @@ counts of a quadrature's two analyzer blocks, one after the other, each from
 its own Philox stream (sample_shots); estimate the weak characteristic
 function from conditioned asymmetries (estimate_weak_char).
 
-A joint sweep draws the whole camera: its Z tables are (k, pixel).  A
-conditional-only sweep reads one post pixel, as a slit there would: it reads
-each cell's three-outcome marginal (plus, minus at the pixel; anywhere else),
-drawn when there are shots, so its Z tables are one (k, 1) column.
+A joint sweep reads the whole camera: its Born stage is run_setting, and its
+Z tables are (k, pixel).  A conditional-only sweep reads one post pixel, as
+a slit there would.  Its Born stage is the private _column, which computes
+only that pixel's column, in O(n log n) and at any grid size: by the
+Jacobi-Anger expansion the rotated photon is a short sum of shifted copies
+of the SLM plane's one lens transform.  It gives each cell's three-outcome
+marginal (plus, minus at the pixel; anywhere else), drawn when there are
+shots, so its Z tables are one (k, 1) column.
 
 The sweep runs quadrature 0's chain (Born probabilities, draws, asymmetries)
 on the calling thread and quadrature 1's on a persistent worker thread.  The
@@ -33,6 +37,7 @@ import itertools
 import os
 import threading
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -62,6 +67,8 @@ _ANALYZER_KETS = (
     np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
 )
 _PRODUCT_CELLS = 2**15  # complex camera cells projected on the analyzers at once
+_EXPANSION_POINTS = 64  # samples per period of cos(eps sin u) and sin(eps sin u)
+_DROPPED_BOUND = 1e-15  # summed magnitude of the expansion coefficients left out
 
 
 def _order(g: Grid, mode: str):
@@ -103,11 +110,7 @@ def _setting(g: Grid, h: np.ndarray, k, phase: float, epsilon: float, mode: str)
     photon is built in one buffer, which the lens transforms in place."""
     coords, _, step, inverse, camera_step = _order(g, mode)
     k = np.asarray(k, dtype=float)
-    off = ~(np.abs(k / step - np.round(k / step)) <= 1e-9)  # NaN and inf are off too
-    if np.any(off):
-        raise OffGridParameter(
-            f"SLM frequency {k[off].flat[0]} is not a multiple of the conjugate step {step}"
-        )
+    _steps(k, step)
     theta = epsilon * np.sin(np.multiply.outer(k, coords) + phase)
     # the V input is 0, so the rotation sends h to (cos theta, sin theta) h
     hv = np.empty(theta.shape[:-1] + (2, g.n), dtype=complex)
@@ -115,6 +118,80 @@ def _setting(g: Grid, h: np.ndarray, k, phase: float, epsilon: float, mode: str)
     np.multiply(np.sin(theta), h, out=hv[..., 1, :])
     del theta
     return _analyze(_grid_transform(g, hv, inverse, out=hv), camera_step)
+
+
+def _steps(k: np.ndarray, step: float) -> np.ndarray:
+    """The integer multiples q of ``step`` that the SLM frequencies ``k`` are;
+    OffGridParameter for any k that is not one."""
+    q = np.round(k / step)
+    off = ~(np.abs(k / step - q) <= 1e-9)  # NaN and inf are off too
+    if np.any(off):
+        raise OffGridParameter(
+            f"SLM frequency {k[off].flat[0]} is not a multiple of the conjugate step {step}"
+        )
+    return q.astype(int)
+
+
+@lru_cache(maxsize=8)
+def _expansion(epsilon: float, points: int):
+    """Orders m and coefficients c_m of cos(eps sin u) = sum_{m even} c_m e^{imu}
+    and sin(eps sin u) = sum_{m odd} c_m e^{imu} (Jacobi-Anger: c_m = J_m(eps),
+    times -i for odd m), from a ``points``-point FFT of each, read-only.  The
+    orders run over |m| <= M for the least M whose dropped coefficients sum
+    to at most _DROPPED_BOUND.  The FFT folds the orders past |m| = points/2
+    onto that edge order, so it is always dropped: NormViolation when it
+    alone sums past the bound.  Cached: a sweep's two chains, and every
+    sweep at one epsilon, share it."""
+    u = 2 * np.pi * np.arange(points) / points
+    orders = np.fft.fftfreq(points, 1 / points).round().astype(int)
+    coeff = (np.fft.fft([np.cos(epsilon * np.sin(u)), np.sin(epsilon * np.sin(u))])
+             / points)[orders % 2, np.arange(points)]  # each order's own function
+    size = np.zeros(points // 2 + 1)  # summed |c| per |m|
+    np.add.at(size, np.abs(orders), np.abs(coeff))
+    dropped = np.cumsum(size[::-1])[::-1]  # dropped[r]: the sum over |m| >= r
+    if not dropped[-1] <= _DROPPED_BOUND:
+        raise NormViolation(
+            f"expansion coefficients of order {points // 2} and past sum to {dropped[-1]:.3e}")
+    top = int(np.argmax(dropped[1:] <= _DROPPED_BOUND))
+    kept = np.arange(-top, top + 1)
+    coeff = coeff[kept % points]
+    kept.setflags(write=False)
+    coeff.setflags(write=False)
+    return kept, coeff
+
+
+def _column(g: Grid, h: np.ndarray, k, phase: float, epsilon: float, mode: str,
+            pixel: int) -> np.ndarray:
+    """run_setting's (analyzer, k, outcome, 1) marginal at camera ``pixel``
+    for a 1-D ``k``, from the SLM-plane amplitudes ``h``: each analyzer's
+    plus and minus at the pixel, then 1 - plus - minus (clipped at 0), the
+    photons anywhere else.  Every k = q * step shifts the camera amplitudes
+    by exactly q bins, so with h~ the lens transform of ``h`` the two
+    polarization components at pixel j are sums over the orders of
+    ``_expansion``: c_m e^{i m phase} h~[(j - s m q) mod n], the even orders
+    for H and the odd for V, with s = 1 for x-then-p and -1 for p-then-x.
+    The lens output's norm must be 1 to 1e-9 (NormViolation), as the
+    rotation keeps it.  Each cell is computed elementwise, so a cell has the
+    same bits whatever k array it is computed in."""
+    _, _, step, inverse, camera_step = _order(g, mode)
+    q = _steps(np.asarray(k, dtype=float).reshape(-1), step)
+    lens = _grid_transform(g, h, inverse)
+    deviation = abs(camera_step * np.sum(np.abs(lens) ** 2) - 1.0)
+    if not deviation <= 1e-9:
+        raise NormViolation(f"photon norm deviates from 1 by {deviation:.3e}")
+    orders, coeff = _expansion(float(epsilon), _EXPANSION_POINTS)
+    # (order, k): the camera index of order m is pixel + m q, or pixel - m q for x-then-p
+    terms = lens[(pixel + np.multiply.outer(orders if inverse else -orders, q)) % g.n]
+    terms *= (coeff * np.exp(1j * orders * phase))[:, None]
+    hv = np.zeros((2, len(q)), dtype=complex)
+    for m, term in zip(orders, terms):  # a running sum: each k's bits in any k array
+        hv[m % 2] += term
+    bras = np.conj(_ANALYZER_KETS).transpose(0, 2, 1)[..., None]  # (analyzer, port, H/V, 1)
+    amp = bras[:, :, 0] * hv[0] + bras[:, :, 1] * hv[1]  # (analyzer, port, k)
+    probs = np.empty((len(ANALYZERS), len(q), 3, 1))
+    np.multiply(camera_step, np.square(np.abs(amp)).transpose(0, 2, 1), out=probs[..., :2, 0])
+    np.maximum(1.0 - probs[..., 0, 0] - probs[..., 1, 0], 0.0, out=probs[..., 2, 0])
+    return probs
 
 
 def propagate_and_analyze(g: Grid, hv: np.ndarray, mode: str) -> np.ndarray:
@@ -292,22 +369,13 @@ class ReconstructionResult:
     joint: np.ndarray | None      # (n_x, n_p) joint estimate when requested
 
 
-def _quadrature(qi: int, born, sample, shots: int | None, seed: int, min_counts: int,
-                pixel: int | None):
-    """Quadrature qi's chain: its Born probabilities ``born(phase)``, their
-    two analyzer blocks drawn by ``sample`` from the streams (seed, 2 qi) and
-    (seed, 2 qi + 1), each block's k cells in order, then each analyzer's
-    ``_asymmetry`` figures, its total summed over k.
-
-    With a ``pixel``, only that camera column is kept: each cell's (plus,
-    minus at the pixel; anywhere else) marginal, an (analyzer, k, 3, 1)
-    stack, whose plus and minus are read as they are, or drawn with ``shots``."""
+def _quadrature(qi: int, born, sample, shots: int | None, seed: int, min_counts: int):
+    """Quadrature qi's chain: its Born probabilities ``born(phase)``, an
+    (analyzer, k, outcome, pixel) stack, whose two analyzer blocks are drawn
+    by ``sample`` from the streams (seed, 2 qi) and (seed, 2 qi + 1), each
+    block's k cells in order, then each analyzer's ``_asymmetry`` figures,
+    its total summed over k.  Outcomes 0 and 1 are the plus and minus ports."""
     probs = born(_QUAD_PHASE[QUADRATURES[qi]])
-    if pixel is not None:
-        # each cell's marginal: its two ports at the pixel, and the rest of its photons
-        plus, minus = probs[..., 0, pixel], probs[..., 1, pixel]
-        rest = probs.sum(axis=(-2, -1)) - plus - minus
-        probs = np.stack([plus, minus, rest], axis=-1)[..., None]
     if shots is not None:
         probs = sample(probs, shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])
     chain = []
@@ -325,22 +393,28 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
 
     Returns the (k, pixel) asymmetries keyed by (quadrature, analyzer), their
     summed variance, the (k, pixel) mask of entries lacking data, and the
-    counts (or probability) per pixel summed over all cells; with a
-    ``pixel``, only that pixel's column, as ``_quadrature`` says.
-    Quadrature 0's chain runs on the calling thread through the public
-    stages, and quadrature 1's on the worker thread through their private
-    bodies, so every traced stage runs on the calling thread.  An error in
-    either chain is raised once both have ended.  The sums are formed here in
-    (quadrature, analyzer) order, so every output has the bits of running the
-    chains one after the other.
+    counts (or probability) per pixel summed over all cells.  Without a
+    ``pixel`` the Born stage is ``run_setting`` over the whole camera; with
+    one it is ``_column``, that pixel's three-outcome marginals, so every
+    table is one (k, 1) column.  Quadrature 0's chain runs on the calling
+    thread through the public stages, and quadrature 1's on the worker
+    thread through their private bodies (``_column`` is private on both), so
+    every traced stage runs on the calling thread.  An error in either chain
+    is raised once both have ended.  The sums are formed here in (quadrature,
+    analyzer) order, so every output has the bits of running the chains one
+    after the other.
     """
     g = w.grid
     h = _slm_plane(w, mode)
-    pending = _submit(_quadrature, 1, lambda phase: _setting(g, h, params, phase, epsilon, mode),
-                      _sample_shots, shots, seed, min_counts, pixel)
+    settings = dict(epsilon=epsilon, mode=mode)  # each Born stage then takes the phase
+    if pixel is None:
+        public = partial(run_setting, w, params, **settings)
+        private = partial(_setting, g, h, params, **settings)
+    else:
+        public = private = partial(_column, g, h, params, pixel=pixel, **settings)
+    pending = _submit(_quadrature, 1, private, _sample_shots, shots, seed, min_counts)
     try:
-        chains = _quadrature(0, lambda phase: run_setting(w, params, phase, epsilon, mode),
-                             sample_shots, shots, seed, min_counts, pixel)
+        chains = _quadrature(0, public, sample_shots, shots, seed, min_counts)
     finally:
         pending.exception()  # the worker's chain ends before any error of this one is raised
     chains += pending.result()
@@ -364,8 +438,11 @@ def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | No
     mode, epsilon in (0, pi/2) so that sin(2 epsilon) > 0, a post_index on the
     grid, shots None or in [1, 2^63), min_counts in [1, 2^63) (TypeError for a
     bool or a non-integer, None for min_counts); SizeCap for a grid past the
-    n x n cap.  Returns post_index as an int, or None."""
-    require_grid_size(grid.n)
+    n x n cap when there is no post_index, as such a run reads the whole
+    camera.  A conditional-only run takes any grid.  Returns post_index as an
+    int, or None."""
+    if post_index is None:
+        require_grid_size(grid.n)
     if shots is not None and require_index(shots, SEED_LIMIT, "shots") == 0:
         raise ValueError("shots must be at least 1, got 0")
     if require_index(min_counts, SEED_LIMIT, "min_counts") == 0:
@@ -394,13 +471,17 @@ def run_reconstruction(
     ai) block draws its k cells in order from the Philox stream keyed by
     (seed, 2 qi + ai); a quadrature's two blocks are drawn in one call, and
     the two quadratures run on two threads.  Without ``joint``, a run with a
-    ``post_index`` reads only the post pixel: its ``z_values``, ``z_errors``
-    and ``rates`` are (n_k, 1) and (1,), and each cell draws only its
-    (plus, minus at the pixel; anywhere else) marginal.  The settings are
-    refused, before any work, as ``require_settings`` says.
+    ``post_index`` reads only the post pixel: its Born stage computes that
+    pixel's column alone, in O(n log n), so the grid is not capped; its
+    ``z_values``, ``z_errors`` and ``rates`` are (n_k, 1) and (1,), and each
+    cell draws only its (plus, minus at the pixel; anywhere else) marginal.
+    The settings are refused, before any work, as ``require_settings``
+    says, and a joint past the n x n cap is a SizeCap.
     """
     g = w.grid
     post_index = require_settings(g, epsilon, mode, post_index, shots, min_counts)
+    if joint:
+        require_grid_size(g.n)
     _, params, _, _, step = _order(g, mode)
     n = g.n
     pixel = None if joint else post_index

@@ -335,7 +335,8 @@ def _build_cv_joint(p: dict):
 def _build_experiment(p: dict):
     grid = _build_grid(p["grid"])
     mode, shots, epsilon = p["mode"], p["shots"], _number(p["epsilon"], "epsilon")
-    # the settings and the grid cap, before the state is built
+    # the settings, and the grid cap for a joint (a run with no post_index), before
+    # the state is built
     post = photonics.require_settings(grid, epsilon, mode, p["post_index"], shots, p["min_counts"])
     if post is None and not p["joint"]:
         raise SchemaError("experiment scenario needs post_index or joint=true")

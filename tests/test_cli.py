@@ -56,7 +56,8 @@ CCR_SCENARIO = {
 
 # the CV kinds whose paths are O(n log n), so their grids are not capped; the
 # grid and the state are filled in by each test
-UNCAPPED_CV = ({"kind": "cv-conditional", "post_momentum_index": 0}, CCR_SCENARIO)
+UNCAPPED_CV = ({"kind": "cv-conditional", "post_momentum_index": 0}, CCR_SCENARIO,
+               dict(EXPERIMENT, shots=None))
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -418,8 +419,8 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("scenario", [
         {"kind": "cv-joint", "ordering": "p-then-x"},
-        dict(EXPERIMENT, shots=None, post_index=0),
-        EXPERIMENT,
+        dict(EXPERIMENT, shots=None, post_index=None, joint=True),
+        dict(EXPERIMENT, post_index=None, joint=True),
     ])
     def test_grid_past_the_cap_is_size_cap(self, tmp_path, scenario):
         scen = write_scenario(tmp_path, dict(
@@ -433,7 +434,7 @@ class TestCliRuns:
     @pytest.mark.parametrize("n", [2 * GRID_CAP, 2**40, 2**62])
     @pytest.mark.parametrize("scenario", [
         {"kind": "cv-joint"},
-        dict(EXPERIMENT, shots=None),
+        dict(EXPERIMENT, shots=None, post_index=None, joint=True),
         dict(EXPERIMENT, post_index=None, joint=True),
     ], ids=["cv-joint", "experiment-born", "experiment-shots-joint"])
     def test_grid_past_the_cap_is_refused_before_the_state_is_built(self, tmp_path, monkeypatch,
@@ -460,6 +461,20 @@ class TestCliRuns:
             "state": {"type": "gaussian"}, "post_momentum_index": GRID_CAP})
         assert load_scenario(scen).kind == "cv-conditional"
 
+    @pytest.mark.parametrize("mode", ["x-then-p", "p-then-x"])
+    def test_conditional_experiment_past_the_grid_cap_matches_its_oracle(self, tmp_path, mode):
+        # its Born stage reads one camera column, so the cap does not apply;
+        # at eps = 1e-3 the O(eps^2) bias read 1.8e-7 (x-then-p) and 9.2e-8 (p-then-x)
+        scen = write_scenario(tmp_path, dict(
+            EXPERIMENT, grid={"n": 2 * GRID_CAP, "length": 400.0},
+            state={"type": "gaussian", "width": 2**-0.5}, epsilon=1e-3, shots=None,
+            post_index=GRID_CAP, mode=mode))
+        out = tmp_path / "out"
+        assert main(["experiment", "--scenario", str(scen), "--out", str(out),
+                     "--emit-oracle"]) == 0
+        assert compare_distributions(out / "distribution.json", out / "oracle.json",
+                                     1e-6)["pass"]
+
     @pytest.mark.parametrize("hbar", [1.0, 2.5])
     def test_ccr_past_the_grid_cap_writes_i_hbar(self, tmp_path, hbar):
         # the witness is one FFT pair on n-vectors, so the cap does not apply
@@ -476,7 +491,7 @@ class TestCliRuns:
             scen = write_scenario(tmp_path, dict(
                 scenario, grid={"n": 2**62, "length": 400.0}, state={"type": "gaussian"}))
             out = tmp_path / scenario["kind"]
-            command = "ccr" if scenario["kind"] == "ccr" else "reconstruct"
+            command = "reconstruct" if scenario["kind"].startswith("cv-") else scenario["kind"]
             assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
             assert read_json(out / "error.json")["error"] == "SchemaError"
 
@@ -494,7 +509,7 @@ class TestCliRuns:
             with pytest.raises(SizeCap, match="8.00 TiB"):
                 load_scenario(scen)
             out = tmp_path / kind
-            command = "ccr" if kind == "ccr" else "reconstruct"
+            command = "reconstruct" if kind.startswith("cv-") else kind
             assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
             assert read_json(out / "error.json")["error"] == "SizeCap"
 

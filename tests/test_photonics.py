@@ -142,8 +142,10 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts, pixel=Non
     (seed, 2 qi + ai), which draws each frequency's (outcome, pixel) cell in
     k order.  With a ``pixel`` (shots needed), each cell draws instead its
     three-outcome marginal (plus and minus at the pixel, anywhere else), and
-    only that pixel's column is kept.  Each block's counts are summed over
-    k, then the blocks in order.  It shares no code with the stages beyond the transforms."""
+    only that pixel's column is kept; the marginal is the Born column the
+    conditional-only sweep computes, taken one frequency at a time.  Each
+    block's counts are summed over k, then the blocks in order.  Beyond the
+    transforms and that column it shares no code with the stages."""
     g = w.grid
     n = g.n
     width = n if pixel is None else 1
@@ -157,16 +159,19 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts, pixel=Non
     for m, kp in enumerate(_order(g, mode)[1]):
         rows = {}
         for qi, quad in enumerate(QUADRATURES):
-            theta = epsilon * np.sin(kp * coords + (np.pi / 2 if quad == "cos" else 0.0))
-            camera = to_camera(g, np.stack([np.cos(theta) * slm, np.sin(theta) * slm]))
+            phase = np.pi / 2 if quad == "cos" else 0.0
+            if pixel is None:
+                theta = epsilon * np.sin(kp * coords + phase)
+                camera = to_camera(g, np.stack([np.cos(theta) * slm, np.sin(theta) * slm]))
+            else:  # (analyzer, outcome) at this one frequency
+                column = photonics._column(g, slm, [kp], phase, epsilon, mode, pixel)[:, 0, :, 0]
             for ai, analyzer in enumerate(("diag", "circ")):
-                probs = step * np.abs(KETS[analyzer].conj().T @ camera) ** 2
                 if pixel is not None:
-                    plus, minus = probs[:, pixel]
-                    marginal = [plus, minus, probs.sum() - plus - minus]
-                    probs = fresh_cell(rngs[2 * qi + ai], marginal, shots)[:2, None]
-                elif shots is not None:
-                    probs = fresh_cell(rngs[2 * qi + ai], probs, shots)
+                    probs = fresh_cell(rngs[2 * qi + ai], column[ai], shots)[:2, None]
+                else:
+                    probs = step * np.abs(KETS[analyzer].conj().T @ camera) ** 2
+                    if shots is not None:
+                        probs = fresh_cell(rngs[2 * qi + ai], probs, shots)
                 rows[quad, analyzer] = probs
                 recorded[2 * qi + ai] += probs.sum(axis=0)
         for pix in range(width):
@@ -299,9 +304,12 @@ class TestSlmRotation:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_off_grid_frequency_rejected(self, packet, mode):
         step = packet.grid.dk if mode == "x-then-p" else packet.grid.dx / packet.grid.hbar
+        h = photonics._slm_plane(packet, mode)
         for bad in (2.5 * step, np.nan, np.inf):
             with pytest.raises(OffGridParameter, match="SLM frequency"):
                 run_setting(packet, [step, bad], 0.0, 0.05, mode)
+            with pytest.raises(OffGridParameter, match="SLM frequency"):  # the Born column's too
+                photonics._column(packet.grid, h, [step, bad], 0.0, 0.05, mode, 0)
 
 
 class TestPropagation:
@@ -328,6 +336,62 @@ class TestPropagation:
             sig.append(populations(run_setting(packet, g.dk, 0.0, eps, "x-then-p"))[1].sum())
         ratios = np.array([sig[1] / sig[0], sig[2] / sig[1]])
         assert np.allclose(ratios, 4.0, rtol=0.01)
+
+
+class TestBornColumn:
+    """The conditional-only sweep's Born stage: one camera pixel's
+    three-outcome marginals from the Jacobi-Anger expansion."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [64, 128, 1024])
+    def test_column_matches_the_whole_cameras_marginal(self, mode, hbar, n):
+        g = Grid(n, 16.0 if n < 1024 else 40.0, hbar)
+        w = random_smooth_state(g, 3)
+        h, params = photonics._slm_plane(w, mode), _order(g, mode)[1]
+        for eps in (1e-3, 0.05, 0.8, 1.5):
+            for phase in (np.pi / 2, 0.0):
+                camera = run_setting(w, params, phase, eps, mode)  # (analyzer, k, outcome, pixel)
+                for pixel in (n // 2, n // 2 + 3, 0):
+                    column = photonics._column(g, h, params, phase, eps, mode, pixel)
+                    assert column.shape == (2, n, 3, 1)
+                    plus, minus = camera[..., 0, pixel], camera[..., 1, pixel]
+                    rest = camera.sum(axis=(-2, -1)) - plus - minus
+                    ref = np.stack([plus, minus, rest], axis=-1)
+                    assert np.max(np.abs(column[..., 0] - ref)) <= 1e-14, (eps, phase, pixel)
+
+    def test_lens_output_off_unit_norm_is_a_norm_violation(self, packet):
+        g = packet.grid
+        for mode in MODES:
+            h, params = photonics._slm_plane(packet, mode), _order(g, mode)[1]
+            with pytest.raises(NormViolation, match="photon norm"):
+                photonics._column(g, 1.001 * h, params, 0.0, 0.05, mode, g.n // 2)
+            with pytest.raises(NormViolation, match="photon norm"):
+                photonics._column(g, np.full(g.n, np.nan), params, 0.0, 0.05, mode, g.n // 2)
+
+    def test_expansion_folded_past_its_window_is_a_norm_violation(self, packet, monkeypatch):
+        # 8 samples per period hold the orders |m| < 4 only: at eps = 1.5 the
+        # order-4 coefficient J_4(1.5) = 0.0098 would be folded, not dropped
+        g = packet.grid
+        photonics._column(g, packet.samples, g.k, 0.0, 1.5, "x-then-p", g.n // 2)
+        monkeypatch.setattr(photonics, "_EXPANSION_POINTS", 8)
+        with pytest.raises(NormViolation, match="expansion coefficients"):
+            photonics._column(g, packet.samples, g.k, 0.0, 1.5, "x-then-p", g.n // 2)
+        with pytest.raises(NormViolation, match="expansion coefficients"):
+            run_reconstruction(packet, 1.5, None, 0, post_index=g.n // 2)
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.05, 0.8, 1.5])
+    def test_expansion_drops_at_most_1e_15(self, epsilon):
+        # the kept orders' coefficients are J_m(eps), times -i for odd m, and
+        # the ones left out sum to at most 1e-15 (plus the reference's rounding)
+        u = 2 * np.pi * np.arange(4096) / 4096
+        orders, coeff = photonics._expansion(epsilon, photonics._EXPANSION_POINTS)
+        assert not orders.flags.writeable and not coeff.flags.writeable  # cached, so shared
+        assert np.array_equal(orders, np.arange(-orders[-1], orders[-1] + 1))
+        full = np.fft.fft(np.exp(1j * epsilon * np.sin(u))) / 4096  # J_m(eps) at m mod 4096
+        bessel = full[orders % 4096]
+        assert np.max(np.abs(coeff - np.where(orders % 2, -1j, 1) * bessel)) < 1e-15
+        assert np.sum(np.abs(full)) - np.sum(np.abs(bessel)) <= 1e-15 + 4096 * 1e-17
 
 
 class TestSampling:
@@ -749,9 +813,11 @@ class TestReconstruction:
             post = n // 2 + 1
             column = run_reconstruction(w, 0.05, None, 0, mode=mode, post_index=post)
             joint = run_reconstruction(w, 0.05, None, 0, mode=mode, post_index=post, joint=True)
-            assert np.array_equal(column.conditional, joint.conditional)
-            assert np.array_equal(column.conditional_se, joint.conditional_se)
-            assert np.array_equal(column.z_values[:, 0], joint.z_values[:, post])
+            # the column and the whole camera are two Born routes, equal to rounding
+            for got, ref in ((column.conditional, joint.conditional),
+                             (column.z_values[:, 0], joint.z_values[:, post])):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.array_equal(column.conditional_se, joint.conditional_se)  # 0 with no shots
             assert np.array_equal(column.z_errors[:, 0], joint.z_errors[:, post])
             # the (k, 1) column may be summed in another order than the joint's rows
             assert column.rates[0] == pytest.approx(joint.rates[post], rel=1e-15, abs=0)
@@ -875,16 +941,38 @@ class TestReconstruction:
 
     def test_grid_past_the_cap_builds_nothing(self, size_cap_peak):
         w = gaussian_state(Grid(2 * GRID_CAP, 400.0), width=WIDTH)
-        # the (k, pixel) tables alone would take 0.5 GB each
+        # the joint's (k, pixel) tables alone would take 0.5 GB each
         assert size_cap_peak(lambda: run_reconstruction(w, 0.05, shots=None, seed=0,
-                                                        post_index=0)) < 5 * 2**20
+                                                        post_index=0, joint=True)) < 5 * 2**20
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_conditional_past_the_grid_cap_within_5_sigma(self, mode):
+        # the Born column holds n-vectors only, so the cap does not apply
+        g = Grid(2 * GRID_CAP, 400.0)
+        w = gaussian_state(g, center=0.3, width=WIDTH)
+        post = g.n // 2
+        tracemalloc.start()
+        try:
+            res = run_reconstruction(w, 0.05, shots=10**6, seed=7, mode=mode, post_index=post)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        if mode == "x-then-p":
+            oracle = conditional_pseudo_cv(weak_char_fn(w, g.p[post]))
+        else:  # <x|p><p|psi>/<x|psi> at the post pixel x
+            bra = np.exp(1j * g.x[post] * g.p / g.hbar) / np.sqrt(2 * np.pi * g.hbar)
+            oracle = bra * to_momentum(w) / w.samples[post]
+        informative = np.abs(oracle) > 0.01 * np.max(np.abs(oracle))
+        resid = np.abs(res.conditional - oracle)[informative]
+        assert np.all(resid < 5 * res.conditional_se[informative])
 
     @pytest.mark.parametrize("n", [2**40, 2**62])
     def test_grid_no_array_can_hold_is_a_size_cap(self, n):
         # the cap comes before any axis of the grid is built: a MemoryError
         # at 2^40, numpy's ValueError at 2^62
         with pytest.raises(SizeCap, match=str(GRID_CAP)):
-            require_settings(Grid(n, 400.0), 0.05, "x-then-p", post_index=0, shots=1000)
+            require_settings(Grid(n, 400.0), 0.05, "x-then-p", shots=1000)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_settings_check_builds_no_axis(self, mode):
