@@ -70,6 +70,13 @@ class Grid:
         return (np.arange(self.n) - self.n // 2) * self.dk
 
 
+def _require_unit_norm(deviation: float, what: str) -> None:
+    """NormViolation unless ``deviation``, a norm's distance from 1, is at
+    most 1e-9; a NaN fails."""
+    if not deviation <= 1e-9:
+        raise NormViolation(f"{what} norm deviates from 1 by {deviation:.3e}")
+
+
 @dataclass(frozen=True)
 class WaveFunction:
     """Position samples psi(x_i) on ``grid``, with dx * sum |psi|^2 = 1, kept
@@ -82,9 +89,7 @@ class WaveFunction:
         s = _read_only_copy(self.samples)
         if s.size != self.grid.n:
             raise DimensionMismatch("sample count must equal grid size")
-        norm = self.grid.dx * np.sum(np.abs(s) ** 2)
-        if not abs(norm - 1.0) <= 1e-9:
-            raise NormViolation(f"wavefunction norm deviates from 1 by {abs(norm - 1.0):.3e}")
+        _require_unit_norm(abs(self.grid.dx * np.sum(np.abs(s) ** 2) - 1.0), "wavefunction")
         object.__setattr__(self, "samples", s)
 
     @classmethod

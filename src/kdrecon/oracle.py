@@ -8,7 +8,7 @@ B-eigenvalues, K[i, j] = <b_j|a_i><a_i|rho|b_j>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -46,17 +46,14 @@ from .cv import (
     ORDERINGS,
     Grid,
     WaveFunction,
+    _grid_offsets,
     _grid_transform,
+    _require_unit_norm,
     inverse_char_transform,
     momentum_samples_raw,
     position_samples_raw,
 )
-from .errors import (
-    InsufficientCounts,
-    InvalidProbability,
-    NormViolation,
-    OffGridParameter,
-)
+from .errors import InsufficientCounts, InvalidProbability, NormViolation
 
 ANALYZERS = ("diag", "circ")
 QUADRATURES = ("cos", "sin")  # phi = pi/2 and phi = 0
@@ -97,10 +94,12 @@ def run_setting(w: WaveFunction, k, phase: float, epsilon: float, mode: str) -> 
     The H-polarized photon carrying ``w`` is rotated in the H/V plane by the
     exact angle epsilon*sin(k*coord + phase) at each SLM pixel and frequency
     in ``k`` (a scalar k drops that axis); coord is x, or p for p-then-x,
-    whose SLM sits in the 4f momentum plane.  Every k must be a multiple of
-    the conjugate step (dk, or dx/hbar).  Both come from ``_order``, which
-    refuses an unknown mode before any transform.  The photon is then
-    propagated and analyzed as ``propagate_and_analyze`` says.
+    whose SLM sits in the 4f momentum plane.  Every k must be m times the
+    conjugate step (dk, or dx/hbar) with -n/2 <= m < n/2, one of the grid's
+    own frequencies, as ``cv._grid_offsets`` checks: OffGridParameter for
+    any other, which the lens would alias.  The coordinate and the step come
+    from ``_order``, which refuses an unknown mode before any transform.  The
+    photon is then propagated and analyzed as ``propagate_and_analyze`` says.
     """
     return _setting(w.grid, _slm_plane(w, mode), k, phase, epsilon, mode)
 
@@ -110,7 +109,7 @@ def _setting(g: Grid, h: np.ndarray, k, phase: float, epsilon: float, mode: str)
     photon is built in one buffer, which the lens transforms in place."""
     coords, _, step, inverse, camera_step = _order(g, mode)
     k = np.asarray(k, dtype=float)
-    _steps(k, step)
+    _grid_offsets(g, k, step, "SLM frequency")
     theta = epsilon * np.sin(np.multiply.outer(k, coords) + phase)
     # the V input is 0, so the rotation sends h to (cos theta, sin theta) h
     hv = np.empty(theta.shape[:-1] + (2, g.n), dtype=complex)
@@ -118,18 +117,6 @@ def _setting(g: Grid, h: np.ndarray, k, phase: float, epsilon: float, mode: str)
     np.multiply(np.sin(theta), h, out=hv[..., 1, :])
     del theta
     return _analyze(_grid_transform(g, hv, inverse, out=hv), camera_step)
-
-
-def _steps(k: np.ndarray, step: float) -> np.ndarray:
-    """The integer multiples q of ``step`` that the SLM frequencies ``k`` are;
-    OffGridParameter for any k that is not one."""
-    q = np.round(k / step)
-    off = ~(np.abs(k / step - q) <= 1e-9)  # NaN and inf are off too
-    if np.any(off):
-        raise OffGridParameter(
-            f"SLM frequency {k[off].flat[0]} is not a multiple of the conjugate step {step}"
-        )
-    return q.astype(int)
 
 
 @lru_cache(maxsize=8)
@@ -165,20 +152,19 @@ def _column(g: Grid, h: np.ndarray, k, phase: float, epsilon: float, mode: str,
     """run_setting's (analyzer, k, outcome, 1) marginal at camera ``pixel``
     for a 1-D ``k``, from the SLM-plane amplitudes ``h``: each analyzer's
     plus and minus at the pixel, then 1 - plus - minus (clipped at 0), the
-    photons anywhere else.  Every k = q * step shifts the camera amplitudes
-    by exactly q bins, so with h~ the lens transform of ``h`` the two
-    polarization components at pixel j are sums over the orders of
-    ``_expansion``: c_m e^{i m phase} h~[(j - s m q) mod n], the even orders
-    for H and the odd for V, with s = 1 for x-then-p and -1 for p-then-x.
+    photons anywhere else.  The k are checked as run_setting checks them,
+    and every k = q * step shifts the camera amplitudes by exactly q bins, so
+    with h~ the lens transform of ``h`` the two polarization components at
+    pixel j are sums over the orders of ``_expansion``: c_m e^{i m phase}
+    h~[(j - s m q) mod n], the even orders for H and the odd for V, with
+    s = 1 for x-then-p and -1 for p-then-x.
     The lens output's norm must be 1 to 1e-9 (NormViolation), as the
     rotation keeps it.  Each cell is computed elementwise, so a cell has the
     same bits whatever k array it is computed in."""
     _, _, step, inverse, camera_step = _order(g, mode)
-    q = _steps(np.asarray(k, dtype=float).reshape(-1), step)
+    q = _grid_offsets(g, k, step, "SLM frequency").reshape(-1)
     lens = _grid_transform(g, h, inverse)
-    deviation = abs(camera_step * np.sum(np.abs(lens) ** 2) - 1.0)
-    if not deviation <= 1e-9:
-        raise NormViolation(f"photon norm deviates from 1 by {deviation:.3e}")
+    _require_unit_norm(abs(camera_step * np.sum(np.abs(lens) ** 2) - 1.0), "photon")
     orders, coeff = _expansion(float(epsilon), _EXPANSION_POINTS)
     # (order, k): the camera index of order m is pixel + m q, or pixel - m q for x-then-p
     terms = lens[(pixel + np.multiply.outer(orders if inverse else -orders, q)) % g.n]
@@ -220,9 +206,7 @@ def _analyze(camera: np.ndarray, step: float) -> np.ndarray:
         for p, kets in zip(probs[:, start:start + run], _ANALYZER_KETS):
             p[...] = step * np.abs(kets.conj().T @ rows[start:start + run]) ** 2
     probs = probs.reshape((len(ANALYZERS),) + camera.shape)
-    deviation = np.max(np.abs(probs[0].sum(axis=(-2, -1)) - 1.0))
-    if not deviation <= 1e-9:
-        raise NormViolation(f"photon norm deviates from 1 by {deviation:.3e}")
+    _require_unit_norm(np.max(np.abs(probs[0].sum(axis=(-2, -1)) - 1.0)), "photon")
     return probs
 
 
@@ -476,10 +460,12 @@ def run_reconstruction(
     ``z_values``, ``z_errors`` and ``rates`` are (n_k, 1) and (1,), and each
     cell draws only its (plus, minus at the pixel; anywhere else) marginal.
     The settings are refused, before any work, as ``require_settings``
-    says, and a joint past the n x n cap is a SizeCap.
+    says, and so is a seed outside [0, 2^63), with or without shots
+    (``core.require_index``); a joint past the n x n cap is a SizeCap.
     """
     g = w.grid
     post_index = require_settings(g, epsilon, mode, post_index, shots, min_counts)
+    seed = require_index(seed, SEED_LIMIT, "seed")
     if joint:
         require_grid_size(g.n)
     _, params, _, _, step = _order(g, mode)

@@ -63,15 +63,21 @@ _MISSING = object()  # a required key that is absent
 class Scenario:
     """A loaded scenario: ``run(seed, diag)`` does the kind's work on objects
     built at load time, extends ``diag`` and returns (result, plot columns, a
-    callable that builds the oracle), or None for a kind that writes none."""
+    callable that builds the oracle), or None for a kind that writes none.
+    ``seed`` is read by ``core.require_index``, as ``run_reconstruction``
+    reads it, and kept as an int in [0, 2^63); its TypeError (a bool, a
+    float) or ValueError is a SchemaError."""
 
     kind: str
     seed: int
     run: Callable[[int, dict], tuple | None]
 
     def __post_init__(self):
-        if type(self.seed) is not int or not 0 <= self.seed < photonics.SEED_LIMIT:
-            raise SchemaError(f"seed must be an integer in [0, 2^63), got {self.seed!r}")
+        try:
+            seed = require_index(self.seed, photonics.SEED_LIMIT, "seed")
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(str(exc)) from exc
+        object.__setattr__(self, "seed", seed)
 
 
 def _number(value, name: str, kind: type = float, minimum=None):

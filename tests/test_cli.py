@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -113,6 +114,12 @@ class TestLoadScenario:
         sc = load_scenario(write_scenario(tmp_path, QUBIT_SCENARIO))
         assert sc.kind == "discrete-conditional"
         assert sc.seed == 0
+
+    def test_numpy_integer_seed_kept_as_int(self, tmp_path):
+        sc = load_scenario(write_scenario(tmp_path, QUBIT_SCENARIO))
+        for seed in (np.int64(5), np.uint8(5)):
+            kept = dataclasses.replace(sc, seed=seed).seed
+            assert type(kept) is int and kept == 5
 
     def test_unknown_key_named(self, tmp_path):
         bad = dict(QUBIT_SCENARIO, epsilonn=0.1)
@@ -317,6 +324,8 @@ class TestCliRuns:
         (dict(EXPERIMENT, grid={"n": 96, "length": 16.0}), "grid n"),
         ({"kind": "discrete-npoint", "state": {"random": {"dim": 3, "seed": 1}},
           "observables": []}, "discrete-npoint needs at least one observable"),
+        ({"kind": "discrete-npoint", "state": {"random": {"dim": 3, "seed": 1}},
+          "observables": {"pauli": "z"}}, "observables must be a list"),
         # numbers are checked, never coerced; a bool is never a number
         *((dict(CCR_SCENARIO, grid=grid), "grid") for grid in (
             {"n": 64.7, "length": 16.0}, {"n": 64.0, "length": 16.0}, {"n": "64", "length": 16.0},

@@ -305,7 +305,9 @@ class TestSlmRotation:
     def test_off_grid_frequency_rejected(self, packet, mode):
         step = packet.grid.dk if mode == "x-then-p" else packet.grid.dx / packet.grid.hbar
         h = photonics._slm_plane(packet, mode)
-        for bad in (2.5 * step, np.nan, np.inf):
+        n = packet.grid.n
+        # a multiple of the step outside [-n/2, n/2) steps would alias to a grid frequency
+        for bad in (2.5 * step, n // 2 * step, -(n // 2 + 1) * step, np.nan, np.inf):
             with pytest.raises(OffGridParameter, match="SLM frequency"):
                 run_setting(packet, [step, bad], 0.0, 0.05, mode)
             with pytest.raises(OffGridParameter, match="SLM frequency"):  # the Born column's too
@@ -991,10 +993,10 @@ class TestReconstruction:
             run_reconstruction(packet, epsilon, shots=1000, seed=0, joint=True)
 
     def test_shot_sweep_past_the_grid_cap_rejected(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("SLM setting run past the grid cap")
+        def fail(*args, **kwargs):
+            raise AssertionError("sweep run past the grid cap")
 
-        monkeypatch.setattr(photonics, "run_setting", fail)
+        monkeypatch.setattr(photonics, "_sweep", fail)
         w = gaussian_state(Grid(2 * GRID_CAP, 200.0), width=WIDTH)
         with pytest.raises(SizeCap, match=str(GRID_CAP)):
             run_reconstruction(w, 0.05, shots=1000, seed=0, joint=True)
@@ -1002,20 +1004,20 @@ class TestReconstruction:
     @pytest.mark.parametrize("post_index", [-1, 64])
     def test_out_of_range_post_index_rejected_before_any_work(self, packet, monkeypatch,
                                                               post_index):
-        def fail(*args):
-            raise AssertionError("SLM setting run for an out-of-range post_index")
+        def fail(*args, **kwargs):
+            raise AssertionError("sweep run for an out-of-range post_index")
 
-        monkeypatch.setattr(photonics, "run_setting", fail)
+        monkeypatch.setattr(photonics, "_sweep", fail)
         assert packet.grid.n == 64
         with pytest.raises(ValueError, match=r"post_index .* outside \[0, 64\)"):
             run_reconstruction(packet, 0.05, shots=None, seed=0, post_index=post_index)
 
     @pytest.mark.parametrize("post_index", [True, False])
     def test_bool_post_index_rejected_before_any_work(self, packet, monkeypatch, post_index):
-        def fail(*args):
-            raise AssertionError("SLM setting run for a bool post_index")
+        def fail(*args, **kwargs):
+            raise AssertionError("sweep run for a bool post_index")
 
-        monkeypatch.setattr(photonics, "run_setting", fail)
+        monkeypatch.setattr(photonics, "_sweep", fail)
         with pytest.raises(TypeError, match="post_index must be an integer"):
             run_reconstruction(packet, 0.05, shots=None, seed=0, post_index=post_index)
 
@@ -1033,10 +1035,10 @@ class TestReconstruction:
         (1.5, TypeError), (1e4, TypeError), (True, TypeError), (np.float64(1e4), TypeError),
     ])
     def test_bad_shots_rejected_before_any_work(self, packet, monkeypatch, shots, error):
-        def fail(*args):
-            raise AssertionError("SLM setting run for a bad shot count")
+        def fail(*args, **kwargs):
+            raise AssertionError("sweep run for a bad shot count")
 
-        monkeypatch.setattr(photonics, "run_setting", fail)
+        monkeypatch.setattr(photonics, "_sweep", fail)
         with pytest.raises(error, match="shots|integer"):
             run_reconstruction(packet, 0.05, shots=shots, seed=0, joint=True)
 
@@ -1047,13 +1049,27 @@ class TestReconstruction:
     def test_bad_min_counts_rejected_before_any_work(self, packet, monkeypatch, min_counts,
                                                       error):
         # None made the counts pass for Born probabilities: a standard error of 0
-        def fail(*args):
-            raise AssertionError("SLM setting run for a bad count floor")
+        def fail(*args, **kwargs):
+            raise AssertionError("sweep run for a bad count floor")
 
-        monkeypatch.setattr(photonics, "run_setting", fail)
+        monkeypatch.setattr(photonics, "_sweep", fail)
         with pytest.raises(error, match="min_counts"):
             run_reconstruction(packet, 0.05, shots=10**4, seed=0, post_index=32,
                                min_counts=min_counts)
+
+    @pytest.mark.parametrize("shots", [None, 10**4])
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (2**63, ValueError), ("not a seed", TypeError), (1.5, TypeError),
+        (True, TypeError), (None, TypeError),
+    ])
+    def test_bad_seed_rejected_before_any_work(self, packet, monkeypatch, shots, seed, error):
+        # without shots no draw reads the seed, so only this check refuses it
+        def fail(*args, **kwargs):
+            raise AssertionError("sweep run for a bad seed")
+
+        monkeypatch.setattr(photonics, "_sweep", fail)
+        with pytest.raises(error, match="seed"):
+            run_reconstruction(packet, 0.05, shots=shots, seed=seed, post_index=32)
 
     def test_numpy_integer_shots_match_python_int(self):
         w = gaussian_state(Grid(16, 12.0), center=0.3, width=WIDTH)
@@ -1063,10 +1079,10 @@ class TestReconstruction:
         assert np.array_equal(a.rates, b.rates)
 
     def test_unknown_mode_rejected_before_any_work(self, packet, monkeypatch):
-        def fail(*args):
-            raise AssertionError("SLM setting run for an unknown mode")
+        def fail(*args, **kwargs):
+            raise AssertionError("sweep run for an unknown mode")
 
-        monkeypatch.setattr(photonics, "run_setting", fail)
+        monkeypatch.setattr(photonics, "_sweep", fail)
         with pytest.raises(ValueError, match="sideways"):
             run_reconstruction(packet, 0.05, shots=None, seed=0, mode="sideways")
 
