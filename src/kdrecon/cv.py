@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _read_only_copy, require_grid_size, require_postselection
-from .errors import DimensionMismatch, IncompleteSampling, NormViolation, OffGridParameter
+from .errors import DimensionMismatch, NormViolation, OffGridParameter
 
 EDGE_GUARD = 1e-8  # edge amplitude above which momentum shifts alias
 TAIL_FLOOR = 1e-10  # edge amplitude above which x*p grid moments stop converging
@@ -100,22 +100,18 @@ class WaveFunction:
 
 @dataclass(frozen=True)
 class CharFnSample:
-    """Characteristic-function values tabulated on conjugate-grid parameters;
-    the arrays given are kept, not copied, and made read-only in place."""
+    """Characteristic-function values Z(k) at every k of ``grid.k``, shaped
+    (n,); the array given is kept, not copied, and made read-only in place."""
 
     grid: Grid
-    parameters: np.ndarray
     values: np.ndarray
     conditioning: str | None = None
 
     def __post_init__(self):
-        params = np.asarray(self.parameters, dtype=float)
         vals = np.asarray(self.values, dtype=complex)
-        if params.size != vals.size:
-            raise DimensionMismatch("parameter and value counts differ")
-        params.setflags(write=False)
+        if vals.shape != (self.grid.n,):
+            raise DimensionMismatch(f"Z values must be shaped ({self.grid.n},), got {vals.shape}")
         vals.setflags(write=False)
-        object.__setattr__(self, "parameters", params)
         object.__setattr__(self, "values", vals)
 
 
@@ -177,8 +173,8 @@ def _grid_offsets(g: Grid, targets, step: float, what: str) -> np.ndarray:
     return m.astype(int)
 
 
-def weak_char_fn(w: WaveFunction, post_p: float, k_values=None) -> CharFnSample:
-    """Z(k) = psi_tilde(post_p - hbar k) / psi_tilde(post_p).
+def weak_char_fn(w: WaveFunction, post_p: float) -> CharFnSample:
+    """Z(k) = psi_tilde(post_p - hbar k) / psi_tilde(post_p) at every k of grid.k.
 
     Momentum shifts wrap periodically at the grid edges (discretization
     artifact of the finite conjugate grid).
@@ -195,10 +191,8 @@ def weak_char_fn(w: WaveFunction, post_p: float, k_values=None) -> CharFnSample:
     ip = int(_grid_offsets(g, post_p, g.dp, "post-selection momentum")) + g.n // 2
     denom = pt[ip]
     require_postselection(abs(denom) ** 2 * g.dp, f"p={post_p} post-selection")
-    k_values = g.k if k_values is None else np.asarray(k_values, dtype=float)
-    shifts = _grid_offsets(g, k_values, g.dk, "characteristic parameter k")
-    z = pt[(ip - shifts) % g.n] / denom
-    return CharFnSample(g, k_values, z, conditioning=f"p={g.p[ip]:.6g}")
+    z = pt[(ip + g.n // 2 - np.arange(g.n)) % g.n] / denom  # k_m shifts p by m - n/2 steps
+    return CharFnSample(g, z, conditioning=f"p={g.p[ip]:.6g}")
 
 
 def inverse_char_transform(z: np.ndarray, dparam: float) -> np.ndarray:
@@ -219,10 +213,7 @@ def conditional_pseudo_cv(z: CharFnSample) -> np.ndarray:
     q(x_n) = dk/(2 pi) * sum_m e^{-i k_m x_n} Z(k_m); on the grid this equals
     the weak-valued position projector <p|x><x|psi>/<p|psi> exactly.
     """
-    g = z.grid
-    if z.parameters.size != g.n or not np.max(np.abs(z.parameters - g.k)) <= 1e-9 * g.dk:
-        raise IncompleteSampling("characteristic function must cover the full conjugate grid")
-    return inverse_char_transform(z.values, g.dk)
+    return inverse_char_transform(z.values, z.grid.dk)
 
 
 def joint_kd_cv(w: WaveFunction, ordering: str = "x-then-p") -> np.ndarray:

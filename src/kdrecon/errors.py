@@ -37,10 +37,6 @@ class OffGridParameter(KdreconError):
     """A characteristic-function parameter does not lie on the conjugate grid."""
 
 
-class IncompleteSampling(KdreconError):
-    """Characteristic-function data does not cover the full conjugate grid."""
-
-
 class InvalidProbability(KdreconError):
     pass
 

@@ -41,7 +41,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import require_grid_size, require_index
+from .core import require_grid_size, require_index, require_postselection
 from .cv import (
     ORDERINGS,
     Grid,
@@ -357,8 +357,9 @@ def _quadrature(qi: int, born, sample, shots: int | None, seed: int, min_counts:
     """Quadrature qi's chain: its Born probabilities ``born(phase)``, an
     (analyzer, k, outcome, pixel) stack, whose two analyzer blocks are drawn
     by ``sample`` from the streams (seed, 2 qi) and (seed, 2 qi + 1), each
-    block's k cells in order, then each analyzer's ``_asymmetry`` figures,
-    its total summed over k.  Outcomes 0 and 1 are the plus and minus ports."""
+    block's k cells in order, then each analyzer's ``_asymmetry`` figures and
+    its totals (summed over k, and at k = 0, where the coupling moves no
+    light).  Outcomes 0 and 1 are the plus and minus ports."""
     probs = born(_QUAD_PHASE[QUADRATURES[qi]])
     if shots is not None:
         probs = sample(probs, shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])
@@ -366,7 +367,7 @@ def _quadrature(qi: int, born, sample, shots: int | None, seed: int, min_counts:
     for rows in probs:  # (k, outcome, pixel)
         asym, var, total, short = _asymmetry(rows[:, 0], rows[:, 1],
                                              None if shots is None else min_counts)
-        chain.append((asym, var, total.sum(axis=0), short))
+        chain.append((asym, var, total.sum(axis=0), total[len(total) // 2].copy(), short))
         del total  # the next analyzer's tables are built without it
     return chain
 
@@ -377,16 +378,16 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
 
     Returns the (k, pixel) asymmetries keyed by (quadrature, analyzer), their
     summed variance, the (k, pixel) mask of entries lacking data, and the
-    counts (or probability) per pixel summed over all cells.  Without a
-    ``pixel`` the Born stage is ``run_setting`` over the whole camera; with
-    one it is ``_column``, that pixel's three-outcome marginals, so every
-    table is one (k, 1) column.  Quadrature 0's chain runs on the calling
-    thread through the public stages, and quadrature 1's on the worker
-    thread through their private bodies (``_column`` is private on both), so
-    every traced stage runs on the calling thread.  An error in either chain
-    is raised once both have ended.  The sums are formed here in (quadrature,
-    analyzer) order, so every output has the bits of running the chains one
-    after the other.
+    counts (or probability) per pixel summed over all cells, and over the
+    four k = 0 cells.  Without a ``pixel`` the Born stage is ``run_setting``
+    over the whole camera; with one it is ``_column``, that pixel's
+    three-outcome marginals, so every table is one (k, 1) column.
+    Quadrature 0's chain runs on the calling thread through the public
+    stages, and quadrature 1's on the worker thread through their private
+    bodies (``_column`` is private on both), so every traced stage runs on
+    the calling thread.  An error in either chain is raised once both have
+    ended.  The sums are formed here in (quadrature, analyzer) order, so
+    every output has the bits of running the chains one after the other.
     """
     g = w.grid
     h = _slm_plane(w, mode)
@@ -406,25 +407,26 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
     shape = chains[0][0].shape  # (k, pixel)
     var_sum = np.zeros(shape)
     short = np.zeros(shape, dtype=bool)
-    recorded = np.zeros(shape[1])
-    for key, (a, var, total, cell_short) in zip(itertools.product(QUADRATURES, ANALYZERS),
-                                                chains):
+    recorded, at_rest = np.zeros(shape[1]), np.zeros(shape[1])
+    for key, (a, var, total, rest, cell_short) in zip(
+            itertools.product(QUADRATURES, ANALYZERS), chains):
         asym[key] = a
         var_sum += var
         short |= cell_short
         recorded += total
-    return asym, var_sum, short, recorded
+        at_rest += rest
+    return asym, var_sum, short, recorded, at_rest
 
 
 def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | None = None,
                      shots: int | None = None, min_counts: int = 100):
     """ValueError unless ``run_reconstruction`` can run these settings: a known
-    mode, epsilon in (0, pi/2) so that sin(2 epsilon) > 0, a post_index on the
-    grid, shots None or in [1, 2^63), min_counts in [1, 2^63) (TypeError for a
-    bool or a non-integer, None for min_counts); SizeCap for a grid past the
-    n x n cap when there is no post_index, as such a run reads the whole
-    camera.  A conditional-only run takes any grid.  Returns post_index as an
-    int, or None."""
+    mode, epsilon in [1e-9, pi/2) (a weaker coupling's rounding, about
+    3e-16/epsilon, passes its bias), a post_index on the grid, shots None or in
+    [1, 2^63), min_counts in [1, 2^63) (TypeError for a bool or a non-integer,
+    None for min_counts); SizeCap for a grid past the n x n cap when there is
+    no post_index, as such a run reads the whole camera.  A conditional-only run
+    takes any grid.  Returns post_index as an int, or None."""
     if post_index is None:
         require_grid_size(grid.n)
     if shots is not None and require_index(shots, SEED_LIMIT, "shots") == 0:
@@ -433,8 +435,8 @@ def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | No
         raise ValueError("min_counts must be at least 1, got 0")
     if mode not in ORDERINGS:
         raise ValueError(f"unknown mode {mode!r}")
-    if not 0 < epsilon < np.pi / 2:
-        raise ValueError(f"coupling epsilon must lie in (0, pi/2), got {epsilon!r}")
+    if not 1e-9 <= epsilon < np.pi / 2:
+        raise ValueError(f"coupling epsilon must lie in [1e-9, pi/2), got {epsilon!r}")
     return None if post_index is None else require_index(post_index, grid.n, "post_index")
 
 
@@ -461,23 +463,24 @@ def run_reconstruction(
     cell draws only its (plus, minus at the pixel; anywhere else) marginal.
     The settings are refused, before any work, as ``require_settings``
     says, and so is a seed outside [0, 2^63), with or without shots
-    (``core.require_index``); a joint past the n x n cap is a SizeCap.
+    (``core.require_index``); a joint past the n x n cap is a SizeCap, and a
+    post pixel whose k = 0 rate is at or below 1e-10 a PostSelectionTooWeak.
     """
     g = w.grid
     post_index = require_settings(g, epsilon, mode, post_index, shots, min_counts)
     seed = require_index(seed, SEED_LIMIT, "seed")
     if joint:
         require_grid_size(g.n)
-    _, params, _, _, step = _order(g, mode)
+    _, params, dparam, _, step = _order(g, mode)
     n = g.n
     pixel = None if joint else post_index
-    asym, var_sum, short, recorded = _sweep(w, params, epsilon, mode, shots, seed, min_counts,
-                                            pixel)
-    rates = recorded / (4 * n * (1 if shots is None else shots))
+    asym, var_sum, short, recorded, at_rest = _sweep(w, params, epsilon, mode, shots, seed,
+                                                     min_counts, pixel)
+    per_cell = 4 * (1 if shots is None else shots)  # four blocks of one k
+    rates = recorded / (n * per_cell)
     z_values, z_errors = estimate_weak_char(asym, var_sum, epsilon)
     z_values[short] = 0.0
     z_errors[short] = np.inf
-    dparam = params[1] - params[0]
     conditional = conditional_se = None
     if post_index is not None:
         column = post_index if pixel is None else 0
@@ -485,6 +488,8 @@ def run_reconstruction(
             raise InsufficientCounts(
                 f"post-selected pixel {post_index} lacks counts at some frequencies"
             )
+        require_postselection(float(at_rest[column]) / per_cell,
+                              f"pixel {post_index} post-selection")
         conditional = inverse_char_transform(z_values[:, column], dparam)
         # independent errors per frequency propagate in quadrature through the
         # linear inverse transform

@@ -7,8 +7,9 @@ refers to, once, at load time, and returns the closure that runs the kind.
 Here JSON types are checked (never coerced; a boolean option must be a
 boolean), and ranges where the objects are built (``core.require_index``,
 ``cv.Grid``, ``photonics.require_settings``): ``load_scenario`` turns their
-ValueError or TypeError into a SchemaError, and a MemoryError (an uncapped
-grid too large to allocate) into a SizeCap.
+ValueError, TypeError or OverflowError (an integer past float range) into a
+SchemaError, and a MemoryError (an uncapped grid too large to allocate) into
+a SizeCap.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def load_scenario(path) -> Scenario:
             raise SchemaError(f"{key} must be true or false, got {raw[key]!r}")
     try:
         run = build({**optional, **raw})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"invalid {kind} scenario: {exc}") from exc
     except MemoryError as exc:
         raise SizeCap(f"{kind} scenario too large to build in memory: {exc}") from exc

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import threading
 from contextlib import contextmanager
 from itertools import chain, repeat
@@ -181,13 +182,15 @@ def pseudo_from_dict(d: dict) -> PseudoDistribution:
     _require(type(d["ordering_tag"]) is str, "ordering_tag", "a string", d["ordering_tag"])
     _require(d["conditioning"] is None or type(d["conditioning"]) is str,
              "conditioning", "a string or null", d["conditioning"])
-    _require(type(d["cell_weight"]) in (int, float), "cell_weight", "a number", d["cell_weight"])
+    weight = d["cell_weight"]
+    _require(type(weight) in (int, float) and abs(weight) <= sys.float_info.max,
+             "cell_weight", "a finite number", weight)
     return PseudoDistribution(
         complex_array_from_json(d["values"], tuple(shape)),
         tuple(axes),
         ordering_tag=d["ordering_tag"],
         conditioning=d["conditioning"],
-        cell_weight=float(d["cell_weight"]),
+        cell_weight=float(weight),
     )
 
 
@@ -210,8 +213,9 @@ def write_json(path, payload):
 
 
 def read_json(path):
-    """The JSON value in a UTF-8 file; undecodable bytes and malformed JSON are
-    a ParseError."""
+    """The JSON value in a UTF-8 file; undecodable bytes, malformed JSON,
+    nesting too deep for the decoder and an integer past Python's digit
+    limit are a ParseError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -220,6 +224,8 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_pseudo_csv(pd: PseudoDistribution, path):

@@ -268,6 +268,14 @@ class TestCliRuns:
         err = read_json(out / "error.json")
         assert err["error"] == "PostSelectionTooWeak"
 
+    def test_experiment_at_a_dark_post_pixel_is_refused(self, tmp_path):
+        # pixel 2's post-selection probability is 2e-31
+        scen = write_scenario(tmp_path, dict(EXPERIMENT, shots=None, epsilon=1e-3, post_index=2))
+        out = tmp_path / "out"
+        assert main(["experiment", "--scenario", str(scen), "--out", str(out)]) == 2
+        err = read_json(out / "error.json")
+        assert err["error"] == "PostSelectionTooWeak" and "pixel 2" in err["message"]
+
     @pytest.mark.parametrize("scenario", [
         {"kind": "cv-joint", "grid": {"n": 64, "length": 16.0},
          "state": {"type": "gaussian", "width": 0}},
@@ -378,6 +386,14 @@ class TestCliRuns:
          "'width' in random-smooth state"),
         (dict(CCR_SCENARIO, state={"type": "hermite", "n": 1, "phase": 0.0}),
          "'phase' in hermite state"),
+        # an integer too large for its field: float() overflows, and so does a
+        # list of 10^30 Hermite coefficients
+        (dict(CCR_SCENARIO, grid={"n": 64, "length": 10**400}), "too large to convert"),
+        (dict(EXPERIMENT, epsilon=10**400), "too large to convert"),
+        (dict(QUBIT_SCENARIO, observable_a={"eigenvalues": [10**400, -1.0], "eigenvectors": [
+            [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+            [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]]}), "too large to convert"),
+        (dict(CCR_SCENARIO, state={"type": "hermite", "n": 10**30}), "index-sized"),
         (dict(QUBIT_SCENARIO, state=dict(QUBIT_SCENARIO["state"], random={"dim": 2})),
          "state mixes two forms: 'amplitudes' and 'random'"),
         *((dict(QUBIT_SCENARIO, observable_a={"pauli": "z", key: value}),
@@ -832,10 +848,12 @@ def _distribution_json(**fields):
     _distribution_json(cell_weight="x"),
     _distribution_json(cell_weight=True),
     _distribution_json(cell_weight=None),
+    _distribution_json(cell_weight=10**400),
+    _distribution_json(cell_weight=float("inf")),
 ], ids=["top-level-list", "shape-int", "shape-str", "shape-float", "shape-bool",
         "shape-negative", "axes-int", "axes-count", "axes-int-entry", "ordering-tag-int",
         "conditioning-int", "conditioning-list", "cell-weight-str", "cell-weight-bool",
-        "cell-weight-null"])
+        "cell-weight-null", "cell-weight-past-float", "cell-weight-inf"])
 def test_compare_rejects_ill_typed_distribution_fields(tmp_path, broken, capsys):
     """A distribution file whose fields have the wrong JSON type is a SchemaError."""
     write_json(tmp_path / "a.json", _distribution_json())
@@ -999,3 +1017,31 @@ class TestUndecodableInput:
         out = tmp_path / "out"
         assert main([command, "--scenario", str(scen), "--out", str(out)]) == 2
         assert read_json(out / "error.json")["error"] == "ParseError"
+
+
+
+class TestInputPastTheDecodersLimits:
+    """JSON nested past the decoder's recursion limit, or an integer past
+    Python's digit limit, is a ParseError (exit 2), not a traceback."""
+
+    @staticmethod
+    def check_refused(tmp_path, text, capsys):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(text)
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--scenario", str(scen), "--out", str(out)]) == 2
+        assert read_json(out / "error.json")["error"] == "ParseError"
+        assert main(["compare", str(scen), str(scen)]) == 2
+        assert "ParseError" in capsys.readouterr().err
+        return scen
+
+    def test_nesting(self, tmp_path, capsys):
+        scen = self.check_refused(tmp_path, "[" * 200_000, capsys)
+        with pytest.raises(ParseError, match="recursion"):
+            read_json(scen)
+
+    def test_digits(self, tmp_path, capsys):
+        scen = self.check_refused(tmp_path, json.dumps(CCR_SCENARIO).replace("40.0", "1" * 5000),
+                                  capsys)
+        with pytest.raises(ParseError, match="digits"):
+            read_json(scen)

@@ -26,7 +26,6 @@ from kdrecon.core import GRID_CAP
 from kdrecon.scenarios import _cv_joint_oracle
 from kdrecon.errors import (
     DimensionMismatch,
-    IncompleteSampling,
     NormViolation,
     OffGridParameter,
     PostSelectionTooWeak,
@@ -204,32 +203,16 @@ class TestWeakCharFn:
         # width 1/sqrt(2): momentum amplitude ~ e^{-p^2/4}, so Z(k) = e^{-k^2/4}
         w = gaussian_state(grid, width=1 / np.sqrt(2))
         z = weak_char_fn(w, 0.0)
-        sel = np.abs(z.parameters) < 8
-        expected = np.exp(-z.parameters[sel] ** 2 / 4)
+        sel = np.abs(grid.k) < 8
+        expected = np.exp(-grid.k[sel] ** 2 / 4)
         assert np.max(np.abs(z.values[sel] - expected)) < 1e-8
 
     def test_narrow_momentum_packet_decays_fast(self, grid):
         w = gaussian_state(grid, width=3.0)  # narrow in momentum
-        z = weak_char_fn(w, 0.0, k_values=[0.0, grid.dk, 2 * grid.dk])
-        mags = np.abs(z.values)
+        z = weak_char_fn(w, 0.0)
+        mags = np.abs(z.values[grid.n // 2:grid.n // 2 + 3])  # k = 0, dk, 2 dk
         assert mags[0] == pytest.approx(1)
         assert mags[1] < 1.0 and mags[2] < mags[1]
-
-    def test_off_grid_k_rejected(self, grid):
-        for steps in ([0.5], [0, 1, 2.5, 3]):
-            with pytest.raises(OffGridParameter, match="characteristic parameter k"):
-                weak_char_fn(gaussian_state(grid), 0.0, k_values=np.array(steps) * grid.dk)
-
-    def test_k_one_step_past_the_grid_rejected(self, grid):
-        ks = np.append(grid.k, grid.k[-1] + grid.dk)
-        with pytest.raises(OffGridParameter, match="characteristic parameter k"):
-            weak_char_fn(gaussian_state(grid), 0.0, k_values=ks)
-        with pytest.raises(OffGridParameter):
-            weak_char_fn(gaussian_state(grid), 0.0, k_values=[grid.k[0] - grid.dk])
-
-    def test_nan_k_rejected(self, grid):
-        with pytest.raises(OffGridParameter):
-            weak_char_fn(gaussian_state(grid), 0.0, k_values=[0.0, np.nan])
 
     def test_k_lookup_matches_explicit_shift(self, grid):
         w = random_smooth_state(grid, seed=3)
@@ -237,13 +220,14 @@ class TestWeakCharFn:
         ip = grid.n // 2 + 2
         rng = np.random.default_rng(0)
         idx = rng.integers(0, grid.n, size=50)
-        z = weak_char_fn(w, grid.p[ip], k_values=grid.k[idx])
-        shifts = idx - grid.n // 2
-        assert np.array_equal(z.values, pt[(ip - shifts) % grid.n] / pt[ip])
+        z = weak_char_fn(w, grid.p[ip])
+        shifts = idx - grid.n // 2  # k = grid.k[idx] shifts p by this many steps
+        assert np.array_equal(z.values[idx], pt[(ip - shifts) % grid.n] / pt[ip])
 
-    def test_off_grid_post_p_rejected(self, grid):
+    @pytest.mark.parametrize("steps", [0.37, np.nan])
+    def test_off_grid_post_p_rejected(self, grid, steps):
         with pytest.raises(OffGridParameter):
-            weak_char_fn(gaussian_state(grid), 0.37 * grid.dp)
+            weak_char_fn(gaussian_state(grid), steps * grid.dp)
 
     def test_weak_postselection_rejected(self, grid):
         w = gaussian_state(grid, width=0.5)
@@ -259,10 +243,10 @@ class TestWeakCharFn:
     def test_general_phi_matches_momentum_eigenstate_limit(self, grid):
         # plane-wave phi on the grid approximates momentum post-selection
         w = random_smooth_state(grid, seed=2)
-        z_fast = weak_char_fn(w, 0.0, k_values=grid.k[200:312])
+        z_fast = weak_char_fn(w, 0.0).values[200:312]
         phi = WaveFunction.normalized(grid, np.ones(grid.n))
         z_gen = weak_char_fn_general(w, phi, grid.k[200:312])
-        assert np.max(np.abs(z_fast.values - z_gen)) < 1e-7
+        assert np.max(np.abs(z_fast - z_gen)) < 1e-7
 
 
 class TestConditional:
@@ -297,12 +281,6 @@ class TestConditional:
             w = random_smooth_state(grid, seed=seed)
             q = conditional_pseudo_cv(weak_char_fn(w, 0.0))
             assert abs(grid.dx * np.sum(q) - 1.0) < 1e-8
-
-    def test_partial_sampling_rejected(self, grid):
-        w = gaussian_state(grid)
-        z = weak_char_fn(w, 0.0, k_values=grid.k[:100])
-        with pytest.raises(IncompleteSampling):
-            conditional_pseudo_cv(z)
 
 
 class TestJoint:
@@ -451,11 +429,13 @@ class TestGridCap:
 
 @pytest.mark.parametrize("call, error, match", [
     (lambda: WaveFunction(Grid(16, 8.0), np.ones(8)), DimensionMismatch, "sample count"),
-    (lambda: CharFnSample(Grid(16, 8.0), np.zeros(3), np.zeros(4)), DimensionMismatch,
-     "parameter and value counts"),
+    (lambda: CharFnSample(Grid(16, 8.0), np.zeros(15)), DimensionMismatch,
+     r"shaped \(16,\)"),
+    (lambda: CharFnSample(Grid(16, 8.0), np.zeros((16, 1))), DimensionMismatch,
+     r"shaped \(16,\)"),
     (lambda: joint_kd_cv(gaussian_state(Grid(16, 8.0)), "sideways"), ValueError,
      "unknown ordering"),
-], ids=["samples", "char-fn-sample", "ordering"])
+], ids=["samples", "char-fn-sample", "char-fn-sample-2d", "ordering"])
 def test_typed_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -21,12 +21,13 @@ from kdrecon.cv import (
     weak_char_fn,
 )
 from kdrecon import cv, photonics
-from kdrecon.core import GRID_CAP
+from kdrecon.core import GRID_CAP, PS_FLOOR
 from kdrecon.errors import (
     InsufficientCounts,
     InvalidProbability,
     NormViolation,
     OffGridParameter,
+    PostSelectionTooWeak,
     SizeCap,
 )
 from kdrecon.photonics import (
@@ -727,11 +728,10 @@ class TestReconstruction:
     @pytest.mark.parametrize("n, hbar", [(16, 1.0), (64, 2.5), (128, 0.37)])
     def test_inverse_transform_matches_direct_sum(self, mode, n, hbar):
         g = Grid(n, 16.0, hbar)
-        params = _order(g, mode)[1]
+        _, params, dparam, *_ = _order(g, mode)
         out_values = g.x if mode == "x-then-p" else g.p
         rng = np.random.default_rng(n)
         z = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-        dparam = params[1] - params[0]
         direct = dparam / (2 * np.pi) * np.exp(-1j * np.outer(out_values, params)) @ z
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(inverse_char_transform(z, dparam) - direct)) < 1e-12 * scale
@@ -756,8 +756,7 @@ class TestReconstruction:
         assert np.array_equal(res.z_values, z_ref)
         assert np.array_equal(res.z_errors, se_ref)
         assert np.array_equal(res.rates, rates_ref)
-        params = _order(g, mode)[1]
-        dparam = params[1] - params[0]
+        _, params, dparam, *_ = _order(g, mode)
         step = g.dp if mode == "x-then-p" else g.dx
         valid = ~masked.any(axis=0) & (rates_ref > 0)
         joint = inverse_char_transform(z_ref, dparam) * np.where(valid, rates_ref / step, 0.0)
@@ -801,8 +800,8 @@ class TestReconstruction:
         assert np.array_equal(res.z_values, z_ref)
         assert np.array_equal(res.z_errors, se_ref)
         assert np.array_equal(res.rates, rates_ref)
-        params = _order(w.grid, mode)[1]
-        conditional, conditional_se = per_cell_conditional(z_ref, se_ref, 0, params[1] - params[0])
+        conditional, conditional_se = per_cell_conditional(z_ref, se_ref, 0,
+                                                           _order(w.grid, mode)[2])
         assert np.array_equal(res.conditional, conditional)
         assert np.array_equal(res.conditional_se, conditional_se)
 
@@ -987,10 +986,36 @@ class TestReconstruction:
             tracemalloc.stop()
         assert peak < 4096
 
-    @pytest.mark.parametrize("epsilon", [0.0, -0.05, np.pi / 2, 2.0, np.nan, np.inf])
-    def test_epsilon_outside_the_open_quarter_turn_rejected(self, packet, epsilon):
+    # below 1e-9 the conditional's rounding error, about 3e-16/epsilon, passes
+    # the coupling's bias: 3e-6 at 1e-10, and 1e-300 gave all zeros
+    @pytest.mark.parametrize("epsilon", [0.0, -0.05, np.pi / 2, 2.0, np.nan, np.inf,
+                                         1e-10, 1e-15, 1e-300])
+    @pytest.mark.parametrize("shots, joint", [(1000, True), (None, False)])
+    def test_epsilon_outside_its_range_rejected_before_any_work(self, packet, monkeypatch,
+                                                                 epsilon, shots, joint):
+        def fail(*args, **kwargs):
+            raise AssertionError("sweep run for a coupling outside [1e-9, pi/2)")
+
+        monkeypatch.setattr(photonics, "_sweep", fail)
         with pytest.raises(ValueError, match="epsilon"):
-            run_reconstruction(packet, epsilon, shots=1000, seed=0, joint=True)
+            run_reconstruction(packet, epsilon, shots=shots, seed=0, post_index=32, joint=joint)
+
+    def test_epsilon_at_its_floor_matches_the_cv_oracle(self, packet):
+        res = run_reconstruction(packet, 1e-9, shots=None, seed=0, post_index=32)
+        oracle = conditional_pseudo_cv(weak_char_fn(packet, 0.0))
+        assert np.max(np.abs(res.conditional - oracle)) < 1e-6 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("joint", [False, True])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_dark_post_pixel_rejected(self, mode, joint):
+        # pixel 2's post-selection probability is 2e-31 (x-then-p) or 5e-26
+        # (p-then-x), while its rate averaged over k reads 7.8e-9, the O(eps^2)
+        # light the coupling moves there: the k = 0 cells, which move none,
+        # measure the floor; the conditional was 4e14 off its oracle
+        w = gaussian_state(Grid(64, 16.0))
+        with pytest.raises(PostSelectionTooWeak, match="pixel 2"):
+            run_reconstruction(w, 1e-3, None, 0, mode=mode, post_index=2, joint=joint)
+        assert run_reconstruction(w, 1e-3, None, 0, mode=mode, joint=True).rates[2] > PS_FLOOR
 
     def test_shot_sweep_past_the_grid_cap_rejected(self, monkeypatch):
         def fail(*args, **kwargs):
