@@ -5,9 +5,9 @@ pixel: imprint a wavefunction on an H-polarized photon, weakly rotate its
 polarization as a sinusoid of position, or of momentum in the 4f
 configuration, then Fourier-propagate and analyze it (run_setting, whose
 last step propagate_and_analyze also offers on its own); draw the camera
-counts of a quadrature's two analyzer blocks, one after the other, each from
-its own Philox stream (sample_shots); estimate the weak characteristic
-function from conditioned asymmetries (estimate_weak_char).
+counts of (quadrature, analyzer) blocks, one after the other, each from its
+own Philox stream (sample_shots); estimate the weak characteristic function
+from conditioned asymmetries (estimate_weak_char).
 
 A joint sweep reads the whole camera: its Born stage is run_setting, and its
 Z tables are (k, pixel).  A conditional-only sweep reads one post pixel, as
@@ -18,10 +18,11 @@ of the SLM plane's one lens transform.  It gives each cell's three-outcome
 marginal (plus, minus at the pixel; anywhere else), drawn when there are
 shots, so its Z tables are one (k, 1) column.
 
-The sweep runs quadrature 0's chain (Born probabilities, draws, asymmetries)
-on the calling thread and quadrature 1's on a persistent worker thread.  The
-worker calls only the private stage bodies, so every call of a public name
-comes from the calling thread.
+A conditional-only sweep is one pass on the calling thread.  A joint sweep
+runs quadrature 0's chain (Born probabilities, draws, asymmetries) on the
+calling thread and quadrature 1's on a persistent worker thread, which calls
+only the private stage bodies, so every call of a public name comes from the
+calling thread.
 
 Readout protocol (validated against the grid oracle, not assumed): with input
 polarization H and rotation angle eps*sin(k x + phi),
@@ -127,8 +128,8 @@ def _expansion(epsilon: float, points: int):
     orders run over |m| <= M for the least M whose dropped coefficients sum
     to at most _DROPPED_BOUND.  The FFT folds the orders past |m| = points/2
     onto that edge order, so it is always dropped: NormViolation when it
-    alone sums past the bound.  Cached: a sweep's two chains, and every
-    sweep at one epsilon, share it."""
+    alone sums past the bound.  Cached: every sweep at one epsilon shares
+    it."""
     u = 2 * np.pi * np.arange(points) / points
     orders = np.fft.fftfreq(points, 1 / points).round().astype(int)
     coeff = (np.fft.fft([np.cos(epsilon * np.sin(u)), np.sin(epsilon * np.sin(u))])
@@ -147,35 +148,37 @@ def _expansion(epsilon: float, points: int):
     return kept, coeff
 
 
-def _column(g: Grid, h: np.ndarray, k, phase: float, epsilon: float, mode: str,
+def _column(g: Grid, h: np.ndarray, k, phases, epsilon: float, mode: str,
             pixel: int) -> np.ndarray:
     """run_setting's (analyzer, k, outcome, 1) marginal at camera ``pixel``
-    for a 1-D ``k``, from the SLM-plane amplitudes ``h``: each analyzer's
-    plus and minus at the pixel, then 1 - plus - minus (clipped at 0), the
-    photons anywhere else.  The k are checked as run_setting checks them,
-    and every k = q * step shifts the camera amplitudes by exactly q bins, so
-    with h~ the lens transform of ``h`` the two polarization components at
+    for a 1-D ``k`` and each SLM phase in ``phases``, stacked (phase, ...),
+    from the SLM-plane amplitudes ``h``: each analyzer's plus and minus at
+    the pixel, then 1 - plus - minus (clipped at 0), the photons anywhere
+    else.  The k are checked as run_setting checks them, and every
+    k = q * step shifts the camera amplitudes by exactly q bins, so with h~
+    the one lens transform of ``h`` the two polarization components at
     pixel j are sums over the orders of ``_expansion``: c_m e^{i m phase}
     h~[(j - s m q) mod n], the even orders for H and the odd for V, with
     s = 1 for x-then-p and -1 for p-then-x.
     The lens output's norm must be 1 to 1e-9 (NormViolation), as the
     rotation keeps it.  Each cell is computed elementwise, so a cell has the
-    same bits whatever k array it is computed in."""
+    same bits whatever k array, and whatever other phases, it is computed in."""
     _, _, step, inverse, camera_step = _order(g, mode)
     q = _grid_offsets(g, k, step, "SLM frequency").reshape(-1)
     lens = _grid_transform(g, h, inverse)
     _require_unit_norm(abs(camera_step * np.sum(np.abs(lens) ** 2) - 1.0), "photon")
     orders, coeff = _expansion(float(epsilon), _EXPANSION_POINTS)
     # (order, k): the camera index of order m is pixel + m q, or pixel - m q for x-then-p
-    terms = lens[(pixel + np.multiply.outer(orders if inverse else -orders, q)) % g.n]
-    terms *= (coeff * np.exp(1j * orders * phase))[:, None]
-    hv = np.zeros((2, len(q)), dtype=complex)
-    for m, term in zip(orders, terms):  # a running sum: each k's bits in any k array
-        hv[m % 2] += term
-    bras = np.conj(_ANALYZER_KETS).transpose(0, 2, 1)[..., None]  # (analyzer, port, H/V, 1)
-    amp = bras[:, :, 0] * hv[0] + bras[:, :, 1] * hv[1]  # (analyzer, port, k)
-    probs = np.empty((len(ANALYZERS), len(q), 3, 1))
-    np.multiply(camera_step, np.square(np.abs(amp)).transpose(0, 2, 1), out=probs[..., :2, 0])
+    shifted = lens[(pixel + np.multiply.outer(orders if inverse else -orders, q)) % g.n]
+    hv = np.zeros((2, len(phases), len(q)), dtype=complex)
+    for i, phase in enumerate(phases):
+        terms = shifted * (coeff * np.exp(1j * orders * phase))[:, None]
+        for m, term in zip(orders, terms):  # a running sum: each k's bits in any k array
+            hv[m % 2, i] += term
+    bras = np.conj(_ANALYZER_KETS).transpose(0, 2, 1)[..., None, None]  # analyzer, port, H/V
+    amp = bras[:, :, 0] * hv[0] + bras[:, :, 1] * hv[1]  # (analyzer, port, phase, k)
+    probs = np.empty((len(phases), len(ANALYZERS), len(q), 3, 1))
+    np.multiply(camera_step, np.square(np.abs(amp)).transpose(2, 0, 3, 1), out=probs[..., :2, 0])
     np.maximum(1.0 - probs[..., 0, 0] - probs[..., 1, 0], 0.0, out=probs[..., 2, 0])
     return probs
 
@@ -212,7 +215,7 @@ def _analyze(camera: np.ndarray, step: float) -> np.ndarray:
 
 SEED_LIMIT = 2**63  # each Philox key word, and each shot count, lies in [0, 2^63)
 
-_pool = None  # the one worker thread that runs quadrature 1's chain of every sweep
+_pool = None  # the one worker thread that runs quadrature 1's chain of every joint sweep
 _pool_lock = threading.Lock()
 
 
@@ -379,30 +382,38 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
     Returns the (k, pixel) asymmetries keyed by (quadrature, analyzer), their
     summed variance, the (k, pixel) mask of entries lacking data, and the
     counts (or probability) per pixel summed over all cells, and over the
-    four k = 0 cells.  Without a ``pixel`` the Born stage is ``run_setting``
-    over the whole camera; with one it is ``_column``, that pixel's
-    three-outcome marginals, so every table is one (k, 1) column.
-    Quadrature 0's chain runs on the calling thread through the public
-    stages, and quadrature 1's on the worker thread through their private
-    bodies (``_column`` is private on both), so every traced stage runs on
-    the calling thread.  An error in either chain is raised once both have
-    ended.  The sums are formed here in (quadrature, analyzer) order, so
-    every output has the bits of running the chains one after the other.
+    four k = 0 cells.  Without a ``pixel`` (a joint) the Born stage is
+    ``run_setting`` over the whole camera: quadrature 0's chain runs on the
+    calling thread through the public stages, and quadrature 1's on the
+    worker thread through their private bodies, so every traced stage runs
+    on the calling thread; an error in either chain is raised once both have
+    ended.  With a ``pixel`` the sweep is one pass on the calling thread:
+    ``_column`` gives both quadratures' marginals at that pixel, so every
+    table is one (k, 1) column, and one ``sample_shots`` call draws the four
+    blocks, (seed, 0..3).  The sums are formed here in (quadrature, analyzer)
+    order, so every output has the bits of drawing the blocks one by one.
     """
     g = w.grid
     h = _slm_plane(w, mode)
-    settings = dict(epsilon=epsilon, mode=mode)  # each Born stage then takes the phase
     if pixel is None:
-        public = partial(run_setting, w, params, **settings)
-        private = partial(_setting, g, h, params, **settings)
+        settings = dict(epsilon=epsilon, mode=mode)  # each Born stage then takes the phase
+        pending = _submit(_quadrature, 1, partial(_setting, g, h, params, **settings),
+                          _sample_shots, shots, seed, min_counts)
+        try:
+            chains = _quadrature(0, partial(run_setting, w, params, **settings), sample_shots,
+                                 shots, seed, min_counts)
+        finally:
+            pending.exception()  # the worker's chain ends before any error of this one is raised
+        chains += pending.result()
     else:
-        public = private = partial(_column, g, h, params, pixel=pixel, **settings)
-    pending = _submit(_quadrature, 1, private, _sample_shots, shots, seed, min_counts)
-    try:
-        chains = _quadrature(0, public, sample_shots, shots, seed, min_counts)
-    finally:
-        pending.exception()  # the worker's chain ends before any error of this one is raised
-    chains += pending.result()
+        probs = _column(g, h, params, [_QUAD_PHASE[q] for q in QUADRATURES], epsilon, mode, pixel)
+        probs = probs.reshape(-1, *probs.shape[2:])  # the (quadrature, analyzer) blocks
+        if shots is not None:
+            probs = sample_shots(probs, shots, [(seed, b) for b in range(len(probs))])
+        asym, var, total, short = _asymmetry(probs[:, :, 0], probs[:, :, 1],
+                                             None if shots is None else min_counts)
+        chains = [(a, v, t.sum(axis=0), t[len(t) // 2], s)
+                  for a, v, t, s in zip(asym, np.broadcast_to(var, asym.shape), total, short)]
     asym = {}
     shape = chains[0][0].shape  # (k, pixel)
     var_sum = np.zeros(shape)
@@ -455,12 +466,13 @@ def run_reconstruction(
     ``shots=None`` selects the infinite-statistics shortcut (analytic Born
     probabilities, zero statistical error).  Each (quadrature qi, analyzer
     ai) block draws its k cells in order from the Philox stream keyed by
-    (seed, 2 qi + ai); a quadrature's two blocks are drawn in one call, and
-    the two quadratures run on two threads.  Without ``joint``, a run with a
-    ``post_index`` reads only the post pixel: its Born stage computes that
-    pixel's column alone, in O(n log n), so the grid is not capped; its
-    ``z_values``, ``z_errors`` and ``rates`` are (n_k, 1) and (1,), and each
-    cell draws only its (plus, minus at the pixel; anywhere else) marginal.
+    (seed, 2 qi + ai).  A joint draws a quadrature's two blocks in one call
+    and runs the quadratures on two threads.  Without ``joint``, a run with
+    a ``post_index`` reads only the post pixel, in one pass on the calling
+    thread: its Born stage computes that pixel's column alone, in O(n log
+    n), so the grid is not capped; its ``z_values``, ``z_errors`` and
+    ``rates`` are (n_k, 1) and (1,), and each cell draws only its (plus,
+    minus at the pixel; anywhere else) marginal.
     The settings are refused, before any work, as ``require_settings``
     says, and so is a seed outside [0, 2^63), with or without shots
     (``core.require_index``); a joint past the n x n cap is a SizeCap, and a

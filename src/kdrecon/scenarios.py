@@ -7,13 +7,14 @@ refers to, once, at load time, and returns the closure that runs the kind.
 Here JSON types are checked (never coerced; a boolean option must be a
 boolean), and ranges where the objects are built (``core.require_index``,
 ``cv.Grid``, ``photonics.require_settings``): ``load_scenario`` turns their
-ValueError, TypeError or OverflowError (an integer past float range) into a
+ValueError, TypeError or OverflowError (an integer too large for an index) into a
 SchemaError, and a MemoryError (an uncapped grid too large to allocate) into
 a SizeCap.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -84,10 +85,14 @@ class Scenario:
 def _number(value, name: str, kind: type = float, minimum=None):
     """A scenario number, checked and never coerced: an int for ``kind=int``,
     else a finite int or float, returned as a float.  A bool, a string, a
-    missing key or a value below ``minimum`` is a SchemaError."""
+    missing key, an int past float range for ``kind=float`` or a value below
+    ``minimum`` is a SchemaError that names the key."""
     if value is _MISSING:
         raise SchemaError(f"missing required key {name!r}")
-    ok = type(value) is int or (kind is float and type(value) is float and np.isfinite(value))
+    if type(value) is int:
+        ok = kind is int or abs(value) <= sys.float_info.max  # else float() overflows
+    else:
+        ok = kind is float and type(value) is float and np.isfinite(value)
     if not ok or (minimum is not None and value < minimum):
         need = "an integer" if kind is int else "a finite number"
         need += "" if minimum is None else f" >= {minimum}"

@@ -386,13 +386,14 @@ class TestCliRuns:
          "'width' in random-smooth state"),
         (dict(CCR_SCENARIO, state={"type": "hermite", "n": 1, "phase": 0.0}),
          "'phase' in hermite state"),
-        # an integer too large for its field: float() overflows, and so does a
-        # list of 10^30 Hermite coefficients
-        (dict(CCR_SCENARIO, grid={"n": 64, "length": 10**400}), "too large to convert"),
-        (dict(EXPERIMENT, epsilon=10**400), "too large to convert"),
+        # an integer too large for its field: past float range, refused by
+        # name, and a list of 10^30 Hermite coefficients, which overflows
+        (dict(CCR_SCENARIO, grid={"n": 64, "length": 10**400}), "grid.length must be"),
+        (dict(EXPERIMENT, epsilon=10**400), "epsilon must be"),
         (dict(QUBIT_SCENARIO, observable_a={"eigenvalues": [10**400, -1.0], "eigenvectors": [
             [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
-            [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]]}), "too large to convert"),
+            [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]]}),
+         r"observable_a.eigenvalues\[0\] must be"),
         (dict(CCR_SCENARIO, state={"type": "hermite", "n": 10**30}), "index-sized"),
         (dict(QUBIT_SCENARIO, state=dict(QUBIT_SCENARIO["state"], random={"dim": 2})),
          "state mixes two forms: 'amplitudes' and 'random'"),

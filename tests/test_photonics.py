@@ -1,5 +1,7 @@
 import inspect
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -165,7 +167,8 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts, pixel=Non
                 theta = epsilon * np.sin(kp * coords + phase)
                 camera = to_camera(g, np.stack([np.cos(theta) * slm, np.sin(theta) * slm]))
             else:  # (analyzer, outcome) at this one frequency
-                column = photonics._column(g, slm, [kp], phase, epsilon, mode, pixel)[:, 0, :, 0]
+                column = photonics._column(g, slm, [kp], [phase], epsilon, mode,
+                                           pixel)[0, :, 0, :, 0]
             for ai, analyzer in enumerate(("diag", "circ")):
                 if pixel is not None:
                     probs = fresh_cell(rngs[2 * qi + ai], column[ai], shots)[:2, None]
@@ -206,6 +209,10 @@ def per_cell_conditional(z_values, z_errors, column, dparam):
 
 def refuse_draw(*args, **kwargs):
     raise AssertionError("a Philox generator was built for a refused call")
+
+
+def refuse_submit(*args, **kwargs):
+    raise AssertionError("a chain was handed to the worker thread")
 
 
 def same_results(a, b):
@@ -312,7 +319,7 @@ class TestSlmRotation:
             with pytest.raises(OffGridParameter, match="SLM frequency"):
                 run_setting(packet, [step, bad], 0.0, 0.05, mode)
             with pytest.raises(OffGridParameter, match="SLM frequency"):  # the Born column's too
-                photonics._column(packet.grid, h, [step, bad], 0.0, 0.05, mode, 0)
+                photonics._column(packet.grid, h, [step, bad], [0.0], 0.05, mode, 0)
 
 
 class TestPropagation:
@@ -356,30 +363,43 @@ class TestBornColumn:
             for phase in (np.pi / 2, 0.0):
                 camera = run_setting(w, params, phase, eps, mode)  # (analyzer, k, outcome, pixel)
                 for pixel in (n // 2, n // 2 + 3, 0):
-                    column = photonics._column(g, h, params, phase, eps, mode, pixel)
+                    column = photonics._column(g, h, params, [phase], eps, mode, pixel)[0]
                     assert column.shape == (2, n, 3, 1)
                     plus, minus = camera[..., 0, pixel], camera[..., 1, pixel]
                     rest = camera.sum(axis=(-2, -1)) - plus - minus
                     ref = np.stack([plus, minus, rest], axis=-1)
                     assert np.max(np.abs(column[..., 0] - ref)) <= 1e-14, (eps, phase, pixel)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    def test_both_phases_have_each_single_phases_bits(self, mode, hbar):
+        # the conditional-only sweep computes both quadratures in one call
+        g = Grid(128, 16.0, hbar)
+        h, params = photonics._slm_plane(random_smooth_state(g, 9), mode), _order(g, mode)[1]
+        for eps in (1e-3, 0.05, 1.5):
+            both = photonics._column(g, h, params, (np.pi / 2, 0.0), eps, mode, g.n // 2 + 3)
+            assert both.shape == (2, 2, g.n, 3, 1)
+            for phase, column in zip((np.pi / 2, 0.0), both):
+                single = photonics._column(g, h, params, [phase], eps, mode, g.n // 2 + 3)
+                assert np.array_equal(column, single[0]), (eps, phase)
+
     def test_lens_output_off_unit_norm_is_a_norm_violation(self, packet):
         g = packet.grid
         for mode in MODES:
             h, params = photonics._slm_plane(packet, mode), _order(g, mode)[1]
             with pytest.raises(NormViolation, match="photon norm"):
-                photonics._column(g, 1.001 * h, params, 0.0, 0.05, mode, g.n // 2)
+                photonics._column(g, 1.001 * h, params, [0.0], 0.05, mode, g.n // 2)
             with pytest.raises(NormViolation, match="photon norm"):
-                photonics._column(g, np.full(g.n, np.nan), params, 0.0, 0.05, mode, g.n // 2)
+                photonics._column(g, np.full(g.n, np.nan), params, [0.0], 0.05, mode, g.n // 2)
 
     def test_expansion_folded_past_its_window_is_a_norm_violation(self, packet, monkeypatch):
         # 8 samples per period hold the orders |m| < 4 only: at eps = 1.5 the
         # order-4 coefficient J_4(1.5) = 0.0098 would be folded, not dropped
         g = packet.grid
-        photonics._column(g, packet.samples, g.k, 0.0, 1.5, "x-then-p", g.n // 2)
+        photonics._column(g, packet.samples, g.k, [0.0], 1.5, "x-then-p", g.n // 2)
         monkeypatch.setattr(photonics, "_EXPANSION_POINTS", 8)
         with pytest.raises(NormViolation, match="expansion coefficients"):
-            photonics._column(g, packet.samples, g.k, 0.0, 1.5, "x-then-p", g.n // 2)
+            photonics._column(g, packet.samples, g.k, [0.0], 1.5, "x-then-p", g.n // 2)
         with pytest.raises(NormViolation, match="expansion coefficients"):
             run_reconstruction(packet, 1.5, None, 0, post_index=g.n // 2)
 
@@ -450,12 +470,14 @@ class TestSampling:
                 assert np.array_equal(counts, fresh_sample_shots(p, shots, key)), (key, shots)
 
     def test_threads_sampling_interleaved_keys_match_sequential(self):
-        # four user threads run sweeps at once, and each sweep hands its
-        # second quadrature to the one worker thread that every caller shares
+        # four user threads run sweeps at once: each joint hands its second
+        # quadrature to the one worker thread that every caller shares, and
+        # each conditional-only run draws its four blocks on its own thread
         g = Grid(32, 12.0)
         states = [gaussian_state(g, center=0.3, width=WIDTH), random_smooth_state(g, 3)]
         runs = [((states[m % 2], 0.05, (10**4, None, 10**6)[m % 3], 100 + m),
-                 dict(mode=MODES[m // 2 % 2], post_index=g.n // 2, joint=True, min_counts=1))
+                 dict(mode=MODES[m // 2 % 2], post_index=g.n // 2, joint=m // 4 % 2 == 0,
+                      min_counts=1))
                 for m in range(24)]
         expected = [run_reconstruction(*args, **kwargs) for args, kwargs in runs]
         got = [None] * len(runs)
@@ -532,13 +554,15 @@ class TestSampling:
             whole = philox(key).multinomial(10**6, pvals / pvals.sum(axis=1)[:, None])
             assert np.array_equal(block_counts.reshape(5, -1), whole)
 
+    @pytest.mark.parametrize("joint", [True, False])
     @pytest.mark.parametrize("failing", [0, 1, 2, 3])
-    def test_error_in_a_block_draw_reaches_the_caller_after_every_draw(self, failing,
+    def test_error_in_a_block_draw_reaches_the_caller_after_every_draw(self, failing, joint,
                                                                          monkeypatch):
         # the draw of stream ``failing`` raises in a sweep; run_reconstruction
-        # re-raises it, with its type, only once no draw of either quadrature
-        # is running.  The other quadrature draws both its blocks, the failing
-        # one only its blocks up to the failing one.
+        # re-raises it, with its type, only once no draw is running.  In a
+        # joint the other quadrature draws both its blocks, the failing one
+        # only its blocks up to the failing one; a conditional-only run draws
+        # its four blocks in order, so only the streams up to the failing one.
         class DrawFailed(RuntimeError):
             pass
 
@@ -561,12 +585,13 @@ class TestSampling:
         monkeypatch.setattr(photonics, "_draw", draw)
         w = gaussian_state(Grid(16, 12.0), width=WIDTH)
         with pytest.raises(DrawFailed) as raised:
-            run_reconstruction(w, 0.05, 100, 4, joint=True)
+            run_reconstruction(w, 0.05, 100, 4, post_index=w.grid.n // 2, joint=joint)
         assert raised.value.args == ((4, failing),)
         assert not running
-        quad = failing // 2
-        other = 2 * (1 - quad)
-        streams = {other, other + 1} | set(range(2 * quad, failing + 1))
+        streams = set(range(failing + 1))
+        if joint:
+            other = 2 * (1 - failing // 2)
+            streams |= {other, other + 1}
         assert sorted(finished) == [(4, s) for s in sorted(streams)]
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -863,9 +888,10 @@ class TestReconstruction:
         assert np.array_equal(res.z_errors, se_ref)
         assert np.array_equal(res.rates, rates_ref)
 
+    @pytest.mark.parametrize("joint", [True, False])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("shots", [None, 10**4])
-    def test_sweep_runs_the_public_stages(self, mode, shots, monkeypatch):
+    def test_sweep_runs_the_public_stages(self, mode, shots, joint, monkeypatch):
         # a recorder replaces every public function of photonics and cv in
         # every kdrecon namespace that binds it, as the benchmark's tracer
         # does; each call it records is made on the calling thread
@@ -879,7 +905,7 @@ class TestReconstruction:
                     continue
 
                 def recorded(*args, _name=f"{module.__name__}.{name}", _fn=fn, **kwargs):
-                    calls.append((_name, threading.get_ident()))
+                    calls.append((_name, threading.get_ident(), args))
                     return _fn(*args, **kwargs)
 
                 namespaces = [m for key, m in sys.modules.items() if key.startswith("kdrecon")]
@@ -887,20 +913,48 @@ class TestReconstruction:
                     for attr, value in vars(namespace).copy().items():
                         if value is fn:
                             monkeypatch.setattr(namespace, attr, recorded)
-        run_reconstruction(w, 0.05, shots, 3, mode=mode, post_index=n // 2, joint=True)
-        assert {thread for _, thread in calls} == {threading.get_ident()}
+        if not joint:
+            monkeypatch.setattr(photonics, "_submit", refuse_submit)
+        run_reconstruction(w, 0.05, shots, 3, mode=mode, post_index=n // 2, joint=joint)
+        assert {thread for _, thread, _ in calls} == {threading.get_ident()}
         stages = {f"kdrecon.photonics.{name}": 0 for name in (
             "run_setting", "propagate_and_analyze", "sample_shots", "estimate_weak_char")}
-        for name, _ in calls:
+        for name, _, _ in calls:
             if name in stages:
                 stages[name] += 1
-        # quadrature 0's setting and draw of both analyzer blocks, each over
-        # all frequencies, are public calls; quadrature 1's run the same
-        # bodies on the worker.  One batched estimate.
-        assert stages == {"kdrecon.photonics.run_setting": 1,
+        # a joint's quadrature 0 setting and draw of both analyzer blocks,
+        # each over all frequencies, are public calls; quadrature 1's run the
+        # same bodies on the worker.  A conditional-only run's Born column is
+        # private, and one public call draws its four blocks.  One batched
+        # estimate.
+        assert stages == {"kdrecon.photonics.run_setting": int(joint),
                           "kdrecon.photonics.propagate_and_analyze": 0,
                           "kdrecon.photonics.sample_shots": 0 if shots is None else 1,
                           "kdrecon.photonics.estimate_weak_char": 1}
+        if shots is not None and not joint:
+            (prob, _, keys), = [args for name, _, args in calls
+                                if name == "kdrecon.photonics.sample_shots"]
+            assert prob.shape == (4, n, 3, 1)
+            assert keys == [(3, stream) for stream in range(4)]
+
+    def test_conditional_runs_start_no_thread(self):
+        # in a fresh interpreter, which no joint has given a worker thread
+        code = "\n".join([
+            "import threading",
+            "from kdrecon import photonics",
+            "from kdrecon.cv import Grid, gaussian_state",
+            "w = gaussian_state(Grid(32, 12.0), width=0.7071067811865476)",
+            "for mode in ('x-then-p', 'p-then-x'):",
+            "    for shots in (None, 10**4):",
+            "        photonics.run_reconstruction(w, 0.05, shots, 1, mode=mode, post_index=16)",
+            "print(photonics._pool is None, threading.active_count())",
+        ])
+        src = os.path.dirname(os.path.dirname(photonics.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "1"]
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_error_in_either_quadrature_reaches_the_caller_after_the_other_chain(
