@@ -1,9 +1,9 @@
 """Shot-level Monte-Carlo simulation of the proposed optical experiment.
 
-Pipeline of public stages, each batched over every frequency k and camera
-pixel: imprint a wavefunction on an H-polarized photon, weakly rotate its
-polarization as a sinusoid of position, or of momentum in the 4f
-configuration, then Fourier-propagate and analyze it (run_setting, whose
+Pipeline of public stages, each batched over the measured frequencies k
+and every camera pixel: imprint a wavefunction on an H-polarized photon,
+weakly rotate its polarization as a sinusoid of position, or of momentum in
+the 4f configuration, then Fourier-propagate and analyze it (run_setting, whose
 last step propagate_and_analyze also offers on its own); draw the camera
 counts of (quadrature, analyzer) blocks, one after the other, each from its
 own Philox stream (sample_shots); estimate the weak characteristic function
@@ -30,6 +30,12 @@ polarization H and rotation angle eps*sin(k x + phi),
   - the diagonal-analyzer asymmetry gives the real part of the weak value,
     the circular-analyzer asymmetry the imaginary part;
   - Z(k) = <cos>_w + i <sin>_w, each asymmetry normalized by sin(2 eps).
+Parity: both weak values depend on |k| only.  The cos hologram at -k is the
+one at +k, and the sin hologram at -k is the +k rotation reversed, which
+swaps each analyzer's plus and minus ports: at any eps, every Born
+probability at -k is the one at +k, ports swapped for sin.  So a sweep
+measures only the n/2 + 1 rows q = -n/2, 0, 1, ..., n/2 - 1 (_kept), and
+row -q is Z = <cos>_w - i <sin>_w of row q (_unfold).
 """
 
 from __future__ import annotations
@@ -273,7 +279,9 @@ def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
     runs of cells drawn from one such generator give the same counts.  A bad
     key, ``shots`` outside [0, 2^63), or a cell that is not a probability or
     sums to 0 is refused before any draw.  The blocks are drawn one after
-    another on the calling thread.
+    another on the calling thread.  A sweep's stacks hold the n/2 + 1 measured
+    rows in k order: (2, n/2 + 1, 2, n) per joint quadrature, (4, n/2 + 1, 3, 1)
+    for a conditional-only run.
     """
     return _sample_shots(prob, shots, keys)
 
@@ -356,13 +364,31 @@ class ReconstructionResult:
     joint: np.ndarray | None      # (n_x, n_p) joint estimate when requested
 
 
+def _kept(params: np.ndarray) -> np.ndarray:
+    """The n/2 + 1 frequencies a sweep measures, in k order: q = -n/2 and
+    q = 0, 1, ..., n/2 - 1 steps (the parity in the module docstring)."""
+    return np.concatenate([params[:1], params[len(params) // 2:]])
+
+
+def _unfold(rows: np.ndarray, negate: bool = False) -> np.ndarray:
+    """The n rows in grid order from the ``_kept`` rows: row -q is row q, negated if ``negate``."""
+    twins = rows[:1:-1]
+    return np.concatenate([rows[:1], -twins if negate else twins, rows[1:]])
+
+
+def _totals(total: np.ndarray):
+    """The ``_kept`` rows' per-pixel totals summed over all n rows (a row q > 0
+    stands for its twin too), and the q = 0 row's, where the coupling moves no light."""
+    return total[0] + total[1] + 2 * total[2:].sum(axis=0), total[1].copy()
+
+
 def _quadrature(qi: int, born, sample, shots: int | None, seed: int, min_counts: int):
     """Quadrature qi's chain: its Born probabilities ``born(phase)``, an
-    (analyzer, k, outcome, pixel) stack, whose two analyzer blocks are drawn
-    by ``sample`` from the streams (seed, 2 qi) and (seed, 2 qi + 1), each
-    block's k cells in order, then each analyzer's ``_asymmetry`` figures and
-    its totals (summed over k, and at k = 0, where the coupling moves no
-    light).  Outcomes 0 and 1 are the plus and minus ports."""
+    (analyzer, k, outcome, pixel) stack over the ``_kept`` rows, whose two
+    analyzer blocks are drawn by ``sample`` from the streams (seed, 2 qi) and
+    (seed, 2 qi + 1), each block's k cells in order, then each analyzer's
+    ``_asymmetry`` figures and its ``_totals``.  Outcomes 0 and 1 are the
+    plus and minus ports."""
     probs = born(_QUAD_PHASE[QUADRATURES[qi]])
     if shots is not None:
         probs = sample(probs, shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])
@@ -370,19 +396,21 @@ def _quadrature(qi: int, born, sample, shots: int | None, seed: int, min_counts:
     for rows in probs:  # (k, outcome, pixel)
         asym, var, total, short = _asymmetry(rows[:, 0], rows[:, 1],
                                              None if shots is None else min_counts)
-        chain.append((asym, var, total.sum(axis=0), total[len(total) // 2].copy(), short))
+        chain.append((asym, var, *_totals(total), short))
         del total  # the next analyzer's tables are built without it
     return chain
 
 
 def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
            shots: int | None, seed: int, min_counts: int, pixel: int | None):
-    """Sweep every (k, quadrature, analyzer) cell, batched over k and pixel.
+    """Sweep every (k, quadrature, analyzer) cell of the ``_kept`` rows
+    ``params``, batched over k and pixel.
 
-    Returns the (k, pixel) asymmetries keyed by (quadrature, analyzer), their
-    summed variance, the (k, pixel) mask of entries lacking data, and the
-    counts (or probability) per pixel summed over all cells, and over the
-    four k = 0 cells.  Without a ``pixel`` (a joint) the Born stage is
+    Returns the (k, pixel) asymmetries of those rows keyed by (quadrature,
+    analyzer), their summed variance, the (k, pixel) mask of entries lacking
+    data, and the counts (or probability) per pixel summed over all n rows,
+    each row 0 < q < n/2 counted twice as it stands for its twin too, and
+    over the four k = 0 cells.  Without a ``pixel`` (a joint) the Born stage is
     ``run_setting`` over the whole camera: quadrature 0's chain runs on the
     calling thread through the public stages, and quadrature 1's on the
     worker thread through their private bodies, so every traced stage runs
@@ -390,7 +418,8 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
     ended.  With a ``pixel`` the sweep is one pass on the calling thread:
     ``_column`` gives both quadratures' marginals at that pixel, so every
     table is one (k, 1) column, and one ``sample_shots`` call draws the four
-    blocks, (seed, 0..3).  The sums are formed here in (quadrature, analyzer)
+    blocks, (seed, 0..3).  Either way each block draws its n/2 + 1 cells in k
+    order from its stream.  The sums are formed here in (quadrature, analyzer)
     order, so every output has the bits of drawing the blocks one by one.
     """
     g = w.grid
@@ -412,7 +441,7 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
             probs = sample_shots(probs, shots, [(seed, b) for b in range(len(probs))])
         asym, var, total, short = _asymmetry(probs[:, :, 0], probs[:, :, 1],
                                              None if shots is None else min_counts)
-        chains = [(a, v, t.sum(axis=0), t[len(t) // 2], s)
+        chains = [(a, v, *_totals(t), s)
                   for a, v, t, s in zip(asym, np.broadcast_to(var, asym.shape), total, short)]
     asym = {}
     shape = chains[0][0].shape  # (k, pixel)
@@ -464,9 +493,13 @@ def run_reconstruction(
     """Full k-sweep: the four stages, then the inverse Fourier transform.
 
     ``shots=None`` selects the infinite-statistics shortcut (analytic Born
-    probabilities, zero statistical error).  Each (quadrature qi, analyzer
-    ai) block draws its k cells in order from the Philox stream keyed by
-    (seed, 2 qi + ai).  A joint draws a quadrature's two blocks in one call
+    probabilities, zero statistical error).  Only the n/2 + 1 rows q = -n/2,
+    0, 1, ..., n/2 - 1 are measured; row -q, for 0 < q < n/2, is filled from
+    row q, paired by its integer offset: if Z(q) = C + iS then Z(-q) =
+    C - iS, and it takes row q's ``z_errors`` and mask of short rows.  The
+    tables keep their n rows.  Each (quadrature qi, analyzer ai) block draws
+    its measured cells in k order from the Philox stream keyed by (seed,
+    2 qi + ai).  A joint draws a quadrature's two blocks in one call
     and runs the quadratures on two threads.  Without ``joint``, a run with
     a ``post_index`` reads only the post pixel, in one pass on the calling
     thread: its Born stage computes that pixel's column alone, in O(n log
@@ -486,11 +519,14 @@ def run_reconstruction(
     _, params, dparam, _, step = _order(g, mode)
     n = g.n
     pixel = None if joint else post_index
-    asym, var_sum, short, recorded, at_rest = _sweep(w, params, epsilon, mode, shots, seed,
-                                                     min_counts, pixel)
+    asym, var_sum, short, recorded, at_rest = _sweep(w, _kept(params), epsilon, mode, shots,
+                                                     seed, min_counts, pixel)
     per_cell = 4 * (1 if shots is None else shots)  # four blocks of one k
     rates = recorded / (n * per_cell)
-    z_values, z_errors = estimate_weak_char(asym, var_sum, epsilon)
+    # row -q: row q's asymmetries, the sin ones negated
+    asym = {key: _unfold(a, key[0] == "sin") for key, a in asym.items()}
+    z_values, z_errors = estimate_weak_char(asym, _unfold(var_sum), epsilon)
+    short = _unfold(short)
     z_values[short] = 0.0
     z_errors[short] = np.inf
     conditional = conditional_se = None
@@ -503,8 +539,11 @@ def run_reconstruction(
         require_postselection(float(at_rest[column]) / per_cell,
                               f"pixel {post_index} post-selection")
         conditional = inverse_char_transform(z_values[:, column], dparam)
-        # independent errors per frequency propagate in quadrature through the
-        # linear inverse transform
+        # errors propagate in quadrature through the linear inverse transform,
+        # as if independent per frequency.  Rows q and -q share their draws,
+        # but C and S come from independent blocks: their pair's variance at y
+        # is 4 (v_C cos^2 qy + v_S sin^2 qy), which is this 2 (v_C + v_S)
+        # where v_C = v_S, and on average over y
         conditional_se = np.full(
             n, dparam / (2 * np.pi) * float(np.sqrt(np.sum(z_errors[:, column] ** 2)))
         )

@@ -22,7 +22,7 @@ from kdrecon.cv import (
     to_momentum,
     weak_char_fn,
 )
-from kdrecon import cv, photonics
+from kdrecon import cv, photonics, scenarios
 from kdrecon.core import GRID_CAP, PS_FLOOR
 from kdrecon.errors import (
     InsufficientCounts,
@@ -141,14 +141,18 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts, pixel=Non
     """Z estimates, errors and rates one (k, quadrature, analyzer) cell and one
     pixel at a time: the H photon is rotated, propagated and projected for
     each cell, and each pixel's four asymmetries are combined on their own.
+    Only the rows q = -n/2, 0, 1, ..., n/2 - 1 are measured, in k order; row
+    -q, for 0 < q < n/2, takes row q's asymmetries with the sin ones negated.
     With shots, (quadrature qi, analyzer ai) has a generator of its own, keyed
-    (seed, 2 qi + ai), which draws each frequency's (outcome, pixel) cell in
-    k order.  With a ``pixel`` (shots needed), each cell draws instead its
-    three-outcome marginal (plus and minus at the pixel, anywhere else), and
-    only that pixel's column is kept; the marginal is the Born column the
+    (seed, 2 qi + ai), which draws each measured frequency's (outcome, pixel)
+    cell in k order.  With a ``pixel`` (shots needed), each cell draws instead
+    its three-outcome marginal (plus and minus at the pixel, anywhere else),
+    and only that pixel's column is kept; the marginal is the Born column the
     conditional-only sweep computes, taken one frequency at a time.  Each
-    block's counts are summed over k, then the blocks in order.  Beyond the
-    transforms and that column it shares no code with the stages."""
+    block's counts are summed over the rows q = -n/2 and 0, and apart over the
+    rows 0 < q < n/2, which count twice (once for the twin); then the blocks
+    in order.  Beyond the transforms and that column it shares no code with
+    the stages."""
     g = w.grid
     n = g.n
     width = n if pixel is None else 1
@@ -158,8 +162,10 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts, pixel=Non
         else (position_samples_raw, g.dx)
     z_values = np.zeros((n, width), dtype=complex)
     z_errors = np.zeros((n, width))
-    recorded = np.zeros((4, width))
-    for m, kp in enumerate(_order(g, mode)[1]):
+    edges, twins = np.zeros((4, width)), np.zeros((4, width))
+    params = _order(g, mode)[1]
+    for m in [0] + list(range(n // 2, n)):
+        kp = params[m]
         rows = {}
         for qi, quad in enumerate(QUADRATURES):
             phase = np.pi / 2 if quad == "cos" else 0.0
@@ -177,24 +183,28 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts, pixel=Non
                     if shots is not None:
                         probs = fresh_cell(rngs[2 * qi + ai], probs, shots)
                 rows[quad, analyzer] = probs
-                recorded[2 * qi + ai] += probs.sum(axis=0)
+                (twins if m > n // 2 else edges)[2 * qi + ai] += probs.sum(axis=0)
         for pix in range(width):
             asym, var_sum = {}, 0.0
             for key, (plus, minus) in rows.items():
                 total = plus[pix] + minus[pix]
                 if total == 0 or (shots is not None and total < min_counts):
-                    z_values[m, pix], z_errors[m, pix] = 0.0, np.inf
+                    asym = None
                     break
                 asym[key] = (plus[pix] - minus[pix]) / total
                 if shots is not None:
                     var_sum += max(1.0 - asym[key] ** 2, 1e-12) / total
-            else:
+            for row, sign in [(m, 1)] + ([(n - m, -1)] if m > n // 2 else []):
+                if asym is None:
+                    z_values[row, pix], z_errors[row, pix] = 0.0, np.inf
+                    continue
                 norm = np.sin(2 * epsilon)
-                z_values[m, pix] = (asym["cos", "diag"] - asym["sin", "circ"] + 1j * (
-                    asym["cos", "circ"] + asym["sin", "diag"])) / norm
-                z_errors[m, pix] = np.sqrt(var_sum) / norm
+                sin_diag, sin_circ = sign * asym["sin", "diag"], sign * asym["sin", "circ"]
+                z_values[row, pix] = (asym["cos", "diag"] - sin_circ + 1j * (
+                    asym["cos", "circ"] + sin_diag)) / norm
+                z_errors[row, pix] = np.sqrt(var_sum) / norm
     rates = np.zeros(width)
-    for block in recorded:
+    for block in edges + 2 * twins:
         rates += block
     return z_values, z_errors, rates / (4 * n * (1 if shots is None else shots))
 
@@ -415,6 +425,71 @@ class TestBornColumn:
         bessel = full[orders % 4096]
         assert np.max(np.abs(coeff - np.where(orders % 2, -1j, 1) * bessel)) < 1e-15
         assert np.sum(np.abs(full)) - np.sum(np.abs(bessel)) <= 1e-15 + 4096 * 1e-17
+
+
+class TestTwinRows:
+    """Z(k) = <cos kx>_w + i <sin kx>_w, and both weak values depend on |k|
+    only: the sweep measures the rows q = -n/2, 0, 1, ..., n/2 - 1 and fills
+    each row -q from row q."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_minus_k_is_plus_k_with_the_sin_ports_swapped(self, mode, hbar, n):
+        # the cos hologram at -k, eps sin(-kx + pi/2), is the one at +k; the sin
+        # hologram, eps sin(-kx), is the +k rotation reversed, which swaps each
+        # analyzer's plus and minus ports.  The benchmark's grid length, on
+        # which x/hbar is not bitwise antisymmetric.
+        g = Grid(n, 16 * np.sqrt(2), hbar)
+        w = random_smooth_state(g, 3)
+        h, params = photonics._slm_plane(w, mode), _order(g, mode)[1]
+        plus_k, minus_k = params[n // 2 + 1:], params[n // 2 - 1:0:-1]
+        for eps in (1e-3, 0.05, 1.5):
+            for phase, ports in ((np.pi / 2, [0, 1, 2]), (0.0, [1, 0, 2])):
+                camera = run_setting(w, plus_k, phase, eps, mode)  # (analyzer, k, outcome, pixel)
+                twin = run_setting(w, minus_k, phase, eps, mode)[:, :, ports[:2]]
+                # 3.3e-16 measured at eps = 1.5: kx + phase and -kx + phase round
+                # apart, and eps scales the difference
+                assert np.max(np.abs(camera - twin)) <= (1e-16 if eps < 1 else 4e-16), (eps, phase)
+                if phase == 0.0 and mode == "x-then-p":  # k x is exactly -(-k) x
+                    assert np.array_equal(camera, twin), eps
+                for pixel in (n // 2, n // 2 + 3, 5):
+                    column = photonics._column(g, h, plus_k, [phase], eps, mode, pixel)[0]
+                    mirrored = photonics._column(g, h, minus_k, [phase], eps, mode, pixel)[0]
+                    gap = np.abs(column - mirrored[:, :, ports])
+                    assert np.max(gap[:, :, :2]) <= 1e-16, (eps, phase, pixel)
+                    # the third outcome, 1 - plus - minus, lies near 1
+                    assert np.max(gap[:, :, 2]) <= np.spacing(1.0), (eps, phase, pixel)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shots", [None, 10**4])
+    @pytest.mark.parametrize("joint", [True, False])
+    def test_row_minus_q_is_c_minus_i_s_of_row_q(self, mode, shots, joint, monkeypatch):
+        g = Grid(32, 14.0)
+        n, eps = g.n, 0.05
+        w = gaussian_state(g, center=0.4, width=WIDTH)
+        swept = []
+
+        def sweep(*args, _sweep=photonics._sweep):
+            swept.append(_sweep(*args))
+            return swept[-1]
+
+        monkeypatch.setattr(photonics, "_sweep", sweep)
+        res = run_reconstruction(w, eps, shots, 5, mode=mode, post_index=n // 2, joint=joint)
+        (asym, var_sum, short, _, _), = swept
+        assert short.shape == (n // 2 + 1, n if joint else 1)  # the rows -n/2, 0, ..., n/2 - 1
+        if shots is not None and joint:
+            assert 0 < short.sum() < short.size  # the masks compared are not trivial
+        # if Z(q) = C + iS, then Z(-q) = C - iS: row q's asymmetries, the sin ones negated
+        z, se = estimate_weak_char(asym, var_sum, eps)
+        mirrored = {key: -a if key[0] == "sin" else a for key, a in asym.items()}
+        z_twin, _ = estimate_weak_char(mirrored, var_sum, eps)
+        for q in range(-(n // 2), n // 2):
+            row = 1 + abs(q) if q > -(n // 2) else 0  # its measured row
+            assert np.array_equal(np.isinf(res.z_errors[n // 2 + q]), short[row]), q
+            assert np.array_equal(res.z_errors[n // 2 + q], np.where(short[row], np.inf, se[row]))
+            measured = z_twin[row] if -(n // 2) < q < 0 else z[row]
+            assert np.array_equal(res.z_values[n // 2 + q], np.where(short[row], 0.0, measured)), q
 
 
 class TestSampling:
@@ -859,10 +934,10 @@ class TestReconstruction:
 
             def fresh(prob, shots, keys, n=n, _stack=photonics._sample_shots):
                 # one call per quadrature on its (analyzer, k, outcome, pixel)
-                # stack, each analyzer block's cells drawn here one at a time
-                # from a generator of the block's key
+                # stack over the n/2 + 1 measured rows, each analyzer block's
+                # cells drawn here one at a time from a generator of the block's key
                 calls.append(keys)
-                assert prob.shape == (2, n, 2, n)
+                assert prob.shape == (2, n // 2 + 1, 2, n)
                 rows = np.stack([fresh_sample_shots(block, shots, key)
                                  for block, key in zip(prob, keys)])
                 assert np.array_equal(_stack(prob, shots, keys), rows)
@@ -934,7 +1009,7 @@ class TestReconstruction:
         if shots is not None and not joint:
             (prob, _, keys), = [args for name, _, args in calls
                                 if name == "kdrecon.photonics.sample_shots"]
-            assert prob.shape == (4, n, 3, 1)
+            assert prob.shape == (4, n // 2 + 1, 3, 1)  # the rows q = -n/2, 0, ..., n/2 - 1
             assert keys == [(3, stream) for stream in range(4)]
 
     def test_conditional_runs_start_no_thread(self):
@@ -1200,25 +1275,36 @@ class TestReconstruction:
         flipped = np.roll(probs_xtp[..., ::-1], 1, axis=-1)
         assert np.max(np.abs(probs_ptx - flipped)) < 1e-9
 
-    def test_statistical_soundness(self, packet):
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("state", ["gaussian", "random-smooth"])
+    def test_statistical_soundness(self, packet, mode, state):
         # the conditional-only run draws the post pixel's marginal
-        self.check_calibrated(packet, joint=False)
+        self.check_calibrated(packet, mode, state, joint=False)
 
-    def test_statistical_soundness_of_the_joint_runs_conditional(self, packet):
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("state", ["gaussian", "random-smooth"])
+    def test_statistical_soundness_of_the_joint_runs_conditional(self, packet, mode, state):
         # the same statistic, read from the post pixel of the whole camera
-        self.check_calibrated(packet, joint=True)
+        self.check_calibrated(packet, mode, state, joint=True)
 
     @staticmethod
-    def check_calibrated(packet, joint):
+    def check_calibrated(packet, mode, state, joint):
         # conditional_se is the standard error of the complex value, so the
-        # calibrated statistic is E|r|^2 / se^2 = 1; each part alone has 1/2
+        # calibrated statistic is E|r|^2 / se^2 = 1; each part alone has 1/2.
+        # Rows k and -k share their draws: the pair's variance at y is
+        # 4 (v_C cos^2 ky + v_S sin^2 ky), against 2 (v_C + v_S) for two
+        # independent rows, so the mean over y stays calibrated.  The post
+        # pixel is the brightest; the statistic read 0.96-1.05 over these cases.
         g = packet.grid
-        oracle = conditional_pseudo_cv(weak_char_fn(packet, 0.0))
+        w = packet if state == "gaussian" else random_smooth_state(g, 3)
+        post = int(np.argmax(run_setting(w, 0.0, 0.0, 0.05, mode)[0].sum(axis=0)))
+        oracle = scenarios._cv_conditional_oracle(g, w, post,
+                                                  "x" if mode == "x-then-p" else "p").values
         informative = np.abs(oracle) > 0.05 * np.max(np.abs(oracle))
         residuals = []
         for seed in range(30):
-            res = run_reconstruction(packet, 0.05, shots=10**5, seed=seed,
-                                     post_index=g.n // 2, joint=joint)
+            res = run_reconstruction(w, 0.05, shots=10**5, seed=seed, mode=mode,
+                                     post_index=post, joint=joint)
             r = (res.conditional - oracle)[informative]
             residuals.extend((r / res.conditional_se[informative]).tolist())
         residuals = np.array(residuals)
