@@ -18,11 +18,10 @@ of the SLM plane's one lens transform.  It gives each cell's three-outcome
 marginal (plus, minus at the pixel; anywhere else), drawn when there are
 shots, so its Z tables are one (k, 1) column.
 
-A conditional-only sweep is one pass on the calling thread.  A joint sweep
-runs quadrature 0's chain (Born probabilities, draws, asymmetries) on the
-calling thread and quadrature 1's on a persistent worker thread, which calls
-only the private stage bodies, so every call of a public name comes from the
-calling thread.
+Every sweep runs on the calling thread and starts no thread.  A joint runs
+its two quadratures' chains (Born probabilities, draws, asymmetries) one
+after the other, each through run_setting and sample_shots; a
+conditional-only sweep is one pass over both quadratures.
 
 Readout protocol (validated against the grid oracle, not assumed): with input
 polarization H and rotation angle eps*sin(k x + phi),
@@ -41,14 +40,12 @@ row -q is Z = <cos>_w - i <sin>_w of row q (_unfold).
 from __future__ import annotations
 
 import itertools
-import os
-import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
-from .core import require_grid_size, require_index, require_postselection
+from .core import PS_FLOOR, require_grid_size, require_index, require_postselection
 from .cv import (
     ORDERINGS,
     Grid,
@@ -106,17 +103,15 @@ def run_setting(w: WaveFunction, k, phase: float, epsilon: float, mode: str) -> 
     own frequencies, as ``cv._grid_offsets`` checks: OffGridParameter for
     any other, which the lens would alias.  The coordinate and the step come
     from ``_order``, which refuses an unknown mode before any transform.  The
-    photon is then propagated and analyzed as ``propagate_and_analyze`` says.
+    rotated photon is built in one buffer, which the lens transforms in
+    place: the photon is propagated and analyzed as ``propagate_and_analyze``
+    says.
     """
-    return _setting(w.grid, _slm_plane(w, mode), k, phase, epsilon, mode)
-
-
-def _setting(g: Grid, h: np.ndarray, k, phase: float, epsilon: float, mode: str) -> np.ndarray:
-    """run_setting's body, from the SLM-plane amplitudes ``h``: the rotated
-    photon is built in one buffer, which the lens transforms in place."""
+    g = w.grid
     coords, _, step, inverse, camera_step = _order(g, mode)
     k = np.asarray(k, dtype=float)
     _grid_offsets(g, k, step, "SLM frequency")
+    h = _slm_plane(w, mode)
     theta = epsilon * np.sin(np.multiply.outer(k, coords) + phase)
     # the V input is 0, so the rotation sends h to (cos theta, sin theta) h
     hv = np.empty(theta.shape[:-1] + (2, g.n), dtype=complex)
@@ -221,21 +216,6 @@ def _analyze(camera: np.ndarray, step: float) -> np.ndarray:
 
 SEED_LIMIT = 2**63  # each Philox key word, and each shot count, lies in [0, 2^63)
 
-_pool = None  # the one worker thread that runs quadrature 1's chain of every joint sweep
-_pool_lock = threading.Lock()
-
-
-def _forget_pool():
-    # a fork child has no copy of the parent's worker thread, so a pool it
-    # inherited would queue chains that never run
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _clipped_rows(cells: np.ndarray) -> np.ndarray:
     """``cells`` clipped to [0, inf), as C-ordered (cell, outcome) rows."""
     return np.maximum(cells, 0, out=np.empty(cells.shape)).reshape(len(cells), -1)
@@ -248,18 +228,6 @@ def _draw(runs, shots: int, key: tuple[int, int], out: np.ndarray) -> None:
     gen = np.random.Generator(np.random.Philox(key=key))
     for cells, pvals in runs:
         out[cells] = gen.multinomial(shots, pvals)
-
-
-def _submit(fn, *args):
-    """Run ``fn(*args)`` on the worker thread, which is started on first use
-    (with the ``concurrent.futures`` import) and kept for later sweeps."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kdrecon-sweep")
-        return _pool.submit(fn, *args)
 
 
 def _require_key(key) -> tuple[int, int]:
@@ -279,16 +247,12 @@ def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
     runs of cells drawn from one such generator give the same counts.  A bad
     key, ``shots`` outside [0, 2^63), or a cell that is not a probability or
     sums to 0 is refused before any draw.  The blocks are drawn one after
-    another on the calling thread.  A sweep's stacks hold the n/2 + 1 measured
-    rows in k order: (2, n/2 + 1, 2, n) per joint quadrature, (4, n/2 + 1, 3, 1)
-    for a conditional-only run.
+    another on the calling thread, each clipped, normalised and drawn a run
+    of about _PRODUCT_CELLS cells at a time, so no copy of the stack is
+    built.  A sweep's stacks hold the n/2 + 1 measured rows in k order:
+    (2, n/2 + 1, 2, n) per joint quadrature, (4, n/2 + 1, 3, 1) for a
+    conditional-only run.
     """
-    return _sample_shots(prob, shots, keys)
-
-
-def _sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
-    """sample_shots' body.  Each block is clipped, normalised and drawn a run
-    of about _PRODUCT_CELLS cells at a time, so no copy of the stack is built."""
     keys = [_require_key(key) for key in keys]
     shots = require_index(shots, SEED_LIMIT, "shots")
     p = np.asarray(prob, dtype=float)
@@ -382,67 +346,57 @@ def _totals(total: np.ndarray):
     return total[0] + total[1] + 2 * total[2:].sum(axis=0), total[1].copy()
 
 
-def _quadrature(qi: int, born, sample, shots: int | None, seed: int, min_counts: int):
-    """Quadrature qi's chain: its Born probabilities ``born(phase)``, an
-    (analyzer, k, outcome, pixel) stack over the ``_kept`` rows, whose two
-    analyzer blocks are drawn by ``sample`` from the streams (seed, 2 qi) and
-    (seed, 2 qi + 1), each block's k cells in order, then each analyzer's
-    ``_asymmetry`` figures and its ``_totals``.  Outcomes 0 and 1 are the
-    plus and minus ports."""
-    probs = born(_QUAD_PHASE[QUADRATURES[qi]])
+def _blocks(probs: np.ndarray, shots: int | None, min_counts: int):
+    """Each block's ``_asymmetry`` figures and ``_totals``, from a stack of
+    (k, outcome, pixel) blocks of counts, or of Born probabilities when
+    ``shots`` is None.  Outcomes 0 and 1 are the plus and minus ports."""
+    asym, var, total, short = _asymmetry(probs[:, :, 0], probs[:, :, 1],
+                                         None if shots is None else min_counts)
+    return [(a, v, *_totals(t), s)
+            for a, v, t, s in zip(asym, np.broadcast_to(var, asym.shape), total, short)]
+
+
+def _quadrature(qi: int, w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
+                shots: int | None, seed: int, min_counts: int):
+    """Quadrature qi's chain over the ``_kept`` rows ``params``: its
+    ``run_setting`` probabilities, whose two analyzer blocks ``sample_shots``
+    draws from the streams (seed, 2 qi) and (seed, 2 qi + 1), each block's k
+    cells in order, then each analyzer's ``_blocks`` figures."""
+    probs = run_setting(w, params, _QUAD_PHASE[QUADRATURES[qi]], epsilon, mode)
     if shots is not None:
-        probs = sample(probs, shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])
-    chain = []
-    for rows in probs:  # (k, outcome, pixel)
-        asym, var, total, short = _asymmetry(rows[:, 0], rows[:, 1],
-                                             None if shots is None else min_counts)
-        chain.append((asym, var, *_totals(total), short))
-        del total  # the next analyzer's tables are built without it
-    return chain
+        probs = sample_shots(probs, shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])
+    return _blocks(probs, shots, min_counts)
 
 
 def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
            shots: int | None, seed: int, min_counts: int, pixel: int | None):
     """Sweep every (k, quadrature, analyzer) cell of the ``_kept`` rows
-    ``params``, batched over k and pixel.
+    ``params``, batched over k and pixel, on the calling thread.
 
     Returns the (k, pixel) asymmetries of those rows keyed by (quadrature,
     analyzer), their summed variance, the (k, pixel) mask of entries lacking
     data, and the counts (or probability) per pixel summed over all n rows,
     each row 0 < q < n/2 counted twice as it stands for its twin too, and
     over the four k = 0 cells.  Without a ``pixel`` (a joint) the Born stage is
-    ``run_setting`` over the whole camera: quadrature 0's chain runs on the
-    calling thread through the public stages, and quadrature 1's on the
-    worker thread through their private bodies, so every traced stage runs
-    on the calling thread; an error in either chain is raised once both have
-    ended.  With a ``pixel`` the sweep is one pass on the calling thread:
-    ``_column`` gives both quadratures' marginals at that pixel, so every
-    table is one (k, 1) column, and one ``sample_shots`` call draws the four
-    blocks, (seed, 0..3).  Either way each block draws its n/2 + 1 cells in k
-    order from its stream.  The sums are formed here in (quadrature, analyzer)
-    order, so every output has the bits of drawing the blocks one by one.
+    ``run_setting`` over the whole camera, and the two quadratures' chains
+    run one after the other; an error in quadrature 0's leaves quadrature 1
+    unstarted.  With a ``pixel``, ``_column`` gives both quadratures'
+    marginals at that pixel, so every table is one (k, 1) column, and one
+    ``sample_shots`` call draws the four blocks, (seed, 0..3).  Either way
+    each block draws its n/2 + 1 cells in k order from its stream, and the
+    sums are formed in (quadrature, analyzer) order.
     """
-    g = w.grid
-    h = _slm_plane(w, mode)
     if pixel is None:
-        settings = dict(epsilon=epsilon, mode=mode)  # each Born stage then takes the phase
-        pending = _submit(_quadrature, 1, partial(_setting, g, h, params, **settings),
-                          _sample_shots, shots, seed, min_counts)
-        try:
-            chains = _quadrature(0, partial(run_setting, w, params, **settings), sample_shots,
-                                 shots, seed, min_counts)
-        finally:
-            pending.exception()  # the worker's chain ends before any error of this one is raised
-        chains += pending.result()
+        chains = []
+        for qi in range(len(QUADRATURES)):  # one after the other
+            chains += _quadrature(qi, w, params, epsilon, mode, shots, seed, min_counts)
     else:
-        probs = _column(g, h, params, [_QUAD_PHASE[q] for q in QUADRATURES], epsilon, mode, pixel)
+        probs = _column(w.grid, _slm_plane(w, mode), params,
+                        [_QUAD_PHASE[q] for q in QUADRATURES], epsilon, mode, pixel)
         probs = probs.reshape(-1, *probs.shape[2:])  # the (quadrature, analyzer) blocks
         if shots is not None:
             probs = sample_shots(probs, shots, [(seed, b) for b in range(len(probs))])
-        asym, var, total, short = _asymmetry(probs[:, :, 0], probs[:, :, 1],
-                                             None if shots is None else min_counts)
-        chains = [(a, v, *_totals(t), s)
-                  for a, v, t, s in zip(asym, np.broadcast_to(var, asym.shape), total, short)]
+        chains = _blocks(probs, shots, min_counts)
     asym = {}
     shape = chains[0][0].shape  # (k, pixel)
     var_sum = np.zeros(shape)
@@ -499,17 +453,19 @@ def run_reconstruction(
     C - iS, and it takes row q's ``z_errors`` and mask of short rows.  The
     tables keep their n rows.  Each (quadrature qi, analyzer ai) block draws
     its measured cells in k order from the Philox stream keyed by (seed,
-    2 qi + ai).  A joint draws a quadrature's two blocks in one call
-    and runs the quadratures on two threads.  Without ``joint``, a run with
-    a ``post_index`` reads only the post pixel, in one pass on the calling
-    thread: its Born stage computes that pixel's column alone, in O(n log
-    n), so the grid is not capped; its ``z_values``, ``z_errors`` and
-    ``rates`` are (n_k, 1) and (1,), and each cell draws only its (plus,
-    minus at the pixel; anywhere else) marginal.
+    2 qi + ai).  Everything runs on the calling thread.  A joint runs the
+    quadratures one after the other, drawing each one's two blocks in one
+    call.  Without ``joint``, a run with a ``post_index`` reads only the
+    post pixel, in one pass: its Born stage computes that pixel's column
+    alone, in O(n log n), so the grid is not capped; its ``z_values``,
+    ``z_errors`` and ``rates`` are (n_k, 1) and (1,), and each cell draws
+    only its (plus, minus at the pixel; anywhere else) marginal.
     The settings are refused, before any work, as ``require_settings``
     says, and so is a seed outside [0, 2^63), with or without shots
     (``core.require_index``); a joint past the n x n cap is a SizeCap, and a
     post pixel whose k = 0 rate is at or below 1e-10 a PostSelectionTooWeak.
+    A joint reports 0 in each camera column that lacks counts at some k or
+    whose k = 0 rate is at or below that floor.
     """
     g = w.grid
     post_index = require_settings(g, epsilon, mode, post_index, shots, min_counts)
@@ -549,7 +505,7 @@ def run_reconstruction(
         )
     joint_est = None
     if joint:
-        valid = np.all(np.isfinite(z_errors), axis=0) & (rates > 0)
+        valid = np.all(np.isfinite(z_errors), axis=0) & (at_rest / per_cell > PS_FLOOR)
         # rows: reconstructed variable; columns: camera pixel
         joint_est = inverse_char_transform(z_values, dparam) * np.where(valid, rates / step, 0.0)
         if mode == "p-then-x":

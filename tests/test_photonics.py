@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -16,6 +15,7 @@ from kdrecon.cv import (
     conditional_pseudo_cv,
     gaussian_state,
     inverse_char_transform,
+    joint_kd_cv,
     momentum_samples_raw,
     position_samples_raw,
     random_smooth_state,
@@ -151,8 +151,9 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts, pixel=Non
     conditional-only sweep computes, taken one frequency at a time.  Each
     block's counts are summed over the rows q = -n/2 and 0, and apart over the
     rows 0 < q < n/2, which count twice (once for the twin); then the blocks
-    in order.  Beyond the transforms and that column it shares no code with
-    the stages."""
+    in order.  Also returns the q = 0 row's rate per pixel, where the
+    coupling moves no light.  Beyond the transforms and that column it shares
+    no code with the stages."""
     g = w.grid
     n = g.n
     width = n if pixel is None else 1
@@ -162,7 +163,7 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts, pixel=Non
         else (position_samples_raw, g.dx)
     z_values = np.zeros((n, width), dtype=complex)
     z_errors = np.zeros((n, width))
-    edges, twins = np.zeros((4, width)), np.zeros((4, width))
+    edges, twins, at_rest = np.zeros((4, width)), np.zeros((4, width)), np.zeros(width)
     params = _order(g, mode)[1]
     for m in [0] + list(range(n // 2, n)):
         kp = params[m]
@@ -184,6 +185,8 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts, pixel=Non
                         probs = fresh_cell(rngs[2 * qi + ai], probs, shots)
                 rows[quad, analyzer] = probs
                 (twins if m > n // 2 else edges)[2 * qi + ai] += probs.sum(axis=0)
+                if m == n // 2:
+                    at_rest += probs.sum(axis=0)
         for pix in range(width):
             asym, var_sum = {}, 0.0
             for key, (plus, minus) in rows.items():
@@ -206,7 +209,8 @@ def per_cell_reconstruction(w, epsilon, shots, seed, mode, min_counts, pixel=Non
     rates = np.zeros(width)
     for block in edges + 2 * twins:
         rates += block
-    return z_values, z_errors, rates / (4 * n * (1 if shots is None else shots))
+    per_cell = 4 * (1 if shots is None else shots)
+    return z_values, z_errors, rates / (n * per_cell), at_rest / per_cell
 
 
 def per_cell_conditional(z_values, z_errors, column, dparam):
@@ -219,10 +223,6 @@ def per_cell_conditional(z_values, z_errors, column, dparam):
 
 def refuse_draw(*args, **kwargs):
     raise AssertionError("a Philox generator was built for a refused call")
-
-
-def refuse_submit(*args, **kwargs):
-    raise AssertionError("a chain was handed to the worker thread")
 
 
 def same_results(a, b):
@@ -545,9 +545,9 @@ class TestSampling:
                 assert np.array_equal(counts, fresh_sample_shots(p, shots, key)), (key, shots)
 
     def test_threads_sampling_interleaved_keys_match_sequential(self):
-        # four user threads run sweeps at once: each joint hands its second
-        # quadrature to the one worker thread that every caller shares, and
-        # each conditional-only run draws its four blocks on its own thread
+        # four user threads run sweeps at once, each sweep on its own
+        # calling thread: a joint runs its two quadratures one after the
+        # other, a conditional-only run draws its four blocks in one pass
         g = Grid(32, 12.0)
         states = [gaussian_state(g, center=0.3, width=WIDTH), random_smooth_state(g, 3)]
         runs = [((states[m % 2], 0.05, (10**4, None, 10**6)[m % 3], 100 + m),
@@ -634,51 +634,42 @@ class TestSampling:
     def test_error_in_a_block_draw_reaches_the_caller_after_every_draw(self, failing, joint,
                                                                          monkeypatch):
         # the draw of stream ``failing`` raises in a sweep; run_reconstruction
-        # re-raises it, with its type, only once no draw is running.  In a
-        # joint the other quadrature draws both its blocks, the failing one
-        # only its blocks up to the failing one; a conditional-only run draws
-        # its four blocks in order, so only the streams up to the failing one.
+        # re-raises it, with its type.  Every draw is made on the calling
+        # thread, in stream order: a joint draws quadrature 0's two blocks
+        # before quadrature 1's, a conditional-only run its four blocks in
+        # one pass, so either way only the streams up to the failing one.
         class DrawFailed(RuntimeError):
             pass
 
-        lock = threading.Lock()
-        running, finished = set(), []
+        finished, threads = [], set()
 
         def draw(runs, shots, key, out, _draw=photonics._draw):
-            with lock:
-                running.add(key)
+            threads.add(threading.get_ident())
             try:
                 if key[1] == failing:
                     raise DrawFailed(key)
-                time.sleep(0.05)
                 return _draw(runs, shots, key, out)
             finally:
-                with lock:
-                    running.discard(key)
-                    finished.append(key)
+                finished.append(key)
 
         monkeypatch.setattr(photonics, "_draw", draw)
         w = gaussian_state(Grid(16, 12.0), width=WIDTH)
         with pytest.raises(DrawFailed) as raised:
             run_reconstruction(w, 0.05, 100, 4, post_index=w.grid.n // 2, joint=joint)
         assert raised.value.args == ((4, failing),)
-        assert not running
-        streams = set(range(failing + 1))
-        if joint:
-            other = 2 * (1 - failing // 2)
-            streams |= {other, other + 1}
-        assert sorted(finished) == [(4, s) for s in sorted(streams)]
+        assert threads == {threading.get_ident()}
+        assert finished == [(4, s) for s in range(failing + 1)]
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_fork_child_draws_the_parents_counts(self):
-        # the parent's sweeps have started the worker thread; the child
-        # inherits the parent's pool but not its thread
+        # the parent's joints start no thread, so it forks with one thread
+        # and the child runs the same sweeps on its own
         w = gaussian_state(Grid(32, 12.0), center=0.3, width=WIDTH)
         runs = [((w, 0.05, shots, 11), dict(mode=mode, post_index=16, joint=True))
                 for shots, mode in ((10**4, "x-then-p"), (None, "p-then-x"))]
         parent = [run_reconstruction(*args, **kwargs) for args, kwargs in runs]
+        assert threading.active_count() == 1
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         child = ctx.Process(target=_reconstruct_into, args=(queue, runs))
@@ -847,7 +838,8 @@ class TestReconstruction:
         g = Grid(32, 14.0, hbar)
         w = gaussian_state(g, center=0.4, width=WIDTH)
         eps, seed, post = 0.05, 17, g.n // 2
-        z_ref, se_ref, rates_ref = per_cell_reconstruction(w, eps, shots, seed, mode, 100)
+        z_ref, se_ref, rates_ref, rest_ref = per_cell_reconstruction(w, eps, shots, seed, mode,
+                                                                     100)
         res = run_reconstruction(w, eps, shots, seed, mode=mode, post_index=post, joint=True,
                                  min_counts=100)
         masked = np.isinf(se_ref)
@@ -858,7 +850,7 @@ class TestReconstruction:
         assert np.array_equal(res.rates, rates_ref)
         _, params, dparam, *_ = _order(g, mode)
         step = g.dp if mode == "x-then-p" else g.dx
-        valid = ~masked.any(axis=0) & (rates_ref > 0)
+        valid = ~masked.any(axis=0) & (rest_ref > PS_FLOOR)
         joint = inverse_char_transform(z_ref, dparam) * np.where(valid, rates_ref / step, 0.0)
         assert np.array_equal(res.joint, joint if mode == "x-then-p" else joint.T)
         conditional, conditional_se = per_cell_conditional(z_ref, se_ref, post, dparam)
@@ -892,8 +884,8 @@ class TestReconstruction:
 
     @staticmethod
     def check_marginal_draw(w, mode, shots, post, seed):
-        z_ref, se_ref, rates_ref = per_cell_reconstruction(w, 0.05, shots, seed, mode, 100,
-                                                           pixel=post)
+        z_ref, se_ref, rates_ref, _ = per_cell_reconstruction(w, 0.05, shots, seed, mode, 100,
+                                                              pixel=post)
         res = run_reconstruction(w, 0.05, shots, seed, mode=mode, post_index=post)
         assert res.z_values.shape == res.z_errors.shape == (w.grid.n, 1)
         assert res.rates.shape == (1,) and res.joint is None
@@ -932,7 +924,7 @@ class TestReconstruction:
             res = run_reconstruction(w, 0.05, shots, seed, mode=mode, joint=True)
             calls = []
 
-            def fresh(prob, shots, keys, n=n, _stack=photonics._sample_shots):
+            def fresh(prob, shots, keys, n=n, _stack=photonics.sample_shots):
                 # one call per quadrature on its (analyzer, k, outcome, pixel)
                 # stack over the n/2 + 1 measured rows, each analyzer block's
                 # cells drawn here one at a time from a generator of the block's key
@@ -943,12 +935,11 @@ class TestReconstruction:
                 assert np.array_equal(_stack(prob, shots, keys), rows)
                 return rows
 
-            # the body that the public sample_shots and the worker's chain call
-            monkeypatch.setattr(photonics, "_sample_shots", fresh)
+            monkeypatch.setattr(photonics, "sample_shots", fresh)
             ref = run_reconstruction(w, 0.05, shots, seed, mode=mode, joint=True)
             monkeypatch.undo()
-            # the quadratures draw on two threads, in either order
-            assert sorted(calls) == [[(seed, 0), (seed, 1)], [(seed, 2), (seed, 3)]]
+            # the quadratures draw one after the other
+            assert calls == [[(seed, 0), (seed, 1)], [(seed, 2), (seed, 3)]]
             for name in ("z_values", "z_errors", "rates", "joint"):
                 assert np.array_equal(getattr(res, name), getattr(ref, name)), (n, name)
 
@@ -956,7 +947,7 @@ class TestReconstruction:
     def test_block_draw_matches_per_cell_path_at_benchmark_scale(self, mode):
         g = Grid(64, 16.0)
         w = gaussian_state(g, center=0.4, width=WIDTH)
-        z_ref, se_ref, rates_ref = per_cell_reconstruction(w, 0.05, 10**6, 29, mode, 100)
+        z_ref, se_ref, rates_ref, _ = per_cell_reconstruction(w, 0.05, 10**6, 29, mode, 100)
         res = run_reconstruction(w, 0.05, 10**6, 29, mode=mode, joint=True)
         assert 0 < np.isinf(se_ref).sum() < se_ref.size
         assert np.array_equal(res.z_values, z_ref)
@@ -988,8 +979,6 @@ class TestReconstruction:
                     for attr, value in vars(namespace).copy().items():
                         if value is fn:
                             monkeypatch.setattr(namespace, attr, recorded)
-        if not joint:
-            monkeypatch.setattr(photonics, "_submit", refuse_submit)
         run_reconstruction(w, 0.05, shots, 3, mode=mode, post_index=n // 2, joint=joint)
         assert {thread for _, thread, _ in calls} == {threading.get_ident()}
         stages = {f"kdrecon.photonics.{name}": 0 for name in (
@@ -997,14 +986,14 @@ class TestReconstruction:
         for name, _, _ in calls:
             if name in stages:
                 stages[name] += 1
-        # a joint's quadrature 0 setting and draw of both analyzer blocks,
-        # each over all frequencies, are public calls; quadrature 1's run the
-        # same bodies on the worker.  A conditional-only run's Born column is
-        # private, and one public call draws its four blocks.  One batched
-        # estimate.
-        assert stages == {"kdrecon.photonics.run_setting": int(joint),
+        # each of a joint's quadratures makes one setting and one draw of
+        # its two analyzer blocks, each over all measured frequencies.  A
+        # conditional-only run's Born column is private, and one call draws
+        # its four blocks.  One batched estimate.
+        assert stages == {"kdrecon.photonics.run_setting": 2 if joint else 0,
                           "kdrecon.photonics.propagate_and_analyze": 0,
-                          "kdrecon.photonics.sample_shots": 0 if shots is None else 1,
+                          "kdrecon.photonics.sample_shots":
+                              0 if shots is None else 2 if joint else 1,
                           "kdrecon.photonics.estimate_weak_char": 1}
         if shots is not None and not joint:
             (prob, _, keys), = [args for name, _, args in calls
@@ -1012,8 +1001,8 @@ class TestReconstruction:
             assert prob.shape == (4, n // 2 + 1, 3, 1)  # the rows q = -n/2, 0, ..., n/2 - 1
             assert keys == [(3, stream) for stream in range(4)]
 
-    def test_conditional_runs_start_no_thread(self):
-        # in a fresh interpreter, which no joint has given a worker thread
+    def test_sweeps_start_no_thread(self):
+        # joints and conditional-only runs, in a fresh interpreter
         code = "\n".join([
             "import threading",
             "from kdrecon import photonics",
@@ -1021,19 +1010,23 @@ class TestReconstruction:
             "w = gaussian_state(Grid(32, 12.0), width=0.7071067811865476)",
             "for mode in ('x-then-p', 'p-then-x'):",
             "    for shots in (None, 10**4):",
-            "        photonics.run_reconstruction(w, 0.05, shots, 1, mode=mode, post_index=16)",
-            "print(photonics._pool is None, threading.active_count())",
+            "        for joint in (False, True):",
+            "            photonics.run_reconstruction(w, 0.05, shots, 1, mode=mode, post_index=16,",
+            "                                         joint=joint)",
+            "print(threading.active_count())",
         ])
         src = os.path.dirname(os.path.dirname(photonics.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["True", "1"]
+        assert done.stdout.split() == ["1"]
 
     @pytest.mark.parametrize("failing", [0, 1])
-    def test_error_in_either_quadrature_reaches_the_caller_after_the_other_chain(
+    def test_error_in_a_quadrature_reaches_the_caller_before_the_next_starts(
             self, failing, monkeypatch):
+        # the chains run one after the other: quadrature 1 starts only once
+        # quadrature 0's has ended
         class ChainFailed(RuntimeError):
             pass
 
@@ -1043,7 +1036,6 @@ class TestReconstruction:
             try:
                 if qi == failing:
                     raise ChainFailed(qi)
-                time.sleep(0.1)
                 return _chain(qi, *args)
             finally:
                 ended.append(qi)
@@ -1053,13 +1045,14 @@ class TestReconstruction:
         with pytest.raises(ChainFailed) as raised:
             run_reconstruction(w, 0.05, 10**4, 0, joint=True)
         assert raised.value.args == (failing,)
-        assert sorted(ended) == [0, 1]
+        assert ended == list(range(failing + 1))
 
     @pytest.mark.parametrize("shots", [None, 10**4])
-    def test_two_chains_peak_below_170_mb_at_n_1024(self, shots):
-        # the two quadratures' chains run at once: each transforms its photon
-        # in place, and projects it on the analyzers and draws its counts a
-        # run of cells at a time
+    def test_joint_peaks_below_170_mb_at_n_1024(self, shots):
+        # the two quadratures' chains run one after the other: each transforms
+        # its photon in place, and projects it on the analyzers and draws its
+        # counts a run of cells at a time; it peaked at 98 MB with and
+        # without shots
         w = random_smooth_state(Grid(1024, 40.0), 3)
         tracemalloc.start()
         try:
@@ -1145,6 +1138,19 @@ class TestReconstruction:
         with pytest.raises(PostSelectionTooWeak, match="pixel 2"):
             run_reconstruction(w, 1e-3, None, 0, mode=mode, post_index=2, joint=joint)
         assert run_reconstruction(w, 1e-3, None, 0, mode=mode, joint=True).rates[2] > PS_FLOOR
+
+    def test_joint_column_below_the_post_selection_floor_is_zero(self):
+        # in p-then-x the camera images x, so a column's k = 0 rate is
+        # |psi(x)|^2 dx: 3.2e-37 at pixel 120, whose inverse transform
+        # reaches 3.7e-4 where the KD distribution is at most 3.2e-19
+        g = Grid(128, 16 * np.sqrt(2))
+        w = random_smooth_state(g, 3, modes=6)
+        res = run_reconstruction(w, 0.05, None, 0, mode="p-then-x", joint=True)
+        dim = np.abs(w.samples) ** 2 * g.dx <= PS_FLOOR
+        assert dim[120] and not dim.all()
+        assert np.max(np.abs(joint_kd_cv(w, "p-then-x")[120])) < 1e-18
+        assert np.all(res.joint[dim] == 0)
+        assert np.all(np.any(res.joint[~dim] != 0, axis=1))
 
     def test_shot_sweep_past_the_grid_cap_rejected(self, monkeypatch):
         def fail(*args, **kwargs):
