@@ -121,14 +121,14 @@ def _centred_fft(a, scale: float, axis: int = -1, inverse: bool = False,
     grids u and y (see the module docstring), as (-1)^i fft((-1)^m a)_i;
     ``inverse`` takes the conjugate kernel and ifft's factor 1/n.
 
-    The result is the only array of ``a``'s size that is built: the FFT and
-    the output signs work on it in place.  A complex ``out``, which may be
-    ``a`` itself, receives the result instead, and nothing of that size is
-    built.
+    The result, or a complex ``out``, which may be ``a`` itself, is the only
+    array of ``a``'s size: the FFT and the output signs work on it in place.
+    The signs multiply as the complex +-1: a negation would give some exact
+    zeros the other sign bit, which the written artifacts show.
     """
     n = np.shape(a)[axis]
-    trailing = (1,) * (np.ndim(a) - 1 - axis % np.ndim(a))
-    sign = np.resize([1.0, -1.0], n).reshape(n, *trailing)
+    sign = np.ones((n,) + (1,) * (np.ndim(a) - 1 - axis % np.ndim(a)))
+    sign[1::2] = -1.0
     out = np.multiply(a, scale * sign, out=out, dtype=complex)
     (np.fft.ifft if inverse else np.fft.fft)(out, axis=axis, out=out)
     out *= sign

@@ -1,27 +1,24 @@
 """Shot-level Monte-Carlo simulation of the proposed optical experiment.
 
-Pipeline of public stages, each batched over the measured frequencies k
-and every camera pixel: imprint a wavefunction on an H-polarized photon,
-weakly rotate its polarization as a sinusoid of position, or of momentum in
-the 4f configuration, then Fourier-propagate and analyze it (run_setting, whose
-last step propagate_and_analyze also offers on its own); draw the camera
-counts of (quadrature, analyzer) blocks, one after the other, each from its
-own Philox stream (sample_shots); estimate the weak characteristic function
-from conditioned asymmetries (estimate_weak_char).
+Pipeline of public stages, each batched over the measured frequencies k and
+every camera pixel: imprint a wavefunction on an H-polarized photon, weakly
+rotate its polarization as a sinusoid of position, or of momentum in the 4f
+configuration, then Fourier-propagate and analyze it (run_setting, whose last
+step propagate_and_analyze also offers on its own); draw the camera counts
+(sample_shots); estimate the weak characteristic function (estimate_weak_char).
+The four (quadrature qi, analyzer ai) blocks travel as one stack from the
+Born stage to Z, block b = 2 qi + ai drawn from the Philox stream (seed, b),
+and each stage makes one pass over the whole stack, on the calling thread.
 
-A joint sweep reads the whole camera: its Born stage is run_setting, and its
-Z tables are (k, pixel).  A conditional-only sweep reads one post pixel, as
-a slit there would.  Its Born stage is the private _column, which computes
-only that pixel's column, in O(n log n) and at any grid size: by the
-Jacobi-Anger expansion the rotated photon is a short sum of shifted copies
-of the SLM plane's one lens transform.  It gives each cell's three-outcome
-marginal (plus, minus at the pixel; anywhere else), drawn when there are
-shots, so its Z tables are one (k, 1) column.
-
-Every sweep runs on the calling thread and starts no thread.  A joint runs
-its two quadratures' chains (Born probabilities, draws, asymmetries) one
-after the other, each through run_setting and sample_shots; a
-conditional-only sweep is one pass over both quadratures.
+A joint sweep reads the whole camera through run_setting; its two
+quadratures' chains run one after the other, each writing its two blocks of
+the stack, and its Z tables are (k, pixel).  A conditional-only sweep reads
+one post pixel, as a slit there would, through the private _column, which
+computes only that pixel's column, in O(n log n) and at any grid size: by the
+Jacobi-Anger expansion the rotated photon is a short sum of shifted copies of
+the SLM plane's one lens transform.  It gives each cell's three-outcome
+marginal (plus, minus at the pixel; anywhere else), so its Z tables are one
+(k, 1) column.
 
 Readout protocol (validated against the grid oracle, not assumed): with input
 polarization H and rotation angle eps*sin(k x + phi),
@@ -39,7 +36,6 @@ row -q is Z = <cos>_w - i <sin>_w of row q (_unfold).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -162,20 +158,21 @@ def _column(g: Grid, h: np.ndarray, k, phases, epsilon: float, mode: str,
     h~[(j - s m q) mod n], the even orders for H and the odd for V, with
     s = 1 for x-then-p and -1 for p-then-x.
     The lens output's norm must be 1 to 1e-9 (NormViolation), as the
-    rotation keeps it.  Each cell is computed elementwise, so a cell has the
-    same bits whatever k array, and whatever other phases, it is computed in."""
+    rotation keeps it.  Each cell is computed elementwise, and each of the
+    two sums adds its orders one after the other, so a cell has the same
+    bits whatever k array, and whatever other phases, it is computed in."""
     _, _, step, inverse, camera_step = _order(g, mode)
     q = _grid_offsets(g, k, step, "SLM frequency").reshape(-1)
     lens = _grid_transform(g, h, inverse)
     _require_unit_norm(abs(camera_step * np.sum(np.abs(lens) ** 2) - 1.0), "photon")
     orders, coeff = _expansion(float(epsilon), _EXPANSION_POINTS)
-    # (order, k): the camera index of order m is pixel + m q, or pixel - m q for x-then-p
-    shifted = lens[(pixel + np.multiply.outer(orders if inverse else -orders, q)) % g.n]
-    hv = np.zeros((2, len(phases), len(q)), dtype=complex)
-    for i, phase in enumerate(phases):
-        terms = shifted * (coeff * np.exp(1j * orders * phase))[:, None]
-        for m, term in zip(orders, terms):  # a running sum: each k's bits in any k array
-            hv[m % 2, i] += term
+    # (order, phase, k): the camera index of order m is pixel + m q, or pixel - m q for
+    # x-then-p, mod n (a power of two: the low bits, negative indices included)
+    index = (pixel + np.multiply.outer(orders if inverse else -orders, q)) & (g.n - 1)
+    terms = (lens[index][:, None]
+             * (coeff[:, None] * np.exp(np.multiply.outer(1j * orders, phases)))[..., None])
+    # H sums the even orders, V the odd; an accumulation adds in order whatever the shape
+    hv = [np.add.accumulate(terms[m % 2::2])[-1] for m in orders[:2]]
     bras = np.conj(_ANALYZER_KETS).transpose(0, 2, 1)[..., None, None]  # analyzer, port, H/V
     amp = bras[:, :, 0] * hv[0] + bras[:, :, 1] * hv[1]  # (analyzer, port, phase, k)
     probs = np.empty((len(phases), len(ANALYZERS), len(q), 3, 1))
@@ -221,15 +218,6 @@ def _clipped_rows(cells: np.ndarray) -> np.ndarray:
     return np.maximum(cells, 0, out=np.empty(cells.shape)).reshape(len(cells), -1)
 
 
-def _draw(runs, shots: int, key: tuple[int, int], out: np.ndarray) -> None:
-    """Draw one block's counts into ``out``, its cells in order from a
-    generator of its own; ``runs`` yields the (cell slice, normalised rows) of
-    consecutive runs of cells."""
-    gen = np.random.Generator(np.random.Philox(key=key))
-    for cells, pvals in runs:
-        out[cells] = gen.multinomial(shots, pvals)
-
-
 def _require_key(key) -> tuple[int, int]:
     if not (isinstance(key, tuple) and len(key) == 2):
         raise ValueError(f"key must be a (seed, stream) pair, got {key!r}")
@@ -245,13 +233,16 @@ def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
     The cells of block b are drawn in order from
     ``np.random.Generator(np.random.Philox(key=keys[b]))``, so consecutive
     runs of cells drawn from one such generator give the same counts.  A bad
-    key, ``shots`` outside [0, 2^63), or a cell that is not a probability or
-    sums to 0 is refused before any draw.  The blocks are drawn one after
-    another on the calling thread, each clipped, normalised and drawn a run
-    of about _PRODUCT_CELLS cells at a time, so no copy of the stack is
-    built.  A sweep's stacks hold the n/2 + 1 measured rows in k order:
-    (2, n/2 + 1, 2, n) per joint quadrature, (4, n/2 + 1, 3, 1) for a
-    conditional-only run.
+    key, ``shots`` outside [0, 2^63), or a cell that is not a probability
+    (negative or NaN) or sums to 0 is refused before any draw.
+
+    The stack is read as one sequence of (block, cell) rows, cut into runs
+    of about _PRODUCT_CELLS values that may span blocks; the check and the
+    draw each clip a run once, and each block's generator, made once, draws
+    its cells of each run.  No copy of the stack is built, unless its block
+    and cell axes do not merge (a view that slices the cells).  A sweep's
+    stacks, (2, n/2 + 1, 2, n) per joint quadrature and (4, n/2 + 1, 3, 1)
+    for a conditional-only run, are one run each at the benchmark's sizes.
     """
     keys = [_require_key(key) for key in keys]
     shots = require_index(shots, SEED_LIMIT, "shots")
@@ -260,23 +251,30 @@ def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
         raise ValueError(
             f"prob needs a leading axis of {len(keys)} blocks of cells, got shape {p.shape}"
         )
-    if not p.min(initial=0.0) >= -1e-12:
+    low = p.min(initial=0.0)
+    if np.isnan(low):
+        raise InvalidProbability("NaN probability encountered")
+    if not low >= -1e-12:
         raise InvalidProbability("negative probability encountered")
-    outcomes = int(np.prod(p.shape[2:]))
+    cells, outcomes = p.shape[1], int(np.prod(p.shape[2:]))
+    rows = p.reshape((-1,) + p.shape[2:])  # (block, cell) rows
     run = max(1, _PRODUCT_CELLS // max(1, outcomes))
-    runs = [slice(start, start + run) for start in range(0, p.shape[1], run)]
-    totals = np.empty(p.shape[:2])
-    for block, block_totals in zip(p, totals):
-        for cells in runs:
-            block_totals[cells] = _clipped_rows(block[cells]).sum(axis=1)
+    starts = range(0, len(rows), run)
+    totals = np.empty(len(rows))
+    for start in starts:
+        totals[start:start + run] = _clipped_rows(rows[start:start + run]).sum(axis=1)
     if not np.all(totals <= 1 + 1e-9):
         raise InvalidProbability(f"probabilities sum to {totals.max()}")
     if not np.all(totals > 0):
         raise InvalidProbability("a cell's probabilities sum to 0")
-    counts = np.empty(p.shape[:2] + (outcomes,), dtype=np.int64)
-    for block, block_totals, key, out in zip(p, totals, keys, counts):
-        _draw(((cells, _clipped_rows(block[cells]) / block_totals[cells, None]) for cells in runs),
-              shots, key, out)
+    gens = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+    counts = np.empty((len(rows), outcomes), dtype=np.int64)
+    for start in starts:
+        stop = min(start + run, len(rows))
+        pvals = _clipped_rows(rows[start:stop]) / totals[start:stop, None]
+        for b in range(start // cells, (stop - 1) // cells + 1):  # the blocks the run spans
+            lo, hi = max(start, b * cells), min(stop, (b + 1) * cells)
+            counts[lo:hi] = gens[b].multinomial(shots, pvals[lo - start:hi - start])
     return counts.reshape(p.shape)
 
 
@@ -284,7 +282,7 @@ def _asymmetry(plus, minus, min_counts: int | None):
     """Elementwise (plus - minus)/(plus + minus), its variance, the total
     recorded, and a mask of entries too poorly recorded to use.
 
-    ``min_counts=None`` marks Born probabilities: variance 0.0, unusable
+    ``min_counts=None`` marks Born probabilities: variance 0, unusable
     where the probability vanishes.  Counts carry the binomial variance
     (1 - A^2)/N and are unusable below ``min_counts``.  The asymmetry is 0
     where nothing was recorded.
@@ -295,7 +293,7 @@ def _asymmetry(plus, minus, min_counts: int | None):
     asym = np.subtract(plus, minus, out=np.empty(np.shape(total)))
     np.divide(asym, total, out=asym, where=recorded)
     if min_counts is None:
-        return asym, 0.0, total, ~recorded
+        return asym, np.zeros(np.shape(total)), total, ~recorded
     var = np.square(asym, out=np.empty(np.shape(total)))  # then 1 - A^2, floored, over N
     np.subtract(1.0, var, out=var)
     np.maximum(var, 1e-12, out=var)
@@ -304,16 +302,14 @@ def _asymmetry(plus, minus, min_counts: int | None):
     return asym, var, total, total < min_counts
 
 
-def estimate_weak_char(asym: dict, var_sum, epsilon: float):
-    """Z = (A_cos,diag - A_sin,circ + i(A_cos,circ + A_sin,diag)) / sin(2 eps)
-    and its standard error, from the asymmetries keyed by (quadrature,
-    analyzer) and their summed variance, elementwise over (k, pixel)."""
+def estimate_weak_char(asym, var_sum, epsilon: float):
+    """Z = (A_0 - A_3 + i(A_1 + A_2)) / sin(2 eps) and its standard error,
+    elementwise over (k, pixel), from the (block, k, pixel) stack of
+    asymmetries (cos-diag, cos-circ, sin-diag, sin-circ) and their summed
+    variance; ValueError for an epsilon that require_settings refuses."""
+    _require_epsilon(epsilon)
     norm = np.sin(2 * epsilon)
-    z = (
-        asym["cos", "diag"]
-        - asym["sin", "circ"]
-        + 1j * (asym["cos", "circ"] + asym["sin", "diag"])
-    ) / norm
+    z = (asym[0] - asym[3] + 1j * (asym[1] + asym[2])) / norm
     return z, np.sqrt(var_sum) / norm
 
 
@@ -334,34 +330,28 @@ def _kept(params: np.ndarray) -> np.ndarray:
     return np.concatenate([params[:1], params[len(params) // 2:]])
 
 
-def _unfold(rows: np.ndarray, negate: bool = False) -> np.ndarray:
-    """The n rows in grid order from the ``_kept`` rows: row -q is row q, negated if ``negate``."""
-    twins = rows[:1:-1]
-    return np.concatenate([rows[:1], -twins if negate else twins, rows[1:]])
-
-
-def _totals(total: np.ndarray):
-    """The ``_kept`` rows' per-pixel totals summed over all n rows (a row q > 0
-    stands for its twin too), and the q = 0 row's, where the coupling moves no light."""
-    return total[0] + total[1] + 2 * total[2:].sum(axis=0), total[1].copy()
+def _unfold(rows: np.ndarray) -> np.ndarray:
+    """The n rows in grid order, along axis -2, from the ``_kept`` rows there: row -q is row q."""
+    return np.concatenate([rows[..., :1, :], rows[..., :1:-1, :], rows[..., 1:, :]], axis=-2)
 
 
 def _blocks(probs: np.ndarray, shots: int | None, min_counts: int):
-    """Each block's ``_asymmetry`` figures and ``_totals``, from a stack of
-    (k, outcome, pixel) blocks of counts, or of Born probabilities when
-    ``shots`` is None.  Outcomes 0 and 1 are the plus and minus ports."""
+    """``_asymmetry``'s (block, k, pixel) figures of a stack of (k, outcome,
+    pixel) blocks of counts, or of Born probabilities when ``shots`` is None,
+    and its (block, 2, pixel) totals: over all n rows (a row q > 0 stands for
+    its twin too), and the q = 0 row's, where the coupling moves no light."""
     asym, var, total, short = _asymmetry(probs[:, :, 0], probs[:, :, 1],
                                          None if shots is None else min_counts)
-    return [(a, v, *_totals(t), s)
-            for a, v, t, s in zip(asym, np.broadcast_to(var, asym.shape), total, short)]
+    totals = np.stack([total[:, 0] + total[:, 1] + 2 * total[:, 2:].sum(axis=1), total[:, 1]],
+                      axis=1)
+    return asym, var, short, totals
 
 
 def _quadrature(qi: int, w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
                 shots: int | None, seed: int, min_counts: int):
     """Quadrature qi's chain over the ``_kept`` rows ``params``: its
-    ``run_setting`` probabilities, whose two analyzer blocks ``sample_shots``
-    draws from the streams (seed, 2 qi) and (seed, 2 qi + 1), each block's k
-    cells in order, then each analyzer's ``_blocks`` figures."""
+    ``run_setting`` probabilities, the draw of its blocks 2 qi and 2 qi + 1,
+    then their ``_blocks`` figures."""
     probs = run_setting(w, params, _QUAD_PHASE[QUADRATURES[qi]], epsilon, mode)
     if shots is not None:
         probs = sample_shots(probs, shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])
@@ -373,43 +363,41 @@ def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
     """Sweep every (k, quadrature, analyzer) cell of the ``_kept`` rows
     ``params``, batched over k and pixel, on the calling thread.
 
-    Returns the (k, pixel) asymmetries of those rows keyed by (quadrature,
-    analyzer), their summed variance, the (k, pixel) mask of entries lacking
-    data, and the counts (or probability) per pixel summed over all n rows,
-    each row 0 < q < n/2 counted twice as it stands for its twin too, and
-    over the four k = 0 cells.  Without a ``pixel`` (a joint) the Born stage is
-    ``run_setting`` over the whole camera, and the two quadratures' chains
-    run one after the other; an error in quadrature 0's leaves quadrature 1
-    unstarted.  With a ``pixel``, ``_column`` gives both quadratures'
-    marginals at that pixel, so every table is one (k, 1) column, and one
-    ``sample_shots`` call draws the four blocks, (seed, 0..3).  Either way
-    each block draws its n/2 + 1 cells in k order from its stream, and the
-    sums are formed in (quadrature, analyzer) order.
+    Returns the (block, k, pixel) asymmetries of those rows, their summed
+    variance, the mask of (k, pixel) entries lacking data, and per pixel
+    ``_blocks``' two totals summed over the blocks.  Without a ``pixel`` (a
+    joint) the two quadratures' ``_quadrature`` chains run one after the
+    other, each writing its two blocks; an error in quadrature 0's leaves
+    quadrature 1 unstarted.  With a ``pixel``, ``_column`` gives both
+    quadratures' marginals at that pixel, so every table is one (k, 1)
+    column, and one ``sample_shots`` call draws the four blocks.  Either way
+    block b draws its cells in k order from the stream (seed, b), and the
+    sums over the blocks add them in block order.
     """
     if pixel is None:
-        chains = []
+        shape = (len(QUADRATURES) * len(ANALYZERS), len(params), w.grid.n)
+        asym, var, short = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+        totals = np.empty((shape[0], 2, shape[2]))
         for qi in range(len(QUADRATURES)):  # one after the other
-            chains += _quadrature(qi, w, params, epsilon, mode, shots, seed, min_counts)
+            pair = slice(2 * qi, 2 * qi + 2)
+            asym[pair], var[pair], short[pair], totals[pair] = _quadrature(
+                qi, w, params, epsilon, mode, shots, seed, min_counts)
     else:
         probs = _column(w.grid, _slm_plane(w, mode), params,
                         [_QUAD_PHASE[q] for q in QUADRATURES], epsilon, mode, pixel)
         probs = probs.reshape(-1, *probs.shape[2:])  # the (quadrature, analyzer) blocks
         if shots is not None:
             probs = sample_shots(probs, shots, [(seed, b) for b in range(len(probs))])
-        chains = _blocks(probs, shots, min_counts)
-    asym = {}
-    shape = chains[0][0].shape  # (k, pixel)
-    var_sum = np.zeros(shape)
-    short = np.zeros(shape, dtype=bool)
-    recorded, at_rest = np.zeros(shape[1]), np.zeros(shape[1])
-    for key, (a, var, total, rest, cell_short) in zip(
-            itertools.product(QUADRATURES, ANALYZERS), chains):
-        asym[key] = a
-        var_sum += var
-        short |= cell_short
-        recorded += total
-        at_rest += rest
-    return asym, var_sum, short, recorded, at_rest
+        asym, var, short, totals = _blocks(probs, shots, min_counts)
+    recorded, at_rest = totals.sum(axis=0)
+    return asym, var.sum(axis=0), short.any(axis=0), recorded, at_rest
+
+
+def _require_epsilon(epsilon) -> None:
+    """ValueError unless the coupling epsilon lies in [1e-9, pi/2): a weaker
+    coupling's rounding, about 3e-16/epsilon, passes its bias."""
+    if not 1e-9 <= epsilon < np.pi / 2:
+        raise ValueError(f"coupling epsilon must lie in [1e-9, pi/2), got {epsilon!r}")
 
 
 def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | None = None,
@@ -429,8 +417,7 @@ def require_settings(grid: Grid, epsilon: float, mode: str, post_index: int | No
         raise ValueError("min_counts must be at least 1, got 0")
     if mode not in ORDERINGS:
         raise ValueError(f"unknown mode {mode!r}")
-    if not 1e-9 <= epsilon < np.pi / 2:
-        raise ValueError(f"coupling epsilon must lie in [1e-9, pi/2), got {epsilon!r}")
+    _require_epsilon(epsilon)
     return None if post_index is None else require_index(post_index, grid.n, "post_index")
 
 
@@ -453,11 +440,9 @@ def run_reconstruction(
     C - iS, and it takes row q's ``z_errors`` and mask of short rows.  The
     tables keep their n rows.  Each (quadrature qi, analyzer ai) block draws
     its measured cells in k order from the Philox stream keyed by (seed,
-    2 qi + ai).  Everything runs on the calling thread.  A joint runs the
-    quadratures one after the other, drawing each one's two blocks in one
-    call.  Without ``joint``, a run with a ``post_index`` reads only the
-    post pixel, in one pass: its Born stage computes that pixel's column
-    alone, in O(n log n), so the grid is not capped; its ``z_values``,
+    2 qi + ai), as the module docstring says.  Without ``joint``, a run with
+    a ``post_index`` reads only the post pixel, so the grid is not capped;
+    its ``z_values``,
     ``z_errors`` and ``rates`` are (n_k, 1) and (1,), and each cell draws
     only its (plus, minus at the pixel; anywhere else) marginal.
     The settings are refused, before any work, as ``require_settings``
@@ -479,8 +464,9 @@ def run_reconstruction(
                                                      seed, min_counts, pixel)
     per_cell = 4 * (1 if shots is None else shots)  # four blocks of one k
     rates = recorded / (n * per_cell)
-    # row -q: row q's asymmetries, the sin ones negated
-    asym = {key: _unfold(a, key[0] == "sin") for key, a in asym.items()}
+    # row -q: row q's asymmetries, the sin blocks' (2 and 3) negated
+    asym = _unfold(asym)
+    np.negative(asym[2:, 1:n // 2], out=asym[2:, 1:n // 2])
     z_values, z_errors = estimate_weak_char(asym, _unfold(var_sum), epsilon)
     short = _unfold(short)
     z_values[short] = 0.0

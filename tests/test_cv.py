@@ -22,6 +22,7 @@ from kdrecon.cv import (
     two_peak_state,
     weak_char_fn,
 )
+from kdrecon import cv
 from kdrecon.core import GRID_CAP
 from kdrecon.scenarios import _cv_joint_oracle
 from kdrecon.errors import (
@@ -137,6 +138,41 @@ class TestTransforms:
         w = gaussian_state(grid, momentum=k0)
         pt = to_momentum(w)
         assert grid.p[np.argmax(np.abs(pt))] == pytest.approx(k0)
+
+    @pytest.mark.parametrize("n", [16, 128])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("axis", [0, -1])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("kind", ["real", "complex", "zeros"])
+    def test_centred_fft_has_the_bits_of_the_sign_modulated_fft(self, n, ndim, axis, inverse,
+                                                                 kind):
+        # scale * s * fft(s * a) with s = (1, -1, 1, ...) along ``axis``,
+        # each product a complex one, the sign bit of an exact zero included:
+        # a joint's columns short of counts transform all-zero tables
+        shape = [3, 2][:ndim - 1]
+        shape.insert(0 if axis == 0 else ndim - 1, n)
+        rng = np.random.default_rng(n + ndim)
+        a = rng.normal(size=shape)
+        if kind == "complex":
+            a = a + 1j * rng.normal(size=shape)
+        elif kind == "zeros":
+            a = np.zeros(shape, dtype=complex)
+            a.real[..., ::3] = -0.0
+            a.imag[..., 1::2] = -0.0
+        scale = 0.37
+        s = np.resize([1.0, -1.0], n).reshape((n,) + (1,) * (ndim - 1 - axis % ndim))
+        ref = np.multiply(a, scale * s, dtype=complex)
+        (np.fft.ifft if inverse else np.fft.fft)(ref, axis=axis, out=ref)
+        ref *= s
+        outputs = [cv._centred_fft(a, scale, axis=axis, inverse=inverse)]
+        if kind != "real":  # a complex ``out`` may be ``a`` itself
+            inplace = a.copy()
+            assert cv._centred_fft(inplace, scale, axis=axis, inverse=inverse,
+                                   out=inplace) is inplace
+            outputs.append(inplace)
+        for got in outputs:
+            assert got.shape == ref.shape and got.dtype == complex
+            assert got.tobytes() == ref.tobytes()
 
 
 def gaussian_pair(g: Grid, center: float, momentum: float, width: float):

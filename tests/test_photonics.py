@@ -96,19 +96,20 @@ def populations(probs):
 def single_k_estimate(w, k, epsilon, pixel, shots=None, seed=None, mode="x-then-p"):
     """Z and its standard error at one camera pixel from single-k calls of the
     stages; with shots, cell (quadrature qi, analyzer ai) draws stream
-    (seed, 2 qi + ai)."""
-    asym, var_sum = {}, 0.0
+    (seed, 2 qi + ai).  The estimate reads the 4-entry stack of the cells'
+    asymmetries, entry 2 qi + ai."""
+    asym, var_sum = [], 0.0
     for qi, quad in enumerate(QUADRATURES):
         probs = run_setting(w, k, np.pi / 2 if quad == "cos" else 0.0, epsilon, mode)
         if shots is not None:  # a stack of two one-cell blocks
             probs = sample_shots(probs[:, None], shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])[:, 0]
-        for ai, analyzer in enumerate(ANALYZERS):
-            rows = probs[ai]  # (outcome, pixel)
-            asym[quad, analyzer], var, _, short = _asymmetry(
-                rows[0, pixel], rows[1, pixel], None if shots is None else 100)
+        for rows in probs[:len(ANALYZERS)]:  # (outcome, pixel) of analyzer ai
+            a, var, _, short = _asymmetry(rows[0, pixel], rows[1, pixel],
+                                          None if shots is None else 100)
             assert not short
+            asym.append(a)
             var_sum += var
-    z, se = estimate_weak_char(asym, var_sum, epsilon)
+    z, se = estimate_weak_char(np.stack(asym), var_sum, epsilon)
     return complex(z), float(se)
 
 
@@ -480,10 +481,11 @@ class TestTwinRows:
         assert short.shape == (n // 2 + 1, n if joint else 1)  # the rows -n/2, 0, ..., n/2 - 1
         if shots is not None and joint:
             assert 0 < short.sum() < short.size  # the masks compared are not trivial
-        # if Z(q) = C + iS, then Z(-q) = C - iS: row q's asymmetries, the sin ones negated
+        # if Z(q) = C + iS, then Z(-q) = C - iS: row q's asymmetries, the sin
+        # blocks' (2 qi + ai with qi = 1) negated
+        assert asym.shape == (4,) + short.shape
         z, se = estimate_weak_char(asym, var_sum, eps)
-        mirrored = {key: -a if key[0] == "sin" else a for key, a in asym.items()}
-        z_twin, _ = estimate_weak_char(mirrored, var_sum, eps)
+        z_twin, _ = estimate_weak_char(np.concatenate([asym[:2], -asym[2:]]), var_sum, eps)
         for q in range(-(n // 2), n // 2):
             row = 1 + abs(q) if q > -(n // 2) else 0  # its measured row
             assert np.array_equal(np.isinf(res.z_errors[n // 2 + q]), short[row]), q
@@ -519,6 +521,22 @@ class TestSampling:
             sample_block(np.array([[-0.1, 0.5]]), 100, (0, 0))
         with pytest.raises(InvalidProbability):
             sample_block(np.array([[np.nan, 0.5]]), 100, (0, 0))
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "NaN probability encountered"),
+        (-0.1, "negative probability encountered"),
+    ])
+    def test_refusal_names_a_nan_or_a_negative_cell(self, bad, message, monkeypatch):
+        # a NaN cell is no negative probability; a stack holding both is
+        # refused for its NaN.  Either way before any draw
+        monkeypatch.setattr(np.random, "Philox", refuse_draw)
+        with pytest.raises(InvalidProbability, match=f"^{message}$"):
+            sample_shots(np.full((1, 2, 3), bad), 10, [(0, 0)])
+        stack = np.full((2, 2, 3), 1 / 3)
+        stack[0, 0, 0] = -0.2  # a negative cell in the block drawn first
+        stack[1, 1, 2] = bad
+        with pytest.raises(InvalidProbability, match=f"^{message}$"):
+            sample_shots(stack, 10, [(0, 0), (0, 1)])
 
     def test_matches_fresh_generators_in_shuffled_key_order(self):
         rng = np.random.default_rng(5)
@@ -596,7 +614,7 @@ class TestSampling:
                     assert np.array_equal(sample_block(view, 10**6, key), counts), key
 
     @pytest.mark.parametrize("blocks", [1, 2, 5])
-    @pytest.mark.parametrize("layout", ["C", "transposed", "strided"])
+    @pytest.mark.parametrize("layout", ["C", "transposed", "strided", "sliced"])
     def test_stack_matches_fresh_generators_per_block(self, blocks, layout):
         rng = np.random.default_rng(blocks)
         stack = rng.random((blocks, 7, 2, 6))
@@ -607,6 +625,10 @@ class TestSampling:
             wide = np.zeros(stack.shape[:3] + (12,))
             wide[..., ::2] = stack
             stack = wide[..., ::2]
+        elif layout == "sliced":  # block and cell axes that do not merge into one
+            more = np.zeros((blocks, 9) + stack.shape[2:])
+            more[:, :7] = stack
+            stack = more[:, :7]
         keys = [(int(rng.integers(2**63)), int(rng.integers(2**63))) for _ in range(blocks)]
         for shots in (0, 1, 10**6):
             counts = sample_shots(stack, shots, keys)
@@ -638,21 +660,31 @@ class TestSampling:
         # thread, in stream order: a joint draws quadrature 0's two blocks
         # before quadrature 1's, a conditional-only run its four blocks in
         # one pass, so either way only the streams up to the failing one.
+        # Each block's cells are one run here, so one multinomial call.
         class DrawFailed(RuntimeError):
             pass
 
         finished, threads = [], set()
+        generator = np.random.Generator
 
-        def draw(runs, shots, key, out, _draw=photonics._draw):
-            threads.add(threading.get_ident())
-            try:
-                if key[1] == failing:
-                    raise DrawFailed(key)
-                return _draw(runs, shots, key, out)
-            finally:
-                finished.append(key)
+        class Recording:
+            """A generator that raises on the stream ``failing`` and records
+            each draw by its Philox key."""
 
-        monkeypatch.setattr(photonics, "_draw", draw)
+            def __init__(self, bit_generator):
+                self.key = tuple(int(v) for v in bit_generator.state["state"]["key"])
+                self.gen = generator(bit_generator)
+
+            def multinomial(self, *args):
+                threads.add(threading.get_ident())
+                try:
+                    if self.key[1] == failing:
+                        raise DrawFailed(self.key)
+                    return self.gen.multinomial(*args)
+                finally:
+                    finished.append(self.key)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
         w = gaussian_state(Grid(16, 12.0), width=WIDTH)
         with pytest.raises(DrawFailed) as raised:
             run_reconstruction(w, 0.05, 100, 4, post_index=w.grid.n // 2, joint=joint)
@@ -785,6 +817,27 @@ class TestSampling:
 
 
 class TestEstimator:
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, np.pi / 2, np.nan])
+    def test_epsilon_outside_its_range_rejected(self, epsilon):
+        # at 0 the division by sin(2 eps) returned nan+infj with only numpy
+        # warnings; the refusal is require_settings', message and all
+        asym, var_sum = np.full((4, 3, 2), 0.1), np.full((3, 2), 1e-4)
+        with pytest.raises(ValueError) as raised:
+            estimate_weak_char(asym, var_sum, epsilon)
+        with pytest.raises(ValueError) as settings:
+            require_settings(Grid(64, 16.0), epsilon, "x-then-p")
+        expected = f"coupling epsilon must lie in [1e-9, pi/2), got {epsilon!r}"
+        assert str(raised.value) == str(settings.value) == expected
+
+    def test_stack_entries_combine_as_cos_and_sin_analyzers(self):
+        # entry 2 qi + ai: Z = (A_0 - A_3 + i(A_1 + A_2)) / sin(2 eps)
+        eps = 0.05
+        asym = np.array([0.4, 0.3, 0.2, 0.1]).reshape(4, 1, 1)
+        z, se = estimate_weak_char(asym, np.full((1, 1), 4e-6), eps)
+        assert z.shape == se.shape == (1, 1)
+        assert z[0, 0] == (0.4 - 0.1 + 1j * (0.3 + 0.2)) / np.sin(2 * eps)
+        assert se[0, 0] == 2e-3 / np.sin(2 * eps)
+
     def test_zero_frequency_calibration(self, packet):
         z, se = single_k_estimate(packet, 0.0, 0.01, packet.grid.n // 2)
         assert abs(z - 1.0) < 1e-12
