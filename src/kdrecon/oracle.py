@@ -154,9 +154,12 @@ def reconstruct_state(k: PseudoDistribution, a: ObservableSpec, b: ObservableSpe
 
 
 def kd_marginals(k: PseudoDistribution):
-    """Born-rule marginals (pA, pB) of an unconditioned d x d distribution."""
+    """Born-rule marginals (pA, pB) of an unconditioned d x d distribution;
+    DimensionMismatch for values with other than two axes."""
     if k.conditioning is not None:
         raise ValueError("marginals are defined for unconditioned distributions")
+    if k.values.ndim != 2:
+        raise DimensionMismatch(f"marginals need a 2-D distribution, got shape {k.values.shape}")
     pa = np.sum(k.values, axis=1)
     pb = np.sum(k.values, axis=0)
     return pa.real, pb.real

@@ -8,11 +8,11 @@ step propagate_and_analyze also offers on its own); draw the camera counts
 (sample_shots); estimate the weak characteristic function (estimate_weak_char).
 The four (quadrature qi, analyzer ai) blocks travel as one stack from the
 Born stage to Z, block b = 2 qi + ai drawn from the Philox stream (seed, b),
-and each stage makes one pass over the whole stack, on the calling thread.
+and each stage makes one pass over the whole stack, on the calling thread;
+a joint and a conditional-only sweep differ only in their Born stage.
 
-A joint sweep reads the whole camera through run_setting; its two
-quadratures' chains run one after the other, each writing its two blocks of
-the stack, and its Z tables are (k, pixel).  A conditional-only sweep reads
+A joint sweep reads the whole camera through one run_setting per quadrature,
+stacked, and its Z tables are (k, pixel).  A conditional-only sweep reads
 one post pixel, as a slit there would, through the private _column, which
 computes only that pixel's column, in O(n log n) and at any grid size: by the
 Jacobi-Anger expansion the rotated photon is a short sum of shifted copies of
@@ -101,7 +101,7 @@ def run_setting(w: WaveFunction, k, phase: float, epsilon: float, mode: str) -> 
     from ``_order``, which refuses an unknown mode before any transform.  The
     rotated photon is built in one buffer, which the lens transforms in
     place: the photon is propagated and analyzed as ``propagate_and_analyze``
-    says.
+    says.  An empty ``k`` gives the empty (analyzer, 0, outcome, pixel) stack.
     """
     g = w.grid
     coords, _, step, inverse, camera_step = _order(g, mode)
@@ -202,12 +202,12 @@ def _analyze(camera: np.ndarray, step: float) -> np.ndarray:
     product of ``camera``'s size is built."""
     rows = camera.reshape(-1, *camera.shape[-2:])
     probs = np.empty((len(ANALYZERS),) + rows.shape)
-    run = max(1, _PRODUCT_CELLS // rows[0].size)
+    run = max(1, _PRODUCT_CELLS // int(np.prod(camera.shape[-2:])))
     for start in range(0, len(rows), run):
         for p, kets in zip(probs[:, start:start + run], _ANALYZER_KETS):
             p[...] = step * np.abs(kets.conj().T @ rows[start:start + run]) ** 2
     probs = probs.reshape((len(ANALYZERS),) + camera.shape)
-    _require_unit_norm(np.max(np.abs(probs[0].sum(axis=(-2, -1)) - 1.0)), "photon")
+    _require_unit_norm(np.max(np.abs(probs[0].sum(axis=(-2, -1)) - 1.0), initial=0.0), "photon")
     return probs
 
 
@@ -215,7 +215,8 @@ SEED_LIMIT = 2**63  # each Philox key word, and each shot count, lies in [0, 2^6
 
 def _clipped_rows(cells: np.ndarray) -> np.ndarray:
     """``cells`` clipped to [0, inf), as C-ordered (cell, outcome) rows."""
-    return np.maximum(cells, 0, out=np.empty(cells.shape)).reshape(len(cells), -1)
+    return np.maximum(cells, 0, out=np.empty(cells.shape)).reshape(
+        len(cells), int(np.prod(cells.shape[1:])))
 
 
 def _require_key(key) -> tuple[int, int]:
@@ -241,8 +242,8 @@ def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
     draw each clip a run once, and each block's generator, made once, draws
     its cells of each run.  No copy of the stack is built, unless its block
     and cell axes do not merge (a view that slices the cells).  A sweep's
-    stacks, (2, n/2 + 1, 2, n) per joint quadrature and (4, n/2 + 1, 3, 1)
-    for a conditional-only run, are one run each at the benchmark's sizes.
+    stacks, (4, n/2 + 1, 2, n) for a joint and (4, n/2 + 1, 3, 1) for a
+    conditional-only run, are one run each at the benchmark's sizes.
     """
     keys = [_require_key(key) for key in keys]
     shots = require_index(shots, SEED_LIMIT, "shots")
@@ -257,7 +258,7 @@ def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
     if not low >= -1e-12:
         raise InvalidProbability("negative probability encountered")
     cells, outcomes = p.shape[1], int(np.prod(p.shape[2:]))
-    rows = p.reshape((-1,) + p.shape[2:])  # (block, cell) rows
+    rows = p.reshape((len(p) * cells,) + p.shape[2:])  # (block, cell) rows
     run = max(1, _PRODUCT_CELLS // max(1, outcomes))
     starts = range(0, len(rows), run)
     totals = np.empty(len(rows))
@@ -335,62 +336,36 @@ def _unfold(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows[..., :1, :], rows[..., :1:-1, :], rows[..., 1:, :]], axis=-2)
 
 
-def _blocks(probs: np.ndarray, shots: int | None, min_counts: int):
-    """``_asymmetry``'s (block, k, pixel) figures of a stack of (k, outcome,
-    pixel) blocks of counts, or of Born probabilities when ``shots`` is None,
-    and its (block, 2, pixel) totals: over all n rows (a row q > 0 stands for
-    its twin too), and the q = 0 row's, where the coupling moves no light."""
-    asym, var, total, short = _asymmetry(probs[:, :, 0], probs[:, :, 1],
-                                         None if shots is None else min_counts)
-    totals = np.stack([total[:, 0] + total[:, 1] + 2 * total[:, 2:].sum(axis=1), total[:, 1]],
-                      axis=1)
-    return asym, var, short, totals
-
-
-def _quadrature(qi: int, w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
-                shots: int | None, seed: int, min_counts: int):
-    """Quadrature qi's chain over the ``_kept`` rows ``params``: its
-    ``run_setting`` probabilities, the draw of its blocks 2 qi and 2 qi + 1,
-    then their ``_blocks`` figures."""
-    probs = run_setting(w, params, _QUAD_PHASE[QUADRATURES[qi]], epsilon, mode)
-    if shots is not None:
-        probs = sample_shots(probs, shots, [(seed, 2 * qi), (seed, 2 * qi + 1)])
-    return _blocks(probs, shots, min_counts)
-
-
 def _sweep(w: WaveFunction, params: np.ndarray, epsilon: float, mode: str,
            shots: int | None, seed: int, min_counts: int, pixel: int | None):
     """Sweep every (k, quadrature, analyzer) cell of the ``_kept`` rows
-    ``params``, batched over k and pixel, on the calling thread.
+    ``params``, batched over k and pixel, on the calling thread, in one pass:
+    the Born stack of the four (quadrature, analyzer) blocks, then one
+    ``sample_shots`` call that draws block b's cells in k order from the
+    stream (seed, b), then one ``_asymmetry`` pass over the stack.  Without a
+    ``pixel`` (a joint) the stack holds both quadratures' ``run_setting``
+    probabilities over the whole camera; with a ``pixel``, ``_column`` gives
+    both quadratures' marginals at that pixel, so every table is one (k, 1)
+    column.
 
     Returns the (block, k, pixel) asymmetries of those rows, their summed
-    variance, the mask of (k, pixel) entries lacking data, and per pixel
-    ``_blocks``' two totals summed over the blocks.  Without a ``pixel`` (a
-    joint) the two quadratures' ``_quadrature`` chains run one after the
-    other, each writing its two blocks; an error in quadrature 0's leaves
-    quadrature 1 unstarted.  With a ``pixel``, ``_column`` gives both
-    quadratures' marginals at that pixel, so every table is one (k, 1)
-    column, and one ``sample_shots`` call draws the four blocks.  Either way
-    block b draws its cells in k order from the stream (seed, b), and the
-    sums over the blocks add them in block order.
+    variance, the mask of (k, pixel) entries lacking data, and per pixel two
+    totals summed over the blocks in block order: the photons recorded over
+    all n rows (a row q > 0 stands for its twin too), and those of the q = 0
+    row, where the coupling moves no light.
     """
+    phases = [_QUAD_PHASE[q] for q in QUADRATURES]
     if pixel is None:
-        shape = (len(QUADRATURES) * len(ANALYZERS), len(params), w.grid.n)
-        asym, var, short = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
-        totals = np.empty((shape[0], 2, shape[2]))
-        for qi in range(len(QUADRATURES)):  # one after the other
-            pair = slice(2 * qi, 2 * qi + 2)
-            asym[pair], var[pair], short[pair], totals[pair] = _quadrature(
-                qi, w, params, epsilon, mode, shots, seed, min_counts)
+        probs = np.stack([run_setting(w, params, phase, epsilon, mode) for phase in phases])
     else:
-        probs = _column(w.grid, _slm_plane(w, mode), params,
-                        [_QUAD_PHASE[q] for q in QUADRATURES], epsilon, mode, pixel)
-        probs = probs.reshape(-1, *probs.shape[2:])  # the (quadrature, analyzer) blocks
-        if shots is not None:
-            probs = sample_shots(probs, shots, [(seed, b) for b in range(len(probs))])
-        asym, var, short, totals = _blocks(probs, shots, min_counts)
-    recorded, at_rest = totals.sum(axis=0)
-    return asym, var.sum(axis=0), short.any(axis=0), recorded, at_rest
+        probs = _column(w.grid, _slm_plane(w, mode), params, phases, epsilon, mode, pixel)
+    probs = probs.reshape(-1, *probs.shape[2:])  # the (quadrature, analyzer) blocks
+    if shots is not None:
+        probs = sample_shots(probs, shots, [(seed, b) for b in range(len(probs))])
+    asym, var, total, short = _asymmetry(probs[:, :, 0], probs[:, :, 1],
+                                         None if shots is None else min_counts)
+    recorded = (total[:, 0] + total[:, 1] + 2 * total[:, 2:].sum(axis=1)).sum(axis=0)
+    return asym, var.sum(axis=0), short.any(axis=0), recorded, total[:, 1].sum(axis=0)
 
 
 def _require_epsilon(epsilon) -> None:
@@ -431,7 +406,8 @@ def run_reconstruction(
     joint: bool = False,
     min_counts: int = 100,
 ) -> ReconstructionResult:
-    """Full k-sweep: the four stages, then the inverse Fourier transform.
+    """Full k-sweep: one pass of the four stages over the stack of the four
+    blocks (``_sweep``), then the inverse Fourier transform.
 
     ``shots=None`` selects the infinite-statistics shortcut (analytic Born
     probabilities, zero statistical error).  Only the n/2 + 1 rows q = -n/2,

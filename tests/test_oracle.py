@@ -410,8 +410,12 @@ Q3 = random_observable(3, 0)
     (lambda: kd_marginals(PseudoDistribution(np.eye(2) / 2, ("A", "B"), "kd",
                                              conditioning="B[0]")),
      ValueError, "unconditioned"),
+    (lambda: kd_marginals(PseudoDistribution(np.full((2, 2, 2), 0.125), ("A", "B", "C"), "kd")),
+     DimensionMismatch, r"2-D distribution, got shape \(2, 2, 2\)"),
+    (lambda: kd_marginals(PseudoDistribution(np.full(2, 0.5), ("A",), "kd")),
+     DimensionMismatch, r"2-D distribution, got shape \(2,\)"),
 ], ids=["joint-state", "joint-observables", "npoint", "npoint-mixed", "reconstruct-shape",
-        "conditioned-marginals"])
+        "conditioned-marginals", "marginals-3d", "marginals-1d"])
 def test_typed_refusals(call, error, match):
     with pytest.raises(error, match=match):
         call()

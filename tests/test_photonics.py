@@ -350,6 +350,15 @@ class TestPropagation:
             assert np.max(np.abs(probs.sum(axis=(1, 2)) - 1.0)) < 1e-10
             assert abs(sum(populations(probs)).sum() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_empty_k_gives_an_empty_stack(self, packet, mode):
+        n = packet.grid.n
+        probs = run_setting(packet, [], 0.0, 0.05, mode)
+        assert probs.shape == (2, 0, 2, n)
+        assert propagate_and_analyze(packet.grid, np.zeros((0, 2, n), complex), mode).shape \
+            == (2, 0, 2, n)
+        assert sample_shots(probs, 10, [(0, 0), (0, 1)]).shape == (2, 0, 2, n)
+
     def test_crossed_signal_scales_quadratically(self, packet):
         g = packet.grid
         sig = []
@@ -564,8 +573,8 @@ class TestSampling:
 
     def test_threads_sampling_interleaved_keys_match_sequential(self):
         # four user threads run sweeps at once, each sweep on its own
-        # calling thread: a joint runs its two quadratures one after the
-        # other, a conditional-only run draws its four blocks in one pass
+        # calling thread, where a joint and a conditional-only run each draw
+        # their four blocks in one pass
         g = Grid(32, 12.0)
         states = [gaussian_state(g, center=0.3, width=WIDTH), random_smooth_state(g, 3)]
         runs = [((states[m % 2], 0.05, (10**4, None, 10**6)[m % 3], 100 + m),
@@ -657,9 +666,9 @@ class TestSampling:
                                                                          monkeypatch):
         # the draw of stream ``failing`` raises in a sweep; run_reconstruction
         # re-raises it, with its type.  Every draw is made on the calling
-        # thread, in stream order: a joint draws quadrature 0's two blocks
-        # before quadrature 1's, a conditional-only run its four blocks in
-        # one pass, so either way only the streams up to the failing one.
+        # thread, in stream order: a joint and a conditional-only run each
+        # draw their four blocks in one pass, so only the streams up to the
+        # failing one.
         # Each block's cells are one run here, so one multinomial call.
         class DrawFailed(RuntimeError):
             pass
@@ -758,7 +767,7 @@ class TestSampling:
     @pytest.mark.parametrize("bad, error", [
         ("zero", InvalidProbability), ("sum", InvalidProbability),
         ("negative", InvalidProbability), ("key", ValueError), ("blocks", ValueError),
-        ("2-d", ValueError),
+        ("2-d", ValueError), ("no-outcomes", InvalidProbability),
     ])
     def test_invalid_stack_rejected_before_any_draw(self, bad, error, monkeypatch):
         # only block 1, or its key, is bad: block 0 is drawn on the calling
@@ -775,6 +784,8 @@ class TestSampling:
             keys[1] = (0, 2**63)
         elif bad == "blocks":
             keys.pop()
+        elif bad == "no-outcomes":  # every cell then sums to 0
+            stack = stack[:, :, :0]
         else:  # a stack needs axes of blocks, cells and outcomes
             stack = stack[:, :, 0, 0]
         with pytest.raises(error):
@@ -978,11 +989,11 @@ class TestReconstruction:
             calls = []
 
             def fresh(prob, shots, keys, n=n, _stack=photonics.sample_shots):
-                # one call per quadrature on its (analyzer, k, outcome, pixel)
-                # stack over the n/2 + 1 measured rows, each analyzer block's
-                # cells drawn here one at a time from a generator of the block's key
+                # one call on the (quadrature-analyzer block, k, outcome, pixel)
+                # stack over the n/2 + 1 measured rows, each block's cells
+                # drawn here one at a time from a generator of the block's key
                 calls.append(keys)
-                assert prob.shape == (2, n // 2 + 1, 2, n)
+                assert prob.shape == (4, n // 2 + 1, 2, n)
                 rows = np.stack([fresh_sample_shots(block, shots, key)
                                  for block, key in zip(prob, keys)])
                 assert np.array_equal(_stack(prob, shots, keys), rows)
@@ -991,8 +1002,7 @@ class TestReconstruction:
             monkeypatch.setattr(photonics, "sample_shots", fresh)
             ref = run_reconstruction(w, 0.05, shots, seed, mode=mode, joint=True)
             monkeypatch.undo()
-            # the quadratures draw one after the other
-            assert calls == [[(seed, 0), (seed, 1)], [(seed, 2), (seed, 3)]]
+            assert calls == [[(seed, b) for b in range(4)]]
             for name in ("z_values", "z_errors", "rates", "joint"):
                 assert np.array_equal(getattr(res, name), getattr(ref, name)), (n, name)
 
@@ -1039,19 +1049,18 @@ class TestReconstruction:
         for name, _, _ in calls:
             if name in stages:
                 stages[name] += 1
-        # each of a joint's quadratures makes one setting and one draw of
-        # its two analyzer blocks, each over all measured frequencies.  A
-        # conditional-only run's Born column is private, and one call draws
-        # its four blocks.  One batched estimate.
+        # each of a joint's quadratures makes one setting over all measured
+        # frequencies; a conditional-only run's Born column is private.
+        # Either way one call draws the four blocks, and one batched estimate
         assert stages == {"kdrecon.photonics.run_setting": 2 if joint else 0,
                           "kdrecon.photonics.propagate_and_analyze": 0,
-                          "kdrecon.photonics.sample_shots":
-                              0 if shots is None else 2 if joint else 1,
+                          "kdrecon.photonics.sample_shots": 0 if shots is None else 1,
                           "kdrecon.photonics.estimate_weak_char": 1}
-        if shots is not None and not joint:
+        if shots is not None:
             (prob, _, keys), = [args for name, _, args in calls
                                 if name == "kdrecon.photonics.sample_shots"]
-            assert prob.shape == (4, n // 2 + 1, 3, 1)  # the rows q = -n/2, 0, ..., n/2 - 1
+            # the rows q = -n/2, 0, ..., n/2 - 1
+            assert prob.shape == (4, n // 2 + 1) + ((2, n) if joint else (3, 1))
             assert keys == [(3, stream) for stream in range(4)]
 
     def test_sweeps_start_no_thread(self):
@@ -1075,36 +1084,12 @@ class TestReconstruction:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["1"]
 
-    @pytest.mark.parametrize("failing", [0, 1])
-    def test_error_in_a_quadrature_reaches_the_caller_before_the_next_starts(
-            self, failing, monkeypatch):
-        # the chains run one after the other: quadrature 1 starts only once
-        # quadrature 0's has ended
-        class ChainFailed(RuntimeError):
-            pass
-
-        ended = []
-
-        def chain(qi, *args, _chain=photonics._quadrature):
-            try:
-                if qi == failing:
-                    raise ChainFailed(qi)
-                return _chain(qi, *args)
-            finally:
-                ended.append(qi)
-
-        monkeypatch.setattr(photonics, "_quadrature", chain)
-        w = gaussian_state(Grid(16, 12.0), width=WIDTH)
-        with pytest.raises(ChainFailed) as raised:
-            run_reconstruction(w, 0.05, 10**4, 0, joint=True)
-        assert raised.value.args == (failing,)
-        assert ended == list(range(failing + 1))
-
     @pytest.mark.parametrize("shots", [None, 10**4])
     def test_joint_peaks_below_170_mb_at_n_1024(self, shots):
-        # the two quadratures' chains run one after the other: each transforms
-        # its photon in place, and projects it on the analyzers and draws its
-        # counts a run of cells at a time; it peaked at 98 MB with and
+        # each quadrature's setting transforms its photon in place and
+        # projects it on the analyzers a run of cells at a time, and the
+        # four blocks' counts are drawn a run of cells at a time; the peak
+        # lies downstream, in the unfold and the estimate, at 98 MB with and
         # without shots
         w = random_smooth_state(Grid(1024, 40.0), 3)
         tracemalloc.start()
