@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import _read_only_copy, require_grid_size, require_postselection
+from .core import _read_only_copy, require_grid_size, require_index, require_postselection
 from .errors import DimensionMismatch, NormViolation, OffGridParameter
 
 EDGE_GUARD = 1e-8  # edge amplitude above which momentum shifts alias
@@ -31,43 +32,54 @@ ORDERINGS = ("x-then-p", "p-then-x")
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform position grid with its conjugate momentum grid."""
+    """Uniform position grid with its conjugate momentum grid.
+
+    ``n`` is read as a Python int (``core.require_index``: a TypeError that
+    names "grid n" for a bool or a non-integer).  The coordinate arrays
+    ``x``, ``p`` and ``k`` are each computed once per grid, on first use,
+    and are read-only."""
 
     n: int
     length: float
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"grid n must be a power of two, at least 16, got {self.n}")
+        n = require_index(self.n, 2**63, "grid n")  # below 2^63, numpy's index range
+        if n < 16 or (n & (n - 1)) != 0:
+            raise ValueError(f"grid n must be a power of two, at least 16, got {n}")
+        object.__setattr__(self, "n", n)
         if not 0 < self.length < np.inf:
             raise ValueError("grid length must be positive and finite")
         if not 0 < self.hbar < np.inf:
             raise ValueError("hbar must be positive and finite")
 
+    def __getstate__(self):
+        # the fields only: a copy or an unpickled grid rebuilds its arrays read-only
+        return {"n": self.n, "length": self.length, "hbar": self.hbar}
+
     @property
     def dx(self) -> float:
         return self.length / self.n
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return -self.length / 2 + self.dx * np.arange(self.n)
+        return _read_only_copy(-self.length / 2 + self.dx * np.arange(self.n), float)
 
     @property
     def dp(self) -> float:
         return 2 * np.pi * self.hbar / self.length
 
-    @property
+    @cached_property
     def p(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.dp
+        return _read_only_copy((np.arange(self.n) - self.n // 2) * self.dp, float)
 
     @property
     def dk(self) -> float:
         return 2 * np.pi / self.length
 
-    @property
+    @cached_property
     def k(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.dk
+        return _read_only_copy((np.arange(self.n) - self.n // 2) * self.dk, float)
 
 
 def _require_unit_norm(deviation: float, what: str) -> None:
@@ -115,6 +127,14 @@ class CharFnSample:
         object.__setattr__(self, "values", vals)
 
 
+@lru_cache(maxsize=8)
+def _signs(n: int, trailing: int) -> np.ndarray:
+    """(-1)^i for i < n, shaped (n,) and then ``trailing`` unit axes, read-only."""
+    sign = np.ones((n,) + (1,) * trailing)
+    sign[1::2] = -1.0
+    return _read_only_copy(sign, float)
+
+
 def _centred_fft(a, scale: float, axis: int = -1, inverse: bool = False,
                  out: np.ndarray | None = None) -> np.ndarray:
     """scale * sum_m e^{-i u_m y_i} a_m along ``axis``, for centred conjugate
@@ -126,9 +146,7 @@ def _centred_fft(a, scale: float, axis: int = -1, inverse: bool = False,
     The signs multiply as the complex +-1: a negation would give some exact
     zeros the other sign bit, which the written artifacts show.
     """
-    n = np.shape(a)[axis]
-    sign = np.ones((n,) + (1,) * (np.ndim(a) - 1 - axis % np.ndim(a)))
-    sign[1::2] = -1.0
+    sign = _signs(np.shape(a)[axis], np.ndim(a) - 1 - axis % np.ndim(a))
     out = np.multiply(a, scale * sign, out=out, dtype=complex)
     (np.fft.ifft if inverse else np.fft.fft)(out, axis=axis, out=out)
     out *= sign

@@ -36,6 +36,7 @@ row -q is Z = <cos>_w - i <sin>_w of row q (_unfold).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,6 +64,7 @@ _ANALYZER_KETS = (
     np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
 )
+_ANALYZER_BRAS = np.conj(_ANALYZER_KETS).transpose(0, 2, 1)  # (analyzer, port, H/V)
 _PRODUCT_CELLS = 2**15  # complex camera cells projected on the analyzers at once
 _EXPANSION_POINTS = 64  # samples per period of cos(eps sin u) and sin(eps sin u)
 _DROPPED_BOUND = 1e-15  # summed magnitude of the expansion coefficients left out
@@ -145,6 +147,16 @@ def _expansion(epsilon: float, points: int):
     return kept, coeff
 
 
+@lru_cache(maxsize=8)
+def _weights(epsilon: float, points: int, phases: tuple):
+    """``_expansion``'s orders m and the (order, phase) weights c_m e^{i m phase},
+    read-only; cached beside it."""
+    orders, coeff = _expansion(epsilon, points)
+    weights = coeff[:, None] * np.exp(np.multiply.outer(1j * orders, phases))
+    weights.setflags(write=False)
+    return orders, weights
+
+
 def _column(g: Grid, h: np.ndarray, k, phases, epsilon: float, mode: str,
             pixel: int) -> np.ndarray:
     """run_setting's (analyzer, k, outcome, 1) marginal at camera ``pixel``
@@ -165,15 +177,14 @@ def _column(g: Grid, h: np.ndarray, k, phases, epsilon: float, mode: str,
     q = _grid_offsets(g, k, step, "SLM frequency").reshape(-1)
     lens = _grid_transform(g, h, inverse)
     _require_unit_norm(abs(camera_step * np.sum(np.abs(lens) ** 2) - 1.0), "photon")
-    orders, coeff = _expansion(float(epsilon), _EXPANSION_POINTS)
+    orders, weights = _weights(float(epsilon), _EXPANSION_POINTS, tuple(phases))
     # (order, phase, k): the camera index of order m is pixel + m q, or pixel - m q for
     # x-then-p, mod n (a power of two: the low bits, negative indices included)
     index = (pixel + np.multiply.outer(orders if inverse else -orders, q)) & (g.n - 1)
-    terms = (lens[index][:, None]
-             * (coeff[:, None] * np.exp(np.multiply.outer(1j * orders, phases)))[..., None])
+    terms = lens[index][:, None] * weights[..., None]
     # H sums the even orders, V the odd; an accumulation adds in order whatever the shape
     hv = [np.add.accumulate(terms[m % 2::2])[-1] for m in orders[:2]]
-    bras = np.conj(_ANALYZER_KETS).transpose(0, 2, 1)[..., None, None]  # analyzer, port, H/V
+    bras = _ANALYZER_BRAS[..., None, None]
     amp = bras[:, :, 0] * hv[0] + bras[:, :, 1] * hv[1]  # (analyzer, port, phase, k)
     probs = np.empty((len(phases), len(ANALYZERS), len(q), 3, 1))
     np.multiply(camera_step, np.square(np.abs(amp)).transpose(2, 0, 3, 1), out=probs[..., :2, 0])
@@ -202,10 +213,10 @@ def _analyze(camera: np.ndarray, step: float) -> np.ndarray:
     product of ``camera``'s size is built."""
     rows = camera.reshape(-1, *camera.shape[-2:])
     probs = np.empty((len(ANALYZERS),) + rows.shape)
-    run = max(1, _PRODUCT_CELLS // int(np.prod(camera.shape[-2:])))
+    run = max(1, _PRODUCT_CELLS // math.prod(camera.shape[-2:]))
     for start in range(0, len(rows), run):
-        for p, kets in zip(probs[:, start:start + run], _ANALYZER_KETS):
-            p[...] = step * np.abs(kets.conj().T @ rows[start:start + run]) ** 2
+        for p, bras in zip(probs[:, start:start + run], _ANALYZER_BRAS):
+            p[...] = step * np.abs(bras @ rows[start:start + run]) ** 2
     probs = probs.reshape((len(ANALYZERS),) + camera.shape)
     _require_unit_norm(np.max(np.abs(probs[0].sum(axis=(-2, -1)) - 1.0), initial=0.0), "photon")
     return probs
@@ -216,7 +227,7 @@ SEED_LIMIT = 2**63  # each Philox key word, and each shot count, lies in [0, 2^6
 def _clipped_rows(cells: np.ndarray) -> np.ndarray:
     """``cells`` clipped to [0, inf), as C-ordered (cell, outcome) rows."""
     return np.maximum(cells, 0, out=np.empty(cells.shape)).reshape(
-        len(cells), int(np.prod(cells.shape[1:])))
+        len(cells), math.prod(cells.shape[1:]))
 
 
 def _require_key(key) -> tuple[int, int]:
@@ -239,11 +250,15 @@ def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
 
     The stack is read as one sequence of (block, cell) rows, cut into runs
     of about _PRODUCT_CELLS values that may span blocks; the check and the
-    draw each clip a run once, and each block's generator, made once, draws
-    its cells of each run.  No copy of the stack is built, unless its block
-    and cell axes do not merge (a view that slices the cells).  A sweep's
-    stacks, (4, n/2 + 1, 2, n) for a joint and (4, n/2 + 1, 3, 1) for a
-    conditional-only run, are one run each at the benchmark's sizes.
+    draw each clip a run once.  A call builds one generator, local to the
+    call and seeded, so it reads no OS entropy.  Before block b's first cell
+    it is re-keyed to the state ``Philox(key=keys[b])`` is built with
+    (counter 0, empty buffer), a state write in place of a ``Philox`` build,
+    and then draws the block's cells of each run.  No copy of the stack is
+    built, unless its block and cell axes do not merge (a view that slices
+    the cells).  A sweep's stacks, (4, n/2 + 1, 2, n) for a joint and
+    (4, n/2 + 1, 3, 1) for a conditional-only run, are one run each at the
+    benchmark's sizes.
     """
     keys = [_require_key(key) for key in keys]
     shots = require_index(shots, SEED_LIMIT, "shots")
@@ -257,7 +272,7 @@ def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
         raise InvalidProbability("NaN probability encountered")
     if not low >= -1e-12:
         raise InvalidProbability("negative probability encountered")
-    cells, outcomes = p.shape[1], int(np.prod(p.shape[2:]))
+    cells, outcomes = p.shape[1], math.prod(p.shape[2:])
     rows = p.reshape((len(p) * cells,) + p.shape[2:])  # (block, cell) rows
     run = max(1, _PRODUCT_CELLS // max(1, outcomes))
     starts = range(0, len(rows), run)
@@ -268,14 +283,20 @@ def sample_shots(prob: np.ndarray, shots: int, keys) -> np.ndarray:
         raise InvalidProbability(f"probabilities sum to {totals.max()}")
     if not np.all(totals > 0):
         raise InvalidProbability("a cell's probabilities sum to 0")
-    gens = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
     counts = np.empty((len(rows), outcomes), dtype=np.int64)
     for start in starts:
         stop = min(start + run, len(rows))
         pvals = _clipped_rows(rows[start:stop]) / totals[start:stop, None]
         for b in range(start // cells, (stop - 1) // cells + 1):  # the blocks the run spans
             lo, hi = max(start, b * cells), min(stop, (b + 1) * cells)
-            counts[lo:hi] = gens[b].multinomial(shots, pvals[lo - start:hi - start])
+            if lo == b * cells:  # the block's first cell: Philox(key=keys[b]) as built
+                bits.state = {"bit_generator": "Philox",
+                              "state": {"counter": (0, 0, 0, 0), "key": keys[b]},
+                              "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                              "has_uint32": 0, "uinteger": 0}
+            counts[lo:hi] = gen.multinomial(shots, pvals[lo - start:hi - start])
     return counts.reshape(p.shape)
 
 
@@ -307,8 +328,13 @@ def estimate_weak_char(asym, var_sum, epsilon: float):
     """Z = (A_0 - A_3 + i(A_1 + A_2)) / sin(2 eps) and its standard error,
     elementwise over (k, pixel), from the (block, k, pixel) stack of
     asymmetries (cos-diag, cos-circ, sin-diag, sin-circ) and their summed
-    variance; ValueError for an epsilon that require_settings refuses."""
+    variance; ValueError for an epsilon that require_settings refuses, and
+    for a variance that is negative or NaN (inf, no data, is taken)."""
     _require_epsilon(epsilon)
+    ok = np.greater_equal(var_sum, 0.0)  # False for NaN
+    if not ok.all():
+        raise ValueError(
+            f"summed variance must be at least 0, got {np.asarray(var_sum)[~ok].flat[0]}")
     norm = np.sin(2 * epsilon)
     z = (asym[0] - asym[3] + 1j * (asym[1] + asym[2])) / norm
     return z, np.sqrt(var_sum) / norm

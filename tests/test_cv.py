@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -81,6 +83,36 @@ class TestGrid:
     def test_hbar_scales_momentum(self):
         g = Grid(64, 10.0, hbar=2.0)
         assert g.dp == pytest.approx(2 * np.pi * 2.0 / 10.0)
+
+    @pytest.mark.parametrize("n", [64.0, "64", True])
+    def test_non_integer_n_is_a_type_error_that_names_it(self, n):
+        with pytest.raises(TypeError, match="grid n must be an integer"):
+            Grid(n, 16.0)
+
+    def test_numpy_integer_n_is_read_as_int(self):
+        g = Grid(np.int64(64), 16.0)
+        assert type(g.n) is int
+        assert g == Grid(64, 16.0)
+
+    @pytest.mark.parametrize("n", [16, 1024])
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    @pytest.mark.parametrize("name", ["x", "p", "k"])
+    def test_coordinate_arrays_are_built_once_and_read_only(self, n, hbar, name):
+        g = Grid(n, 16.0, hbar)
+        expected = {  # the formulas the grid has always used
+            "x": -g.length / 2 + g.dx * np.arange(n),
+            "p": (np.arange(n) - n // 2) * g.dp,
+            "k": (np.arange(n) - n // 2) * g.dk,
+        }[name]
+        a = getattr(g, name)
+        assert getattr(g, name) is a
+        assert a.tobytes() == expected.tobytes()
+        # a copy or an unpickled grid does not carry a writable array
+        for other in (g, copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert other == g
+            assert getattr(other, name).tobytes() == expected.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(other, name)[0] = 1.0
 
 
 class TestTransforms:

@@ -645,6 +645,35 @@ class TestSampling:
             for b, key in enumerate(keys):
                 assert np.array_equal(counts[b], fresh_sample_shots(stack[b], shots, key)), (b, shots)
 
+    @pytest.mark.parametrize("run", [None, 3, 5])
+    def test_a_call_builds_one_philox_and_draws_each_blocks_fresh_counts(self, run,
+                                                                       monkeypatch):
+        # a call builds at most one Philox and re-keys it per block, with a
+        # fresh generator's counts; one run spans all four blocks, and with
+        # runs of 3 or 5 cells, runs span blocks and blocks span runs
+        if run is not None:
+            monkeypatch.setattr(photonics, "_PRODUCT_CELLS", run * 6)
+        rng = np.random.default_rng(4)
+        stack = rng.random((4, 7, 3, 2))
+        stack /= stack.sum(axis=(2, 3), keepdims=True)
+        keys = [(2**63 - 1, 0), (5, 3), (5, 2), (0, 2**62)]
+        expected = {shots: [fresh_sample_shots(stack[b], shots, key) for b, key in enumerate(keys)]
+                    for shots in (1, 10**6)}
+        builds = []
+        bit_generator = np.random.Philox
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return bit_generator(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        for shots, fresh in expected.items():
+            builds.clear()
+            counts = sample_shots(stack, shots, keys)
+            assert len(builds) <= 1
+            for b, block_counts in enumerate(fresh):
+                assert np.array_equal(counts[b], block_counts), (b, shots)
+
     @pytest.mark.parametrize("layout", ["C", "transposed"])
     def test_blocks_of_wide_cells_are_drawn_in_runs_with_the_counts_of_one_call(self, layout):
         # 2^14 outcomes per cell: each block's 5 cells are drawn in runs of 2
@@ -669,7 +698,9 @@ class TestSampling:
         # thread, in stream order: a joint and a conditional-only run each
         # draw their four blocks in one pass, so only the streams up to the
         # failing one.
-        # Each block's cells are one run here, so one multinomial call.
+        # Each block's cells are one run here, so one multinomial call; the
+        # call's one generator is re-keyed per block, so each draw is
+        # recorded by the Philox key its generator holds when it is made.
         class DrawFailed(RuntimeError):
             pass
 
@@ -681,17 +712,17 @@ class TestSampling:
             each draw by its Philox key."""
 
             def __init__(self, bit_generator):
-                self.key = tuple(int(v) for v in bit_generator.state["state"]["key"])
                 self.gen = generator(bit_generator)
 
             def multinomial(self, *args):
                 threads.add(threading.get_ident())
+                key = tuple(int(v) for v in self.gen.bit_generator.state["state"]["key"])
                 try:
-                    if self.key[1] == failing:
-                        raise DrawFailed(self.key)
+                    if key[1] == failing:
+                        raise DrawFailed(key)
                     return self.gen.multinomial(*args)
                 finally:
-                    finished.append(self.key)
+                    finished.append(key)
 
         monkeypatch.setattr(np.random, "Generator", Recording)
         w = gaussian_state(Grid(16, 12.0), width=WIDTH)
@@ -839,6 +870,22 @@ class TestEstimator:
             require_settings(Grid(64, 16.0), epsilon, "x-then-p")
         expected = f"coupling epsilon must lie in [1e-9, pi/2), got {epsilon!r}"
         assert str(raised.value) == str(settings.value) == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-6])
+    def test_negative_or_nan_variance_rejected(self, bad):
+        # a NaN gave a NaN standard error with no warning, a negative one
+        # numpy's "invalid value in sqrt"
+        asym, var_sum = np.full((4, 3, 2), 0.1), np.full((3, 2), 1e-4)
+        var_sum[1, 0] = bad
+        with pytest.raises(ValueError, match=f"summed variance must be at least 0, got {bad}"):
+            estimate_weak_char(asym, var_sum, 0.05)
+
+    def test_infinite_variance_marks_no_data(self):
+        asym, var_sum = np.full((4, 3, 2), 0.1), np.full((3, 2), 1e-4)
+        var_sum[1, 0] = np.inf
+        _, se = estimate_weak_char(asym, var_sum, 0.05)
+        assert np.isinf(se[1, 0])
+        assert np.sum(np.isfinite(se)) == 5
 
     def test_stack_entries_combine_as_cos_and_sin_analyzers(self):
         # entry 2 qi + ai: Z = (A_0 - A_3 + i(A_1 + A_2)) / sin(2 eps)
